@@ -25,6 +25,7 @@ import (
 	"rapid/internal/exp"
 	"rapid/internal/meet"
 	"rapid/internal/packet"
+	"rapid/internal/routing"
 	"rapid/internal/routing/optimal"
 	"rapid/internal/scenario"
 	"rapid/internal/sim"
@@ -222,11 +223,61 @@ func BenchmarkQueueIndexBuild(b *testing.B) {
 			Created: r.Float64() * 1000,
 		}}, nil)
 	}
+	probe := store.Get(1000).P
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		idx := core.NewQueueIndex(store)
-		_ = idx.BytesAhead(1000)
+		_ = idx.BytesAhead(probe)
+	}
+}
+
+// BenchmarkSaturatedAccept measures buffer eviction: a RAPID avg-delay
+// router on a full 100 KB store of 1 KB packets accepting replicas, so
+// every op is an insert plus a utility-ranked eviction over the whole
+// buffer. The incoming replicas are built off the clock in chunks, so
+// B/op and allocs/op count only the router.
+func BenchmarkSaturatedAccept(b *testing.B) {
+	const size, capacity = 1 << 10, 100 << 10
+	net := routing.NewNetwork(sim.New(1), []packet.NodeID{0, 1}, core.New(core.AvgDelay),
+		routing.Config{BufferBytes: capacity, Mode: routing.ControlInBand, MetaFraction: -1, DefaultTransferBytes: 4 * size})
+	net.Horizon = 1e5
+	n := net.Node(0)
+	for d := packet.NodeID(2); d < 12; d++ {
+		n.Ctl.Meet.ObserveMeeting(d, float64(40+10*d))
+	}
+	n.Ctl.ObserveTransfer(4 * size)
+	next := packet.ID(1)
+	var chunk []buffer.Entry
+	refill := func() {
+		ps := make([]packet.Packet, 1024)
+		chunk = make([]buffer.Entry, len(ps))
+		for i := range ps {
+			ps[i] = packet.Packet{ID: next, Src: 1, Dst: 2 + packet.NodeID(next%10), Size: size, Created: float64(next)}
+			chunk[i].P = &ps[i]
+			next++
+		}
+	}
+	accept := func(now float64) bool {
+		e := &chunk[0]
+		chunk = chunk[1:]
+		return n.Router.Accept(e, 1, now)
+	}
+	refill()
+	for i := 0; i < capacity/size; i++ {
+		accept(0)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if len(chunk) == 0 {
+			b.StopTimer()
+			refill()
+			b.StartTimer()
+		}
+		if !accept(1e4) {
+			b.Fatal("saturated accept rejected")
+		}
 	}
 }
 

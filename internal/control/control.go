@@ -68,6 +68,10 @@ type PacketMeta struct {
 	Replicas []ReplicaEstimate
 	// Updated is the latest local-knowledge change, for delta encoding.
 	Updated float64
+
+	// seen is the owning State's seenEpoch when metaChangedSince last
+	// collected this entry, deduplicating the changelog in place.
+	seen uint64
 }
 
 // replica returns the index of holder's entry in m.Replicas and whether
@@ -177,16 +181,11 @@ type State struct {
 	ackLog  []logEvent
 	metaLog []logEvent
 	// ackScratch/metaScratch are reused result buffers for the delta
-	// queries above (one exchange runs at a time per node); seen is the
-	// epoch-stamped dedup set metaChangedSince reuses across exchanges.
+	// queries above (one exchange runs at a time per node); seenEpoch
+	// numbers metaChangedSince calls for the PacketMeta.seen stamps.
 	ackScratch  []packet.ID
 	metaScratch []*PacketMeta
-	seen        map[packet.ID]uint64
 	seenEpoch   uint64
-
-	// metaVer counts ack/replica-metadata mutations; RAPID's estimate
-	// cache compares it instead of re-reading the state every contact.
-	metaVer uint64
 
 	// lastExchange is the time of the previous exchange per peer (dense
 	// by node ID; the zero value is the epoch default the delta encoding
@@ -249,20 +248,6 @@ func NewState(self packet.NodeID, hops int, g *Global) *State {
 // Self returns the owning node ID.
 func (s *State) Self() packet.NodeID { return s.self }
 
-// MetaVersion counts mutations of the ack/replica metadata this state
-// reads (the shared snapshot's, in global mode). Consumers caching
-// derived values compare versions instead of subscribing to events.
-func (s *State) MetaVersion() uint64 {
-	if s.global != nil {
-		return s.global.metaVer
-	}
-	return s.metaVer
-}
-
-// TransferObservations counts transfer-size observations folded into
-// the node's moving average — a monotone stamp for the average's value.
-func (s *State) TransferObservations() int { return s.avgTransfer.N() }
-
 // Global reports whether this state runs over the instant global
 // channel.
 func (s *State) Global() bool { return s.global != nil }
@@ -320,7 +305,6 @@ func (s *State) LearnAck(id packet.ID, now float64) {
 	if s.global != nil {
 		if _, ok := s.global.acked[id]; !ok {
 			s.global.acked[id] = now
-			s.global.metaVer++
 		}
 		return
 	}
@@ -328,7 +312,6 @@ func (s *State) LearnAck(id packet.ID, now float64) {
 		s.acked[id] = now
 		s.ackLog = appendLog(s.ackLog, now, id)
 		delete(s.meta, id)
-		s.metaVer++
 	}
 }
 
@@ -374,7 +357,6 @@ func (s *State) NoteReplica(item InventoryItem, holder packet.NodeID, now float6
 		m.Updated = now
 		s.metaLog = appendLog(s.metaLog, now, item.ID)
 	}
-	s.metaVer++
 }
 
 // DropReplica forgets that holder carries the packet (used when a node
@@ -384,7 +366,6 @@ func (s *State) DropReplica(id packet.ID, holder packet.NodeID, now float64) {
 		if m := s.global.meta[id]; m != nil {
 			m.removeReplica(holder)
 			m.Updated = now
-			s.global.metaVer++
 		}
 		return
 	}
@@ -392,7 +373,6 @@ func (s *State) DropReplica(id packet.ID, holder packet.NodeID, now float64) {
 		m.removeReplica(holder)
 		m.Updated = now
 		s.metaLog = appendLog(s.metaLog, now, id)
-		s.metaVer++
 	}
 }
 
@@ -450,7 +430,6 @@ type Global struct {
 	meta        map[packet.ID]*PacketMeta
 	avgTransfer map[packet.NodeID]float64
 	states      map[packet.NodeID]*State
-	metaVer     uint64
 }
 
 // NewGlobal returns an empty global snapshot.
@@ -474,7 +453,6 @@ func (g *Global) note(item InventoryItem, holder packet.NodeID, now float64) {
 	}
 	m.upsertReplica(holder, item.Delay, now)
 	m.Updated = now
-	g.metaVer++
 }
 
 // SyncMeetingTables mirrors every node's direct meeting table to every
@@ -755,23 +733,21 @@ func (s *State) acksSince(since float64) []packet.ID {
 
 // metaChangedSince returns metadata entries updated after `since`,
 // sorted by packet ID, deduplicated from the changelog. The returned
-// slice is a reused scratch valid until the next call. The dedup set
-// is a reused epoch-stamped map — allocating a fresh map per exchange
-// dominated mega-scale delta cost, and the changelog is too
-// duplicate-heavy for sort-based dedup to win.
+// slice is a reused scratch valid until the next call. Duplicates are
+// dropped by stamping each PacketMeta with this call's epoch — the
+// changelog is too duplicate-heavy for sort-based dedup to win, and a
+// per-exchange dedup set dominated mega-scale delta cost.
 func (s *State) metaChangedSince(since float64) []*PacketMeta {
 	evs := eventsAfter(s.metaLog, since)
 	s.seenEpoch++
-	if s.seen == nil {
-		s.seen = make(map[packet.ID]uint64)
-	}
 	out := s.metaScratch[:0]
 	for _, ev := range evs {
-		if s.seen[ev.id] == s.seenEpoch {
+		m := s.meta[ev.id]
+		if m == nil || m.seen == s.seenEpoch {
 			continue
 		}
-		s.seen[ev.id] = s.seenEpoch
-		if m := s.meta[ev.id]; m != nil && m.Updated > since {
+		m.seen = s.seenEpoch
+		if m.Updated > since {
 			out = append(out, m)
 		}
 	}

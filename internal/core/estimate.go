@@ -9,7 +9,7 @@ package core
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"rapid/internal/buffer"
 	"rapid/internal/packet"
@@ -23,9 +23,8 @@ import (
 // creation — the order in which they would be delivered directly"
 // (§4.1).
 type QueueIndex struct {
-	ahead map[packet.ID]int64
-	// byDst is indexed by the run's dense destination IDs (packet IDs
-	// are sparse, so ahead stays a map).
+	// byDst is indexed by the run's dense destination IDs; a packet's
+	// position is found by binary search in its destination's queue.
 	byDst [][]qent
 }
 
@@ -38,54 +37,69 @@ type qent struct {
 	cum     int64
 }
 
-// NewQueueIndex builds the index for a store's current contents. The
-// store maintains per-destination delivery-ordered queues, so the build
-// is a linear prefix-sum pass — no scan-and-sort of the whole buffer.
+// NewQueueIndex builds a fresh index for a store's current contents.
 func NewQueueIndex(store *buffer.Store) *QueueIndex {
-	idx := &QueueIndex{
-		ahead: make(map[packet.ID]int64, store.Len()),
-	}
-	store.EachQueue(func(dst packet.NodeID, q []*buffer.Entry) {
-		ents := make([]qent, len(q))
-		var cum int64
-		for i, e := range q {
-			idx.ahead[e.P.ID] = cum
-			ents[i] = qent{created: e.P.Created, id: e.P.ID, size: e.P.Size, cum: cum}
-			cum += e.P.Size
-		}
-		for len(idx.byDst) <= int(dst) {
-			idx.byDst = append(idx.byDst, nil)
-		}
-		idx.byDst[dst] = ents
-	})
+	idx := &QueueIndex{}
+	idx.fill(store)
 	return idx
 }
 
+// fill rebuilds the index from the store's current contents, reusing
+// the index's slices. The store maintains per-destination
+// delivery-ordered queues, so the build is a linear prefix-sum pass —
+// no scan-and-sort of the whole buffer.
+func (q *QueueIndex) fill(store *buffer.Store) {
+	for i := range q.byDst {
+		q.byDst[i] = q.byDst[i][:0]
+	}
+	store.EachQueue(func(dst packet.NodeID, queue []*buffer.Entry) {
+		for len(q.byDst) <= int(dst) {
+			q.byDst = append(q.byDst, nil)
+		}
+		ents := slices.Grow(q.byDst[dst], len(queue))
+		var cum int64
+		for _, e := range queue {
+			ents = append(ents, qent{created: e.P.Created, id: e.P.ID, size: e.P.Size, cum: cum})
+			cum += e.P.Size
+		}
+		q.byDst[dst] = ents
+	})
+}
+
+// position returns p's destination queue and the index of its first
+// entry not older than p. O(log q).
+func (q *QueueIndex) position(p *packet.Packet) ([]qent, int) {
+	if p.Dst < 0 || int(p.Dst) >= len(q.byDst) {
+		return nil, 0
+	}
+	ents := q.byDst[p.Dst]
+	lo, hi := 0, len(ents)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if e := ents[mid]; e.created < p.Created || (e.created == p.Created && e.id < p.ID) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return ents, lo
+}
+
 // BytesAhead returns b(i) for a packet in the indexed buffer, or 0 for
-// an unknown packet (for hypothetical placements use HypoBytesAhead).
-func (q *QueueIndex) BytesAhead(id packet.ID) int64 { return q.ahead[id] }
+// a packet not in it (for hypothetical placements use HypoBytesAhead).
+func (q *QueueIndex) BytesAhead(p *packet.Packet) int64 {
+	if ents, i := q.position(p); i < len(ents) && ents[i].id == p.ID {
+		return ents[i].cum
+	}
+	return 0
+}
 
 // HypoBytesAhead computes b(i) as if p were inserted into the indexed
 // buffer: the bytes of already-buffered packets to the same destination
 // that are older than p. Used when hypothesizing a replica at the
-// contact peer (the peer's queue as just announced). O(log q) per
-// query.
+// contact peer (the peer's queue as just announced).
 func (q *QueueIndex) HypoBytesAhead(p *packet.Packet) int64 {
-	if p.Dst < 0 || int(p.Dst) >= len(q.byDst) {
-		return 0
-	}
-	ents := q.byDst[p.Dst]
-	if len(ents) == 0 {
-		return 0
-	}
-	// First entry NOT older than p.
-	i := sort.Search(len(ents), func(j int) bool {
-		e := ents[j]
-		if e.created != p.Created {
-			return e.created > p.Created
-		}
-		return e.id >= p.ID
-	})
+	ents, i := q.position(p)
 	// Everything before i is strictly older; if p itself is present at
 	// position i, its own bytes are not ahead of it.
 	if i < len(ents) && ents[i].id == p.ID {
@@ -99,79 +113,16 @@ func (q *QueueIndex) HypoBytesAhead(p *packet.Packet) int64 {
 
 // Estimator implements Estimate-Delay (§4.1) from one node's local
 // view: its own buffer, its control state (replica metadata, average
-// transfer sizes), and its meeting-time matrix.
-//
-// Estimates are cached per packet and invalidated by comparing version
-// stamps of the inputs (buffer contents, meeting matrix, transfer
-// average, replica metadata) instead of recomputing at every contact:
-// a node's estimates only move when one of those inputs moves, which
-// happens at its own meetings and ack/replica events — not with global
-// simulation time.
+// transfer sizes), and its meeting-time matrix. Estimates are computed
+// on demand: each is a memoized meeting-matrix read, one queue-index
+// search and a walk over the packet's replicas.
 type Estimator struct {
 	node *routing.Node
-
-	// Input stamps captured at the last cache epoch.
-	storeVer, meetVer, metaVer uint64
-	xferN                      int
-	// selfEpoch tags SelfDelay entries (inputs: buffer position, meeting
-	// matrix, transfer average); rateEpoch additionally covers replica
-	// metadata and so moves at least as often.
-	selfEpoch, rateEpoch uint64
-
-	selfCache map[packet.ID]cachedDelay
-	rateCache map[packet.ID]cachedRate
-}
-
-// cachedDelay is one memoized SelfDelay value. The index pointer guards
-// against callers probing a hypothetical queue index (tests, snapshot
-// utilities) polluting entries computed against the live one.
-type cachedDelay struct {
-	epoch uint64
-	idx   *QueueIndex
-	val   float64
-}
-
-// cachedRate is one memoized RateSum result.
-type cachedRate struct {
-	epoch     uint64
-	idx       *QueueIndex
-	rate      float64
-	delivered bool
 }
 
 // NewEstimator returns an estimator bound to a node.
 func NewEstimator(n *routing.Node) *Estimator {
-	return &Estimator{
-		node:      n,
-		selfCache: make(map[packet.ID]cachedDelay),
-		rateCache: make(map[packet.ID]cachedRate),
-	}
-}
-
-// sync advances the cache epochs if any estimation input changed since
-// the last call.
-func (est *Estimator) sync() {
-	sv := est.node.Store.Version()
-	mv := est.node.Ctl.Meet.Version()
-	xn := est.node.Ctl.TransferObservations()
-	cv := est.node.Ctl.MetaVersion()
-	if sv != est.storeVer || mv != est.meetVer || xn != est.xferN {
-		est.storeVer, est.meetVer, est.xferN = sv, mv, xn
-		est.metaVer = cv
-		est.selfEpoch++
-		est.rateEpoch++
-		// Every cached entry is now stale; dropping them bounds the
-		// maps at the live-packet population and releases the old
-		// QueueIndex the entries pin.
-		clear(est.selfCache)
-		clear(est.rateCache)
-		return
-	}
-	if cv != est.metaVer {
-		est.metaVer = cv
-		est.rateEpoch++
-		clear(est.rateCache)
-	}
+	return &Estimator{node: n}
 }
 
 // meetingsNeeded returns n_j(i), the number of meetings with the
@@ -198,17 +149,12 @@ func meetingsNeeded(bytesAhead, size int64, avgTransfer float64) float64 {
 // Returns +Inf when the destination is unreachable within the h-hop
 // matrix.
 func (est *Estimator) SelfDelay(p *packet.Packet, idx *QueueIndex) float64 {
-	est.sync()
-	if c, ok := est.selfCache[p.ID]; ok && c.epoch == est.selfEpoch && c.idx == idx {
-		return c.val
+	em := est.node.Ctl.Meet.Expected(est.node.ID, p.Dst)
+	if math.IsInf(em, 1) {
+		return math.Inf(1)
 	}
-	d := math.Inf(1)
-	if em := est.node.Ctl.Meet.Expected(est.node.ID, p.Dst); !math.IsInf(em, 1) {
-		b := est.node.Ctl.AvgTransferBytes(est.node.Net.Cfg.DefaultTransferBytes)
-		d = em * meetingsNeeded(idx.BytesAhead(p.ID), p.Size, b)
-	}
-	est.selfCache[p.ID] = cachedDelay{epoch: est.selfEpoch, idx: idx, val: d}
-	return d
+	b := est.node.Ctl.AvgTransferBytes(est.node.Net.Cfg.DefaultTransferBytes)
+	return em * meetingsNeeded(idx.BytesAhead(p), p.Size, b)
 }
 
 // PeerDelay hypothesizes the direct-delivery time of a replica of p
@@ -248,19 +194,6 @@ func (est *Estimator) KnownDelays(p *packet.Packet, idx *QueueIndex) []float64 {
 // destination). This is the hot-path form of KnownDelays: it is
 // evaluated once per buffered packet per contact.
 func (est *Estimator) RateSum(p *packet.Packet, idx *QueueIndex) (rate float64, delivered bool) {
-	est.sync()
-	if c, ok := est.rateCache[p.ID]; ok && c.epoch == est.rateEpoch && c.idx == idx {
-		return c.rate, c.delivered
-	}
-	rate, delivered = est.rateSum(p, idx)
-	est.rateCache[p.ID] = cachedRate{
-		epoch: est.rateEpoch, idx: idx, rate: rate, delivered: delivered,
-	}
-	return rate, delivered
-}
-
-// rateSum is the uncached computation behind RateSum.
-func (est *Estimator) rateSum(p *packet.Packet, idx *QueueIndex) (rate float64, delivered bool) {
 	d := est.SelfDelay(p, idx)
 	if d == 0 {
 		return 0, true

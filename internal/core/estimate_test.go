@@ -29,25 +29,31 @@ func testNet(t *testing.T, metric Metric, bufBytes int64) (*routing.Network, *ro
 func TestQueueIndexOrdersOldestFirst(t *testing.T) {
 	s := buffer.New(0)
 	// Three packets to dst 5: created at 30, 10, 20 with sizes 100 each.
+	ps := map[packet.ID]*packet.Packet{}
 	for i, created := range []float64{30, 10, 20} {
-		s.Insert(&buffer.Entry{P: &packet.Packet{
-			ID: packet.ID(i + 1), Dst: 5, Size: 100, Created: created,
-		}}, nil)
+		p := &packet.Packet{ID: packet.ID(i + 1), Dst: 5, Size: 100, Created: created}
+		ps[p.ID] = p
+		s.Insert(&buffer.Entry{P: p}, nil)
 	}
 	// A packet to another destination must not interfere.
-	s.Insert(&buffer.Entry{P: &packet.Packet{ID: 9, Dst: 7, Size: 500, Created: 0}}, nil)
+	ps[9] = &packet.Packet{ID: 9, Dst: 7, Size: 500, Created: 0}
+	s.Insert(&buffer.Entry{P: ps[9]}, nil)
 	idx := NewQueueIndex(s)
-	if got := idx.BytesAhead(2); got != 0 { // created 10: head
+	if got := idx.BytesAhead(ps[2]); got != 0 { // created 10: head
 		t.Errorf("head bytesAhead=%d want 0", got)
 	}
-	if got := idx.BytesAhead(3); got != 100 { // created 20
+	if got := idx.BytesAhead(ps[3]); got != 100 { // created 20
 		t.Errorf("mid bytesAhead=%d want 100", got)
 	}
-	if got := idx.BytesAhead(1); got != 200 { // created 30
+	if got := idx.BytesAhead(ps[1]); got != 200 { // created 30
 		t.Errorf("tail bytesAhead=%d want 200", got)
 	}
-	if got := idx.BytesAhead(9); got != 0 {
+	if got := idx.BytesAhead(ps[9]); got != 0 {
 		t.Errorf("other-dst bytesAhead=%d want 0", got)
+	}
+	// A packet not in the buffer has no position.
+	if got := idx.BytesAhead(&packet.Packet{ID: 4, Dst: 5, Size: 100, Created: 25}); got != 0 {
+		t.Errorf("absent bytesAhead=%d want 0", got)
 	}
 }
 

@@ -17,11 +17,12 @@ type Router struct {
 	node   *routing.Node
 	est    *Estimator
 
-	// ownIdx caches the queue index over the node's own buffer, keyed
-	// by the store's version: Inventory, PlanReplication and the
+	// ownIdx is the queue index over the node's own buffer as of store
+	// version ownIdxVer. It is refilled in place, reusing its slices,
+	// whenever the store has moved: Inventory, PlanReplication and the
 	// eviction utility of one contact share a single build, and a
-	// contact that leaves the buffer untouched reuses the previous one.
-	ownIdx    *QueueIndex
+	// saturated Accept rebuilds it without allocating.
+	ownIdx    QueueIndex
 	ownIdxVer uint64
 
 	// peerIdx caches the contact peer's queue index between
@@ -65,7 +66,7 @@ func New(metric Metric) routing.RouterFactory {
 func (r *Router) Name() string { return "rapid/" + r.metric.String() }
 
 // SessionConfined implements routing.SessionConfined: the scratch
-// slices, delay caches and version counters are all per-node, and the
+// slices, queue indexes and version counters are all per-node, and the
 // only run-wide state touched is the immutable config and horizon.
 func (r *Router) SessionConfined() {}
 
@@ -76,6 +77,8 @@ func (r *Router) Metric() Metric { return r.metric }
 func (r *Router) Attach(n *routing.Node) {
 	r.node = n
 	r.est = NewEstimator(n)
+	r.ownIdx.fill(n.Store)
+	r.ownIdxVer = n.Store.Version()
 }
 
 // Generate implements routing.Router: store the new packet as the
@@ -262,22 +265,24 @@ func (r *Router) SnapshotReplicaDelays(holder *routing.Node) routing.ReplicaDela
 	}
 }
 
-// ownIndex returns the queue index over the node's own buffer, rebuilt
-// only when the store has changed since the last build.
+// ownIndex returns the queue index over the node's own buffer,
+// refilled only when the store has changed since the last fill.
 func (r *Router) ownIndex() *QueueIndex {
-	if v := r.node.Store.Version(); r.ownIdx == nil || r.ownIdxVer != v {
-		r.ownIdx = NewQueueIndex(r.node.Store)
+	if v := r.node.Store.Version(); r.ownIdxVer != v {
+		r.ownIdx.fill(r.node.Store)
 		r.ownIdxVer = v
 	}
-	return r.ownIdx
+	return &r.ownIdx
 }
 
-// peerIndex returns a queue index over the peer's buffer as it stands
-// right now, reusing the cached build only while the peer's store is
-// unchanged (the index is a pure function of the store, so version
-// equality makes reuse exact). Called at planning time, it guarantees a
-// second same-timestamp contact with the same peer sees the peer's
-// post-first-contact buffer, never a stale snapshot.
+// peerIndex returns a fresh queue index over the peer's buffer as it
+// stands right now. Unlike the own index it is never refilled in place:
+// SnapshotReplicaDelays pins it across a window. The cached build is
+// reused only while the peer's store is unchanged (the index is a pure
+// function of the store, so version equality makes reuse exact). Called
+// at planning time, it guarantees a second same-timestamp contact with
+// the same peer sees the peer's post-first-contact buffer, never a
+// stale snapshot.
 func (r *Router) peerIndex(peer *routing.Node) *QueueIndex {
 	if v := peer.Store.Version(); r.peerIdx == nil || r.peerIdxID != peer.ID || r.peerIdxVer != v {
 		r.peerIdx = NewQueueIndex(peer.Store)
@@ -298,16 +303,19 @@ func (r *Router) peerSnapshot(peer *routing.Node) *QueueIndex {
 }
 
 // bufferUtility returns the eviction ranking for the current metric.
-// The queue index is resolved lazily on first use because eviction is
-// rare relative to insertion; the snapshot then stays fixed for the
-// whole insert (utilities must be pure with respect to the store).
+// Utilities must be pure with respect to the store, so every victim of
+// one insert is scored against the pre-insert snapshot: the own index
+// is refilled at most once, on first use (eviction is rare relative to
+// insertion), and pinned to the pre-insert version so the evictions'
+// own version bumps do not refill it mid-insert.
 func (r *Router) bufferUtility(now float64) buffer.Utility {
-	var idx *QueueIndex
+	pre := r.node.Store.Version()
 	cap := delayCap(r.node.Net.Horizon)
 	return func(e *buffer.Entry) float64 {
-		if idx == nil {
-			idx = r.ownIndex()
+		if r.ownIdxVer != pre {
+			r.ownIdx.fill(r.node.Store)
+			r.ownIdxVer = pre
 		}
-		return evictionUtility(r.metric, r.est, idx, e, now, cap)
+		return evictionUtility(r.metric, r.est, &r.ownIdx, e, now, cap)
 	}
 }
