@@ -316,6 +316,30 @@ func BenchmarkMeetExpected(b *testing.B) {
 	}
 }
 
+// BenchmarkMeetMerge is the gossip merge: 512 owners with ~10-entry
+// tables, each merge re-delivering one owner's table after one of its
+// meetings moved a single entry.
+func BenchmarkMeetMerge(b *testing.B) {
+	const owners = 512
+	srcs := make([]*meet.Estimator, owners)
+	e := meet.New(owners, 3)
+	for o := range srcs {
+		srcs[o] = meet.New(packet.NodeID(o), 3)
+		for k := 1; k <= 10; k++ {
+			srcs[o].ObserveMeeting(packet.NodeID((o+k)%owners), float64(10*k))
+		}
+		e.MergeTableFrom(srcs[o], packet.NodeID(o))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		o := i % owners
+		peer := packet.NodeID((o + 1 + (i/owners)%10) % owners)
+		srcs[o].ObserveMeeting(peer, float64(200+i))
+		e.MergeTableFrom(srcs[o], packet.NodeID(o))
+	}
+}
+
 func BenchmarkOptimalOracle(b *testing.B) {
 	gen := trace.NewDieselNet(trace.DefaultDieselNet())
 	cfg := trace.DefaultDieselNet()

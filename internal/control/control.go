@@ -13,7 +13,6 @@ import (
 	"cmp"
 	"math"
 	"slices"
-	"sort"
 
 	"rapid/internal/meet"
 	"rapid/internal/packet"
@@ -240,7 +239,12 @@ func NewState(self packet.NodeID, hops int, g *Global) *State {
 		meta:   make(map[packet.ID]*PacketMeta),
 	}
 	if g != nil {
-		g.states[self] = s
+		i, found := slices.BinarySearchFunc(g.states, self, func(o *State, id packet.NodeID) int { return cmp.Compare(o.self, id) })
+		if found {
+			g.states[i] = s
+		} else {
+			g.states = slices.Insert(g.states, i, s)
+		}
 	}
 	return s
 }
@@ -429,7 +433,7 @@ type Global struct {
 	acked       map[packet.ID]float64
 	meta        map[packet.ID]*PacketMeta
 	avgTransfer map[packet.NodeID]float64
-	states      map[packet.NodeID]*State
+	states      []*State // sorted by node ID
 }
 
 // NewGlobal returns an empty global snapshot.
@@ -438,7 +442,6 @@ func NewGlobal() *Global {
 		acked:       make(map[packet.ID]float64),
 		meta:        make(map[packet.ID]*PacketMeta),
 		avgTransfer: make(map[packet.NodeID]float64),
-		states:      make(map[packet.NodeID]*State),
 	}
 }
 
@@ -455,15 +458,15 @@ func (g *Global) note(item InventoryItem, holder packet.NodeID, now float64) {
 	m.Updated = now
 }
 
-// SyncMeetingTables mirrors every node's direct meeting table to every
-// other node — with an instant channel the matrix is globally current.
-func (g *Global) SyncMeetingTables() {
+// SyncMeetingTables mirrors the direct meeting tables of a meeting's
+// two endpoints to every other node, in node-ID order — with an instant
+// channel the matrix is globally current. A node's own table changes
+// only when it meets someone, so every other row is already current
+// everywhere.
+func (g *Global) SyncMeetingTables(a, b *State) {
 	for _, s := range g.states {
-		for _, other := range g.states {
-			if other.self != s.self {
-				other.Meet.MergeTableFrom(s.Meet, s.self)
-			}
-		}
+		s.Meet.MergeTableFrom(a.Meet, a.self)
+		s.Meet.MergeTableFrom(b.Meet, b.self)
 	}
 }
 
@@ -493,7 +496,7 @@ func Exchange(a, b *State, invA, invB []InventoryItem, now float64, opts Options
 		for _, it := range invB {
 			b.NoteReplica(it, b.self, now)
 		}
-		a.global.SyncMeetingTables()
+		a.global.SyncMeetingTables(a, b)
 		return res
 	}
 
@@ -584,7 +587,7 @@ func Exchange(a, b *State, invA, invB []InventoryItem, now float64, opts Options
 	// 4. Meeting-time tables (gossip of all known tables, delta by
 	// freshness).
 	for _, dir := range []struct{ from, to *State }{{a, b}, {b, a}} {
-		own := dir.from.Meet.OwnTable()
+		own, _ := dir.from.Meet.RowLen(dir.from.self)
 		if !spendTable(dir.from, dir.to, dir.from.self, own, now, spend, &res) {
 			return finishExchange(a, b, now, res)
 		}
@@ -596,11 +599,11 @@ func Exchange(a, b *State, invA, invB []InventoryItem, now float64, opts Options
 			if asOf <= dir.to.tableAsOfFor(owner) {
 				continue
 			}
-			t := dir.from.Meet.TableOf(owner)
-			if t == nil {
-				continue
+			entries, known := dir.from.Meet.RowLen(owner)
+			if !known {
+				continue // registered by a truncated exchange, never merged
 			}
-			if !spendTable(dir.from, dir.to, owner, t, asOf, spend, &res) {
+			if !spendTable(dir.from, dir.to, owner, entries, asOf, spend, &res) {
 				return finishExchange(a, b, now, res)
 			}
 		}
@@ -647,13 +650,12 @@ func Exchange(a, b *State, invA, invB []InventoryItem, now float64, opts Options
 	return finishExchange(a, b, now, res)
 }
 
-// spendTable transmits one meeting table from `from` to `to`, charging
-// its wire size against the exchange budget. The merge itself runs
-// estimator-to-estimator (MergeTableFrom), which diffs the sorted row
-// mirrors instead of hashing through the map — the map form `t` is
-// passed only to price the wire cost.
-func spendTable(from, to *State, owner packet.NodeID, t meet.Table, asOf float64, spend func(int64) bool, res *Result) bool {
-	cost := TableHeaderBytes + int64(len(t))*MeetEntryBytes
+// spendTable transmits owner's meeting table of the given entry count
+// from `from` to `to`, charging its wire size against the exchange
+// budget. The merge itself runs estimator-to-estimator
+// (MergeTableFrom).
+func spendTable(from, to *State, owner packet.NodeID, entries int, asOf float64, spend func(int64) bool, res *Result) bool {
+	cost := TableHeaderBytes + int64(entries)*MeetEntryBytes
 	if !spend(cost) {
 		return false
 	}
@@ -690,10 +692,8 @@ func (s *State) raiseTableAsOf(owner packet.NodeID, asOf float64) {
 	}
 	s.tableAsOf[owner] = asOf
 	s.tableKnown[owner] = true
-	i := sort.Search(len(s.tableOwners), func(j int) bool { return s.tableOwners[j] >= owner })
-	s.tableOwners = append(s.tableOwners, 0)
-	copy(s.tableOwners[i+1:], s.tableOwners[i:])
-	s.tableOwners[i] = owner
+	i, _ := slices.BinarySearch(s.tableOwners, owner)
+	s.tableOwners = slices.Insert(s.tableOwners, i, owner)
 }
 
 // lastExchangeWith returns the time of the previous exchange with peer

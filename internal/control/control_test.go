@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"rapid/internal/meet"
 	"rapid/internal/packet"
 )
 
@@ -317,5 +318,43 @@ func TestReplicaEstimateFreshness(t *testing.T) {
 	a.NoteReplica(fresh, 3, 20)
 	if got := a.Replicas(7)[0].Delay; got != 50 {
 		t.Errorf("fresh update ignored: %v", got)
+	}
+}
+
+func TestTruncatedExchangeOwnerSkippedInGossip(t *testing.T) {
+	// a meets c under a zero budget: finishExchange registers c as a
+	// table owner at a, but c's table never arrived. Gossiping to b must
+	// skip that owner rather than price an empty table for it.
+	a, b := twoStates()
+	c := NewState(2, 3, nil)
+	if res := Exchange(a, c, nil, nil, 10, Options{MaxBytes: 0}); !res.Truncated || res.Tables != 0 {
+		t.Fatalf("zero-budget exchange %+v", res)
+	}
+	if _, known := a.Meet.RowLen(2); known {
+		t.Fatal("truncated exchange merged c's table")
+	}
+	res := Exchange(a, b, nil, nil, 20, unlimited())
+	// Transfer scalars, a's own table (peers 1 and 2), b's own table
+	// (peer 0); nothing for owner 2.
+	wantBytes := int64(2*ScalarBytes + TableHeaderBytes + 2*MeetEntryBytes + TableHeaderBytes + MeetEntryBytes)
+	if res.Bytes != wantBytes || res.Tables != 2 {
+		t.Errorf("bytes=%d tables=%d want %d, 2", res.Bytes, res.Tables, wantBytes)
+	}
+	if _, known := b.Meet.RowLen(2); known {
+		t.Error("b learned a table for owner 2 that a never had")
+	}
+}
+
+func TestKnownEmptyTablePricedAtHeader(t *testing.T) {
+	a, b := twoStates()
+	a.Meet.MergeTable(5, meet.Table{})
+	a.raiseTableAsOf(5, 5)
+	res := Exchange(a, b, nil, nil, 20, unlimited())
+	wantBytes := int64(2*ScalarBytes + 2*(TableHeaderBytes+MeetEntryBytes) + TableHeaderBytes)
+	if res.Bytes != wantBytes || res.Tables != 3 {
+		t.Errorf("bytes=%d tables=%d want %d, 3", res.Bytes, res.Tables, wantBytes)
+	}
+	if n, known := b.Meet.RowLen(5); n != 0 || !known {
+		t.Errorf("b's RowLen(5)=(%d,%v) want (0,true)", n, known)
 	}
 }

@@ -8,8 +8,9 @@
 package meet
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"rapid/internal/packet"
 	"rapid/internal/stat"
@@ -20,27 +21,17 @@ import (
 const DefaultHops = 3
 
 // Table maps a peer to the expected direct inter-meeting time in
-// seconds.
+// seconds. It is only the input (MergeTable) and snapshot (DirectTable)
+// form of one matrix row; the estimator stores rows as sorted slices.
 type Table map[packet.NodeID]float64
-
-// Clone returns a copy of the table.
-func (t Table) Clone() Table {
-	c := make(Table, len(t))
-	for k, v := range t {
-		c[k] = v
-	}
-	return c
-}
 
 // Estimator is one node's view of the network's meeting behaviour. It is
 // not safe for concurrent use.
 //
 // All per-node state is laid out struct-of-arrays style, indexed by the
 // dense node ID space of a run (scenario generators hand out IDs
-// 0..N-1): at mega-constellation populations the former map-keyed
-// layout spent most of the hot path hashing NodeIDs and chasing map
-// buckets. The exported Table type remains a map so the control-channel
-// wire format and the figures stay byte-identical.
+// 0..N-1): at mega-constellation populations a map-keyed layout spends
+// most of the hot path hashing NodeIDs and chasing map buckets.
 type Estimator struct {
 	self packet.NodeID
 	hops int
@@ -55,56 +46,78 @@ type Estimator struct {
 	// finite, if rough, estimate that later observations refine.
 	lastSeen []float64
 
-	// tables is the merged matrix: every node's direct table as learned
-	// via the control channel, indexed by owner ID (nil = unknown).
-	// tables[self] mirrors direct. Rows stay sparse maps — a row only
-	// holds the owner's direct peers, and densifying it would cost
-	// O(N²) per estimator.
-	tables []Table
-	// rows mirrors tables as slices sorted by peer ID. Gossip re-merges
-	// whole tables on nearly every contact while changing at most a few
-	// entries; diffing two sorted slices (MergeTableFrom) costs a linear
-	// scan with no hashing, where diffing through the map rows spent the
-	// mega-constellation hot path in map iteration and lookups. The map
-	// stays canonical for the exported Table API; every write path
-	// updates both.
-	rows [][]halfEdge
-	// tablesGen counts row creations; together with version it keys the
-	// KnownTables cache (merging an empty row installs an owner without
-	// perturbing version).
-	tablesGen uint64
+	// rows is the merged matrix: every node's direct table as learned
+	// via the control channel, indexed by owner ID and sorted by peer
+	// ID; rows[self] holds the averages in direct. A row only holds the
+	// owner's direct peers, so the matrix stays sparse. known marks the
+	// owners whose table has been installed: an owner known with an
+	// empty row is not an unknown owner to the control channel.
+	rows  [][]halfEdge
+	known []bool
+	// oldRow keeps the replaced row while a merge diffs it against the
+	// installed one; sortScratch is MergeTable's sorted copy of its map.
+	oldRow      []halfEdge
+	sortScratch []halfEdge
 
-	// version invalidates the adjacency cache and shortest-path memo on
-	// any mutation.
+	// version invalidates the shortest-path memo on any mutation.
 	version uint64
 
 	// adj is the merged matrix flattened into slice-indexed adjacency
 	// lists, maintained incrementally as pairs change: estimating over
-	// it is O(h·(V+E)) instead of the O(h·V²) that map-keyed relaxation
-	// cost. Each adj[u] is kept sorted by target ID so membership is a
-	// binary search — the former per-node position maps were the last
-	// map lookups on the merge path.
+	// it is O(h·(V+E)) instead of O(h·V²). Each adj[u] is kept sorted by
+	// target ID so membership is a binary search.
 	n   int // node universe size: max known ID + 1
 	adj [][]halfEdge
 
 	// memoDist caches per-source distance slices over the current
-	// adjacency; distScratch is the relaxation double-buffer.
+	// adjacency. When the version moves its slices go to spare, which
+	// shortestWithin draws from before allocating; distScratch is the
+	// relaxation double-buffer.
 	memoVer     uint64
 	memoDist    [][]float64
+	spare       [][]float64
 	distScratch []float64
-
-	// owners caches KnownTables' sorted owner list (control exchanges
-	// rebuilt and sorted it on every contact).
-	owners     []packet.NodeID
-	ownersVer  uint64
-	ownersGen  uint64
-	ownersFill bool
 }
 
-// halfEdge is one directed arc of the flattened meeting matrix.
+// halfEdge is one directed arc of the flattened meeting matrix, or one
+// entry of a sorted row.
 type halfEdge struct {
 	to packet.NodeID
 	w  float64
+}
+
+// search returns the position peer occupies, or would occupy, in a
+// slice sorted by target ID.
+func search(lst []halfEdge, peer packet.NodeID) int {
+	lo, hi := 0, len(lst)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if lst[mid].to < peer {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// lookup returns peer's weight in a sorted row and whether it is there.
+func lookup(row []halfEdge, peer packet.NodeID) (float64, bool) {
+	if i := search(row, peer); i < len(row) && row[i].to == peer {
+		return row[i].w, true
+	}
+	return 0, false
+}
+
+// upsert sets to's weight in a slice sorted by target ID, inserting the
+// entry in order when it is absent.
+func upsert(lst []halfEdge, to packet.NodeID, w float64) []halfEdge {
+	i := search(lst, to)
+	if i < len(lst) && lst[i].to == to {
+		lst[i].w = w
+		return lst
+	}
+	return slices.Insert(lst, i, halfEdge{to: to, w: w})
 }
 
 // New returns an estimator for node self using an h-hop horizon
@@ -138,28 +151,10 @@ func (e *Estimator) ObserveMeeting(peer packet.NodeID, now float64) {
 	}
 	ma.Observe(now - e.lastSeen[peer]) // lastSeen defaults to 0 = epoch start
 	e.lastSeen[peer] = now
-	// Refresh the single changed key of the mirrored self table
-	// (rebuilding the whole table per observation was O(degree) on the
-	// hottest write path).
-	t := e.ownRow()
-	t[peer] = ma.Value()
-	e.rowUpsert(e.self, peer, ma.Value())
+	e.known[e.self] = true
+	e.rows[e.self] = upsert(e.rows[e.self], peer, ma.Value())
 	e.refreshPair(e.self, peer)
 	e.version++
-}
-
-// ownRow returns the self table, creating it on first use.
-func (e *Estimator) ownRow() Table {
-	if e.self < 0 {
-		return Table{}
-	}
-	t := e.tables[e.self]
-	if t == nil {
-		t = Table{}
-		e.tables[e.self] = t
-		e.tablesGen++
-	}
-	return t
 }
 
 // ensureNode grows the dense per-node arrays to cover id.
@@ -172,38 +167,13 @@ func (e *Estimator) ensureNode(id packet.NodeID) {
 		e.adj = append(e.adj, nil)
 		e.direct = append(e.direct, nil)
 		e.lastSeen = append(e.lastSeen, 0)
-		e.tables = append(e.tables, nil)
 		e.rows = append(e.rows, nil)
+		e.known = append(e.known, false)
 	}
-}
-
-// rowUpsert sets the mirror entry owner→peer, keeping rows[owner]
-// sorted by peer ID.
-func (e *Estimator) rowUpsert(owner, peer packet.NodeID, w float64) {
-	lst := e.rows[owner]
-	i := sort.Search(len(lst), func(k int) bool { return lst[k].to >= peer })
-	if i < len(lst) && lst[i].to == peer {
-		lst[i].w = w
-		return
-	}
-	lst = append(lst, halfEdge{})
-	copy(lst[i+1:], lst[i:])
-	lst[i] = halfEdge{to: peer, w: w}
-	e.rows[owner] = lst
-}
-
-// rowDelete removes the mirror entry owner→peer if present.
-func (e *Estimator) rowDelete(owner, peer packet.NodeID) {
-	lst := e.rows[owner]
-	i := sort.Search(len(lst), func(k int) bool { return lst[k].to >= peer })
-	if i >= len(lst) || lst[i].to != peer {
-		return
-	}
-	e.rows[owner] = append(lst[:i], lst[i+1:]...)
 }
 
 // refreshPair re-derives the (u, v) edge weight from the two directed
-// table records and patches the adjacency lists in place.
+// row entries and patches the adjacency lists in place.
 func (e *Estimator) refreshPair(u, v packet.NodeID) {
 	if u == v || u < 0 || v < 0 {
 		return
@@ -211,51 +181,25 @@ func (e *Estimator) refreshPair(u, v packet.NodeID) {
 	e.ensureNode(u)
 	e.ensureNode(v)
 	w := math.Inf(1)
-	if t := e.tables[u]; t != nil {
-		if d, ok := t[v]; ok && d < w {
-			w = d
-		}
+	if d, ok := lookup(e.rows[u], v); ok && d < w {
+		w = d
 	}
-	if t := e.tables[v]; t != nil {
-		if d, ok := t[u]; ok && d < w {
-			w = d
-		}
+	if d, ok := lookup(e.rows[v], u); ok && d < w {
+		w = d
 	}
 	if math.IsInf(w, 1) {
 		e.removeArc(u, v)
 		e.removeArc(v, u)
 		return
 	}
-	e.setArc(u, v, w)
-	e.setArc(v, u, w)
-}
-
-// arcPos binary-searches adj[u] for target v, returning the position it
-// occupies or should occupy.
-func (e *Estimator) arcPos(u, v packet.NodeID) int {
-	lst := e.adj[u]
-	return sort.Search(len(lst), func(i int) bool { return lst[i].to >= v })
-}
-
-// setArc inserts or updates the directed arc u→v, keeping adj[u] sorted
-// by target.
-func (e *Estimator) setArc(u, v packet.NodeID, w float64) {
-	i := e.arcPos(u, v)
-	lst := e.adj[u]
-	if i < len(lst) && lst[i].to == v {
-		lst[i].w = w
-		return
-	}
-	lst = append(lst, halfEdge{})
-	copy(lst[i+1:], lst[i:])
-	lst[i] = halfEdge{to: v, w: w}
-	e.adj[u] = lst
+	e.adj[u] = upsert(e.adj[u], v, w)
+	e.adj[v] = upsert(e.adj[v], u, w)
 }
 
 // removeArc drops the directed arc u→v if present.
 func (e *Estimator) removeArc(u, v packet.NodeID) {
-	i := e.arcPos(u, v)
 	lst := e.adj[u]
+	i := search(lst, v)
 	if i >= len(lst) || lst[i].to != v {
 		return
 	}
@@ -266,80 +210,45 @@ func (e *Estimator) removeArc(u, v packet.NodeID) {
 // payload exchanged as "expected meeting times with nodes" metadata
 // (§4.2).
 func (e *Estimator) DirectTable() Table {
-	if e.self >= 0 && int(e.self) < e.n {
-		if t := e.tables[e.self]; t != nil {
-			return t.Clone()
+	t := Table{}
+	if e.self >= 0 {
+		for _, ed := range e.rows[e.self] {
+			t[ed.to] = ed.w
 		}
 	}
-	return Table{}
+	return t
 }
 
-// OwnTable returns the live internal self table — the allocation-free
-// form the control channel transmits every contact. Callers must treat
-// it as read-only and must not retain it across estimator mutations
-// (MergeTable copies, so passing it to a peer's merge is safe).
-func (e *Estimator) OwnTable() Table {
-	if e.self < 0 || int(e.self) >= e.n {
-		return nil
+// RowLen returns the number of entries in owner's stored table and
+// whether the table is known at all — an owner can be known with an
+// empty table. The control channel prices gossip from it.
+func (e *Estimator) RowLen(owner packet.NodeID) (n int, known bool) {
+	if owner < 0 || int(owner) >= e.n {
+		return 0, false
 	}
-	return e.tables[e.self]
+	return len(e.rows[owner]), e.known[owner]
 }
 
 // MergeTable installs owner's direct table as learned from a metadata
-// exchange, replacing any older version. The merge diffs in place —
-// gossip re-delivers whole tables, but between two exchanges most
-// entries are unchanged, and only moved pairs are re-derived (a no-op
-// merge leaves the version, and therefore the shortest-path memo,
-// untouched). The passed table is not retained.
+// exchange, replacing any older version. The passed table is not
+// retained.
 func (e *Estimator) MergeTable(owner packet.NodeID, t Table) {
 	if owner == e.self || owner < 0 {
 		return // own table is maintained locally
 	}
-	e.ensureNode(owner)
-	old := e.tables[owner]
-	if old == nil {
-		old = make(Table, len(t))
-		e.tables[owner] = old
-		e.tablesGen++
-	}
-	oldLen := len(old)
-	matched := 0
-	changed := false
+	row := e.sortScratch[:0]
 	for id, w := range t {
-		if ow, ok := old[id]; ok {
-			matched++
-			if ow == w {
-				continue
-			}
-		}
-		old[id] = w
-		e.rowUpsert(owner, id, w)
-		e.refreshPair(owner, id)
-		changed = true
+		row = append(row, halfEdge{to: id, w: w})
 	}
-	// Meeting tables only ever grow in practice; scan for removals only
-	// when some old key went unmatched.
-	if matched < oldLen {
-		for id := range old {
-			if _, still := t[id]; !still {
-				delete(old, id)
-				e.rowDelete(owner, id)
-				e.refreshPair(owner, id)
-				changed = true
-			}
-		}
-	}
-	if changed {
-		e.version++
-	}
+	slices.SortFunc(row, func(a, b halfEdge) int { return cmp.Compare(a.to, b.to) })
+	e.sortScratch = row
+	e.mergeRow(owner, row)
 }
 
 // MergeTableFrom merges src's stored table of owner into e — the
-// in-process fast path of MergeTable the control channel uses when both
-// endpoints live in the same simulation. Semantics are identical to
-// e.MergeTable(owner, src.TableOf(owner)); the diff runs as a linear
-// merge of the two sorted row mirrors, touching the canonical map only
-// at entries that actually changed.
+// in-process form of MergeTable the control channel uses when both
+// endpoints live in the same simulation, with identical semantics to
+// e.MergeTable(owner, <src's table of owner>).
 func (e *Estimator) MergeTableFrom(src *Estimator, owner packet.NodeID) {
 	if owner == e.self || owner < 0 || src == e {
 		return
@@ -348,85 +257,43 @@ func (e *Estimator) MergeTableFrom(src *Estimator, owner packet.NodeID) {
 	if int(owner) < src.n {
 		incoming = src.rows[owner]
 	}
+	e.mergeRow(owner, incoming)
+}
+
+// mergeRow installs incoming (sorted by peer, not retained) as owner's
+// row. Gossip re-delivers whole tables on nearly every contact while
+// changing at most a few entries, so an equal row returns at once (the
+// version, and with it the shortest-path memo, stays put); otherwise the
+// new row is installed and then walked against the old one, re-deriving
+// only the pairs that moved.
+func (e *Estimator) mergeRow(owner packet.NodeID, incoming []halfEdge) {
 	e.ensureNode(owner)
-	old := e.tables[owner]
-	if old == nil {
-		old = make(Table, len(incoming))
-		e.tables[owner] = old
-		e.tablesGen++
+	e.known[owner] = true
+	cur := e.rows[owner]
+	if slices.Equal(cur, incoming) {
+		return
 	}
-	dst := e.rows[owner]
-	changed := false
+	e.oldRow = append(e.oldRow[:0], cur...)
+	e.rows[owner] = append(cur[:0], incoming...)
+	old, now := e.oldRow, e.rows[owner]
 	i, j := 0, 0
-	for i < len(dst) && j < len(incoming) {
-		a, b := dst[i], incoming[j]
+	for i < len(old) || j < len(now) {
 		switch {
-		case a.to == b.to:
-			if a.w != b.w {
-				old[b.to] = b.w
-				e.refreshPair(owner, b.to)
-				changed = true
+		case j == len(now) || (i < len(old) && old[i].to < now[j].to): // removed entry
+			e.refreshPair(owner, old[i].to)
+			i++
+		case i == len(old) || now[j].to < old[i].to: // new entry
+			e.refreshPair(owner, now[j].to)
+			j++
+		default:
+			if old[i].w != now[j].w {
+				e.refreshPair(owner, now[j].to)
 			}
 			i++
 			j++
-		case b.to < a.to: // new entry
-			old[b.to] = b.w
-			e.refreshPair(owner, b.to)
-			changed = true
-			j++
-		default: // removed entry
-			delete(old, a.to)
-			e.refreshPair(owner, a.to)
-			changed = true
-			i++
 		}
 	}
-	for ; i < len(dst); i++ {
-		delete(old, dst[i].to)
-		e.refreshPair(owner, dst[i].to)
-		changed = true
-	}
-	for ; j < len(incoming); j++ {
-		old[incoming[j].to] = incoming[j].w
-		e.refreshPair(owner, incoming[j].to)
-		changed = true
-	}
-	// After the diff the row equals the incoming table exactly; rebuild
-	// the mirror as a copy rather than patching entry by entry.
-	if changed {
-		e.rows[owner] = append(e.rows[owner][:0], incoming...)
-		e.version++
-	}
-}
-
-// KnownTables returns the ascending set of owners whose tables have
-// been merged (plus self if it has observed anything). Exposed for
-// control-plane delta encoding. The returned slice is cached behind the
-// mutation counters and must not be modified or retained across
-// estimator mutations.
-func (e *Estimator) KnownTables() []packet.NodeID {
-	if e.ownersFill && e.ownersVer == e.version && e.ownersGen == e.tablesGen {
-		return e.owners
-	}
-	e.owners = e.owners[:0]
-	for id, t := range e.tables {
-		if t != nil {
-			e.owners = append(e.owners, packet.NodeID(id))
-		}
-	}
-	e.ownersVer = e.version
-	e.ownersGen = e.tablesGen
-	e.ownersFill = true
-	return e.owners
-}
-
-// TableOf returns the stored direct table of a node (nil if unknown).
-// The returned map must not be modified.
-func (e *Estimator) TableOf(owner packet.NodeID) Table {
-	if owner < 0 || int(owner) >= e.n {
-		return nil
-	}
-	return e.tables[owner]
+	e.version++
 }
 
 // Version counts matrix mutations. Consumers caching derived values
@@ -445,6 +312,11 @@ func (e *Estimator) Expected(from, to packet.NodeID) float64 {
 		return 0
 	}
 	if e.memoVer != e.version || len(e.memoDist) < e.n {
+		for _, d := range e.memoDist {
+			if d != nil {
+				e.spare = append(e.spare, d)
+			}
+		}
 		if cap(e.memoDist) < e.n {
 			e.memoDist = make([][]float64, e.n)
 		} else {
@@ -471,11 +343,18 @@ func (e *Estimator) Expected(from, to packet.NodeID) float64 {
 // relaxation from src over the adjacency lists, yielding min-cost paths
 // with at most h edges. Each round reads the previous round's
 // distances, so a path can never accumulate more than h hops. The
-// returned slice is freshly allocated (the memo retains it); the
-// double-buffer partner is reused across calls.
+// returned slice comes from the spare list when one is large enough (the
+// memo retains it); the double-buffer partner is reused across calls.
 func (e *Estimator) shortestWithin(src packet.NodeID) []float64 {
 	inf := math.Inf(1)
-	cur := make([]float64, e.n)
+	var cur []float64
+	if k := len(e.spare); k > 0 {
+		cur, e.spare = e.spare[k-1], e.spare[:k-1]
+	}
+	if cap(cur) < e.n {
+		cur = make([]float64, e.n)
+	}
+	cur = cur[:e.n]
 	if cap(e.distScratch) < e.n {
 		e.distScratch = make([]float64, e.n)
 	}
