@@ -340,6 +340,44 @@ func BenchmarkMeetMerge(b *testing.B) {
 	}
 }
 
+// BenchmarkCGRPlan is the plan-ahead CGR search over a primed 12×24+12
+// constellation-passes graph (the cgr-windowed-lossy population).
+// Each iteration generates one packet at a ground station at
+// mid-horizon, so the multi-copy arm plans and commits up to three
+// window- and relay-disjoint routes, then delivers it, releasing every
+// reservation: each iteration plans against the same graph.
+func BenchmarkCGRPlan(b *testing.B) {
+	scs, err := scenario.Expand("constellation-passes", scenario.Params{
+		Tag: "bench-cgr-plan", Runs: 1, Loads: []float64{4},
+		Planes: 12, SatsPerPlane: 24, Ground: 12, OrbitPeriod: 900, Duration: 900,
+		Protocols: []scenario.Proto{scenario.ProtoCGRMulti},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rs := scs[0].Materialize()
+	net := routing.NewNetwork(sim.New(rs.Seed), rs.Schedule.Nodes(), rs.Factory, rs.Cfg)
+	src := net.Nodes[0]
+	src.Router.(routing.SchedulePrimer).PrimeSchedule(rs.Schedule, net)
+	deliver := src.Router.(routing.DeliveryObserver)
+	const now = 450
+	p := &packet.Packet{ID: 1, Src: 0, Dst: 11, Size: 1 << 10, Created: now}
+	src.Router.Generate(p, now)
+	if !src.Store.Has(p.ID) {
+		b.Fatal("the source refused the packet")
+	}
+	deliver.OnDelivered(p.ID, now)
+	if src.Store.Has(p.ID) {
+		b.Fatal("no route planned: delivery left the packet at its source")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		src.Router.Generate(p, now)
+		deliver.OnDelivered(p.ID, now)
+	}
+}
+
 func BenchmarkOptimalOracle(b *testing.B) {
 	gen := trace.NewDieselNet(trace.DefaultDieselNet())
 	cfg := trace.DefaultDieselNet()

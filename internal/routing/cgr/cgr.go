@@ -25,7 +25,8 @@
 package cgr
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"rapid/internal/buffer"
 	"rapid/internal/control"
@@ -39,10 +40,18 @@ type Router struct {
 	node *routing.Node
 	pl   *Planner
 
-	// planScratch and dqScratch are the reused per-contact slices.
-	planScratch []*buffer.Entry
-	dqScratch   []*buffer.Entry
-	arriveByID  map[packet.ID]float64
+	// planScratch, dqScratch and matchScratch are the reused
+	// per-contact slices.
+	planScratch  []*buffer.Entry
+	dqScratch    []*buffer.Entry
+	matchScratch []match
+}
+
+// match is one buffered packet routed over the live contact, with its
+// earliest planned delivery.
+type match struct {
+	e      *buffer.Entry
+	arrive float64
 }
 
 // New returns a classic (single-copy, single-path) CGR router factory.
@@ -55,7 +64,7 @@ func New() routing.RouterFactory { return NewPolicy(DefaultPolicy()) }
 func NewPolicy(pol Policy) routing.RouterFactory {
 	pl := newPlanner(pol)
 	return func(packet.NodeID) routing.Router {
-		return &Router{pl: pl, arriveByID: make(map[packet.ID]float64)}
+		return &Router{pl: pl}
 	}
 }
 
@@ -114,8 +123,7 @@ func (r *Router) DirectQueue(peer packet.NodeID, now float64) []*buffer.Entry {
 // windows) are re-planned here; packets routed through other contacts
 // are withheld — bounded custody never hedges beyond its copy budget.
 func (r *Router) PlanReplication(peer *routing.Node, now float64) []*buffer.Entry {
-	out := r.planScratch[:0]
-	clear(r.arriveByID)
+	matches := r.matchScratch[:0]
 	// The custody rank of this event: the live window itself, so a
 	// re-plan may depart through the very contact being executed or any
 	// same-instant window still pending.
@@ -142,17 +150,19 @@ func (r *Router) PlanReplication(peer *routing.Node, now float64) []*buffer.Entr
 		if !matched {
 			continue
 		}
-		out = append(out, e)
-		r.arriveByID[e.P.ID] = bestAt
+		matches = append(matches, match{e: e, arrive: bestAt})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		ai, aj := r.arriveByID[out[i].P.ID], r.arriveByID[out[j].P.ID]
-		if ai != aj {
-			return ai < aj
+	slices.SortFunc(matches, func(a, b match) int {
+		if a.arrive != b.arrive {
+			return cmp.Compare(a.arrive, b.arrive)
 		}
-		return out[i].P.ID < out[j].P.ID
+		return cmp.Compare(a.e.P.ID, b.e.P.ID)
 	})
-	r.planScratch = out
+	out := r.planScratch[:0]
+	for _, m := range matches {
+		out = append(out, m.e)
+	}
+	r.matchScratch, r.planScratch = matches, out
 	return out
 }
 

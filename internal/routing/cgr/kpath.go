@@ -38,6 +38,9 @@ func (pl *Planner) kAlternates(p *packet.Packet, from packet.NodeID, now float64
 	accepted := []*route{best}
 	seen := map[string]bool{routeKey(best): true}
 	var pool []*route
+	// One spur ban set, refilled per deviation: plan() stamps it before
+	// searching and keeps no reference.
+	ban := &banSet{parent: base}
 	for len(accepted) < pl.pol.KPaths {
 		cur := accepted[len(accepted)-1]
 		for i := 0; i < len(cur.hops); i++ {
@@ -55,15 +58,15 @@ func (pl *Planner) kAlternates(p *packet.Packet, from packet.NodeID, now float64
 					spurRank = rankStreamed
 				}
 			}
-			ban := &banSet{parent: base, wins: make(map[int]bool), nodes: make(map[packet.NodeID]bool)}
-			ban.nodes[from] = true
+			ban.wins = ban.wins[:0]
+			ban.nodes = append(ban.nodes[:0], from)
 			for j := 0; j < i; j++ {
-				ban.wins[cur.hops[j].win] = true
-				ban.nodes[cur.hops[j].to] = true
+				ban.wins = append(ban.wins, cur.hops[j].win)
+				ban.nodes = append(ban.nodes, cur.hops[j].to)
 			}
 			for _, q := range accepted {
 				if len(q.hops) > i && samePrefix(q, cur, i) {
-					ban.wins[q.hops[i].win] = true
+					ban.wins = append(ban.wins, q.hops[i].win)
 				}
 			}
 			spur := pl.plan(p, spurFrom, spurT, spurRank, ban)

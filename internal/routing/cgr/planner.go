@@ -1,7 +1,6 @@
 package cgr
 
 import (
-	"container/heap"
 	"math"
 	"sort"
 
@@ -89,32 +88,15 @@ type tryKey struct {
 }
 
 // banSet is the exclusion set threaded through plan(): window indices
-// and relay nodes a candidate path must avoid. Sets chain through
-// parent so composing Yen spur bans on top of the copy-disjointness
-// base needs no map copying. The destination is never banned — checks
-// skip it explicitly. A nil *banSet bans nothing.
+// and relay nodes a candidate path must avoid (duplicates are
+// harmless). Sets chain through parent so composing Yen spur bans on
+// top of the copy-disjointness base needs no copying. The destination
+// is never banned — checks skip it explicitly. A nil *banSet bans
+// nothing.
 type banSet struct {
 	parent *banSet
-	wins   map[int]bool
-	nodes  map[packet.NodeID]bool
-}
-
-func (b *banSet) winBanned(wi int) bool {
-	for s := b; s != nil; s = s.parent {
-		if s.wins[wi] {
-			return true
-		}
-	}
-	return false
-}
-
-func (b *banSet) nodeBanned(n packet.NodeID) bool {
-	for s := b; s != nil; s = s.parent {
-		if s.nodes[n] {
-			return true
-		}
-	}
-	return false
+	wins   []int
+	nodes  []packet.NodeID
 }
 
 // Planner is the shared contact-graph state of one run: the expanded
@@ -122,16 +104,20 @@ func (b *banSet) nodeBanned(n packet.NodeID) bool {
 // reservations, and every packet's live routes and custodians. All of
 // a run's CGR routers share one Planner; the simulator is
 // single-threaded, so no locking.
+//
+// Per-node state is indexed by node ID: IDs are dense in 0..n-1
+// (DESIGN.md §11; trace validation bounds them by trace.MaxNodeID),
+// and index sizes every per-node slice once, at prime.
 type Planner struct {
 	pol     Policy
 	windows []window
-	byNode  map[packet.NodeID][]int // window indices touching the node, start-sorted
+	byNode  [][]int // window indices touching the node, start-sorted
 	nodes   map[packet.NodeID]*routing.Node
-	capFor  func(packet.NodeID) int64 // <= 0: unlimited
+	capOf   []int64 // per-node buffer capacity; <= 0: unlimited
 	// routes holds each packet's live replica routes, creation-ordered;
 	// at most pol.Copies entries per packet.
 	routes map[packet.ID][]*route
-	resv   map[packet.NodeID][]reservation
+	resv   [][]reservation // per-node planned custody
 	// lastTry throttles re-planning of currently unroutable packets to
 	// once per simulation instant per custodian.
 	lastTry map[tryKey]float64
@@ -146,11 +132,18 @@ type Planner struct {
 	admBytes map[packet.NodeID]int64
 	admDst   map[packet.ID]packet.NodeID
 
-	// Dijkstra scratch, reused across plans.
-	dist map[packet.NodeID]float64
-	rank map[packet.NodeID]int
-	prev map[packet.NodeID]hop
-	done map[packet.NodeID]bool
+	// Dijkstra scratch, reused across plans: per-node labels (dist is
+	// +Inf for an unseen node), the frontier, and ban stamps — a window
+	// or node is banned for the current search when its mark equals
+	// banGen.
+	dist     []float64
+	rank     []int
+	prev     []hop
+	done     []bool
+	frontier frontier
+	winMark  []uint32
+	nodeMark []uint32
+	banGen   uint32
 
 	execScratch []*route
 }
@@ -167,16 +160,10 @@ type admEntry struct {
 func newPlanner(pol Policy) *Planner {
 	pl := &Planner{
 		pol:      pol.normalized(),
-		byNode:   make(map[packet.NodeID][]int),
 		nodes:    make(map[packet.NodeID]*routing.Node),
 		routes:   make(map[packet.ID][]*route),
-		resv:     make(map[packet.NodeID][]reservation),
 		lastTry:  make(map[tryKey]float64),
 		finished: make(map[packet.ID]bool),
-		dist:     make(map[packet.NodeID]float64),
-		rank:     make(map[packet.NodeID]int),
-		prev:     make(map[packet.NodeID]hop),
-		done:     make(map[packet.NodeID]bool),
 	}
 	if pl.pol.AdmitFraction > 0 {
 		pl.admitted = make(map[packet.NodeID][]admEntry)
@@ -194,7 +181,6 @@ func (pl *Planner) prime(s *trace.Schedule, net *routing.Network) {
 		return
 	}
 	pl.primed = true
-	pl.capFor = net.Cfg.CapacityFor
 	for _, m := range s.Meetings {
 		pl.windows = append(pl.windows, window{
 			a: m.A, b: m.B, start: m.Time, end: m.Time,
@@ -223,12 +209,29 @@ func (pl *Planner) prime(s *trace.Schedule, net *routing.Network) {
 		}
 		pl.windows = append(pl.windows, w)
 	}
+	n := 0
+	for id := range net.Nodes {
+		n = max(n, int(id)+1)
+	}
+	pl.index(n, net.Cfg.CapacityFor)
+}
+
+// index sizes the per-node state over pl.windows — for node IDs
+// 0..n-1, where n covers minNodes and every window endpoint — and
+// builds the per-node window lists. capFor resolves each node's buffer
+// capacity once.
+func (pl *Planner) index(minNodes int, capFor func(packet.NodeID) int64) {
+	n := minNodes
+	for _, w := range pl.windows {
+		n = max(n, int(w.a)+1, int(w.b)+1)
+	}
+	pl.byNode = make([][]int, n)
 	for i, w := range pl.windows {
 		pl.byNode[w.a] = append(pl.byNode[w.a], i)
 		pl.byNode[w.b] = append(pl.byNode[w.b], i)
 	}
-	// Start-sorted per-node lists let the live-contact lookup binary
-	// search; ties keep execution-rank order.
+	// Start-sorted per-node lists let the live-contact lookup and the
+	// search binary-search by time; ties keep execution-rank order.
 	for _, list := range pl.byNode {
 		sort.Slice(list, func(i, j int) bool {
 			wi, wj := &pl.windows[list[i]], &pl.windows[list[j]]
@@ -238,6 +241,32 @@ func (pl *Planner) prime(s *trace.Schedule, net *routing.Network) {
 			return list[i] < list[j]
 		})
 	}
+	pl.capOf = make([]int64, n)
+	for v := range pl.capOf {
+		pl.capOf[v] = capFor(packet.NodeID(v))
+	}
+	pl.resv = make([][]reservation, n)
+	pl.dist = make([]float64, n)
+	pl.rank = make([]int, n)
+	pl.prev = make([]hop, n)
+	pl.done = make([]bool, n)
+	pl.nodeMark = make([]uint32, n)
+	pl.winMark = make([]uint32, len(pl.windows))
+}
+
+// startingFrom returns the position of the first window in the
+// start-sorted list that starts at or after t.
+func (pl *Planner) startingFrom(list []int, t float64) int {
+	lo, hi := 0, len(list)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if pl.windows[list[m]].start < t {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
 }
 
 // liveWindow locates the window being executed between two nodes at the
@@ -249,10 +278,7 @@ func (pl *Planner) liveWindow(a, b packet.NodeID, now float64) int {
 	list := pl.byNode[a]
 	// Windowed contacts consult routers only at open, so start == now
 	// for every live window; search the equal-start run.
-	lo := sort.Search(len(list), func(i int) bool {
-		return pl.windows[list[i]].start >= now-timeEps
-	})
-	for i := lo; i < len(list); i++ {
+	for i := pl.startingFrom(list, now-timeEps); i < len(list); i++ {
 		w := &pl.windows[list[i]]
 		if w.start > now+timeEps {
 			break
@@ -290,27 +316,29 @@ func (pl *Planner) fitsBuffer(node packet.NodeID, t float64, p *packet.Packet) b
 	if node == p.Dst {
 		return true // delivered on arrival, never buffered
 	}
-	capacity := pl.capFor(node)
+	capacity := pl.capOf[node]
 	if capacity <= 0 {
 		return true
 	}
 	return pl.occupied(node, t, p.ID)+p.Size <= capacity
 }
 
-// pqItem / pq implement the Dijkstra frontier ordered by
-// (arrival, rank, node) — rank breaks time ties because a lower-rank
-// label can use strictly more same-instant windows; the node tiebreak
-// keeps settling deterministic.
+// pqItem is one frontier entry of the Dijkstra search.
 type pqItem struct {
 	node packet.NodeID
 	at   float64
 	rank int
 }
 
-type pq []pqItem
+// frontier is the Dijkstra priority queue, a binary min-heap ordered by
+// (arrival, rank, node) — rank breaks time ties because a lower-rank
+// label can use strictly more same-instant windows; the node tiebreak
+// keeps settling deterministic. The order is total over the entries a
+// search pushes (a node is re-pushed only with a strictly better
+// label), so the pop sequence does not depend on the heap's layout.
+type frontier []pqItem
 
-func (q pq) Len() int { return len(q) }
-func (q pq) Less(i, j int) bool {
+func (q frontier) less(i, j int) bool {
 	if q[i].at != q[j].at {
 		return q[i].at < q[j].at
 	}
@@ -319,12 +347,65 @@ func (q pq) Less(i, j int) bool {
 	}
 	return q[i].node < q[j].node
 }
-func (q pq) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *pq) Push(x any)   { *q = append(*q, x.(pqItem)) }
-func (q *pq) Pop() any     { old := *q; n := len(old); it := old[n-1]; *q = old[:n-1]; return it }
+
+func (q *frontier) push(it pqItem) {
+	*q = append(*q, it)
+	h := *q
+	for j := len(h) - 1; j > 0; {
+		i := (j - 1) / 2 // parent
+		if !h.less(j, i) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+func (q *frontier) pop() pqItem {
+	h := *q
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && h.less(r, j) {
+			j = r
+		}
+		if !h.less(j, i) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	*q = h[:n]
+	return h[n]
+}
 
 // sameInstant compares schedule times for equality within float noise.
 func sameInstant(a, b float64) bool { return math.Abs(a-b) <= timeEps }
+
+// stampBans marks every window and relay node of the chained ban set
+// with a fresh generation and returns it: during the search that
+// follows, a ban test is one slice read.
+func (pl *Planner) stampBans(ban *banSet) uint32 {
+	pl.banGen++
+	if pl.banGen == 0 { // wrapped: stale marks could alias
+		clear(pl.winMark)
+		clear(pl.nodeMark)
+		pl.banGen = 1
+	}
+	for s := ban; s != nil; s = s.parent {
+		for _, wi := range s.wins {
+			pl.winMark[wi] = pl.banGen
+		}
+		for _, v := range s.nodes {
+			pl.nodeMark[v] = pl.banGen
+		}
+	}
+	return pl.banGen
+}
 
 // plan runs earliest-arrival Dijkstra over the time-expanded contact
 // graph for packet p held at `from` since `now`, with custody rank r0
@@ -347,19 +428,29 @@ func sameInstant(a, b float64) bool { return math.Abs(a-b) <= timeEps }
 // Labels are (arrival, rank) lexicographic — for equal arrivals a
 // lower rank dominates. Returns nil when the destination is
 // unreachable under those constraints.
+//
+// The search touches no map: labels, ban stamps and the frontier are
+// node-indexed slices reused across calls, each node's windows are
+// scanned from the first one starting at the custody instant (earlier
+// ones can never be taken), and the buffer-headroom scan runs only for
+// edges that would improve a label. A warmed call allocates only the
+// returned route.
 func (pl *Planner) plan(p *packet.Packet, from packet.NodeID, now float64, r0 int, ban *banSet) *route {
 	dist, rank, prev, done := pl.dist, pl.rank, pl.prev, pl.done
-	clear(dist)
-	clear(rank)
-	clear(prev)
+	for i := range dist {
+		dist[i] = math.Inf(1)
+	}
 	clear(done)
+	gen := pl.stampBans(ban)
+	winMark, nodeMark := pl.winMark, pl.nodeMark
 	dist[from] = now
 	rank[from] = r0
-	frontier := pq{{node: from, at: now, rank: r0}}
-	for len(frontier) > 0 {
-		it := heap.Pop(&frontier).(pqItem)
-		u := it.node
-		if done[u] || it.at > dist[u] || (it.at == dist[u] && it.rank > rank[u]) {
+	q := pl.frontier[:0]
+	q.push(pqItem{node: from, at: now, rank: r0})
+	for len(q) > 0 {
+		u := q.pop().node
+		if done[u] {
+			// A superseded entry: the node's better label popped first.
 			continue
 		}
 		done[u] = true
@@ -367,8 +458,9 @@ func (pl *Planner) plan(p *packet.Packet, from packet.NodeID, now float64, r0 in
 			break
 		}
 		t, tr := dist[u], rank[u]
-		for _, wi := range pl.byNode[u] {
-			if ban.winBanned(wi) {
+		list := pl.byNode[u]
+		for _, wi := range list[pl.startingFrom(list, t-timeEps):] {
+			if winMark[wi] == gen {
 				continue
 			}
 			w := &pl.windows[wi]
@@ -379,20 +471,18 @@ func (pl *Planner) plan(p *packet.Packet, from packet.NodeID, now float64, r0 in
 			if done[v] || w.residual < p.Size {
 				continue
 			}
-			if v != p.Dst && ban.nodeBanned(v) {
+			if v != p.Dst && nodeMark[v] == gen {
 				continue
 			}
-			var at float64
-			var ar int
-			if w.rate == 0 {
-				if w.start < t-timeEps || (sameInstant(w.start, t) && wi <= tr) {
-					continue // meeting already executed
-				}
-				at, ar = w.start, wi
-			} else {
-				if w.start < t-timeEps || (sameInstant(w.start, t) && wi <= tr) {
-					continue // open snapshot misses the packet
-				}
+			// Every scanned window starts at or after t-timeEps; a
+			// same-instant one with a rank not above the custody rank
+			// has already run (a meeting) or snapshotted its queues
+			// without the packet (a window open).
+			if sameInstant(w.start, t) && wi <= tr {
+				continue
+			}
+			at, ar := w.start, wi
+			if w.rate != 0 {
 				at = w.start + float64(w.cap0-w.residual+p.Size)/w.rate
 				if at >= w.end-timeEps {
 					// Strictly before close: the close event is
@@ -402,28 +492,26 @@ func (pl *Planner) plan(p *packet.Packet, from packet.NodeID, now float64, r0 in
 				}
 				ar = rankStreamed
 			}
-			if !pl.fitsBuffer(v, at, p) {
-				continue
-			}
-			if cur, seen := dist[v]; !seen || at < cur || (at == cur && ar < rank[v]) {
+			if (at < dist[v] || (at == dist[v] && ar < rank[v])) && pl.fitsBuffer(v, at, p) {
 				dist[v] = at
 				rank[v] = ar
 				prev[v] = hop{win: wi, from: u, to: v, depart: w.start, arrive: at}
-				heap.Push(&frontier, pqItem{node: v, at: at, rank: ar})
+				q.push(pqItem{node: v, at: at, rank: ar})
 			}
 		}
 	}
+	pl.frontier = q
 	if !done[p.Dst] {
 		return nil
 	}
-	var hops []hop
-	for node := p.Dst; node != from; {
-		h := prev[node]
-		hops = append(hops, h)
-		node = h.from
+	n := 0
+	for node := p.Dst; node != from; node = prev[node].from {
+		n++
 	}
-	for l, r := 0, len(hops)-1; l < r; l, r = l+1, r-1 {
-		hops[l], hops[r] = hops[r], hops[l]
+	hops := make([]hop, n)
+	for node := p.Dst; node != from; node = prev[node].from {
+		n--
+		hops[n] = prev[node]
 	}
 	return &route{hops: hops}
 }
@@ -441,13 +529,12 @@ func (pl *Planner) banFor(id packet.ID) *banSet {
 	if len(rs) == 0 {
 		return nil
 	}
-	b := &banSet{wins: make(map[int]bool), nodes: make(map[packet.NodeID]bool)}
+	b := &banSet{}
 	for _, r := range rs {
-		b.nodes[r.holder] = true
+		b.nodes = append(b.nodes, r.holder)
 		for _, h := range r.hops {
-			b.wins[h.win] = true
-			b.nodes[h.from] = true
-			b.nodes[h.to] = true
+			b.wins = append(b.wins, h.win)
+			b.nodes = append(b.nodes, h.from, h.to)
 		}
 	}
 	return b
@@ -481,21 +568,15 @@ func (pl *Planner) releaseRoute(id packet.ID, r *route) {
 	// those nodes, not the whole network (release runs on every
 	// re-plan and delivery).
 	for _, h := range r.hops {
-		list, ok := pl.resv[h.to]
-		if !ok {
-			continue
-		}
+		list := pl.resv[h.to]
 		out := list[:0]
 		for _, rv := range list {
 			if rv.rt != r {
 				out = append(out, rv)
 			}
 		}
-		if len(out) == 0 {
-			delete(pl.resv, h.to)
-		} else {
-			pl.resv[h.to] = out
-		}
+		clear(list[len(out):]) // drop the released routes' pointers
+		pl.resv[h.to] = out
 	}
 	list := pl.routes[id]
 	out := list[:0]

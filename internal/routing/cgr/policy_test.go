@@ -86,23 +86,32 @@ func auditPlanner(t *testing.T, pl *Planner) {
 	}
 }
 
-// handPlanner builds a primed planner over explicit point meetings,
-// bypassing the runtime (pure planner unit tests).
+// handPlanner builds a primed planner over explicit point meetings
+// with unlimited buffers, bypassing the runtime (pure planner unit
+// tests).
 func handPlanner(pol Policy, meetings []trace.Meeting) *Planner {
 	pl := newPlanner(pol)
 	pl.primed = true
-	pl.capFor = func(packet.NodeID) int64 { return 0 }
 	for _, m := range meetings {
 		pl.windows = append(pl.windows, window{
 			a: m.A, b: m.B, start: m.Time, end: m.Time,
 			cap0: m.Bytes, residual: m.Bytes,
 		})
 	}
-	for i, w := range pl.windows {
-		pl.byNode[w.a] = append(pl.byNode[w.a], i)
-		pl.byNode[w.b] = append(pl.byNode[w.b], i)
-	}
+	pl.index(0, func(packet.NodeID) int64 { return 0 })
 	return pl
+}
+
+// reservedNodes counts the nodes holding any planned buffer
+// reservation (zero: no reservation leaked).
+func reservedNodes(pl *Planner) int {
+	n := 0
+	for _, list := range pl.resv {
+		if len(list) > 0 {
+			n++
+		}
+	}
+	return n
 }
 
 // TestReservationConservation: commit → release restores every residual
@@ -135,8 +144,8 @@ func TestReservationConservation(t *testing.T) {
 		t.Fatalf("release must refund both hops exactly: %d, %d",
 			pl.windows[0].residual, pl.windows[1].residual)
 	}
-	if len(pl.resv) != 0 || len(pl.routes) != 0 {
-		t.Fatalf("release leaked state: %d resv nodes, %d routed packets", len(pl.resv), len(pl.routes))
+	if reservedNodes(pl) != 0 || len(pl.routes) != 0 {
+		t.Fatalf("release leaked state: %d resv nodes, %d routed packets", reservedNodes(pl), len(pl.routes))
 	}
 
 	// Re-plan, execute the first hop, then release: only the second
@@ -198,8 +207,8 @@ func TestMultiCopyDisjointSpread(t *testing.T) {
 	}
 	// Delivery sweeps the packet everywhere: no live routes, no
 	// reservations, no stray replicas left to re-deliver.
-	if len(pl.routes) != 0 || len(pl.resv) != 0 {
-		t.Fatalf("delivery left %d routed packets, %d reservation nodes", len(pl.routes), len(pl.resv))
+	if len(pl.routes) != 0 || reservedNodes(pl) != 0 {
+		t.Fatalf("delivery left %d routed packets, %d reservation nodes", len(pl.routes), reservedNodes(pl))
 	}
 	if col.Summarize(100).Delivered != 1 {
 		t.Fatal("stray replica re-delivered after the sweep")

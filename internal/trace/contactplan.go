@@ -73,7 +73,8 @@ func (cp *ContactPlan) AddWindow(a, b packet.NodeID, start, period, window, rate
 const MaxOccurrences = 1 << 20
 
 // Validate checks structural invariants of the plan itself (the
-// expanded schedule re-checks the flattened form via Schedule.Validate).
+// expanded schedule re-checks the flattened form via Schedule.Validate),
+// node IDs in [0, MaxNodeID) among them.
 func (cp *ContactPlan) Validate() error {
 	// A non-finite horizon would make Expand's t >= Duration
 	// termination test unsatisfiable (NaN compares false forever) or
@@ -84,6 +85,9 @@ func (cp *ContactPlan) Validate() error {
 	for i, c := range cp.Contacts {
 		if c.A == c.B {
 			return fmt.Errorf("trace: plan contact %d is a self-contact of node %d", i, c.A)
+		}
+		if err := checkNodes("plan contact", i, c.A, c.B); err != nil {
+			return err
 		}
 		if c.Start < 0 || math.IsNaN(c.Start) || math.IsInf(c.Start, 0) {
 			return fmt.Errorf("trace: plan contact %d starts at %v", i, c.Start)

@@ -11,9 +11,11 @@ import (
 )
 
 // FuzzReadTrace drives the text codec with arbitrary input. Read must
-// never panic; and any schedule that parses cleanly and validates must
-// survive a Write→Read round trip bit-identically (%g formatting is
-// shortest-round-trip, so this is an exact property, not approximate).
+// never panic; Validate must reject every schedule naming a node
+// outside [0, MaxNodeID); and any schedule that parses cleanly and
+// validates must survive a Write→Read round trip bit-identically (%g
+// formatting is shortest-round-trip, so this is an exact property, not
+// approximate).
 func FuzzReadTrace(f *testing.F) {
 	f.Add("duration 100\nmeet 1 2 5 1024\n")
 	f.Add("# comment\nduration 50\ncontact 0 3 1.5 2.5 512 0\nmeet 0 1 10 2048\n")
@@ -22,12 +24,17 @@ func FuzzReadTrace(f *testing.F) {
 	f.Add("contact 1 2 0 0 0 100\nunknown directive kept for forward compat\n")
 	f.Add("duration\nmeet\ncontact\n")
 	f.Add("duration 100\nmeet -1 -2 -5 -1024\ncontact -1 -2 -1 -1 -1 -1\n")
+	f.Add("duration 100\nmeet 0 1048576 5 1024\ncontact 1048575 0 6 0 0 10\n")
 	f.Fuzz(func(t *testing.T, data string) {
 		s, err := Read(strings.NewReader(data))
 		if err != nil {
 			return
 		}
-		if s.Validate() != nil {
+		err = s.Validate()
+		if id, bad := outOfRangeNode(s); bad && err == nil {
+			t.Fatalf("Validate accepted node %d outside [0,%d)", id, MaxNodeID)
+		}
+		if err != nil {
 			return
 		}
 		var buf bytes.Buffer
@@ -44,6 +51,17 @@ func FuzzReadTrace(f *testing.F) {
 	})
 }
 
+// outOfRangeNode returns the first node ID of the schedule outside
+// [0, MaxNodeID).
+func outOfRangeNode(s *Schedule) (packet.NodeID, bool) {
+	for _, id := range s.Nodes() {
+		if id < 0 || id >= MaxNodeID {
+			return id, true
+		}
+	}
+	return 0, false
+}
+
 // normalize maps nil and empty slices together for the round-trip
 // comparison (Write cannot distinguish them).
 func normalize(s *Schedule) *Schedule {
@@ -58,8 +76,9 @@ func normalize(s *Schedule) *Schedule {
 }
 
 // FuzzContactPlan drives Validate and Expand with arbitrary periodic
-// contacts. Whatever the input: Validate must never panic, and a plan
-// that validates must expand — without hanging or overrunning the
+// contacts. Whatever the input: Validate must never panic, must accept
+// node IDs exactly when they lie in [0, MaxNodeID), and a plan that
+// validates must expand — without hanging or overrunning the
 // occurrence budget — to a schedule that itself validates, twice over
 // to the byte-identical result (the documented determinism property).
 func FuzzContactPlan(f *testing.F) {
@@ -79,6 +98,14 @@ func FuzzContactPlan(f *testing.F) {
 		// A second contact derived from the first exercises multi-contact
 		// interleaving and the sort in Expand.
 		cp.Add(packet.NodeID(a)+1, packet.NodeID(b)+2, start/2, period*2, bytes)
+		// A well-formed probe with scaled IDs reaches both sides of the
+		// node-ID bound.
+		probe := &ContactPlan{Duration: 100}
+		lo, hi := packet.NodeID(a)<<14, packet.NodeID(a)<<14+1
+		probe.Add(lo, hi, 0, 10, 1)
+		if inRange := lo >= 0 && hi < MaxNodeID; (probe.Validate() == nil) != inRange {
+			t.Fatalf("probe with nodes %d, %d: Validate() = %v", lo, hi, probe.Validate())
+		}
 		if cp.Validate() != nil {
 			// Invalid plans may still not hang or panic on a defensive
 			// expansion.

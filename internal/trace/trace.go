@@ -17,6 +17,24 @@ import (
 	"rapid/internal/packet"
 )
 
+// MaxNodeID bounds node IDs: a valid schedule or contact plan names
+// only nodes in [0, MaxNodeID). Routers, estimators and the planner
+// index dense per-node state by ID (DESIGN.md §11), so a negative ID
+// would index out of range and a huge one would size every per-node
+// table to it.
+const MaxNodeID = 1 << 20
+
+// checkNodes reports the first of a record's endpoints outside
+// [0, MaxNodeID).
+func checkNodes(kind string, i int, a, b packet.NodeID) error {
+	for _, id := range [2]packet.NodeID{a, b} {
+		if id < 0 || id >= MaxNodeID {
+			return fmt.Errorf("trace: %s %d names node %d outside [0,%d)", kind, i, id, MaxNodeID)
+		}
+	}
+	return nil
+}
+
 // Meeting is one edge of the meeting multigraph: nodes A and B are in
 // radio range at Time and can exchange up to Bytes bytes in total
 // (both directions share the opportunity, mirroring the merged
@@ -162,7 +180,7 @@ func (s *Schedule) TotalBytes() int64 {
 
 // Validate checks structural invariants: a finite horizon, time-sorted
 // finite instants within duration, non-negative sizes, no
-// self-meetings.
+// self-meetings, node IDs in [0, MaxNodeID).
 func (s *Schedule) Validate() error {
 	if math.IsNaN(s.Duration) || math.IsInf(s.Duration, 0) || s.Duration < 0 {
 		return fmt.Errorf("trace: schedule duration %v is not a finite non-negative horizon", s.Duration)
@@ -171,6 +189,9 @@ func (s *Schedule) Validate() error {
 	for i, m := range s.Meetings {
 		if m.A == m.B {
 			return fmt.Errorf("trace: meeting %d is a self-meeting of node %d", i, m.A)
+		}
+		if err := checkNodes("meeting", i, m.A, m.B); err != nil {
+			return err
 		}
 		if math.IsNaN(m.Time) || math.IsInf(m.Time, 0) {
 			return fmt.Errorf("trace: meeting %d at non-finite time %v", i, m.Time)
@@ -190,6 +211,9 @@ func (s *Schedule) Validate() error {
 	for i, c := range s.Contacts {
 		if c.A == c.B {
 			return fmt.Errorf("trace: contact %d is a self-contact of node %d", i, c.A)
+		}
+		if err := checkNodes("contact", i, c.A, c.B); err != nil {
+			return err
 		}
 		if math.IsNaN(c.Start) || math.IsInf(c.Start, 0) {
 			return fmt.Errorf("trace: contact %d starts at non-finite time %v", i, c.Start)

@@ -59,6 +59,39 @@ func TestValidateRejectsBadSchedules(t *testing.T) {
 	}
 }
 
+// TestValidateBoundsNodeIDs: node IDs index dense per-node state all
+// through the runtime, so a negative ID (which used to panic every
+// protocol inside the meeting estimator) or one at or past MaxNodeID
+// must fail validation of both schedules and contact plans, while the
+// largest legal ID passes.
+func TestValidateBoundsNodeIDs(t *testing.T) {
+	bad := []packet.NodeID{-1, -(1 << 40), MaxNodeID, MaxNodeID + 1}
+	for _, id := range bad {
+		meet := Schedule{Duration: 10, Meetings: []Meeting{{A: id, B: 0, Time: 1, Bytes: 1}}}
+		if err := meet.Validate(); err == nil {
+			t.Errorf("meeting naming node %d validated", id)
+		}
+		contact := Schedule{Duration: 10, Contacts: []Contact{{A: 0, B: id, Start: 1, Duration: 2, RateBps: 8}}}
+		if err := contact.Validate(); err == nil {
+			t.Errorf("contact naming node %d validated", id)
+		}
+		plan := &ContactPlan{Duration: 10}
+		plan.Add(id, 0, 0, 5, 1)
+		if err := plan.Validate(); err == nil {
+			t.Errorf("plan contact naming node %d validated", id)
+		}
+	}
+	top := Schedule{Duration: 10, Meetings: []Meeting{{A: 0, B: MaxNodeID - 1, Time: 1, Bytes: 1}}}
+	if err := top.Validate(); err != nil {
+		t.Errorf("largest legal node ID rejected: %v", err)
+	}
+	plan := &ContactPlan{Duration: 10}
+	plan.Add(MaxNodeID-1, 0, 0, 5, 1)
+	if err := plan.Validate(); err != nil {
+		t.Errorf("plan with the largest legal node ID rejected: %v", err)
+	}
+}
+
 func TestMeanOpportunity(t *testing.T) {
 	s := &Schedule{Meetings: []Meeting{{Bytes: 10, A: 0, B: 1}, {Bytes: 30, A: 0, B: 1}}}
 	m, err := s.MeanOpportunity()

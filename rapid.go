@@ -71,6 +71,10 @@ type (
 	Summary = metrics.Summary
 )
 
+// MaxNodeID bounds node IDs: a valid schedule or contact plan names
+// only nodes in [0, MaxNodeID).
+const MaxNodeID = trace.MaxNodeID
+
 // Metric selects RAPID's routing objective (§3.5).
 type Metric = core.Metric
 
@@ -194,6 +198,11 @@ type Result struct {
 // Run executes one simulation: the schedule's meetings are replayed
 // against the workload under the chosen protocol. It is deterministic
 // for a fixed (schedule, workload, protocol, config) tuple.
+//
+// The schedule must be valid (sched.Validate() == nil): in particular
+// every node ID, in the schedule and in the workload, must lie in
+// [0, MaxNodeID). Per-node state is indexed by ID, so a negative
+// ID panics and a huge one sizes every per-node table to it.
 func Run(sched *Schedule, w Workload, p Protocol, cfg Config) Result {
 	rcfg := routing.Config{
 		BufferBytes:   cfg.BufferBytes,
