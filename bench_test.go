@@ -14,6 +14,7 @@ package rapid_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -294,6 +295,79 @@ func BenchmarkControlExchange(b *testing.B) {
 		a := control.NewState(0, 3, nil)
 		c := control.NewState(1, 3, nil)
 		control.Exchange(a, c, inv, nil, 10, control.Options{MaxBytes: -1})
+	}
+}
+
+// BenchmarkReplicaGossip is the control exchange's third-party replica
+// gossip in steady state: a sender holding 50,000 replica records meets
+// eight receivers in turn, each carrying 2,000 of those packets in
+// store (not ID) order. Before each meeting the sender hears a fresh
+// estimate for the next 6,250 records, off the clock, so every
+// exchange finds all 50,000 records changed since that pair's last
+// meeting and gossips the 2,000 its receiver carries. The world is
+// rebuilt off the clock every 64 meetings to bound changelog growth.
+func BenchmarkReplicaGossip(b *testing.B) {
+	const records, carried, receivers = 50000, 2000, 8
+	const heard = records / receivers
+	item := func(id int, delay float64) control.InventoryItem {
+		return control.InventoryItem{
+			ID: packet.ID(id), Dst: packet.NodeID(100 + id%64), Size: 1024,
+			Created: float64(id % 1000), Deadline: 1e6, Delay: delay,
+		}
+	}
+	var (
+		sender *control.State
+		recv   [receivers]*control.State
+		invs   [receivers][]control.InventoryItem
+		now    float64
+		meets  int
+	)
+	meet := func() int {
+		r := meets % receivers
+		now++
+		delay := math.Inf(1) // a reachability flip is always re-gossiped
+		if (meets/receivers)%2 == 1 {
+			delay = 100
+		}
+		for id := r * heard; id < (r+1)*heard; id++ {
+			sender.NoteReplica(item(id, delay), packet.NodeID(200+id%64), now)
+		}
+		meets++
+		b.StartTimer()
+		res := control.Exchange(sender, recv[r], nil, invs[r], now, control.Options{MaxBytes: -1})
+		b.StopTimer()
+		return res.Replicas
+	}
+	build := func() {
+		sender = control.NewState(0, 3, nil)
+		now, meets = 1, 0
+		for id := 0; id < records; id++ {
+			sender.NoteReplica(item(id, 100), packet.NodeID(200+id%64), now)
+		}
+		for r := range recv {
+			recv[r] = control.NewState(packet.NodeID(1+r), 3, nil)
+			if invs[r] == nil {
+				for _, j := range rand.New(rand.NewSource(int64(r))).Perm(carried) {
+					invs[r] = append(invs[r], item(j*(records/carried)+r, 100))
+				}
+			}
+			control.Exchange(sender, recv[r], nil, invs[r], now, control.Options{MaxBytes: -1})
+		}
+		for i := 0; i < receivers; i++ {
+			meet()
+		}
+	}
+	b.StopTimer()
+	build()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if meets == 64 {
+			build()
+		}
+		if got := meet(); got != carried {
+			b.Fatalf("gossiped %d replica records, want %d", got, carried)
+		}
 	}
 }
 

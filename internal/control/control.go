@@ -68,9 +68,12 @@ type PacketMeta struct {
 	// Updated is the latest local-knowledge change, for delta encoding.
 	Updated float64
 
-	// seen is the owning State's seenEpoch when metaChangedSince last
-	// collected this entry, deduplicating the changelog in place.
-	seen uint64
+	// logAt is one past the owning State's metaLog index of this
+	// record's latest changelog append (0 = never logged). Both writers,
+	// NoteReplica and DropReplica, stamp it as they append, so "the
+	// record has an append at or past index k" is logAt > k and replica
+	// gossip needs no record IDs in the log.
+	logAt int
 }
 
 // replica returns the index of holder's entry in m.Replicas and whether
@@ -173,18 +176,28 @@ type State struct {
 	// per-contact gossip loop does not re-sort the owner set.
 	tableOwners []packet.NodeID
 
-	// ackLog and metaLog are time-ordered changelogs so delta
-	// exchanges scan only what changed since the last exchange with a
-	// peer, not the whole state (which grows with every packet ever
-	// seen).
-	ackLog  []logEvent
-	metaLog []logEvent
-	// ackScratch/metaScratch are reused result buffers for the delta
-	// queries above (one exchange runs at a time per node); seenEpoch
-	// numbers metaChangedSince calls for the PacketMeta.seen stamps.
-	ackScratch  []packet.ID
-	metaScratch []*PacketMeta
-	seenEpoch   uint64
+	// ackLog holds the times at which the acks in ackIDs were learned,
+	// in learning order, so delta exchanges scan only the acks learned
+	// since the last exchange with a peer, not the whole ack set (which
+	// grows with every packet ever delivered). Acks are learned at the
+	// current time, so ackLog is time-ordered.
+	ackLog []float64
+	ackIDs []packet.ID
+	// metaLog holds the time of every replica-record changelog append;
+	// PacketMeta.logAt says which record an append belongs to. It is
+	// NOT time-ordered: gossip re-logs a record at its origin time
+	// rep.Updated, which may lie before earlier appends. Replica gossip
+	// cuts it with the same bisection as ackLog (logCut), and keeps
+	// that cut exactly: it decides which records a peer is sent.
+	metaLog []float64
+	// ackScratch and invScratch are reused buffers for the ack delta
+	// query and the sorted receiver inventory (one exchange runs at a
+	// time per node). dstMark stamps, per destination node ID, the
+	// dstStamp of the inventory digest that last counted it.
+	ackScratch []packet.ID
+	invScratch []packet.ID
+	dstMark    []uint32
+	dstStamp   uint32
 
 	// lastExchange is the time of the previous exchange per peer (dense
 	// by node ID; the zero value is the epoch default the delta encoding
@@ -201,29 +214,22 @@ func growFloat(s []float64, id packet.NodeID, fill float64) []float64 {
 	return s
 }
 
-// logEvent is one changelog entry.
-type logEvent struct {
-	t  float64
-	id packet.ID
-}
-
-// appendLog keeps events time-ordered (simulation time is monotone).
-func appendLog(log []logEvent, t float64, id packet.ID) []logEvent {
-	return append(log, logEvent{t: t, id: id})
-}
-
-// eventsAfter returns log entries with t > since.
-func eventsAfter(log []logEvent, since float64) []logEvent {
+// logCut bisects a changelog for the first entry with t > since. On a
+// time-ordered log every entry from the cut on is newer than since; on
+// metaLog, which is not time-ordered, the cut is merely where this
+// bisection lands, and replica gossip depends on it landing exactly
+// here. The entry before the cut, if any, is never newer than since.
+func logCut(log []float64, since float64) int {
 	lo, hi := 0, len(log)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if log[mid].t <= since {
+		if log[mid] <= since {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	return log[lo:]
+	return lo
 }
 
 // NewState returns an empty control state for node self with an h-hop
@@ -314,7 +320,8 @@ func (s *State) LearnAck(id packet.ID, now float64) {
 	}
 	if _, ok := s.acked[id]; !ok {
 		s.acked[id] = now
-		s.ackLog = appendLog(s.ackLog, now, id)
+		s.ackLog = append(s.ackLog, now)
+		s.ackIDs = append(s.ackIDs, id)
 		delete(s.meta, id)
 	}
 }
@@ -358,9 +365,16 @@ func (s *State) NoteReplica(item InventoryItem, holder packet.NodeID, now float6
 	// Self-held replicas ride inventories, not the third-party gossip
 	// log; immaterial delay wiggles are not worth re-flooding either.
 	if m.upsertReplica(holder, item.Delay, now) && holder != s.self {
-		m.Updated = now
-		s.metaLog = appendLog(s.metaLog, now, item.ID)
+		s.logMeta(m, now)
 	}
+}
+
+// logMeta records a change to m at time t: it appends t to the
+// changelog and stamps m with the append's position.
+func (s *State) logMeta(m *PacketMeta, t float64) {
+	m.Updated = t
+	s.metaLog = append(s.metaLog, t)
+	m.logAt = len(s.metaLog)
 }
 
 // DropReplica forgets that holder carries the packet (used when a node
@@ -375,8 +389,7 @@ func (s *State) DropReplica(id packet.ID, holder packet.NodeID, now float64) {
 	}
 	if m := s.meta[id]; m != nil {
 		m.removeReplica(holder)
-		m.Updated = now
-		s.metaLog = appendLog(s.metaLog, now, id)
+		s.logMeta(m, now)
 	}
 }
 
@@ -565,12 +578,8 @@ func Exchange(a, b *State, invA, invB []InventoryItem, now float64, opts Options
 		if len(dir.inv) == 0 {
 			continue
 		}
-		dsts := map[packet.NodeID]bool{}
-		for _, it := range dir.inv {
-			dsts[it.Dst] = true
-		}
 		cost := int64(len(dir.inv)*BloomBitsPerPacket+7)/8 +
-			int64(len(dsts))*QueueDigestBytesPerDst
+			int64(dir.from.countDsts(dir.inv))*QueueDigestBytesPerDst
 		if !spend(cost) {
 			return finishExchange(a, b, now, res)
 		}
@@ -615,16 +624,25 @@ func Exchange(a, b *State, invA, invB []InventoryItem, now float64, opts Options
 	// Eq. 8); gossiping every replica of every packet network-wide
 	// would swamp the channel (and the paper's 0.02%-of-bandwidth
 	// budget) with records no utility computation reads.
+	//
+	// A record is changed since the last exchange when it has a
+	// changelog append at or past the log's cut for `since` (logAt > k)
+	// and its latest change is newer than `since`. Records go out in
+	// packet-ID order, then holder order: byte-cap truncation and the
+	// receiver's own changelog depend on that order.
 	if !opts.LocalOnly {
-		idsA := inventoryIDs(invA)
-		idsB := inventoryIDs(invB)
 		for _, dir := range []struct {
 			from, to *State
-			toIDs    map[packet.ID]bool
+			toInv    []InventoryItem
 			since    float64
-		}{{a, b, idsB, sinceA}, {b, a, idsA, sinceB}} {
-			for _, m := range dir.from.metaChangedSince(dir.since) {
-				if !dir.toIDs[m.ID] {
+		}{{a, b, invB, sinceA}, {b, a, invA, sinceB}} {
+			k := logCut(dir.from.metaLog, dir.since)
+			if k == len(dir.from.metaLog) {
+				continue // no record has an append past the cut
+			}
+			for _, id := range dir.to.sortedIDs(dir.toInv) {
+				m := dir.from.meta[id]
+				if m == nil || m.logAt <= k || m.Updated <= dir.since {
 					continue
 				}
 				for _, rep := range m.Replicas {
@@ -721,48 +739,45 @@ func finishExchange(a, b *State, now float64, res Result) Result {
 // determinism. The changelog makes this O(changed), not O(all acks);
 // the returned slice is a reused scratch valid until the next call.
 func (s *State) acksSince(since float64) []packet.ID {
-	evs := eventsAfter(s.ackLog, since)
-	out := s.ackScratch[:0]
-	for _, ev := range evs {
-		out = append(out, ev.id)
-	}
+	out := append(s.ackScratch[:0], s.ackIDs[logCut(s.ackLog, since):]...)
 	slices.Sort(out)
 	s.ackScratch = out
 	return out
 }
 
-// metaChangedSince returns metadata entries updated after `since`,
-// sorted by packet ID, deduplicated from the changelog. The returned
-// slice is a reused scratch valid until the next call. Duplicates are
-// dropped by stamping each PacketMeta with this call's epoch — the
-// changelog is too duplicate-heavy for sort-based dedup to win, and a
-// per-exchange dedup set dominated mega-scale delta cost.
-func (s *State) metaChangedSince(since float64) []*PacketMeta {
-	evs := eventsAfter(s.metaLog, since)
-	s.seenEpoch++
-	out := s.metaScratch[:0]
-	for _, ev := range evs {
-		m := s.meta[ev.id]
-		if m == nil || m.seen == s.seenEpoch {
-			continue
-		}
-		m.seen = s.seenEpoch
-		if m.Updated > since {
-			out = append(out, m)
-		}
+// sortedIDs returns the distinct packet IDs of inv in ascending order,
+// in a reused scratch valid until the next call.
+func (s *State) sortedIDs(inv []InventoryItem) []packet.ID {
+	out := s.invScratch[:0]
+	for _, it := range inv {
+		out = append(out, it.ID)
 	}
-	slices.SortFunc(out, func(a, b *PacketMeta) int { return cmp.Compare(a.ID, b.ID) })
-	s.metaScratch = out
+	slices.Sort(out)
+	out = slices.Compact(out)
+	s.invScratch = out
 	return out
 }
 
-// inventoryIDs collects the packet IDs of an inventory.
-func inventoryIDs(inv []InventoryItem) map[packet.ID]bool {
-	ids := make(map[packet.ID]bool, len(inv))
-	for _, it := range inv {
-		ids[it.ID] = true
+// countDsts returns the number of distinct destinations in inv, marking
+// each in the dense dstMark slice with a fresh stamp. Destinations are
+// node IDs, so they lie in [0, trace.MaxNodeID).
+func (s *State) countDsts(inv []InventoryItem) int {
+	s.dstStamp++
+	if s.dstStamp == 0 { // wrapped: old stamps could collide
+		clear(s.dstMark)
+		s.dstStamp = 1
 	}
-	return ids
+	n := 0
+	for _, it := range inv {
+		for len(s.dstMark) <= int(it.Dst) {
+			s.dstMark = append(s.dstMark, 0)
+		}
+		if s.dstMark[it.Dst] != s.dstStamp {
+			s.dstMark[it.Dst] = s.dstStamp
+			n++
+		}
+	}
+	return n
 }
 
 // materialDelayChange reports whether a delay estimate moved enough to

@@ -358,3 +358,44 @@ func TestKnownEmptyTablePricedAtHeader(t *testing.T) {
 		t.Errorf("b's RowLen(5)=(%d,%v) want (0,true)", n, known)
 	}
 }
+
+// TestExchangeAllocs: a warmed exchange that gossips a fresh replica
+// record for every packet the receiver carries allocates the same at
+// 100 and at 1,000 carried packets. Replica gossip walks a reused,
+// sorted copy of the receiver's inventory IDs and the queue digest
+// counts destinations in a stamped slice, so no per-item set is built.
+func TestExchangeAllocs(t *testing.T) {
+	allocs := func(items int) float64 {
+		a, b := twoStates()
+		inv := make([]InventoryItem, items)
+		for i := range inv {
+			// Descending IDs: store order is not ID order.
+			inv[i] = InventoryItem{ID: packet.ID(items - i), Dst: packet.NodeID(3 + i%20), Size: 1024, Delay: 100}
+		}
+		now := 1.0
+		step := func() {
+			now++
+			// The sender hears a reachability flip for a third-party
+			// replica of every carried packet, so each is re-gossiped.
+			for _, it := range inv {
+				if int(now)%2 == 0 {
+					it.Delay = math.Inf(1)
+				}
+				a.NoteReplica(it, 2, now)
+			}
+			Exchange(a, b, nil, inv, now, unlimited())
+		}
+		for i := 0; i < 4; i++ {
+			step()
+		}
+		if got := b.Replicas(packet.ID(1)); len(got) != 2 || got[1].Holder != 2 || got[1].Updated != now {
+			t.Fatalf("receiver replicas %+v at %v: gossip not flowing", got, now)
+		}
+		return testing.AllocsPerRun(50, step)
+	}
+	small, large := allocs(100), allocs(1000)
+	t.Logf("allocs per exchange: %v at 100 items, %v at 1,000", small, large)
+	if small != large {
+		t.Errorf("allocs per exchange grow with the inventory: %v at 100 items, %v at 1,000", small, large)
+	}
+}
