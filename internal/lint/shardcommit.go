@@ -30,7 +30,7 @@ var ShardCommit = &analysis.Analyzer{
 
 Walks the same-package call graph of every ExecuteShard method and
 reports reachable touches of metrics.Collector, sim.Engine scheduling
-methods (Schedule*, ScheduleSpan), the engine clock (Now), and the
+methods (Schedule*), the engine clock (Now), and the
 engine-owned RNG (Rand). Only CommitShard and OnCollect may touch
 globally ordered state.`,
 	Run: runShardCommit,
@@ -43,7 +43,6 @@ var forbiddenEngine = map[string]string{
 	"ScheduleBand":     "schedules events (commit-phase only)",
 	"ScheduleFunc":     "schedules events (commit-phase only)",
 	"ScheduleBandFunc": "schedules events (commit-phase only)",
-	"ScheduleSpan":     "schedules events (commit-phase only)",
 	"Now":              "reads the engine clock, which may already have advanced past the event's instant — carry the timestamp in the event",
 	"Rand":             "draws from an engine-owned random stream, which is shared mutable state across the wave",
 	"Run":              "re-enters the event loop",

@@ -70,8 +70,8 @@ type Collector struct {
 	// the run that produced this collector (set by routing.Run; the
 	// simulation service's events-executed telemetry counter). It is
 	// engine bookkeeping, not an outcome: identical outcomes may execute
-	// different event counts (a streamed contact-plan run pumps events a
-	// materialized run schedules upfront), so it is deliberately absent
+	// different event counts (a streamed packet source adds pump events
+	// that an upfront workload does not), so it is deliberately absent
 	// from Summary and from equivalence fingerprints.
 	EventsExecuted uint64
 }

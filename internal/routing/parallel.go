@@ -8,14 +8,14 @@ import (
 )
 
 // This file is the routing layer's side of the parallel engine
-// (sim.Engine.SetWorkers): the two hot event kinds of a constellation
-// run — point contact sessions and streamed packet creations — are
-// expressed as sim.ShardEvents keyed by their endpoint node IDs, so the
-// engine can batch consecutive independent events, execute them across
-// a worker pool, and commit their globally ordered effects in exact
-// serial pop order. Everything else (window opens/closes, churn
-// toggles) stays a plain event and acts as a flush barrier, so a
-// parallel run is byte-identical to a serial one.
+// (sim.Engine.SetWorkers): the two hot event kinds of every run — point
+// contact sessions and packet creations — are sim.ShardEvents keyed by
+// their endpoint node IDs, so the engine can batch consecutive
+// independent events, execute them across a worker pool, and commit
+// their globally ordered effects in exact serial pop order. The serial
+// engine runs the same events whole (Execute). Everything else (window
+// opens/closes, churn toggles) stays a plain event and acts as a flush
+// barrier, so a parallel run is byte-identical to a serial one.
 //
 // A session's mutable footprint is its two endpoint nodes: buffer
 // store, control state (meeting estimator, ack table, replica
@@ -105,13 +105,15 @@ func (ev *sessionEvent) CommitShard(e *sim.Engine) {
 }
 
 // generateEvent is a packet creation as a shard event: the delivery
-// record is registered at collection time — on the engine goroutine, at
-// the event's exact pop position, so a session later in the same batch
-// that delivers the packet finds its record — and the router stores the
-// packet in a wave (source-node state only). Registering before
-// earlier batch-mates' waves run is invisible to them: no node holds
-// the packet until this event's own wave, so nothing can deliver or
-// query it, and an extra undelivered record reads like no record.
+// record is registered (and the OnGenerated hook fired) at collection
+// time — on the engine goroutine, at the event's exact pop position, so
+// a session later in the same batch that delivers the packet finds its
+// record — and the router stores the packet in a wave (source-node
+// state only). Registering before earlier batch-mates' waves run is
+// invisible to them: no node holds the packet until this event's own
+// wave, so nothing can deliver or query it, and an extra undelivered
+// record reads like no record. Hooked runs are always serial, so the
+// hook never sees a batch.
 type generateEvent struct {
 	net *Network
 	p   *packet.Packet
@@ -128,7 +130,7 @@ func (ev *generateEvent) ShardKeys() (int64, int64) {
 }
 
 func (ev *generateEvent) OnCollect(e *sim.Engine) {
-	ev.net.Collector.Generated(ev.p)
+	ev.net.generated(ev.p, ev.p.Created)
 }
 
 func (ev *generateEvent) ExecuteShard(e *sim.Engine) {

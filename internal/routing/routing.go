@@ -18,7 +18,9 @@
 package routing
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"rapid/internal/buffer"
 	"rapid/internal/control"
@@ -84,12 +86,13 @@ type Config struct {
 	// any transfer has been observed.
 	DefaultTransferBytes float64
 	// Workers selects the event engine's worker count: 0 or 1 run the
-	// historical serial loop, n > 1 spread independent same-batch
-	// contact sessions across n goroutines, negative uses one worker
-	// per available CPU. Output is byte-identical at every setting;
-	// runs the parallel engine cannot prove independent for (global
-	// control channel, Bernoulli loss, conformance hooks, routers not
-	// marked SessionConfined) silently fall back to serial.
+	// serial loop, n > 1 spread independent same-batch contact
+	// sessions and packet creations across n goroutines, negative uses
+	// one worker per available CPU. Both engines execute the same
+	// events, so output is byte-identical at every setting; runs the
+	// parallel engine cannot prove independent for (global control
+	// channel, Bernoulli loss, conformance hooks, routers not marked
+	// SessionConfined) silently fall back to serial.
 	Workers int
 }
 
@@ -170,9 +173,7 @@ func (n *Network) transferLost(id packet.ID, from, to packet.NodeID, now float64
 }
 
 // generated registers a packet's creation with the collector and fires
-// the telemetry hook. Serial generation paths route through it; the
-// parallel generateEvent calls the collector directly (a hooked run is
-// never parallel).
+// the telemetry hook; generateEvent calls it at collection time.
 func (n *Network) generated(p *packet.Packet, now float64) {
 	n.Collector.Generated(p)
 	if h := n.hooks; h != nil && h.OnGenerated != nil {
@@ -347,18 +348,20 @@ func NewNetwork(engine *sim.Engine, ids []packet.NodeID, f RouterFactory, cfg Co
 	return net
 }
 
-// Event bands: the materialized Run schedules everything upfront, so
-// same-instant ordering is fixed by insertion sequence — workload
-// creations, then meetings, then contacts, then churn toggles, with
-// dynamically scheduled events after all of them. Lazily generated
-// streams cannot rely on insertion order (their events are inserted
-// mid-run), so they carry explicit bands reproducing the same
-// same-instant precedence. Band 0 is the default for everything else.
+// Event bands order the events Run schedules at one instant, lowest
+// first: stream pumps, packet creations, point meetings, contact
+// occurrences (zero-duration contacts and window opens/closes,
+// interleaved in schedule order), churn toggles, and then band 0 —
+// everything the run's own events schedule while it executes. Within a band events run in insertion order. Because the
+// bands, not insertion time, order the kinds, creations scheduled
+// upfront and occurrences pumped during the run interleave exactly as
+// one upfront-scheduled stream would.
 const (
-	bandPump     = -4 // cursor/source pump re-arms
-	bandWorkload = -3 // streamed packet creations
-	bandMeeting  = -2 // streamed point meetings
-	bandContact  = -1 // streamed window opens/closes
+	bandPump     = -5 // source and occurrence pump re-arms
+	bandWorkload = -4 // packet creations
+	bandMeeting  = -3 // point meetings
+	bandContact  = -2 // schedule contacts and plan windows
+	bandChurn    = -1 // churn down/up toggles
 )
 
 // Scenario couples a schedule, a workload and a protocol for Run.
@@ -366,12 +369,12 @@ type Scenario struct {
 	// Schedule is the materialized contact schedule. Exactly one of
 	// Schedule and Plan must be set.
 	Schedule *trace.Schedule
-	// Plan, when Schedule is nil, drives the run directly off the
-	// compressed periodic contact plan through a streaming cursor:
-	// expanded-schedule memory stays O(plan size) instead of
-	// O(occurrences). Runs needing the flattened schedule anyway —
-	// disruption realization, SchedulePrimer protocols — fall back to a
-	// one-time Expand.
+	// Plan, when Schedule is nil, is the compressed periodic contact
+	// plan. Run pumps its occurrences off a trace.PlanCursor, so memory
+	// stays O(plan size) instead of O(occurrences); a Schedule feeds
+	// the same pump from its slices. Runs needing the flattened
+	// schedule — disruption realization, SchedulePrimer protocols —
+	// expand the plan once instead.
 	Plan *trace.ContactPlan
 	// Workload is the materialized packet workload.
 	Workload packet.Workload
@@ -401,12 +404,18 @@ type Scenario struct {
 // source or destination never appears in the schedule are still
 // injected (their node simply has no meetings).
 //
+// Every run takes one event path. Packet creations and point sessions
+// are shard events (parallel.go), which the serial engine executes
+// whole and the parallel engine may batch. Contact occurrences are
+// scheduled during the run by one pump, fed either by the plan's
+// cursor or by the schedule's realized slices.
+//
 // When sc.Disrupt is enabled, the disruption model is realized over
 // the nominal schedule before any event runs: failed contacts are
-// never scheduled, surviving contacts shift by their jitter draw, and
-// node churn is expanded into down/up toggle events. Plan-ahead
-// protocols still prime on the *nominal* schedule — the whole point of
-// the disruption families is that their plans can break.
+// dropped, surviving contacts shift by their jitter draw, and node
+// churn is expanded into down/up toggle events. Plan-ahead protocols
+// still prime on the *nominal* schedule — the whole point of the
+// disruption families is that their plans can break.
 func Run(sc Scenario) *metrics.Collector {
 	engine := sim.New(sc.Seed)
 	sched := sc.Schedule
@@ -449,132 +458,51 @@ func Run(sc Scenario) *metrics.Collector {
 		pr.PrimeSchedule(sched, net)
 	}
 
-	// Parallel engine: sessions and creations become shard events the
-	// engine may batch and execute across a pool, committing in serial
-	// order — byte-identical output, decided once per run.
-	par := false
+	// The parallel engine is decided once per run; the events are the
+	// same either way, and the output is byte-identical.
 	if workers := resolveWorkers(sc.Cfg.Workers); workers > 1 && parallelEligible(sc, net, ids) {
-		par = true
 		engine.SetWorkers(workers)
 	}
 
+	create := func(p *packet.Packet) {
+		engine.ScheduleBand(p.Created, bandWorkload, &generateEvent{net: net, p: p})
+	}
 	if sc.Source != nil {
-		startSourcePump(engine, net, sc.Source, par)
+		startPump(engine, func() (*packet.Packet, float64, bool) {
+			p, ok := sc.Source.Next()
+			if !ok {
+				return nil, 0, false
+			}
+			return p, p.Created, true
+		}, create)
 	} else {
-		// A lazy plan-driven run carries creations in bandWorkload so the
-		// materialized creations-before-contacts order holds at shared
-		// instants; the materialized path keeps band 0, where insertion
-		// order already encodes it.
-		wband := int32(0)
-		if sched == nil {
-			wband = bandWorkload
-		}
 		for _, p := range sc.Workload {
-			p := p
-			if par {
-				engine.ScheduleBand(p.Created, wband, &generateEvent{net: net, p: p})
-				continue
-			}
-			engine.ScheduleBandFunc(p.Created, wband, func(e *sim.Engine) {
-				net.generated(p, e.Now())
-				src := net.Node(p.Src)
-				src.Router.Generate(p, e.Now())
-			})
+			create(p)
 		}
 	}
+	var next func() (occurrence, float64, bool)
 	if sched == nil {
-		// Streaming plan-driven run: a pump walks the compressed cursor
-		// and schedules each occurrence just in time, in the banded
-		// order matching the materialized path.
-		startPlanPump(engine, net, sc.Plan.Cursor(sc.MergePlanWindows), horizon, par)
-		engine.RunUntil(horizon)
-		net.Collector.EventsExecuted = engine.Executed
-		return net.Collector
+		next = planOccurrences(sc.Plan.Cursor(sc.MergePlanWindows))
+	} else {
+		next = scheduleOccurrences(realize(sched, model, horizon))
 	}
-	// contactIdx indexes the disruption decision streams across the
-	// whole nominal schedule: meetings first, then contacts, in
-	// schedule order — stable identity per contact regardless of which
-	// contacts fail.
-	contactIdx := 0
-	for _, m := range sched.Meetings {
-		m := m
-		i := contactIdx
-		contactIdx++
-		if model != nil {
-			if model.ContactFails(i) {
-				continue
-			}
-			var ok bool
-			if m.Time, ok = jitterTime(m.Time, model.Jitter(i), horizon); !ok {
-				continue
-			}
-		}
-		if par {
-			engine.Schedule(m.Time, &sessionEvent{
-				net: net, a: net.Node(m.A), b: net.Node(m.B),
-				bytes: m.Bytes, at: m.Time,
-			})
-			continue
-		}
-		engine.ScheduleFunc(m.Time, func(e *sim.Engine) {
-			RunSession(net, net.Node(m.A), net.Node(m.B), m.Bytes)
-		})
-	}
-	for _, c := range sched.Contacts {
-		c := c
-		i := contactIdx
-		contactIdx++
-		if model != nil {
-			if model.ContactFails(i) {
-				continue
-			}
-			var ok bool
-			if c.Start, ok = jitterTime(c.Start, model.Jitter(i), horizon); !ok {
-				continue
-			}
-		}
-		if !c.Windowed() {
-			// Zero-duration contacts degrade to point meetings: the
-			// instantaneous session, byte for byte.
-			if par {
-				engine.Schedule(c.Start, &sessionEvent{
-					net: net, a: net.Node(c.A), b: net.Node(c.B),
-					bytes: c.Bytes, at: c.Start,
-				})
-				continue
-			}
-			engine.ScheduleFunc(c.Start, func(e *sim.Engine) {
-				RunSession(net, net.Node(c.A), net.Node(c.B), c.Bytes)
-			})
-			continue
-		}
-		// Never leave a window dangling past the horizon.
-		end := c.EndWithin(horizon)
-		var w *winContact
-		engine.ScheduleSpan(c.Start, end,
-			func(e *sim.Engine) { w = openWindow(net, c) },
-			func(e *sim.Engine) {
-				if w != nil {
-					closeWindow(net, w)
-				}
-			})
-	}
-	// Node churn: expand each node's down intervals into toggle
-	// events. Going down cuts the node's live windows; a contact whose
-	// endpoint is down is skipped at its own event. Scheduled after
-	// the contacts above so a same-instant contact resolves before the
-	// radio drops (FIFO among same-time events).
+	startPump(engine, next, func(o occurrence) { scheduleOccurrence(net, o, horizon) })
+
+	// Node churn: expand each node's down intervals into toggle events.
+	// Going down cuts the node's live windows; a contact whose endpoint
+	// is down is skipped at its own event. bandChurn puts a toggle after
+	// the contacts at its instant, so they resolve before the radio
+	// drops.
 	if model != nil {
 		for _, id := range ids {
 			node := net.Nodes[id]
 			for _, iv := range model.DownIntervals(id, horizon) {
-				iv := iv
-				engine.ScheduleFunc(iv.Start, func(e *sim.Engine) {
+				engine.ScheduleBandFunc(iv.Start, bandChurn, func(e *sim.Engine) {
 					node.Down = true
 					net.churnClose(node.ID)
 				})
 				if iv.End < horizon {
-					engine.ScheduleFunc(iv.End, func(e *sim.Engine) {
+					engine.ScheduleBandFunc(iv.End, bandChurn, func(e *sim.Engine) {
 						node.Down = false
 					})
 				}
@@ -584,19 +512,6 @@ func Run(sc Scenario) *metrics.Collector {
 	engine.RunUntil(horizon)
 	net.Collector.EventsExecuted = engine.Executed
 	return net.Collector
-}
-
-// jitterTime shifts a contact instant by its jitter draw. A contact
-// jittered outside the observation window [0, horizon) is missed
-// entirely — it happened before the run began or after it ended, so
-// executing it at a clamped instant would account opportunity that
-// physically never existed.
-func jitterTime(t, jitter, horizon float64) (float64, bool) {
-	t += jitter
-	if t < 0 || (horizon > 0 && t >= horizon) {
-		return 0, false
-	}
-	return t, true
 }
 
 // participantIDs unions schedule (or plan) nodes and workload (or
@@ -632,107 +547,158 @@ func participantIDs(sc Scenario) []packet.NodeID {
 	return ids
 }
 
-// startSourcePump schedules streamed packet creations on demand: one
-// pump event per distinct creation instant injects that instant's
-// packets (in source order) and re-arms at the next instant. Creations
-// run in bandWorkload, preserving the materialized path's
-// creations-before-contacts order at shared instants.
-//
-// In a parallel run the pump itself is inline (it only advances the
-// private source cursor and schedules) and each creation becomes a
-// shard event at the same instant and band: the creations pop right
-// after the pump, before any meeting, in source order — the exact
-// serial sequence — while staying batchable with neighboring sessions.
-func startSourcePump(engine *sim.Engine, net *Network, src packet.Source, par bool) {
-	pending, ok := src.Next()
+// pumpAhead is how many stream items one pump event schedules. Events
+// at one instant run in band order, not insertion order, so items may
+// be scheduled any time before their instant; a small batch amortizes
+// the pump event and keeps the pending queue short.
+const pumpAhead = 64
+
+// startPump schedules a time-ordered stream during the run: next yields
+// each item with its instant, and each pump event hands the next
+// pumpAhead items to schedule, in stream order, then re-arms at the
+// instant of the item after them. The pump runs in bandPump, ahead of
+// everything it schedules at its own instant. It only advances its
+// private stream and schedules, so it is a sim.InlineFunc: the
+// parallel engine runs it without flushing the pending batch.
+func startPump[T any](engine *sim.Engine, next func() (T, float64, bool), schedule func(T)) {
+	item, at, ok := next()
 	if !ok {
 		return
 	}
-	var pump func(e *sim.Engine)
-	arm := func(at float64) {
-		if par {
-			engine.ScheduleBand(at, bandWorkload, sim.InlineFunc(pump))
-			return
-		}
-		engine.ScheduleBandFunc(at, bandWorkload, pump)
-	}
-	pump = func(e *sim.Engine) {
-		t := pending.Created
-		for {
-			p := pending
-			if par {
-				engine.ScheduleBand(p.Created, bandWorkload, &generateEvent{net: net, p: p})
-			} else {
-				net.generated(p, e.Now())
-				net.Node(p.Src).Router.Generate(p, e.Now())
-			}
-			if pending, ok = src.Next(); !ok {
-				return
-			}
-			if pending.Created != t {
-				arm(pending.Created)
+	var pump sim.InlineFunc
+	pump = func(*sim.Engine) {
+		for range pumpAhead {
+			schedule(item)
+			if item, at, ok = next(); !ok {
 				return
 			}
 		}
+		engine.ScheduleBand(at, bandPump, pump)
 	}
-	arm(pending.Created)
+	engine.ScheduleBand(at, bandPump, pump)
 }
 
-// startPlanPump schedules contact-plan occurrences on demand from the
-// compressed cursor: at each distinct occurrence instant the pump
-// schedules that instant's point meetings (bandMeeting) and window
-// spans (bandContact), then re-arms at the cursor's next instant.
-// Expanded-schedule memory never exists; the pending set is the cursor
-// heap plus the live windows.
-// In a parallel run the pump is inline and point meetings become shard
-// events; window spans keep plain events (they are flush barriers — a
-// window's open/close must see every earlier session applied).
-func startPlanPump(engine *sim.Engine, net *Network, cur *trace.PlanCursor, horizon float64, par bool) {
-	pending, ok := cur.Next()
-	if !ok {
+// occurrence is one contact occurrence and the band its events run in.
+type occurrence struct {
+	c    trace.Contact
+	band int32
+}
+
+// planOccurrences streams a plan cursor's occurrences: points in
+// bandMeeting and windows in bandContact, the bands of the Meetings and
+// Contacts lists Expand would put them in.
+func planOccurrences(cur *trace.PlanCursor) func() (occurrence, float64, bool) {
+	return func() (occurrence, float64, bool) {
+		c, ok := cur.Next()
+		band := int32(bandMeeting)
+		if c.Windowed() {
+			band = bandContact
+		}
+		return occurrence{c, band}, c.Start, ok
+	}
+}
+
+// scheduleOccurrences streams two time-sorted lists merged by time,
+// meetings first at equal instants: meetings in bandMeeting, contacts
+// (zero-duration ones included) in bandContact.
+func scheduleOccurrences(meetings []trace.Meeting, contacts []trace.Contact) func() (occurrence, float64, bool) {
+	return func() (occurrence, float64, bool) {
+		if len(meetings) > 0 && (len(contacts) == 0 || meetings[0].Time <= contacts[0].Start) {
+			m := meetings[0]
+			meetings = meetings[1:]
+			return occurrence{trace.Contact{A: m.A, B: m.B, Start: m.Time, Bytes: m.Bytes}, bandMeeting}, m.Time, true
+		}
+		if len(contacts) > 0 {
+			c := contacts[0]
+			contacts = contacts[1:]
+			return occurrence{c, bandContact}, c.Start, true
+		}
+		return occurrence{}, 0, false
+	}
+}
+
+// scheduleOccurrence schedules one occurrence in its band: a point
+// contact as a session shard event, a window as an open/close pair of
+// plain events (flush barriers — a window's open and close must see
+// every earlier session applied). A window never dangles past the
+// horizon.
+func scheduleOccurrence(net *Network, o occurrence, horizon float64) {
+	c := o.c
+	if !c.Windowed() {
+		net.Engine.ScheduleBand(c.Start, o.band, &sessionEvent{
+			net: net, a: net.Node(c.A), b: net.Node(c.B),
+			bytes: c.Bytes, at: c.Start,
+		})
 		return
 	}
-	var pump func(e *sim.Engine)
-	arm := func(at float64) {
-		if par {
-			engine.ScheduleBand(at, bandPump, sim.InlineFunc(pump))
-			return
+	var w *winContact
+	net.Engine.ScheduleBandFunc(c.Start, o.band, func(*sim.Engine) {
+		w = openWindow(net, c)
+	})
+	net.Engine.ScheduleBandFunc(c.EndWithin(horizon), o.band, func(*sim.Engine) {
+		if w != nil {
+			closeWindow(net, w)
 		}
-		engine.ScheduleBandFunc(at, bandPump, pump)
-	}
-	pump = func(e *sim.Engine) {
-		t := pending.Start
-		for {
-			c := pending
-			if c.Windowed() {
-				end := c.EndWithin(horizon)
-				var w *winContact
-				engine.ScheduleBandFunc(c.Start, bandContact, func(e *sim.Engine) {
-					w = openWindow(net, c)
-				})
-				engine.ScheduleBandFunc(end, bandContact, func(e *sim.Engine) {
-					if w != nil {
-						closeWindow(net, w)
-					}
-				})
-			} else if par {
-				engine.ScheduleBand(c.Start, bandMeeting, &sessionEvent{
-					net: net, a: net.Node(c.A), b: net.Node(c.B),
-					bytes: c.Bytes, at: c.Start,
-				})
-			} else {
-				engine.ScheduleBandFunc(c.Start, bandMeeting, func(e *sim.Engine) {
-					RunSession(net, net.Node(c.A), net.Node(c.B), c.Bytes)
-				})
+	})
+}
+
+// realize returns the schedule's lists as the run replays them. Under
+// a disruption model, failed occurrences are dropped and survivors
+// shift by their jitter draw, each keyed by its nominal position
+// (meetings first, then contacts — a stable identity per contact
+// regardless of which others fail). Each list is then put in time
+// order by a stable sort, so same-instant occurrences keep their
+// schedule order (Run does not require a validated, sorted schedule).
+func realize(s *trace.Schedule, model *disrupt.Model, horizon float64) ([]trace.Meeting, []trace.Contact) {
+	meetings, contacts := s.Meetings, s.Contacts
+	if model != nil {
+		meetings = make([]trace.Meeting, 0, len(s.Meetings))
+		contacts = make([]trace.Contact, 0, len(s.Contacts))
+		for i, m := range s.Meetings {
+			if t, ok := realizeAt(model, i, m.Time, horizon); ok {
+				m.Time = t
+				meetings = append(meetings, m)
 			}
-			if pending, ok = cur.Next(); !ok {
-				return
-			}
-			if pending.Start != t {
-				arm(pending.Start)
-				return
+		}
+		for i, c := range s.Contacts {
+			if t, ok := realizeAt(model, len(s.Meetings)+i, c.Start, horizon); ok {
+				c.Start = t
+				contacts = append(contacts, c)
 			}
 		}
 	}
-	arm(pending.Start)
+	owned := model != nil
+	return inTimeOrder(meetings, func(m trace.Meeting) float64 { return m.Time }, owned),
+		inTimeOrder(contacts, func(c trace.Contact) float64 { return c.Start }, owned)
+}
+
+// inTimeOrder returns s stably sorted by instant, sorting a copy unless
+// the caller owns s. Sorted input is returned as is.
+func inTimeOrder[T any](s []T, at func(T) float64, owned bool) []T {
+	byTime := func(a, b T) int { return cmp.Compare(at(a), at(b)) }
+	if slices.IsSortedFunc(s, byTime) {
+		return s
+	}
+	if !owned {
+		s = slices.Clone(s)
+	}
+	slices.SortStableFunc(s, byTime)
+	return s
+}
+
+// realizeAt is the disruption fate of the i-th nominal occurrence at
+// instant t: its jittered instant, or ok false when it fails. An
+// occurrence jittered outside the observation window [0, horizon) is
+// missed entirely — it happened before the run began or after it
+// ended, so executing it at a clamped instant would account
+// opportunity that physically never existed.
+func realizeAt(model *disrupt.Model, i int, t, horizon float64) (float64, bool) {
+	if model.ContactFails(i) {
+		return 0, false
+	}
+	t += model.Jitter(i)
+	if t < 0 || (horizon > 0 && t >= horizon) {
+		return 0, false
+	}
+	return t, true
 }

@@ -294,6 +294,13 @@ func expandSpec(spec JobSpec) ([]scenario.Scenario, error) {
 		if err := validateProto(sc.Protocol); err != nil {
 			return nil, err
 		}
+		// routing.Run panics on an enabled spec outside the model's
+		// domain; reject it here, where it is still a bad request.
+		if d := sc.Disrupt(); d.Enabled {
+			if err := d.Validate(); err != nil {
+				return nil, err
+			}
+		}
 		return []scenario.Scenario{sc}, nil
 	}
 	sc, err := scaleByName(spec.Scale)

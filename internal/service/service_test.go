@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"rapid/internal/disrupt"
 	"rapid/internal/exp"
 )
 
@@ -450,6 +451,35 @@ func TestQueueFullRejects(t *testing.T) {
 		req, _ := http.NewRequest("DELETE", ts.URL+"/v1/jobs/"+id, nil)
 		if resp, err := http.DefaultClient.Do(req); err == nil {
 			resp.Body.Close()
+		}
+	}
+}
+
+// TestBadDisruptionRejected: a raw scenario whose disruption spec the
+// model rejects is a bad request at submit, not a job that panics when
+// it runs.
+func TestBadDisruptionRejected(t *testing.T) {
+	_, ts := testServer(t, Config{})
+	var js JobSpec
+	if err := json.Unmarshal([]byte(smokeSpec), &js); err != nil {
+		t.Fatal(err)
+	}
+	scs, err := expandSpec(js)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []disrupt.Spec{
+		{Enabled: true, PLoss: 2},
+		{Enabled: true, ChurnDownMean: 10},
+	} {
+		sc := scs[0]
+		sc.Disruption = d
+		raw, err := json.Marshal(JobSpec{Scenario: &sc})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, code := submitCode(t, ts, string(raw)); code != http.StatusBadRequest {
+			t.Errorf("disruption %+v: status %d, want 400", d, code)
 		}
 	}
 }

@@ -229,33 +229,6 @@ func (e *Engine) ScheduleBandFunc(at float64, band int32, f func(*Engine)) Handl
 	return e.ScheduleBand(at, band, EventFunc(f))
 }
 
-// Span is a pair of scheduled events bracketing an interval — the
-// contact-start/contact-end pair of a duration-aware transfer window.
-type Span struct {
-	Open, Close Handle
-}
-
-// Cancel cancels both ends of the span.
-func (s Span) Cancel() {
-	s.Open.Cancel()
-	s.Close.Cancel()
-}
-
-// ScheduleSpan schedules onOpen at start and onClose at end, returning
-// handles to both. It panics if end precedes start (a window cannot
-// close before it opens) or start precedes the clock. Same-time spans
-// (start == end) are legal: the open event runs before the close event
-// by FIFO ordering.
-func (e *Engine) ScheduleSpan(start, end float64, onOpen, onClose func(*Engine)) Span {
-	if end < start {
-		panic(fmt.Sprintf("sim: span end %v before start %v", end, start))
-	}
-	return Span{
-		Open:  e.ScheduleFunc(start, onOpen),
-		Close: e.ScheduleFunc(end, onClose),
-	}
-}
-
 // Step executes the next pending event, returning false when the queue
 // is empty. Cancelled events are skipped silently.
 func (e *Engine) Step() bool {

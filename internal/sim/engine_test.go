@@ -187,45 +187,3 @@ func TestStepReturnsFalseOnEmpty(t *testing.T) {
 		t.Error("Step on empty queue must return false")
 	}
 }
-
-func TestScheduleSpan(t *testing.T) {
-	e := New(1)
-	var log []string
-	e.ScheduleSpan(10, 20,
-		func(*Engine) { log = append(log, "open") },
-		func(*Engine) { log = append(log, "close") })
-	// A same-time span opens before it closes (FIFO among equal times).
-	e.ScheduleSpan(15, 15,
-		func(*Engine) { log = append(log, "open2") },
-		func(*Engine) { log = append(log, "close2") })
-	e.Run()
-	want := []string{"open", "open2", "close2", "close"}
-	if len(log) != len(want) {
-		t.Fatalf("log %v", log)
-	}
-	for i := range want {
-		if log[i] != want[i] {
-			t.Fatalf("log %v want %v", log, want)
-		}
-	}
-}
-
-func TestScheduleSpanInvertedPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("span closing before it opens must panic")
-		}
-	}()
-	New(1).ScheduleSpan(20, 10, func(*Engine) {}, func(*Engine) {})
-}
-
-func TestSpanCancel(t *testing.T) {
-	e := New(1)
-	ran := 0
-	sp := e.ScheduleSpan(5, 6, func(*Engine) { ran++ }, func(*Engine) { ran++ })
-	sp.Cancel()
-	e.Run()
-	if ran != 0 {
-		t.Fatalf("cancelled span still ran %d events", ran)
-	}
-}
