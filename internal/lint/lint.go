@@ -16,7 +16,7 @@
 //     OnCollect, per the two-phase contract of DESIGN.md §12.
 //   - sessionconfined: routers carrying the SessionConfined marker hold
 //     no *rand.Rand fields and reference no package-level mutable
-//     state, so they really are safe inside conflict-free waves.
+//     state, so they really are safe to run concurrently.
 //
 // plus two general-purpose passes (nilness, shadow) bundled into the
 // cmd/rapidlint multichecker. The latter are deliberately "lite",

@@ -13,12 +13,12 @@ import (
 // the routing.SessionConfined marker: its session-driven work reads
 // and writes only its own node's state, the peer it is handed, and
 // immutable run-wide state — so the parallel engine may run its
-// sessions inside conflict-free waves. Two things falsify that
-// promise statically and are reported:
+// sessions concurrently with sessions on other nodes. Two things
+// falsify that promise statically and are reported:
 //
 //  1. a *rand.Rand field anywhere in the router's struct (random
 //     streams come from the engine's shared stream map, and drawing
-//     from one inside concurrent waves both races and reorders the
+//     from one inside concurrent sessions both races and reorders the
 //     stream);
 //  2. any reference, from a router method or a same-package function
 //     it reaches, to a package-level variable (shared mutable state).
@@ -130,7 +130,7 @@ func checkMethodReach(pass *analysis.Pass, sup *suppressor, idx funcIndex, typeN
 				return
 			}
 			reported[id.Pos()] = true
-			sup.reportf(id.Pos(), "SessionConfined router %s references package-level variable %q (via %s): shared mutable state is off-limits inside conflict-free waves", typeName, v.Name(), chain)
+			sup.reportf(id.Pos(), "SessionConfined router %s references package-level variable %q (via %s): shared mutable state is off-limits inside concurrent sessions", typeName, v.Name(), chain)
 		})
 	}
 }

@@ -7,9 +7,9 @@ import (
 )
 
 // ShardCommit enforces the two-phase ShardEvent contract of the
-// parallel event engine (DESIGN.md §12): ExecuteShard runs inside a
-// concurrent conflict-free wave, so everything statically reachable
-// from it inside the package must stay off globally ordered state —
+// parallel event engine (DESIGN.md §12): ExecuteShard runs
+// concurrently with events on other shard keys, so everything
+// statically reachable from it inside the package must stay off globally ordered state —
 // metrics.Collector, the engine's scheduling API, the engine clock,
 // and the engine-owned random streams. Those belong exclusively to
 // CommitShard (serial, exact pop order) and OnCollect (engine
@@ -36,15 +36,16 @@ globally ordered state.`,
 	Run: runShardCommit,
 }
 
-// forbiddenEngine lists sim.Engine members whose use inside a wave
-// breaks the contract, with the reason used in the diagnostic.
+// forbiddenEngine lists sim.Engine members whose use inside
+// ExecuteShard breaks the contract, with the reason used in the
+// diagnostic.
 var forbiddenEngine = map[string]string{
 	"Schedule":         "schedules events (commit-phase only)",
 	"ScheduleBand":     "schedules events (commit-phase only)",
 	"ScheduleFunc":     "schedules events (commit-phase only)",
 	"ScheduleBandFunc": "schedules events (commit-phase only)",
 	"Now":              "reads the engine clock, which may already have advanced past the event's instant — carry the timestamp in the event",
-	"Rand":             "draws from an engine-owned random stream, which is shared mutable state across the wave",
+	"Rand":             "draws from an engine-owned random stream, which is shared mutable state across concurrent events",
 	"Run":              "re-enters the event loop",
 	"RunUntil":         "re-enters the event loop",
 	"Step":             "re-enters the event loop",
@@ -88,7 +89,7 @@ func checkExecuteShard(pass *analysis.Pass, sup *suppressor, idx funcIndex, type
 			sup.reportf(sel.Pos(), "(%s) %s touches metrics.Collector (.%s): globally ordered collector effects belong in CommitShard or OnCollect", typeName, chain, sel.Sel.Name)
 		case isType(base, "sim", "Engine"):
 			if why, bad := forbiddenEngine[sel.Sel.Name]; bad {
-				sup.reportf(sel.Pos(), "(%s) %s uses sim.Engine.%s inside the wave phase: %s", typeName, chain, sel.Sel.Name, why)
+				sup.reportf(sel.Pos(), "(%s) %s uses sim.Engine.%s inside the execute phase: %s", typeName, chain, sel.Sel.Name, why)
 			}
 		}
 	})

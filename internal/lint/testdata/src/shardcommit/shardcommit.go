@@ -25,9 +25,9 @@ func (e *badEvent) ShardKeys() (int64, int64) { return 0, 1 }
 func (e *badEvent) ExecuteShard(eng *sim.Engine) {
 	e.n.c.Delivered(7)          // want `\(badEvent\) ExecuteShard touches metrics\.Collector \(\.Delivered\)`
 	e.n.c.Generated++           // want `touches metrics\.Collector \(\.Generated\)`
-	eng.ScheduleFunc(e.at, nil) // want `uses sim\.Engine\.ScheduleFunc inside the wave phase`
-	_ = eng.Now()               // want `uses sim\.Engine\.Now inside the wave phase`
-	_ = eng.Rand("xfer")        // want `uses sim\.Engine\.Rand inside the wave phase`
+	eng.ScheduleFunc(e.at, nil) // want `uses sim\.Engine\.ScheduleFunc inside the execute phase`
+	_ = eng.Now()               // want `uses sim\.Engine\.Now inside the execute phase`
+	_ = eng.Rand("xfer")        // want `uses sim\.Engine\.Rand inside the execute phase`
 	e.helper()
 }
 

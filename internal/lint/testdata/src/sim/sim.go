@@ -4,7 +4,7 @@
 package sim
 
 // Engine mirrors the members the shardcommit analyzer treats as
-// forbidden inside the wave phase.
+// forbidden inside the execute phase.
 type Engine struct {
 	now float64
 }

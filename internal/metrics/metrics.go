@@ -74,6 +74,16 @@ type Collector struct {
 	// that an upfront workload does not), so it is deliberately absent
 	// from Summary and from equivalence fingerprints.
 	EventsExecuted uint64
+
+	// Batches, BatchedEvents and CriticalPath copy the parallel
+	// engine's batch counters (sim.Engine) for the same run: flushes,
+	// events they held, and the summed longest key chain per flush.
+	// BatchedEvents/CriticalPath is the batches' ideal parallelism. All
+	// three are zero for a serial run and, like EventsExecuted, stay
+	// off Summary and the fingerprints.
+	Batches       uint64
+	BatchedEvents uint64
+	CriticalPath  uint64
 }
 
 // New returns an empty collector.
@@ -279,4 +289,7 @@ func (c *Collector) Merge(o *Collector) {
 	}
 	c.Delta.Add(&o.Delta)
 	c.EventsExecuted += o.EventsExecuted
+	c.Batches += o.Batches
+	c.BatchedEvents += o.BatchedEvents
+	c.CriticalPath += o.CriticalPath
 }

@@ -169,7 +169,13 @@ func TestMerge(t *testing.T) {
 	b.Generated(pkt(2, 0, 1, 0, 0))
 	b.MetaBytes = 7
 	b.Meetings = 2
+	a.EventsExecuted, a.Batches, a.BatchedEvents, a.CriticalPath = 10, 1, 8, 3
+	b.EventsExecuted, b.Batches, b.BatchedEvents, b.CriticalPath = 5, 2, 4, 2
 	a.Merge(b)
+	if a.EventsExecuted != 15 || a.Batches != 3 || a.BatchedEvents != 12 || a.CriticalPath != 5 {
+		t.Errorf("merged engine counters %d/%d/%d/%d, want 15/3/12/5",
+			a.EventsExecuted, a.Batches, a.BatchedEvents, a.CriticalPath)
+	}
 	s := a.Summarize(10)
 	if s.Generated != 2 || s.Delivered != 1 || s.Meetings != 3 {
 		t.Fatalf("merge summary %+v", s)

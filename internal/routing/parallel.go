@@ -10,9 +10,10 @@ import (
 // This file is the routing layer's side of the parallel engine
 // (sim.Engine.SetWorkers): the two hot event kinds of every run — point
 // contact sessions and packet creations — are sim.ShardEvents keyed by
-// their endpoint node IDs, so the engine can batch consecutive
-// independent events, execute them across a worker pool, and commit
-// their globally ordered effects in exact serial pop order. The serial
+// their endpoint node IDs, so the engine can batch consecutive events,
+// execute each as soon as the batch's earlier events on its endpoints
+// have executed, spread across a worker pool, and commit their
+// globally ordered effects in exact serial pop order. The serial
 // engine runs the same events whole (Execute). Everything else (window
 // opens/closes, churn toggles) stays a plain event and acts as a flush
 // barrier, so a parallel run is byte-identical to a serial one.
@@ -31,10 +32,11 @@ import (
 // Inventory, DirectQueue, PlanReplication, Accept, gossip, observer
 // callbacks — reads and writes only its own node's state, the peer
 // node it is handed, and immutable run-wide state (config, schedule
-// horizon). Such routers may run inside the parallel engine's
-// conflict-free waves. Routers that touch shared mutable state (a
-// per-run planner, an engine random stream) must not implement it;
-// runs including any unconfined router fall back to the serial engine.
+// horizon). The parallel engine may run their sessions concurrently
+// with sessions on other nodes. Routers that touch shared mutable
+// state (a per-run planner, an engine random stream) must not
+// implement it; runs including any unconfined router fall back to the
+// serial engine.
 type SessionConfined interface {
 	SessionConfined()
 }
@@ -54,7 +56,7 @@ func resolveWorkers(n int) int {
 // per-event callbacks, the global control channel is shared mutable
 // state touched inside sessions, Bernoulli loss consumes a shared
 // transfer counter inside sessions, and an unconfined router may reach
-// shared state from a wave.
+// shared state from ExecuteShard.
 func parallelEligible(sc Scenario, net *Network, ids []packet.NodeID) bool {
 	if sc.Hooks != nil || sc.Cfg.Mode == ControlGlobal {
 		return false
@@ -71,7 +73,7 @@ func parallelEligible(sc Scenario, net *Network, ids []packet.NodeID) bool {
 }
 
 // sessionEvent is a point contact session as a shard event: the session
-// body runs in a wave (it touches only the two endpoints), the
+// body runs in ExecuteShard (it touches only the two endpoints), the
 // collector fold and opportunity hook run at commit.
 type sessionEvent struct {
 	net   *Network
@@ -108,12 +110,12 @@ func (ev *sessionEvent) CommitShard(e *sim.Engine) {
 // record is registered (and the OnGenerated hook fired) at collection
 // time — on the engine goroutine, at the event's exact pop position, so
 // a session later in the same batch that delivers the packet finds its
-// record — and the router stores the packet in a wave (source-node
-// state only). Registering before earlier batch-mates' waves run is
-// invisible to them: no node holds the packet until this event's own
-// wave, so nothing can deliver or query it, and an extra undelivered
-// record reads like no record. Hooked runs are always serial, so the
-// hook never sees a batch.
+// record — and the router stores the packet in ExecuteShard
+// (source-node state only). Registering before earlier batch-mates
+// execute is invisible to them: no node holds the packet until this
+// event's own ExecuteShard, so nothing can deliver or query it, and
+// an extra undelivered record reads like no record. Hooked runs are
+// always serial, so the hook never sees a batch.
 type generateEvent struct {
 	net *Network
 	p   *packet.Packet

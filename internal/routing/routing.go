@@ -164,7 +164,7 @@ func (n *Network) transferLost(id packet.ID, from, to packet.NodeID, now float64
 	if !n.disrupt.Lost(n.lossSeq, id) {
 		return false
 	}
-	//rapidlint:allow shardcommit — unreachable in a wave: parallelEligible sends every HasLoss run to the serial engine, and the guard above returns first otherwise
+	//rapidlint:allow shardcommit — unreachable in ExecuteShard: parallelEligible sends every HasLoss run to the serial engine, and the guard above returns first otherwise
 	n.Collector.LostTransfers++
 	if h := n.hooks; h != nil && h.OnLost != nil {
 		h.OnLost(id, from, to, now)
@@ -511,6 +511,9 @@ func Run(sc Scenario) *metrics.Collector {
 	}
 	engine.RunUntil(horizon)
 	net.Collector.EventsExecuted = engine.Executed
+	net.Collector.Batches = engine.Batches
+	net.Collector.BatchedEvents = engine.BatchedEvents
+	net.Collector.CriticalPath = engine.CriticalPath
 	return net.Collector
 }
 

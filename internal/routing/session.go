@@ -30,8 +30,8 @@ type Session struct {
 	now      float64
 	// stats receives the session's channel accounting. A point session
 	// points it at owned and folds into the collector at finish, which
-	// is what lets the parallel engine run the session body in a
-	// concurrent wave and apply counters in exact serial commit order.
+	// is what lets the parallel engine run the session body
+	// concurrently and apply counters in exact serial commit order.
 	// A windowed session outlives its opening event and is always
 	// driven serially, so it points stats at the collector directly.
 	stats *metrics.Delta
@@ -67,7 +67,7 @@ func beginSession(net *Network, a, b *Node, bytes int64, now float64) *Session {
 // run executes the session body. It touches only the two endpoint nodes
 // and the session's stats delta (plus read-only run state: config,
 // delivery records), which is the confinement the parallel engine's
-// conflict-free waves rely on.
+// per-key chains rely on.
 func (s *Session) run() {
 	s.stats.Meetings++
 	s.stats.OpportunityBytes += s.capacity

@@ -112,3 +112,32 @@ func TestWorkersOverride(t *testing.T) {
 		t.Fatalf("process default Workers = %d, want -1", rs.Cfg.Workers)
 	}
 }
+
+// TestParallelBatchCounters: the collector's copy of the engine's batch
+// counters repeats exactly across runs at 2 workers, is zero for a
+// serial run, and keeps every batch's critical path within its width.
+func TestParallelBatchCounters(t *testing.T) {
+	p := metamorphicParams()
+	p.Tag = "batch-counters"
+	p.Protocols = []scenario.Proto{scenario.ProtoRapid}
+	scs, err := scenario.Expand("constellation-ground", p)
+	if err != nil || len(scs) == 0 {
+		t.Fatalf("expand: %v (%d scenarios)", err, len(scs))
+	}
+	counters := func(workers int) [3]uint64 {
+		s := scs[0]
+		s.Config.Workers = workers
+		col, _ := s.Execute()
+		return [3]uint64{col.Batches, col.BatchedEvents, col.CriticalPath}
+	}
+	if got := counters(1); got != [3]uint64{} {
+		t.Fatalf("serial run: batches/events/critical path %v, want zero", got)
+	}
+	a, b := counters(2), counters(2)
+	if a != b {
+		t.Fatalf("counters differ across runs: %v then %v", a, b)
+	}
+	if batches, events, crit := a[0], a[1], a[2]; batches == 0 || crit < batches || crit > events {
+		t.Fatalf("want 0 < batches ≤ critical path ≤ events, got %v", a)
+	}
+}

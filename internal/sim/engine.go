@@ -13,6 +13,7 @@ import (
 	"container/heap"
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 
 	"rapid/internal/shard"
 )
@@ -37,14 +38,16 @@ func (f EventFunc) Execute(e *Engine) { f(e) }
 //
 //	Execute(e) ≡ ExecuteShard(e); CommitShard(e)
 //
-// ExecuteShard runs inside a conflict-free wave, possibly concurrently
-// with other events and possibly after the clock has advanced past the
-// event's own timestamp — it must not read e.Now(), schedule events, or
-// touch any state outside the shards named by ShardKeys (plus
-// event-private state). CommitShard runs serially, in exact heap pop
-// order, and is where globally ordered side effects (collector folds,
-// scheduling) belong. Events must carry their own timestamp if either
-// phase needs it.
+// ExecuteShard runs once the batch's earlier events on the same keys
+// have executed, possibly concurrently with events on other keys and
+// possibly after the clock has advanced past the event's own timestamp
+// — it must not read e.Now(), schedule events, or touch any state
+// outside the shards named by ShardKeys (plus event-private state).
+// CommitShard runs serially, in exact heap pop order, possibly while
+// later events execute; it is where globally ordered side effects
+// (collector folds, scheduling) belong, and it may touch only
+// event-private and run-global state. Events must carry their own
+// timestamp if either phase needs it.
 type ShardEvent interface {
 	Event
 	// ShardKeys returns the (at most two) shard identities the event
@@ -58,11 +61,11 @@ type ShardEvent interface {
 
 // CollectEvent is an optional ShardEvent refinement: OnCollect runs on
 // the engine goroutine at the event's exact pop position, while the
-// batch is still being collected and before any of its waves execute.
+// batch is still being collected and before any of it executes.
 // It is the slot for bookkeeping that must happen in total pop order
 // *before* dependents can observe it — registering a packet's delivery
 // record before any same-batch session could deliver the packet. Like
-// inline events, its effects must be invisible to the wave phase of
+// inline events, its effects must be invisible to the ExecuteShard of
 // batch-mates popped earlier (they run after OnCollect).
 type CollectEvent interface {
 	ShardEvent
@@ -91,13 +94,25 @@ func (InlineFunc) InlineShard() {}
 
 // item is a scheduled event inside the queue.
 type item struct {
-	at   float64
-	band int32  // priority among same-time events; lower runs first
-	seq  uint64 // tiebreaker: FIFO among same-time, same-band events
-	ev   Event
-	idx  int
-	dead bool
+	at    float64
+	band  int32        // priority among same-time events; lower runs first
+	state atomic.Int32 // queued or dead; the parallel loop moves batch items on
+	seq   uint64       // tiebreaker: FIFO among same-time, same-band events
+	ev    Event
+	idx   int
 }
+
+// Item states. The serial loop leaves an executed item queued; only
+// the parallel loop tracks a batch item through its phases, because
+// only there can a cancel land between collection and execution.
+const (
+	queued    int32 = iota // in the heap, or run by the serial loop
+	dead                   // cancelled before it ran
+	collected              // in a batch still being collected
+	armed                  // in a flushing batch, not yet started
+	running                // ExecuteShard started, commit pending
+	committed              // CommitShard started or done
+)
 
 // eventHeap implements heap.Interface ordered by (at, band, seq).
 type eventHeap []*item
@@ -138,22 +153,37 @@ type Handle struct{ it *item }
 // counted in Executed. Cancelling an already-executed or
 // already-cancelled event is a no-op.
 //
-// A cancel that fires from a position that serially precedes the
-// target — any event popped earlier while the target is still queued —
-// is exact in both engines: the serial loop skips the target at pop,
-// and the parallel loop's pop check does the same. The parallel loop
-// additionally honors cancels that land after the target was collected
-// into a pending batch but before its wave executes; the intended such
-// channel is an earlier batch-mate's CommitShard cancelling a
-// conflicting (shard-key-sharing) later event, which the serial loop
-// would likewise skip. Cancelling a batch-mate from a position that
-// serially *follows* it (an OnCollect or inline pump popped after the
-// target) violates the CollectEvent/InlineEvent contracts — the serial
-// engine has already run the target — and is suppressed on a
-// best-effort basis only.
+// The parallel loop keeps this exact or fails loudly:
+//
+//   - A cancel of a still-queued target is exact in both engines: each
+//     skips the target at pop.
+//   - A cancel from an OnCollect or inline event of a target already
+//     collected into the pending batch is a no-op, as in the serial
+//     loop, which ran the target before the canceller.
+//   - A cancel from a batch-mate's CommitShard of a later batch-mate
+//     that has not started ExecuteShard kills it: both phases are
+//     skipped and it is uncounted, as the serial loop would skip it at
+//     pop. The engine holds a key-sharing (conflicting) later event
+//     back until the canceller commits, unless that commit is stalled
+//     behind an earlier batch-mate still executing. If the target has
+//     already started, Cancel panics: the serial loop would never have
+//     run it, and the run can no longer match.
 func (h Handle) Cancel() {
-	if h.it != nil {
-		h.it.dead = true
+	if h.it == nil {
+		return
+	}
+	for {
+		switch s := h.it.state.Load(); s {
+		case queued, armed:
+			if h.it.state.CompareAndSwap(s, dead) {
+				return
+			}
+		case running:
+			panic("sim: a CommitShard cancelled a later batch-mate that had already started ExecuteShard " +
+				"(see Handle.Cancel for when the parallel engine keeps such a cancel exact)")
+		default:
+			return
+		}
 	}
 }
 
@@ -176,10 +206,19 @@ type Engine struct {
 	// per fully applied event, which batching would violate.
 	AfterEvent func(*Engine)
 
+	// Batches, BatchedEvents and CriticalPath describe the parallel
+	// loop's flushes: how many ran, how many events they held, and the
+	// sum over flushes of the longest chain of key-sharing events.
+	// BatchedEvents/CriticalPath is the batches' ideal parallelism.
+	// They are zero under the serial loop and depend only on the event
+	// stream, so they repeat exactly across runs.
+	Batches       uint64
+	BatchedEvents uint64
+	CriticalPath  uint64
+
 	workers int
-	planner shard.Planner
+	chains  shard.Scheduler
 	batch   []*item
-	rank    []int // scratch: wave index per batch item, reused across flushes
 }
 
 // New returns an engine whose named random streams derive from seed.
@@ -234,7 +273,7 @@ func (e *Engine) ScheduleBandFunc(at float64, band int32, f func(*Engine)) Handl
 func (e *Engine) Step() bool {
 	for len(e.queue) > 0 {
 		it := heap.Pop(&e.queue).(*item)
-		if it.dead {
+		if it.state.Load() == dead {
 			continue
 		}
 		e.now = it.at
@@ -268,7 +307,7 @@ func (e *Engine) RunUntil(deadline float64) {
 	for len(e.queue) > 0 {
 		// Peek.
 		next := e.queue[0]
-		if next.dead {
+		if next.state.Load() == dead {
 			heap.Pop(&e.queue)
 			continue
 		}
@@ -283,7 +322,7 @@ func (e *Engine) RunUntil(deadline float64) {
 }
 
 // SetWorkers sets the number of worker goroutines the engine may spread
-// conflict-free ShardEvent waves across. n <= 1 keeps the historical
+// batched ShardEvents across. n <= 1 keeps the historical
 // fully serial loop. The parallel loop is byte-identical to the serial
 // one for any event mix honoring the ShardEvent/InlineEvent contracts.
 func (e *Engine) SetWorkers(n int) {
@@ -301,8 +340,8 @@ func (e *Engine) parallel() bool {
 }
 
 // batchCap bounds how many consecutive ShardEvents are collected before
-// a flush: enough to keep the pool busy across waves, small enough that
-// per-batch planning state stays cache-resident.
+// a flush: enough to keep the pool busy along the key chains, small
+// enough that per-batch scheduling state stays cache-resident.
 func (e *Engine) batchCap() int {
 	c := 32 * e.workers
 	if c < 64 {
@@ -317,15 +356,15 @@ func (e *Engine) batchCap() int {
 // runParallelUntil is the batching counterpart of the Step loop. It
 // pops events in exact heap order, accumulating maximal runs of
 // consecutive ShardEvents (inline events execute immediately without
-// breaking a run); each run is partitioned into conflict-free waves,
-// executed across the pool, then committed serially in pop order. Any
-// other event is a flush barrier and runs serially in place, so the
-// total order of observable effects matches the serial engine exactly.
+// breaking a run); each run is executed across the pool along its
+// per-key chains and committed serially in pop order. Any other event
+// is a flush barrier and runs serially in place, so the total order of
+// observable effects matches the serial engine exactly.
 func (e *Engine) runParallelUntil(deadline float64, bounded bool) {
 	limit := e.batchCap()
 	for len(e.queue) > 0 {
 		next := e.queue[0]
-		if next.dead {
+		if next.state.Load() == dead {
 			heap.Pop(&e.queue)
 			continue
 		}
@@ -337,6 +376,7 @@ func (e *Engine) runParallelUntil(deadline float64, bounded bool) {
 			heap.Pop(&e.queue)
 			e.now = next.at
 			e.Executed++
+			next.state.Store(collected)
 			if ce, ok := next.ev.(CollectEvent); ok {
 				ce.OnCollect(e)
 			}
@@ -363,72 +403,49 @@ func (e *Engine) runParallelUntil(deadline float64, bounded bool) {
 	}
 }
 
-// flushBatch executes and commits the pending ShardEvent batch.
+// flushBatch executes and commits the pending ShardEvent batch as
+// per-key dependency chains (shard.Scheduler): each item waits only for
+// the previous batch items on its shard keys, and commits run serially
+// in exact pop order as the executed prefix grows, overlapping later
+// items' ExecuteShard.
 //
-// Cancellation stays live across the flush: an item cancelled after
-// collection — the contract-legal channel is an earlier batch-mate's
-// CommitShard — is skipped in both phases and uncounted from Executed
-// (collection counted it eagerly), exactly as the serial loop skips a
-// dead event at pop. To make that skip effective before the target
-// runs, waves execute one at a time and, between waves, the maximal
-// pop-order prefix of items whose wave has already executed is
-// committed. A conflicting cancel target always plans into a strictly
-// later wave than its canceller, so the canceller's commit — and the
-// cancel — lands before the target's wave phase unless the commit is
-// itself stalled behind an even later-wave pop predecessor. Commits
-// still run serially in exact pop order; running a commit before the
-// waves of later pops is *more* serial-faithful, not less, since the
-// serial loop commits event i before executing any j > i. The dead
-// check inside the wave closure is race-free: dead flags are written
-// on the engine goroutine between waves, and shard.Run's spawn/join
-// orders those writes before the next wave's reads.
+// Cancellation stays live across the flush: an item cancelled by an
+// earlier batch-mate's CommitShard before it started is skipped in both
+// phases and uncounted from Executed (collection counted it eagerly),
+// exactly as the serial loop skips a dead event at pop. The scheduler
+// holds an item's key successors until its commit unless that commit
+// is stalled behind a batch-mate still executing; a cancel of a target
+// that did start panics (see Handle.Cancel). The start and the cancel
+// race on one atomic state word, so exactly one of them wins.
 func (e *Engine) flushBatch() {
 	n := len(e.batch)
 	if n == 0 {
 		return
 	}
-	if n == 1 {
-		if it := e.batch[0]; it.dead {
-			e.Executed--
-		} else {
-			ev := it.ev.(ShardEvent)
-			ev.ExecuteShard(e)
-			ev.CommitShard(e)
-		}
-	} else {
-		waves := e.planner.Plan(n, func(i int) (int64, int64) {
-			return e.batch[i].ev.(ShardEvent).ShardKeys()
-		})
-		if cap(e.rank) < n {
-			e.rank = make([]int, n)
-		}
-		rank := e.rank[:n]
-		for w, wave := range waves {
-			for _, i := range wave {
-				rank[i] = w
-			}
-		}
-		committed := 0
-		commitPrefix := func(executedWaves int) {
-			for committed < n && rank[committed] < executedWaves {
-				if it := e.batch[committed]; it.dead {
-					e.Executed--
-				} else {
-					it.ev.(ShardEvent).CommitShard(e)
-				}
-				committed++
-			}
-		}
-		for w := range waves {
-			commitPrefix(w)
-			shard.Run(waves[w:w+1], e.workers, func(i int) {
-				if it := e.batch[i]; !it.dead {
-					it.ev.(ShardEvent).ExecuteShard(e)
-				}
-			})
-		}
-		commitPrefix(len(waves))
+	for _, it := range e.batch {
+		it.state.Store(armed)
 	}
+	depth := e.chains.Run(n, e.workers,
+		func(i int) (int64, int64) {
+			return e.batch[i].ev.(ShardEvent).ShardKeys()
+		},
+		func(i int) {
+			if it := e.batch[i]; it.state.CompareAndSwap(armed, running) {
+				it.ev.(ShardEvent).ExecuteShard(e)
+			}
+		},
+		func(i int) {
+			it := e.batch[i]
+			if it.state.Load() == dead {
+				e.Executed--
+				return
+			}
+			it.state.Store(committed)
+			it.ev.(ShardEvent).CommitShard(e)
+		})
+	e.Batches++
+	e.BatchedEvents += uint64(n)
+	e.CriticalPath += uint64(depth)
 	for i := range e.batch {
 		e.batch[i] = nil
 	}
