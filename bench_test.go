@@ -414,6 +414,32 @@ func BenchmarkMeetMerge(b *testing.B) {
 	}
 }
 
+// BenchmarkMeetMergeFanout is gossip's common shape: one owner's
+// published ten-entry row merged into 32 receivers after each of its
+// meetings. An op is one merge, so every 32nd op also pays the meeting
+// and the one publication the 32 merges share.
+func BenchmarkMeetMergeFanout(b *testing.B) {
+	const receivers = 32
+	src := meet.New(0, 3)
+	for k := 1; k <= 10; k++ {
+		src.ObserveMeeting(packet.NodeID(k), float64(10*k))
+	}
+	dsts := make([]*meet.Estimator, receivers)
+	for r := range dsts {
+		dsts[r] = meet.New(packet.NodeID(100+r), 3)
+		dsts[r].MergeTableFrom(src, 0)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := i % receivers
+		if r == 0 {
+			src.ObserveMeeting(packet.NodeID(1+(i/receivers)%10), float64(200+i))
+		}
+		dsts[r].MergeTableFrom(src, 0)
+	}
+}
+
 // BenchmarkCGRPlan is the plan-ahead CGR search over a primed 12×24+12
 // constellation-passes graph (the cgr-windowed-lossy population).
 // Each iteration generates one packet at a ground station at

@@ -1,6 +1,7 @@
 package meet
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -13,15 +14,25 @@ import (
 const fuzzNodes = 6
 
 // refMatrix is the naive reference model: a map of maps holding every
-// known owner's table, plus node 0's own moving averages.
+// known owner's table, plus node self's own moving averages.
 type refMatrix struct {
+	self     packet.NodeID
 	tables   map[packet.NodeID]map[packet.NodeID]float64
 	direct   map[packet.NodeID]*stat.MovingAverage
 	lastSeen map[packet.NodeID]float64
 }
 
+func newRefMatrix(self packet.NodeID) *refMatrix {
+	return &refMatrix{
+		self:     self,
+		tables:   map[packet.NodeID]map[packet.NodeID]float64{},
+		direct:   map[packet.NodeID]*stat.MovingAverage{},
+		lastSeen: map[packet.NodeID]float64{},
+	}
+}
+
 func (r *refMatrix) observe(peer packet.NodeID, now float64) {
-	if peer == 0 {
+	if peer == r.self {
 		return
 	}
 	ma := r.direct[peer]
@@ -31,15 +42,15 @@ func (r *refMatrix) observe(peer packet.NodeID, now float64) {
 	}
 	ma.Observe(now - r.lastSeen[peer])
 	r.lastSeen[peer] = now
-	if r.tables[0] == nil {
-		r.tables[0] = map[packet.NodeID]float64{}
+	if r.tables[r.self] == nil {
+		r.tables[r.self] = map[packet.NodeID]float64{}
 	}
-	r.tables[0][peer] = ma.Value()
+	r.tables[r.self][peer] = ma.Value()
 }
 
-// expected is the brute-force h-hop shortest path over the symmetric
-// optimistic-min matrix.
-func (r *refMatrix) expected(from, to, hops int) float64 {
+// weights is the symmetric optimistic-min matrix over the fuzz node
+// universe.
+func (r *refMatrix) weights() [][]float64 {
 	w := make([][]float64, fuzzNodes)
 	for i := range w {
 		w[i] = make([]float64, fuzzNodes)
@@ -55,7 +66,31 @@ func (r *refMatrix) expected(from, to, hops int) float64 {
 			}
 		}
 	}
-	return bruteShortest(w, from, to, hops)
+	return w
+}
+
+// check compares e with the reference bit for bit on RowLen for every
+// owner and on Expected for every pair, against the brute-force h-hop
+// shortest path over the reference's weights.
+func (r *refMatrix) check(t *testing.T, e *Estimator, hops int, what string) {
+	t.Helper()
+	for id := packet.NodeID(-1); id <= fuzzNodes; id++ {
+		n, known := e.RowLen(id)
+		want, wantKnown := r.tables[id]
+		if n != len(want) || known != wantKnown {
+			t.Fatalf("%s: RowLen(%d)=(%d,%v) want (%d,%v)", what, id, n, known, len(want), wantKnown)
+		}
+	}
+	w := r.weights()
+	for from := 0; from < fuzzNodes; from++ {
+		for to := 0; to < fuzzNodes; to++ {
+			got := e.Expected(packet.NodeID(from), packet.NodeID(to))
+			want := bruteShortest(w, from, to, hops)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s: Expected(%d,%d)=%v want %v", what, from, to, got, want)
+			}
+		}
+	}
 }
 
 // fuzzOps decodes a byte string into estimator operations.
@@ -89,11 +124,7 @@ func FuzzMeetMerge(f *testing.F) {
 		ops := &fuzzOps{data: data}
 		hops := 1 + int(ops.next()%4)
 		byMap, byRow := New(0, hops), New(0, hops)
-		ref := &refMatrix{
-			tables:   map[packet.NodeID]map[packet.NodeID]float64{},
-			direct:   map[packet.NodeID]*stat.MovingAverage{},
-			lastSeen: map[packet.NodeID]float64{},
-		}
+		ref := newRefMatrix(0)
 		now := 0.0
 		for step := 0; step < 64 && ops.pos < len(data); step++ {
 			kind := ops.next() % 4
@@ -138,27 +169,76 @@ func FuzzMeetMerge(f *testing.F) {
 					ref.tables[owner] = tbl
 				}
 			}
-			for _, c := range []struct {
-				name string
-				e    *Estimator
-			}{{"MergeTable", byMap}, {"MergeTableFrom", byRow}} {
-				name, e := c.name, c.e
-				for id := packet.NodeID(-1); id <= fuzzNodes; id++ {
-					n, known := e.RowLen(id)
-					want, wantKnown := ref.tables[id]
-					if n != len(want) || known != wantKnown {
-						t.Fatalf("step %d %s: RowLen(%d)=(%d,%v) want (%d,%v)", step, name, id, n, known, len(want), wantKnown)
+			what := fmt.Sprintf("step %d", step)
+			ref.check(t, byMap, hops, what+" MergeTable")
+			ref.check(t, byRow, hops, what+" MergeTableFrom")
+		}
+	})
+}
+
+// FuzzSharedRows drives 3–6 estimators that gossip rows among
+// themselves through MergeTableFrom — multi-hop, and back toward the
+// owner — while owners keep meeting after their row has been shared,
+// mixed with map merges that carve private copies next to the shared
+// snapshots. After every operation each estimator must match its own
+// map reference bit for bit on every Expected pair and on RowLen: a
+// snapshot that changes under a receiver, or an own row a merge writes
+// through, shows up as a mismatch.
+func FuzzSharedRows(f *testing.F) {
+	f.Add([]byte{2, 1, 0, 0, 1, 10, 1, 1, 0, 0x80, 0, 1, 0, 20, 1, 2, 1, 0, 0, 0, 3, 15})
+	f.Add([]byte{3, 2, 0, 1, 2, 5, 0, 2, 3, 9, 1, 1, 0, 0x80, 1, 2, 1, 0x00, 1, 0, 2, 0x80, 0, 1, 0, 7, 1, 0, 1, 0x00})
+	f.Add([]byte{0, 0, 2, 2, 0x2b, 4, 4, 4, 1, 0, 2, 0x02, 0, 2, 1, 3, 1, 1, 0, 0x02, 2, 0, 0x2b, 9, 9, 9, 1, 2, 1, 0x02})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ops := &fuzzOps{data: data}
+		n := 3 + int(ops.next()%4)
+		hops := 1 + int(ops.next()%4)
+		ests := make([]*Estimator, n)
+		refs := make([]*refMatrix, n)
+		for i := range ests {
+			ests[i] = New(packet.NodeID(i), hops)
+			refs[i] = newRefMatrix(packet.NodeID(i))
+		}
+		now := 0.0
+		for step := 0; step < 64 && ops.pos < len(data); step++ {
+			kind := ops.next() % 3
+			i := int(ops.next()) % n
+			switch kind {
+			case 0: // i meets a peer (possibly after sharing its row)
+				peer := packet.NodeID(ops.next() % fuzzNodes)
+				now += 1 + float64(ops.next())
+				ests[i].ObserveMeeting(peer, now)
+				refs[i].observe(peer, now)
+			case 1: // i gossips to j: its own row when the top bit is set
+				j := int(ops.next()) % n
+				b := ops.next()
+				owner := packet.NodeID(b % fuzzNodes)
+				if b&0x80 != 0 {
+					owner = packet.NodeID(i)
+				}
+				ests[j].MergeTableFrom(ests[i], owner)
+				if i != j && owner != packet.NodeID(j) {
+					tbl := map[packet.NodeID]float64{}
+					for p, d := range refs[i].tables[owner] {
+						tbl[p] = d
+					}
+					refs[j].tables[owner] = tbl
+				}
+			case 2: // a map merge into i
+				owner := packet.NodeID(ops.next() % fuzzNodes)
+				tbl := Table{}
+				mask := ops.next()
+				for p := 0; p < fuzzNodes; p++ {
+					if mask&(1<<p) != 0 {
+						tbl[packet.NodeID(p)] = ops.weight()
 					}
 				}
-				for from := 0; from < fuzzNodes; from++ {
-					for to := 0; to < fuzzNodes; to++ {
-						got := e.Expected(packet.NodeID(from), packet.NodeID(to))
-						want := ref.expected(from, to, hops)
-						if math.Float64bits(got) != math.Float64bits(want) {
-							t.Fatalf("step %d %s: Expected(%d,%d)=%v want %v", step, name, from, to, got, want)
-						}
-					}
+				ests[i].MergeTable(owner, tbl)
+				if owner != packet.NodeID(i) {
+					refs[i].tables[owner] = tbl
 				}
+			}
+			for k, e := range ests {
+				refs[k].check(t, e, hops, fmt.Sprintf("step %d estimator %d", step, k))
 			}
 		}
 	})

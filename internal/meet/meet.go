@@ -52,11 +52,21 @@ type Estimator struct {
 	// owner's direct peers, so the matrix stays sparse. known marks the
 	// owners whose table has been installed: an owner known with an
 	// empty row is not an unknown owner to the control channel.
+	//
+	// rows[self] is private and upserted in place. Every other row is an
+	// immutable snapshot, shared by reference with the estimators it
+	// came from and went to: nothing ever writes through one, a merge
+	// only swaps the slice header.
 	rows  [][]halfEdge
 	known []bool
-	// oldRow keeps the replaced row while a merge diffs it against the
-	// installed one; sortScratch is MergeTable's sorted copy of its map.
-	oldRow      []halfEdge
+	// published is the last snapshot of rows[self] handed out by
+	// publish; unpublished is set when rows[self] has changed since.
+	published   []halfEdge
+	unpublished bool
+	// slab is the append-only arena snapshots are carved from (capped,
+	// so an append to one can never reach the next); sortScratch is
+	// MergeTable's sorted copy of its map.
+	slab        []halfEdge
 	sortScratch []halfEdge
 
 	// version invalidates the shortest-path memo on any mutation.
@@ -77,6 +87,32 @@ type Estimator struct {
 	memoDist    [][]float64
 	spare       [][]float64
 	distScratch []float64
+
+	stats Stats
+}
+
+// Stats counts an estimator's work. The counters depend only on the
+// sequence of calls made on the estimator, never on timing, so they
+// are deterministic wherever that sequence is.
+type Stats struct {
+	// RowsMerged counts rows installed by a merge because they differed
+	// from the stored one (an equal row is not counted).
+	RowsMerged uint64
+	// PairsPatched counts adjacency pairs re-derived, by merges and by
+	// ObserveMeeting.
+	PairsPatched uint64
+	// RowsPublished counts snapshots taken of the own row.
+	RowsPublished uint64
+	// ShortestPaths counts h-hop shortest-path runs (memo misses).
+	ShortestPaths uint64
+}
+
+// Add folds o into s.
+func (s *Stats) Add(o Stats) {
+	s.RowsMerged += o.RowsMerged
+	s.PairsPatched += o.PairsPatched
+	s.RowsPublished += o.RowsPublished
+	s.ShortestPaths += o.ShortestPaths
 }
 
 // halfEdge is one directed arc of the flattened meeting matrix, or one
@@ -153,9 +189,13 @@ func (e *Estimator) ObserveMeeting(peer packet.NodeID, now float64) {
 	e.lastSeen[peer] = now
 	e.known[e.self] = true
 	e.rows[e.self] = upsert(e.rows[e.self], peer, ma.Value())
-	e.refreshPair(e.self, peer)
+	e.unpublished = true
+	e.patchPair(e.self, peer, ma.Value())
 	e.version++
 }
+
+// Stats returns the work counters.
+func (e *Estimator) Stats() Stats { return e.stats }
 
 // ensureNode grows the dense per-node arrays to cover id.
 func (e *Estimator) ensureNode(id packet.NodeID) {
@@ -172,28 +212,30 @@ func (e *Estimator) ensureNode(id packet.NodeID) {
 	}
 }
 
-// refreshPair re-derives the (u, v) edge weight from the two directed
-// row entries and patches the adjacency lists in place.
-func (e *Estimator) refreshPair(u, v packet.NodeID) {
-	if u == v || u < 0 || v < 0 {
+// patchPair re-derives the (u, v) edge weight from u's row entry for
+// v, passed in as w (+Inf when u's row has none), and v's row entry for
+// u, and patches the adjacency lists in place. The edge is the
+// optimistic minimum of the two.
+func (e *Estimator) patchPair(u, v packet.NodeID, w float64) {
+	if u == v || v < 0 {
 		return
 	}
-	e.ensureNode(u)
 	e.ensureNode(v)
-	w := math.Inf(1)
-	if d, ok := lookup(e.rows[u], v); ok && d < w {
-		w = d
+	e.stats.PairsPatched++
+	best := math.Inf(1)
+	if w < best { // a NaN weight makes no arc
+		best = w
 	}
-	if d, ok := lookup(e.rows[v], u); ok && d < w {
-		w = d
+	if d, ok := lookup(e.rows[v], u); ok && d < best {
+		best = d
 	}
-	if math.IsInf(w, 1) {
+	if math.IsInf(best, 1) {
 		e.removeArc(u, v)
 		e.removeArc(v, u)
 		return
 	}
-	e.adj[u] = upsert(e.adj[u], v, w)
-	e.adj[v] = upsert(e.adj[v], u, w)
+	e.adj[u] = upsert(e.adj[u], v, best)
+	e.adj[v] = upsert(e.adj[v], u, best)
 }
 
 // removeArc drops the directed arc u→v if present.
@@ -242,52 +284,97 @@ func (e *Estimator) MergeTable(owner packet.NodeID, t Table) {
 	}
 	slices.SortFunc(row, func(a, b halfEdge) int { return cmp.Compare(a.to, b.to) })
 	e.sortScratch = row
-	e.mergeRow(owner, row)
+	e.mergeRow(owner, row, false)
 }
 
 // MergeTableFrom merges src's stored table of owner into e — the
 // in-process form of MergeTable the control channel uses when both
 // endpoints live in the same simulation, with identical semantics to
-// e.MergeTable(owner, <src's table of owner>).
+// e.MergeTable(owner, <src's table of owner>). The row is shared, not
+// copied: src's own row is published as a snapshot (copied only when
+// it changed since the last publication), and any other row already is
+// one. Both estimators are written to, so neither may be in use
+// elsewhere.
 func (e *Estimator) MergeTableFrom(src *Estimator, owner packet.NodeID) {
 	if owner == e.self || owner < 0 || src == e {
 		return
 	}
 	var incoming []halfEdge
-	if int(owner) < src.n {
+	switch {
+	case owner == src.self:
+		incoming = src.publish()
+	case int(owner) < src.n:
 		incoming = src.rows[owner]
 	}
-	e.mergeRow(owner, incoming)
+	e.mergeRow(owner, incoming, true)
 }
 
-// mergeRow installs incoming (sorted by peer, not retained) as owner's
-// row. Gossip re-delivers whole tables on nearly every contact while
-// changing at most a few entries, so an equal row returns at once (the
-// version, and with it the shortest-path memo, stays put); otherwise the
-// new row is installed and then walked against the old one, re-deriving
-// only the pairs that moved.
-func (e *Estimator) mergeRow(owner packet.NodeID, incoming []halfEdge) {
+// slabMin is the smallest slab chunk, in entries, and slabRows the
+// number of rows of the requested length a new chunk holds at least.
+const (
+	slabMin  = 256
+	slabRows = 4
+)
+
+// publish returns the current snapshot of the own row, carving a new
+// one only when the row changed since the last call.
+func (e *Estimator) publish() []halfEdge {
+	if e.unpublished {
+		e.published = e.carve(e.rows[e.self])
+		e.unpublished = false
+		e.stats.RowsPublished++
+	}
+	return e.published
+}
+
+// carve copies row into the slab and returns the copy, capped at its
+// length. The slab only ever grows: a full chunk is left to the rows
+// carved from it, and a fresh one is started.
+func (e *Estimator) carve(row []halfEdge) []halfEdge {
+	if len(row) == 0 {
+		return nil
+	}
+	if cap(e.slab)-len(e.slab) < len(row) {
+		e.slab = make([]halfEdge, 0, max(slabMin, slabRows*len(row)))
+	}
+	off := len(e.slab)
+	e.slab = append(e.slab, row...)
+	return e.slab[off:len(e.slab):len(e.slab)]
+}
+
+// mergeRow installs incoming (sorted by peer) as owner's row: by
+// reference when shared says it is an immutable snapshot, as a carved
+// copy otherwise. Gossip re-delivers whole tables on nearly every
+// contact while changing at most a few entries, so an equal row
+// returns at once (the version, and with it the shortest-path memo,
+// stays put); otherwise the new row is installed and then walked
+// against the old one, re-deriving only the pairs that moved.
+func (e *Estimator) mergeRow(owner packet.NodeID, incoming []halfEdge, shared bool) {
 	e.ensureNode(owner)
 	e.known[owner] = true
-	cur := e.rows[owner]
-	if slices.Equal(cur, incoming) {
+	old := e.rows[owner]
+	if slices.Equal(old, incoming) {
 		return
 	}
-	e.oldRow = append(e.oldRow[:0], cur...)
-	e.rows[owner] = append(cur[:0], incoming...)
-	old, now := e.oldRow, e.rows[owner]
+	if !shared {
+		incoming = e.carve(incoming)
+	}
+	e.rows[owner] = incoming
+	e.stats.RowsMerged++
+	now := incoming
+	inf := math.Inf(1)
 	i, j := 0, 0
 	for i < len(old) || j < len(now) {
 		switch {
 		case j == len(now) || (i < len(old) && old[i].to < now[j].to): // removed entry
-			e.refreshPair(owner, old[i].to)
+			e.patchPair(owner, old[i].to, inf)
 			i++
 		case i == len(old) || now[j].to < old[i].to: // new entry
-			e.refreshPair(owner, now[j].to)
+			e.patchPair(owner, now[j].to, now[j].w)
 			j++
 		default:
 			if old[i].w != now[j].w {
-				e.refreshPair(owner, now[j].to)
+				e.patchPair(owner, now[j].to, now[j].w)
 			}
 			i++
 			j++
@@ -330,6 +417,7 @@ func (e *Estimator) Expected(from, to packet.NodeID) float64 {
 	}
 	dist := e.memoDist[from]
 	if dist == nil {
+		e.stats.ShortestPaths++
 		dist = e.shortestWithin(from)
 		e.memoDist[from] = dist
 	}

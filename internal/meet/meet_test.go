@@ -3,6 +3,7 @@ package meet
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -226,4 +227,91 @@ func bruteShortest(w [][]float64, src, dst, hops int) float64 {
 
 func almostEq(a, b, tol float64) bool {
 	return math.Abs(a-b) <= tol*math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
+}
+
+// TestMergeTableFromShares: a merged row is the source's published
+// snapshot itself, relayed onward by reference, and a later meeting at
+// the source leaves the receivers' rows and versions alone.
+func TestMergeTableFromShares(t *testing.T) {
+	src, dst, relay := New(1, 3), New(0, 3), New(2, 3)
+	for p := packet.NodeID(3); p < 8; p++ {
+		src.ObserveMeeting(p, float64(10*p))
+	}
+	dst.MergeTableFrom(src, 1)
+	relay.MergeTableFrom(dst, 1)
+	snap := src.published
+	if len(snap) != 5 || &dst.rows[1][0] != &snap[0] || &relay.rows[1][0] != &snap[0] {
+		t.Fatal("merged rows do not alias the published snapshot")
+	}
+	if cap(snap) != len(snap) {
+		t.Errorf("snapshot cap %d, want its length %d", cap(snap), len(snap))
+	}
+	want := append([]halfEdge(nil), dst.rows[1]...)
+	ver := dst.Version()
+	src.ObserveMeeting(4, 500) // moves an entry in place
+	src.ObserveMeeting(9, 600) // inserts one
+	if !slices.Equal(dst.rows[1], want) || !slices.Equal(relay.rows[1], want) {
+		t.Errorf("receiver rows changed under a source meeting: %v, %v want %v", dst.rows[1], relay.rows[1], want)
+	}
+	if dst.Version() != ver {
+		t.Errorf("receiver version moved %d -> %d without a merge", ver, dst.Version())
+	}
+	dst.MergeTableFrom(src, 1)
+	if got, _ := dst.RowLen(1); got != 6 || &dst.rows[1][0] != &src.published[0] {
+		t.Errorf("re-merge installed %d entries (want 6) or did not take the new snapshot", got)
+	}
+}
+
+// TestPublishOnlyWhenChanged: meetings alone publish nothing (the
+// ControlNone and CGR runs), and repeated merges of an unchanged own
+// row publish it once.
+func TestPublishOnlyWhenChanged(t *testing.T) {
+	src := New(1, 3)
+	for i := 0; i < 50; i++ {
+		src.ObserveMeeting(packet.NodeID(2+i%7), float64(10*i))
+	}
+	if st := src.Stats(); st.RowsPublished != 0 || cap(src.slab) != 0 {
+		t.Fatalf("meetings alone published %d rows into a %d-entry slab", st.RowsPublished, cap(src.slab))
+	}
+	dsts := []*Estimator{New(0, 3), New(8, 3), New(9, 3)}
+	for round := 0; round < 3; round++ {
+		for _, d := range dsts {
+			d.MergeTableFrom(src, 1)
+		}
+	}
+	if st := src.Stats(); st.RowsPublished != 1 {
+		t.Errorf("unchanged row published %d times, want 1", st.RowsPublished)
+	}
+	src.ObserveMeeting(3, 1000)
+	for _, d := range dsts {
+		d.MergeTableFrom(src, 1)
+	}
+	if st := src.Stats(); st.RowsPublished != 2 {
+		t.Errorf("after one meeting: %d publications, want 2", st.RowsPublished)
+	}
+	if st := dsts[0].Stats(); st.RowsMerged != 2 {
+		t.Errorf("receiver installed %d rows, want 2 (equal re-merges are not installs)", st.RowsMerged)
+	}
+}
+
+// TestStatsCount pins what each counter counts.
+func TestStatsCount(t *testing.T) {
+	e := New(0, 3)
+	e.ObserveMeeting(1, 10)                  // one pair
+	e.MergeTable(1, Table{0: 5, 2: 7})       // two pairs
+	e.MergeTable(1, Table{0: 5, 2: 7})       // equal: nothing
+	e.MergeTable(2, Table{1: 7, 3: 1, 4: 2}) // three pairs
+	_ = e.Expected(0, 3)
+	_ = e.Expected(0, 4) // memo hit
+	_ = e.Expected(1, 4)
+	want := Stats{RowsMerged: 2, PairsPatched: 6, ShortestPaths: 2}
+	if got := e.Stats(); got != want {
+		t.Errorf("Stats()=%+v want %+v", got, want)
+	}
+	var sum Stats
+	sum.Add(want)
+	sum.Add(Stats{RowsPublished: 1})
+	if sum.RowsPublished != 1 || sum.PairsPatched != 6 {
+		t.Errorf("Add: %+v", sum)
+	}
 }

@@ -11,6 +11,7 @@ import (
 	"math"
 	"sort"
 
+	"rapid/internal/meet"
 	"rapid/internal/packet"
 	"rapid/internal/stat"
 )
@@ -84,6 +85,14 @@ type Collector struct {
 	Batches       uint64
 	BatchedEvents uint64
 	CriticalPath  uint64
+
+	// Meet sums every node's meeting-estimator work counters (rows
+	// merged, pairs patched, rows published, shortest-path runs) for
+	// the run. Each estimator sees the same calls in the same order at
+	// every worker count, so the sums are deterministic; they are still
+	// engine-side work, not outcomes, and stay off Summary and the
+	// fingerprints.
+	Meet meet.Stats
 }
 
 // New returns an empty collector.
@@ -292,4 +301,5 @@ func (c *Collector) Merge(o *Collector) {
 	c.Batches += o.Batches
 	c.BatchedEvents += o.BatchedEvents
 	c.CriticalPath += o.CriticalPath
+	c.Meet.Add(o.Meet)
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"rapid/internal/meet"
 	"rapid/internal/packet"
 )
 
@@ -171,7 +172,12 @@ func TestMerge(t *testing.T) {
 	b.Meetings = 2
 	a.EventsExecuted, a.Batches, a.BatchedEvents, a.CriticalPath = 10, 1, 8, 3
 	b.EventsExecuted, b.Batches, b.BatchedEvents, b.CriticalPath = 5, 2, 4, 2
+	a.Meet = meet.Stats{RowsMerged: 1, PairsPatched: 2, RowsPublished: 3, ShortestPaths: 4}
+	b.Meet = meet.Stats{RowsMerged: 10, PairsPatched: 20, RowsPublished: 30, ShortestPaths: 40}
 	a.Merge(b)
+	if want := (meet.Stats{RowsMerged: 11, PairsPatched: 22, RowsPublished: 33, ShortestPaths: 44}); a.Meet != want {
+		t.Errorf("merged meet counters %+v, want %+v", a.Meet, want)
+	}
 	if a.EventsExecuted != 15 || a.Batches != 3 || a.BatchedEvents != 12 || a.CriticalPath != 5 {
 		t.Errorf("merged engine counters %d/%d/%d/%d, want 15/3/12/5",
 			a.EventsExecuted, a.Batches, a.BatchedEvents, a.CriticalPath)

@@ -1,6 +1,7 @@
 package mobility
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 
@@ -56,6 +57,16 @@ type ConstellationConfig struct {
 // Windowed reports whether the config emits duration-aware contacts.
 func (c ConstellationConfig) Windowed() bool { return c.PassWindow > 0 }
 
+// Validate reports a config Plan refuses: a half-configured windowed
+// constellation would silently emit zero-byte point ISLs next to
+// windowed passes, which is a config bug, not a degenerate network.
+func (c ConstellationConfig) Validate() error {
+	if c.Windowed() && (c.ISLWindow <= 0 || c.ISLRateBps <= 0 || c.GroundRateBps <= 0) {
+		return errors.New("mobility: windowed constellation (PassWindow > 0) requires ISLWindow, ISLRateBps and GroundRateBps")
+	}
+	return nil
+}
+
 // Nodes returns the total population: ground stations occupy IDs
 // 0..GroundStations-1, satellites follow.
 func (c ConstellationConfig) Nodes() int {
@@ -94,11 +105,8 @@ func (Constellation) Name() string { return "constellation" }
 //     sequence — the sub-interval phase spreads distinct sites' passes.
 func (m Constellation) Plan() *trace.ContactPlan {
 	c := m.Config
-	if c.Windowed() && (c.ISLWindow <= 0 || c.ISLRateBps <= 0 || c.GroundRateBps <= 0) {
-		// A half-configured windowed constellation would silently emit
-		// zero-byte point ISLs next to windowed passes; that is a
-		// config bug, not a degenerate network.
-		panic("mobility: windowed constellation (PassWindow > 0) requires ISLWindow, ISLRateBps and GroundRateBps")
+	if err := c.Validate(); err != nil {
+		panic(err.Error())
 	}
 	plan := &trace.ContactPlan{Duration: c.Duration}
 	P, M, G := c.Planes, c.SatsPerPlane, c.GroundStations

@@ -514,6 +514,9 @@ func Run(sc Scenario) *metrics.Collector {
 	net.Collector.Batches = engine.Batches
 	net.Collector.BatchedEvents = engine.BatchedEvents
 	net.Collector.CriticalPath = engine.CriticalPath
+	for _, id := range ids {
+		net.Collector.Meet.Add(net.Nodes[id].Ctl.Meet.Stats())
+	}
 	return net.Collector
 }
 

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"rapid/internal/meet"
 	"rapid/internal/scenario"
 )
 
@@ -139,5 +140,33 @@ func TestParallelBatchCounters(t *testing.T) {
 	}
 	if batches, events, crit := a[0], a[1], a[2]; batches == 0 || crit < batches || crit > events {
 		t.Fatalf("want 0 < batches ≤ critical path ≤ events, got %v", a)
+	}
+}
+
+// TestMeetCountersWorkerInvariant: the summed meeting-estimator work
+// counters are the same at every worker count, and a RAPID run does
+// each kind of work.
+func TestMeetCountersWorkerInvariant(t *testing.T) {
+	p := metamorphicParams()
+	p.Tag = "meet-counters"
+	p.Protocols = []scenario.Proto{scenario.ProtoRapid}
+	scs, err := scenario.Expand("constellation-ground", p)
+	if err != nil || len(scs) == 0 {
+		t.Fatalf("expand: %v (%d scenarios)", err, len(scs))
+	}
+	counters := func(workers int) meet.Stats {
+		s := scs[0]
+		s.Config.Workers = workers
+		col, _ := s.Execute()
+		return col.Meet
+	}
+	serial := counters(1)
+	if serial.RowsMerged == 0 || serial.PairsPatched == 0 || serial.RowsPublished == 0 || serial.ShortestPaths == 0 {
+		t.Fatalf("serial run: meet counters %+v, want every one positive", serial)
+	}
+	for _, w := range []int{2, 8} {
+		if got := counters(w); got != serial {
+			t.Errorf("workers %d: meet counters %+v, want the serial %+v", w, got, serial)
+		}
 	}
 }

@@ -16,6 +16,7 @@
 package scenario
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 
@@ -141,7 +142,12 @@ func (ss ScheduleSpec) BuildPlan() *trace.ContactPlan {
 	if ss.Source != SourceConstellation {
 		panic("scenario: BuildPlan requires SourceConstellation")
 	}
-	m := mobility.Constellation{Config: mobility.ConstellationConfig{
+	return ss.constellation().Plan()
+}
+
+// constellation is the SourceConstellation generator the spec declares.
+func (ss ScheduleSpec) constellation() mobility.Constellation {
+	return mobility.Constellation{Config: mobility.ConstellationConfig{
 		Planes: ss.Planes, SatsPerPlane: ss.SatsPerPlane,
 		GroundStations: ss.Ground,
 		OrbitPeriod:    ss.OrbitPeriod, Duration: ss.Duration,
@@ -150,7 +156,6 @@ func (ss ScheduleSpec) BuildPlan() *trace.ContactPlan {
 		PassWindow: ss.PassWindow, GroundRateBps: ss.GroundRateBps,
 		ISLWindow: ss.ISLWindow, ISLRateBps: ss.ISLRateBps,
 	}}
-	return m.Plan()
 }
 
 // Build materializes the schedule. DieselNet days are deterministic in
@@ -189,16 +194,7 @@ func (ss ScheduleSpec) build(seed int64) *trace.Schedule {
 		}
 		return m.Schedule(rand.New(rand.NewSource(seed)))
 	case SourceConstellation:
-		m := mobility.Constellation{Config: mobility.ConstellationConfig{
-			Planes: ss.Planes, SatsPerPlane: ss.SatsPerPlane,
-			GroundStations: ss.Ground,
-			OrbitPeriod:    ss.OrbitPeriod, Duration: ss.Duration,
-			ISLBytes: ss.ISLBytes, GroundBytes: ss.GroundBytes,
-			JitterFrac: ss.ConstelJitter,
-			PassWindow: ss.PassWindow, GroundRateBps: ss.GroundRateBps,
-			ISLWindow: ss.ISLWindow, ISLRateBps: ss.ISLRateBps,
-		}}
-		return m.Schedule(rand.New(rand.NewSource(seed)))
+		return ss.constellation().Schedule(rand.New(rand.NewSource(seed)))
 	default:
 		panic(fmt.Sprintf("scenario: unknown schedule source %v", ss.Source))
 	}
@@ -318,14 +314,25 @@ func (ws WorkloadSpec) genConfig(nodes []packet.NodeID, duration float64) packet
 	}
 }
 
+// validateStreaming checks what the streaming form needs: the lazy
+// per-pair arrival streams have no on-off or cohort analogue, and a
+// streaming run may have no materialized schedule to take endpoints
+// from.
+func (ws WorkloadSpec) validateStreaming() error {
+	if ws.Shape != ShapePoisson {
+		return fmt.Errorf("scenario: streaming workload requires ShapePoisson, got %v", ws.Shape)
+	}
+	if ws.NodeCount <= 0 {
+		return errors.New("scenario: streaming workload requires NodeCount > 0")
+	}
+	return nil
+}
+
 // BuildSource returns the streaming form of the workload. Poisson-only:
 // the lazy per-pair arrival streams have no on-off or cohort analogue.
 func (ws WorkloadSpec) BuildSource(duration float64, seed int64) packet.Source {
-	if ws.Shape != ShapePoisson {
-		panic(fmt.Sprintf("scenario: streaming workload requires ShapePoisson, got %v", ws.Shape))
-	}
-	if ws.NodeCount <= 0 {
-		panic("scenario: streaming workload requires NodeCount > 0")
+	if err := ws.validateStreaming(); err != nil {
+		panic(err.Error())
 	}
 	gc := ws.genConfig(ws.endpoints(nil), duration)
 	return packet.NewPoissonSource(gc, uint64(seed))
@@ -535,6 +542,38 @@ func (s Scenario) Disrupt() disrupt.Spec {
 		return s.Config.Disrupt
 	}
 	return s.Disruption
+}
+
+// Validate reports a scenario that Materialize or routing.Run would
+// panic on: an invalid schedule or workload spec, or an enabled
+// disruption spec outside the model's domain. Input from outside the
+// process (a simd job) is validated here before it runs.
+func (s Scenario) Validate() error {
+	var err error
+	switch s.Schedule.Source {
+	case SourceDieselNet:
+		err = s.Schedule.Diesel.Validate()
+	case SourceExponential, SourcePowerLaw:
+	case SourceConstellation:
+		err = s.Schedule.constellation().Config.Validate()
+	default:
+		err = fmt.Errorf("scenario: unknown schedule source %v", s.Schedule.Source)
+	}
+	if err != nil {
+		return err
+	}
+	switch s.Workload.Shape {
+	case ShapePoisson, ShapeOnOff, ShapeCohorts:
+	default:
+		return fmt.Errorf("scenario: unknown workload shape %v", s.Workload.Shape)
+	}
+	if s.Workload.Streaming {
+		err = s.Workload.validateStreaming()
+	}
+	if d := s.Disrupt(); err == nil && d.Enabled {
+		err = d.Validate()
+	}
+	return err
 }
 
 // Materialize builds the runnable form: schedule, workload, router

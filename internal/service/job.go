@@ -294,12 +294,10 @@ func expandSpec(spec JobSpec) ([]scenario.Scenario, error) {
 		if err := validateProto(sc.Protocol); err != nil {
 			return nil, err
 		}
-		// routing.Run panics on an enabled spec outside the model's
-		// domain; reject it here, where it is still a bad request.
-		if d := sc.Disrupt(); d.Enabled {
-			if err := d.Validate(); err != nil {
-				return nil, err
-			}
+		// Materialize and routing.Run panic on specs outside their
+		// domain; reject them here, where they are still a bad request.
+		if err := sc.Validate(); err != nil {
+			return nil, err
 		}
 		return []scenario.Scenario{sc}, nil
 	}

@@ -18,6 +18,8 @@ import (
 
 	"rapid/internal/disrupt"
 	"rapid/internal/exp"
+	"rapid/internal/scenario"
+	"rapid/internal/trace"
 )
 
 // testServer boots a service plus an HTTP front end, both torn down
@@ -482,6 +484,76 @@ func TestBadDisruptionRejected(t *testing.T) {
 			t.Errorf("disruption %+v: status %d, want 400", d, code)
 		}
 	}
+}
+
+// TestBadRawScenarioRejected: a raw scenario that Materialize panics on
+// is a bad request at submit, one subtest per kind of bad geometry or
+// workload.
+func TestBadRawScenarioRejected(t *testing.T) {
+	_, ts := testServer(t, Config{})
+	var js JobSpec
+	if err := json.Unmarshal([]byte(smokeSpec), &js); err != nil {
+		t.Fatal(err)
+	}
+	scs, err := expandSpec(js)
+	if err != nil {
+		t.Fatal(err)
+	}
+	diesel := func(fleet, active int) func(*scenario.Scenario) {
+		return func(sc *scenario.Scenario) {
+			sc.Schedule.Source = scenario.SourceDieselNet
+			sc.Schedule.Diesel = trace.DefaultDieselNet()
+			sc.Schedule.Diesel.Fleet, sc.Schedule.Diesel.ActivePerDay = fleet, active
+		}
+	}
+	windowed := func(islWindow, islRate, groundRate float64) func(*scenario.Scenario) {
+		return func(sc *scenario.Scenario) {
+			sc.Schedule = scenario.ScheduleSpec{
+				Source: scenario.SourceConstellation, Planes: 2, SatsPerPlane: 4, Ground: 1,
+				OrbitPeriod: 300, Duration: 300, PassWindow: 30,
+				ISLWindow: islWindow, ISLRateBps: islRate, GroundRateBps: groundRate,
+			}
+		}
+	}
+	streaming := func(shape scenario.Shape, nodes int) func(*scenario.Scenario) {
+		return func(sc *scenario.Scenario) {
+			sc.Workload.Streaming, sc.Workload.Shape, sc.Workload.NodeCount = true, shape, nodes
+		}
+	}
+	for _, c := range []struct {
+		name   string
+		mutate func(*scenario.Scenario)
+	}{
+		{"diesel-fleet-of-one", diesel(1, 1)},
+		{"diesel-active-below-two", diesel(10, 1)},
+		{"diesel-active-above-fleet", diesel(10, 11)},
+		{"windowed-without-isl-window", windowed(0, 1e6, 1e6)},
+		{"windowed-without-isl-rate", windowed(10, 0, 1e6)},
+		{"windowed-without-ground-rate", windowed(10, 1e6, 0)},
+		{"streaming-on-off", streaming(scenario.ShapeOnOff, 4)},
+		{"streaming-without-node-count", streaming(scenario.ShapePoisson, 0)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			sc := scs[0]
+			c.mutate(&sc)
+			if !panics(func() { sc.Materialize() }) {
+				t.Fatal("Materialize does not panic on this scenario; the case tests nothing")
+			}
+			raw, err := json.Marshal(JobSpec{Scenario: &sc})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, code := submitCode(t, ts, string(raw)); code != http.StatusBadRequest {
+				t.Errorf("status %d, want 400", code)
+			}
+		})
+	}
+}
+
+func panics(f func()) (did bool) {
+	defer func() { did = recover() != nil }()
+	f()
+	return false
 }
 
 func TestBadSpecsRejected(t *testing.T) {

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 
@@ -87,14 +88,24 @@ type DieselNet struct {
 	period []float64 // hub-visit period per bus, fleet-wide and stable
 }
 
-// NewDieselNet validates the configuration and fixes the fleet's route
-// assignment (stable across days, like real bus-route assignments).
-func NewDieselNet(cfg DieselNetConfig) *DieselNet {
+// Validate reports a configuration NewDieselNet cannot build a fleet
+// from.
+func (cfg DieselNetConfig) Validate() error {
 	if cfg.Fleet <= 1 {
-		panic("trace: DieselNet fleet must have at least 2 buses")
+		return errors.New("trace: DieselNet fleet must have at least 2 buses")
 	}
 	if cfg.ActivePerDay < 2 || cfg.ActivePerDay > cfg.Fleet {
-		panic("trace: ActivePerDay must be in [2, Fleet]")
+		return errors.New("trace: ActivePerDay must be in [2, Fleet]")
+	}
+	return nil
+}
+
+// NewDieselNet validates the configuration (panicking on an invalid
+// one) and fixes the fleet's route assignment (stable across days,
+// like real bus-route assignments).
+func NewDieselNet(cfg DieselNetConfig) *DieselNet {
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
 	}
 	if cfg.Routes < 1 {
 		cfg.Routes = 1
