@@ -1,16 +1,12 @@
 package rapid_test
 
-// Benchmark harness: one benchmark per table/figure of the paper's
-// evaluation (BenchmarkTable3, BenchmarkFig3..BenchmarkFig24), each
-// regenerating a scaled-down version of the experiment through the same
-// code path `cmd/experiments` uses at full scale, plus the ablation
-// benches DESIGN.md §5 calls out and micro-benchmarks of the hot paths.
+// Benchmarks of the library: the ablation benches DESIGN.md §5 calls
+// out, micro-benchmarks of the hot paths, and the constellation-scale
+// end-to-end runs (BenchmarkConstellation is the CI regression gate).
+// The paper's figures are regenerated by `cmd/experiments -fig all`,
+// not timed here.
 //
 //	go test -bench=. -benchmem
-//
-// Figure benchmarks report ns/op for one full experiment regeneration
-// at bench scale; cross-experiment caching is disabled by using a
-// distinct scale name per iteration set.
 
 import (
 	"fmt"
@@ -33,62 +29,6 @@ import (
 	"rapid/internal/stat"
 	"rapid/internal/trace"
 )
-
-// benchScale is smaller than TinyScale: single load point, shortened
-// horizons, one run — enough to exercise every moving part of the
-// experiment without minutes-long benchmark iterations.
-func benchScale(tag string) exp.Scale {
-	return exp.Scale{
-		Name: "bench-" + tag, Days: 1, Runs: 1, DayHours: 2,
-		TraceLoads:    []float64{8},
-		SynthLoads:    []float64{20},
-		Buffers:       []int64{40 << 10},
-		MetaFractions: []float64{0, -1},
-		OptimalLoads:  []float64{2},
-		SynthDuration: 200,
-	}
-}
-
-// benchExperiment runs one registered experiment per iteration.
-func benchExperiment(b *testing.B, id string) {
-	e, ok := exp.ByID(id)
-	if !ok {
-		b.Fatalf("unknown experiment %s", id)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		// A per-iteration scale name defeats the cross-figure memo so
-		// every iteration measures real work.
-		out := e.Run(benchScale(fmt.Sprintf("%s-%d", id, i)))
-		if out.Figure == nil && out.Table == nil {
-			b.Fatal("no output")
-		}
-	}
-}
-
-func BenchmarkTable3(b *testing.B) { benchExperiment(b, "table3") }
-func BenchmarkFig3(b *testing.B)   { benchExperiment(b, "fig3") }
-func BenchmarkFig4(b *testing.B)   { benchExperiment(b, "fig4") }
-func BenchmarkFig5(b *testing.B)   { benchExperiment(b, "fig5") }
-func BenchmarkFig6(b *testing.B)   { benchExperiment(b, "fig6") }
-func BenchmarkFig7(b *testing.B)   { benchExperiment(b, "fig7") }
-func BenchmarkFig8(b *testing.B)   { benchExperiment(b, "fig8") }
-func BenchmarkFig9(b *testing.B)   { benchExperiment(b, "fig9") }
-func BenchmarkFig10(b *testing.B)  { benchExperiment(b, "fig10") }
-func BenchmarkFig11(b *testing.B)  { benchExperiment(b, "fig11") }
-func BenchmarkFig12(b *testing.B)  { benchExperiment(b, "fig12") }
-func BenchmarkFig13(b *testing.B)  { benchExperiment(b, "fig13") }
-func BenchmarkFig14(b *testing.B)  { benchExperiment(b, "fig14") }
-func BenchmarkFig15(b *testing.B)  { benchExperiment(b, "fig15") }
-func BenchmarkFig16(b *testing.B)  { benchExperiment(b, "fig16") }
-func BenchmarkFig17(b *testing.B)  { benchExperiment(b, "fig17") }
-func BenchmarkFig18(b *testing.B)  { benchExperiment(b, "fig18") }
-func BenchmarkFig19(b *testing.B)  { benchExperiment(b, "fig19") }
-func BenchmarkFig20(b *testing.B)  { benchExperiment(b, "fig20") }
-func BenchmarkFig21(b *testing.B)  { benchExperiment(b, "fig21") }
-func BenchmarkFig22(b *testing.B)  { benchExperiment(b, "fig22") }
-func BenchmarkFig23(b *testing.B)  { benchExperiment(b, "fig23") }
-func BenchmarkFig24(b *testing.B)  { benchExperiment(b, "fig24") }
 
 // ---------------------------------------------------------------------
 // Ablation benches (DESIGN.md §5): each contrasts a design choice by

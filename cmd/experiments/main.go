@@ -27,7 +27,6 @@ import (
 	"time"
 
 	"rapid/internal/exp"
-	"rapid/internal/report"
 	"rapid/internal/scenario"
 )
 
@@ -92,7 +91,7 @@ func main() {
 	}
 
 	exp.SetWorkers(*workers)
-	exp.SetRunWorkers(*runWork)
+	exp.DefaultEngine().SetRunWorkers(*runWork)
 
 	var sc exp.Scale
 	switch *scale {
@@ -151,8 +150,7 @@ func main() {
 func writeOutput(out exp.Output, id, title, outDir string, sc exp.Scale, elapsed time.Duration, plotW, plotH int, quiet bool) error {
 	var text strings.Builder
 	fmt.Fprintf(&text, "%s — %s (scale %s, %v)\n\n", id, title, sc.Name, elapsed)
-	if out.Figure != nil {
-		fig := toReportFigure(out.Figure)
+	if fig := out.Figure; fig != nil {
 		datPath := filepath.Join(outDir, id+".dat")
 		f, err := os.Create(datPath)
 		if err != nil {
@@ -166,8 +164,7 @@ func writeOutput(out exp.Output, id, title, outDir string, sc exp.Scale, elapsed
 		text.WriteString(fig.RenderASCII(plotW, plotH))
 	}
 	if out.Table != nil {
-		tbl := &report.Table{Header: out.Table.Header, Rows: out.Table.Rows}
-		text.WriteString(tbl.Render())
+		text.WriteString(out.Table.Render())
 	}
 	for _, n := range out.Notes {
 		fmt.Fprintf(&text, "\nnote: %s\n", n)
@@ -229,13 +226,4 @@ func runFamily(name string, sc exp.Scale, reps int, outDir string, plotW, plotH 
 			os.Exit(1)
 		}
 	}
-}
-
-// toReportFigure converts the harness figure into the report type.
-func toReportFigure(f *exp.Figure) *report.Figure {
-	out := &report.Figure{ID: f.ID, Title: f.Title, XLabel: f.XLabel, YLabel: f.YLabel}
-	for _, s := range f.Series {
-		out.Series = append(out.Series, report.Series{Label: s.Label, X: s.X, Y: s.Y, YErr: s.YErr})
-	}
-	return out
 }

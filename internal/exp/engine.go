@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"rapid/internal/metrics"
+	"rapid/internal/report"
 	"rapid/internal/scenario"
 )
 
@@ -22,11 +23,10 @@ type Engine struct {
 
 	// runWorkers, when non-zero, is the intra-run event-engine worker
 	// count applied at execution time to scenarios that did not pin
-	// their own (Overrides.Workers == 0). It is the instance-scoped
-	// counterpart of the package-level SetRunWorkers: a long-lived
-	// service configures its engine without mutating process globals.
-	// It is not part of the cache key — output is byte-identical at any
-	// worker setting, so summaries are shared across settings.
+	// their own (Overrides.Workers == 0) — the only default a run's
+	// worker count has. It is not part of the cache key: output is
+	// byte-identical at any worker setting, so summaries are shared
+	// across settings.
 	runWorkers atomic.Int64
 
 	// hits and misses count cache lookups, for the service's
@@ -82,19 +82,10 @@ var defaultEngine = NewEngine(0, 0)
 // instead own an engine from NewEngine.
 func SetWorkers(n int) { defaultEngine = NewEngine(n, 0) }
 
-// SetRunWorkers sets the process-wide intra-run engine worker default
-// every scenario runs with (scenario.SetDefaultRunWorkers; the
-// cmd/experiments -run-workers flag). Orthogonal to SetWorkers: that
-// pool runs whole scenarios concurrently, this one parallelizes inside
-// a single run — useful when one huge run (mega-constellation)
-// dominates the sweep. Like SetWorkers it is an unsynchronized startup
-// knob for the batch CLI only; services use Engine.SetRunWorkers or
-// per-scenario Overrides.Workers, both instance-scoped.
-func SetRunWorkers(n int) { scenario.SetDefaultRunWorkers(n) }
-
 // SetRunWorkers sets this engine's intra-run worker default, applied at
-// execution time to scenarios that did not pin Overrides.Workers.
-// Unlike the package function it mutates no global state and is safe to
+// execution time to scenarios that did not pin Overrides.Workers (the
+// cmd/experiments -run-workers flag and the service's RunWorkers). 0 or
+// 1 is the serial engine; negative means one worker per CPU. Safe to
 // call concurrently with running sweeps (runs that already started keep
 // their setting). Output is byte-identical at any setting.
 func (e *Engine) SetRunWorkers(n int) { e.runWorkers.Store(int64(n)) }
@@ -263,18 +254,6 @@ func (e *Engine) SummariesCtx(ctx context.Context, scs []scenario.Scenario) ([]m
 	return out, ctx.Err()
 }
 
-// Average runs the scenarios and averages value over their summaries.
-func (e *Engine) Average(scs []scenario.Scenario, value func(metrics.Summary) float64) float64 {
-	if len(scs) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, s := range e.Summaries(scs) {
-		sum += value(s)
-	}
-	return sum / float64(len(scs))
-}
-
 // RunOutput is one uncached full run: the collector (per-packet
 // records, cohort fairness) plus the run horizon.
 type RunOutput struct {
@@ -308,13 +287,13 @@ type sweepPoint struct {
 }
 
 type sweep struct {
-	fig    *Figure
+	fig    *report.Figure
 	points []sweepPoint
 }
 
 // newSweep starts a figure assembly.
 func newSweep(id, title, xlabel, ylabel string) *sweep {
-	return &sweep{fig: &Figure{ID: id, Title: title, XLabel: xlabel, YLabel: ylabel}}
+	return &sweep{fig: &report.Figure{ID: id, Title: title, XLabel: xlabel, YLabel: ylabel}}
 }
 
 // point adds one series point backed by a batch of scenario runs whose
@@ -323,14 +302,22 @@ func (sw *sweep) point(series string, x float64, value func(metrics.Summary) flo
 	sw.points = append(sw.points, sweepPoint{series: series, x: x, value: value, scs: scs})
 }
 
-// run executes every point's batch on the engine and assembles the
-// figure; series appear in first-point order.
-func (sw *sweep) run(e *Engine) *Figure {
+// scenarios is every point's batch, in point order.
+func (sw *sweep) scenarios() []scenario.Scenario {
 	var all []scenario.Scenario
 	for _, p := range sw.points {
 		all = append(all, p.scs...)
 	}
-	sums := e.Summaries(all)
+	return all
+}
+
+// output runs the sweep on the figures' engine.
+func (sw *sweep) output() Output { return Output{Figure: sw.run(defaultEngine)} }
+
+// run executes every point's batch on the engine and assembles the
+// figure; series appear in first-point order.
+func (sw *sweep) run(e *Engine) *report.Figure {
+	sums := e.Summaries(sw.scenarios())
 	idx := make(map[string]int)
 	off := 0
 	for _, p := range sw.points {
@@ -347,7 +334,7 @@ func (sw *sweep) run(e *Engine) *Figure {
 		if !ok {
 			i = len(sw.fig.Series)
 			idx[p.series] = i
-			sw.fig.Series = append(sw.fig.Series, SeriesData{Label: p.series})
+			sw.fig.Series = append(sw.fig.Series, report.Series{Label: p.series})
 		}
 		sw.fig.Series[i].X = append(sw.fig.Series[i].X, p.x)
 		sw.fig.Series[i].Y = append(sw.fig.Series[i].Y, y)

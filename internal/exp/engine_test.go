@@ -13,7 +13,7 @@ import (
 func engineGrid(tag string) []scenario.Scenario {
 	p := scenario.Params{
 		Tag: tag, Runs: 2, Loads: []float64{10, 40},
-		Protocols: []scenario.Proto{ProtoRapid, ProtoRandom},
+		Protocols: []scenario.Proto{scenario.ProtoRapid, scenario.ProtoRandom},
 		Nodes:     8, Duration: 120,
 	}
 	scs, err := scenario.Expand("synth-exponential", p)
@@ -95,20 +95,25 @@ func TestCacheBounded(t *testing.T) {
 	}
 }
 
-// TestAverage: Average equals the mean of Summaries.
-func TestAverage(t *testing.T) {
-	grid := engineGrid("avg")[:3]
-	e := NewEngine(2, 0)
-	var want float64
-	for _, s := range e.Summaries(grid) {
-		want += s.DeliveryRate
+// TestRunWorkersDefault: the engine's intra-run worker default lands
+// on scenarios that pinned no count, a pinned Config.Workers beats it,
+// and with no default the scenario runs as given.
+func TestRunWorkersDefault(t *testing.T) {
+	s := engineGrid("run-workers")[0]
+	e := NewEngine(1, 0)
+	if got := e.applyRunWorkers(s); got != s {
+		t.Fatalf("zero default changed the scenario: Workers = %d", got.Config.Workers)
 	}
-	want /= float64(len(grid))
-	if got := e.Average(grid, deliveryRate); got != want {
-		t.Fatalf("Average = %v, want %v", got, want)
+	e.SetRunWorkers(-1)
+	if got := e.applyRunWorkers(s).Config.Workers; got != -1 {
+		t.Fatalf("engine default Workers = %d, want -1", got)
 	}
-	if got := e.Average(nil, deliveryRate); got != 0 {
-		t.Fatalf("Average of empty set = %v, want 0", got)
+	s.Config.Workers = 4
+	if got := e.applyRunWorkers(s).Config.Workers; got != 4 {
+		t.Fatalf("pinned Workers = %d, want 4 (a pin beats the engine default)", got)
+	}
+	if got := e.applyRunWorkers(s).Materialize().Cfg.Workers; got != 4 {
+		t.Fatalf("materialized Workers = %d, want 4", got)
 	}
 }
 

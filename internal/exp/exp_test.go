@@ -3,6 +3,9 @@ package exp
 import (
 	"strings"
 	"testing"
+
+	"rapid/internal/core"
+	"rapid/internal/scenario"
 )
 
 // TestRegistryComplete checks every paper artifact is registered once.
@@ -56,8 +59,8 @@ func TestTraceComparisonShape(t *testing.T) {
 	for _, s := range out.Figure.Series {
 		rates[s.Label] = s.Y
 	}
-	rapidY := rates[string(ProtoRapid)]
-	randomY := rates[string(ProtoRandom)]
+	rapidY := rates[string(scenario.ProtoRapid)]
+	randomY := rates[string(scenario.ProtoRandom)]
 	if len(rapidY) == 0 || len(randomY) == 0 {
 		t.Fatalf("missing series: %v", rates)
 	}
@@ -197,32 +200,35 @@ func TestAllExperimentsSmoke(t *testing.T) {
 	}
 }
 
-// TestProtocolArmsResolve ensures every Proto constructs.
+// TestProtocolArmsResolve ensures every protocol the figures submit
+// materializes, on exp's trace scenario, to a factory that builds a
+// named router.
 func TestProtocolArmsResolve(t *testing.T) {
-	base := baseTraceConfig(DefaultTraceParams())
-	for _, p := range []Proto{
-		ProtoRapid, ProtoRapidLocal, ProtoRapidGlobal, ProtoMaxProp,
-		ProtoSprayWait, ProtoProphet, ProtoRandom, ProtoRandomAcks,
+	for _, p := range []scenario.Proto{
+		scenario.ProtoRapid, scenario.ProtoRapidLocal, scenario.ProtoRapidGlobal,
+		scenario.ProtoMaxProp, scenario.ProtoSprayWait, scenario.ProtoProphet,
+		scenario.ProtoRandom, scenario.ProtoRandomAcks,
 	} {
-		f, cfg := arm(p, 0, base)
-		if f == nil {
+		rs := traceScenario(TinyScale(), 0, 0, 4, p, core.AvgDelay, scenario.Overrides{}).Materialize()
+		if rs.Factory == nil {
 			t.Errorf("%s: nil factory", p)
+			continue
 		}
-		r := f(0)
-		if r.Name() == "" {
-			t.Errorf("%s: unnamed router", p)
+		if r := rs.Factory(0); r == nil || r.Name() == "" {
+			t.Errorf("%s: nil or unnamed router", p)
 		}
-		_ = cfg
 	}
 }
 
+// TestUnknownProtoPanics: a trace scenario naming an unregistered
+// protocol must fail loudly at materialization.
 func TestUnknownProtoPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Error("unknown proto must panic")
 		}
 	}()
-	arm(Proto("bogus"), 0, baseTraceConfig(DefaultTraceParams()))
+	traceScenario(TinyScale(), 0, 0, 4, scenario.Proto("bogus"), core.AvgDelay, scenario.Overrides{}).Materialize()
 }
 
 // TestScalesWellFormed validates the three presets.
@@ -232,6 +238,71 @@ func TestScalesWellFormed(t *testing.T) {
 			len(sc.SynthLoads) == 0 || len(sc.Buffers) == 0 ||
 			len(sc.OptimalLoads) == 0 || sc.Name == "" {
 			t.Errorf("scale %q malformed: %+v", sc.Name, sc)
+		}
+	}
+}
+
+// TestFigureGridsMatchFamilies: the AvgDelay comparison figures run
+// exactly the registry families' grids, element by element, so a
+// figure and `experiments -family` at the same scale share every run.
+// Family (and so the cache key) is the only field allowed to differ.
+func TestFigureGridsMatchFamilies(t *testing.T) {
+	for _, c := range []struct {
+		sc         Scale
+		wantCounts [3]int
+	}{
+		{TinyScale(), [3]int{8, 8, 8}},
+		{DefaultScale(), [3]int{192, 40, 40}},
+	} {
+		for i, g := range []struct {
+			fig, family string
+			sw          *sweep
+		}{
+			{"fig4", "trace-comparison", traceComparison(c.sc, core.AvgDelay, avgDelayMin, "fig4", "", "")},
+			{"fig16", "synth-powerlaw", synthComparison(c.sc, "powerlaw", core.AvgDelay, avgDelaySec, "fig16", "", "")},
+			{"fig22", "synth-exponential", synthComparison(c.sc, "exponential", core.AvgDelay, avgDelaySec, "fig22", "", "")},
+		} {
+			got := g.sw.scenarios()
+			want, err := scenario.Expand(g.family, FamilyParams(g.family, c.sc))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != c.wantCounts[i] || len(want) != len(got) {
+				t.Fatalf("%s/%s at %s: figure grid %d scenarios, family %d, want %d",
+					g.fig, g.family, c.sc.Name, len(got), len(want), c.wantCounts[i])
+			}
+			for j := range got {
+				a, b := got[j], want[j]
+				a.Family, b.Family = "", ""
+				a.Tag, b.Tag = "", ""
+				if a != b {
+					t.Fatalf("%s/%s at %s: scenario %d differs:\n figure %+v\n family %+v",
+						g.fig, g.family, c.sc.Name, j, a, b)
+				}
+			}
+		}
+	}
+}
+
+// TestFamiliesValidateAtEveryScale: every registered family, expanded
+// the way cmd/experiments and the service expand it, passes the
+// validation a raw simd scenario must pass.
+func TestFamiliesValidateAtEveryScale(t *testing.T) {
+	for _, sc := range []Scale{TinyScale(), DefaultScale(), FullScale()} {
+		for _, f := range scenario.Families() {
+			scs, err := scenario.Expand(f.Name, FamilyParams(f.Name, sc))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(scs) == 0 {
+				t.Errorf("%s at %s: no scenarios", f.Name, sc.Name)
+			}
+			for _, s := range scs {
+				if err := s.Validate(); err != nil {
+					t.Errorf("%s at %s: %v", f.Name, sc.Name, err)
+					break
+				}
+			}
 		}
 	}
 }

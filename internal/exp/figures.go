@@ -6,41 +6,18 @@ import (
 
 	"rapid/internal/core"
 	"rapid/internal/metrics"
+	"rapid/internal/report"
 	"rapid/internal/routing/optimal"
 	"rapid/internal/scenario"
 	"rapid/internal/stat"
 )
 
-// Output is one experiment's reproduced artifact.
+// Output is one experiment's reproduced artifact: a figure, a table,
+// or both, plus notes.
 type Output struct {
-	Figure *Figure
-	Table  *TableData
+	Figure *report.Figure
+	Table  *report.Table
 	Notes  []string
-}
-
-// Figure aliases report's type via local definitions to keep exp free
-// of a report import cycle risk; it is converted by callers.
-type Figure struct {
-	ID     string
-	Title  string
-	XLabel string
-	YLabel string
-	Series []SeriesData
-}
-
-// SeriesData is one curve. YErr, when non-empty, is the symmetric 95%
-// confidence half-width of each Y over the point's replications.
-type SeriesData struct {
-	Label string
-	X     []float64
-	Y     []float64
-	YErr  []float64
-}
-
-// TableData is a header + rows (Table 3 reproduction).
-type TableData struct {
-	Header []string
-	Rows   [][]string
 }
 
 // Experiment couples a paper artifact with its regeneration function.
@@ -94,43 +71,43 @@ func ByID(id string) (Experiment, bool) {
 // ---------------------------------------------------------------------
 // Trace comparison sweeps (Figs. 4–7)
 
-// traceComparison sweeps the load axis for the comparison set.
-func traceComparison(sc Scale, metric core.Metric, value func(metrics.Summary) float64, id, title, ylabel string) Output {
-	p := DefaultTraceParams()
+// traceComparison sweeps the load axis for the comparison set (the
+// trace-comparison family's grid at the figure's metric).
+func traceComparison(sc Scale, metric core.Metric, value func(metrics.Summary) float64, id, title, ylabel string) *sweep {
 	sw := newSweep(id, title, "packets generated per hour per destination", ylabel)
-	for _, proto := range ComparisonSet() {
+	for _, proto := range scenario.ComparisonSet() {
 		for _, load := range sc.TraceLoads {
 			sw.point(string(proto), load, value,
-				traceGrid(p, sc, load, proto, metric, scenario.Overrides{}))
+				traceGrid(sc, load, proto, metric, scenario.Overrides{}))
 		}
 	}
-	return Output{Figure: sw.run(defaultEngine)}
+	return sw
 }
 
 // Fig4 reproduces Figure 4 (average delay of delivered packets).
 func Fig4(sc Scale) Output {
 	return traceComparison(sc, core.AvgDelay, avgDelayMin,
-		"fig4", "Average delay vs load (trace)", "avg delay (min)")
+		"fig4", "Average delay vs load (trace)", "avg delay (min)").output()
 }
 
 // Fig5 reproduces Figure 5 (delivery rate; RAPID run with the
 // average-delay metric, as in the paper's shared sweep).
 func Fig5(sc Scale) Output {
 	return traceComparison(sc, core.AvgDelay, deliveryRate,
-		"fig5", "Delivery rate vs load (trace)", "fraction delivered")
+		"fig5", "Delivery rate vs load (trace)", "fraction delivered").output()
 }
 
 // Fig6 reproduces Figure 6 (maximum delay; RAPID optimizes Eq. 3).
 func Fig6(sc Scale) Output {
 	return traceComparison(sc, core.MaxDelay, maxDelayMin,
-		"fig6", "Max delay vs load (trace)", "max delay (min)")
+		"fig6", "Max delay vs load (trace)", "max delay (min)").output()
 }
 
 // Fig7 reproduces Figure 7 (fraction delivered within the 2.7 h
 // deadline; RAPID optimizes Eq. 2).
 func Fig7(sc Scale) Output {
 	return traceComparison(sc, core.Deadline, withinDeadline,
-		"fig7", "Delivered within deadline vs load (trace)", "fraction within deadline")
+		"fig7", "Delivered within deadline vs load (trace)", "fraction within deadline").output()
 }
 
 // ---------------------------------------------------------------------
@@ -141,7 +118,6 @@ func Fig7(sc Scale) Output {
 // Unlimited metadata plots at x = 0.4 (just past the paper's 0.35 axis
 // end) and is called out in the notes.
 func Fig8(sc Scale) Output {
-	p := DefaultTraceParams()
 	loads := []float64{6, 12, 20}
 	if sc.Name == "tiny" {
 		loads = []float64{6}
@@ -157,7 +133,7 @@ func Fig8(sc Scale) Output {
 			}
 			ov := scenario.Overrides{MetaFraction: frac, MetaFractionSet: true}
 			sw.point(label, x, avgDelayMin,
-				traceGrid(p, sc, load, ProtoRapid, core.AvgDelay, ov))
+				traceGrid(sc, load, scenario.ProtoRapid, core.AvgDelay, ov))
 		}
 	}
 	fig := sw.run(defaultEngine)
@@ -172,36 +148,34 @@ func Fig8(sc Scale) Output {
 // Fig9 reproduces Figure 9: channel utilization, metadata/data ratio,
 // and delivery rate as load grows past the comparison range.
 func Fig9(sc Scale) Output {
-	p := DefaultTraceParams()
 	loads := append(append([]float64{}, sc.TraceLoads...),
 		sc.TraceLoads[len(sc.TraceLoads)-1]*1.4,
 		sc.TraceLoads[len(sc.TraceLoads)-1]*1.875)
 	sw := newSweep("fig9", "Channel utilization (trace)",
 		"packets generated per hour per destination", "fraction")
 	for _, load := range loads {
-		grid := traceGrid(p, sc, load, ProtoRapid, core.AvgDelay, scenario.Overrides{})
+		grid := traceGrid(sc, load, scenario.ProtoRapid, core.AvgDelay, scenario.Overrides{})
 		sw.point("Meta information/RAPID data", load, metaOverData, grid)
 		sw.point("% channel utilization", load, channelUtilization, grid)
 		sw.point("Delivery rate", load, deliveryRate, grid)
 	}
-	return Output{Figure: sw.run(defaultEngine)}
+	return sw.output()
 }
 
 // globalVsInBand powers Figs. 10–12.
 func globalVsInBand(sc Scale, metric core.Metric, value func(metrics.Summary) float64, id, title, ylabel string) Output {
-	p := DefaultTraceParams()
 	sw := newSweep(id, title, "packets generated per hour per destination", ylabel)
-	for _, proto := range []Proto{ProtoRapid, ProtoRapidGlobal} {
+	for _, proto := range []scenario.Proto{scenario.ProtoRapid, scenario.ProtoRapidGlobal} {
 		label := "In-band control channel"
-		if proto == ProtoRapidGlobal {
+		if proto == scenario.ProtoRapidGlobal {
 			label = "Instant global control channel"
 		}
 		for _, load := range sc.TraceLoads {
 			sw.point(label, load, value,
-				traceGrid(p, sc, load, proto, metric, scenario.Overrides{}))
+				traceGrid(sc, load, proto, metric, scenario.Overrides{}))
 		}
 	}
-	return Output{Figure: sw.run(defaultEngine)}
+	return sw.output()
 }
 
 // Fig10 reproduces Figure 10 (average delay, hybrid DTN).
@@ -233,14 +207,13 @@ func Fig12(sc Scale) Output {
 // workloads, so the bound is computed on exactly the traffic RAPID
 // routed.
 func Fig13(sc Scale) Output {
-	p := DefaultTraceParams()
 	arms := []struct {
 		label string
-		proto Proto
+		proto scenario.Proto
 	}{
-		{"Rapid: Instant global control channel", ProtoRapidGlobal},
-		{"Rapid: In-band control channel", ProtoRapid},
-		{"Maxprop", ProtoMaxProp},
+		{"Rapid: Instant global control channel", scenario.ProtoRapidGlobal},
+		{"Rapid: In-band control channel", scenario.ProtoRapid},
+		{"Maxprop", scenario.ProtoMaxProp},
 	}
 
 	// Offline oracle, one solve per (load, day), fanned across the pool.
@@ -256,12 +229,12 @@ func Fig13(sc Scale) Output {
 	}
 	delays := make([]float64, len(jobs))
 	defaultEngine.parallel(len(jobs), func(i int) {
-		s := traceScenario(p, sc, jobs[i].day, 0, jobs[i].load,
-			ProtoRapid, core.AvgDelay, scenario.Overrides{})
+		s := traceScenario(sc, jobs[i].day, 0, jobs[i].load,
+			scenario.ProtoRapid, core.AvgDelay, scenario.Overrides{})
 		rs := s.Materialize()
 		delays[i] = optimal.Solve(rs.Schedule, rs.Workload, optimal.Options{}).AvgDelayAll() / 60
 	})
-	optSeries := SeriesData{Label: "Optimal"}
+	optSeries := report.Series{Label: "Optimal"}
 	for i, load := range sc.OptimalLoads {
 		var sum float64
 		for d := 0; d < sc.Days; d++ {
@@ -277,11 +250,11 @@ func Fig13(sc Scale) Output {
 	for _, a := range arms {
 		for _, load := range sc.OptimalLoads {
 			sw.point(a.label, load, avgDelayAllMin,
-				traceGrid(p, sc, load, a.proto, core.AvgDelay, scenario.Overrides{}))
+				traceGrid(sc, load, a.proto, core.AvgDelay, scenario.Overrides{}))
 		}
 	}
 	fig := sw.run(defaultEngine)
-	fig.Series = append([]SeriesData{optSeries}, fig.Series...)
+	fig.Series = append([]report.Series{optSeries}, fig.Series...)
 	return Output{Figure: fig, Notes: []string{
 		"Optimal is the offline earliest-arrival oracle with capacity reservation (single-copy, like the paper's ILP); exact-ILP cross-checks live in internal/routing/optimal tests",
 	}}
@@ -290,30 +263,28 @@ func Fig13(sc Scale) Output {
 // Fig14 reproduces Figure 14: the component ablation from Random up to
 // full RAPID.
 func Fig14(sc Scale) Output {
-	p := DefaultTraceParams()
 	sw := newSweep("fig14", "RAPID component ablation (trace)",
 		"packets generated per hour per destination", "avg delay (min)")
-	for _, proto := range []Proto{ProtoRapid, ProtoRapidLocal, ProtoRandomAcks, ProtoRandom} {
+	for _, proto := range []scenario.Proto{scenario.ProtoRapid, scenario.ProtoRapidLocal, scenario.ProtoRandomAcks, scenario.ProtoRandom} {
 		for _, load := range sc.TraceLoads {
 			sw.point(string(proto), load, avgDelayMin,
-				traceGrid(p, sc, load, proto, core.AvgDelay, scenario.Overrides{}))
+				traceGrid(sc, load, proto, core.AvgDelay, scenario.Overrides{}))
 		}
 	}
-	return Output{Figure: sw.run(defaultEngine)}
+	return sw.output()
 }
 
 // Fig15 reproduces Figure 15: the CDF of Jain's fairness index over
 // per-cohort delays of packets created in parallel, under contention.
 func Fig15(sc Scale) Output {
-	p := DefaultTraceParams()
-	fig := &Figure{
+	fig := &report.Figure{
 		ID: "fig15", Title: "RAPID fairness (trace)",
 		XLabel: "fairness index", YLabel: "CDF of cohorts",
 	}
 	for _, parallel := range []int{20, 30} {
 		scs := make([]scenario.Scenario, sc.Days)
 		for day := range scs {
-			scs[day] = fairnessScenario(p, sc, day, parallel)
+			scs[day] = fairnessScenario(sc, day, parallel)
 		}
 		var indices []float64
 		for _, r := range defaultEngine.Runs(scs) {
@@ -322,7 +293,7 @@ func Fig15(sc Scale) Output {
 		sort.Float64s(indices)
 		ecdf := stat.NewECDF(indices)
 		xs, ys := ecdf.Points(min(64, len(indices)))
-		fig.Series = append(fig.Series, SeriesData{
+		fig.Series = append(fig.Series, report.Series{
 			Label: fmt.Sprintf("Number of parallel packets: %d", parallel),
 			X:     xs, Y: ys,
 		})
@@ -333,51 +304,50 @@ func Fig15(sc Scale) Output {
 // ---------------------------------------------------------------------
 // Synthetic mobility (Figs. 16–24)
 
-// synthComparison sweeps the load axis under a mobility model.
-func synthComparison(sc Scale, model string, metric core.Metric, value func(metrics.Summary) float64, id, title, ylabel string) Output {
-	p := DefaultSynthParams()
+// synthComparison sweeps the load axis under a mobility model (the
+// synth-<model> family's grid at the figure's metric).
+func synthComparison(sc Scale, model string, metric core.Metric, value func(metrics.Summary) float64, id, title, ylabel string) *sweep {
 	sw := newSweep(id, title, "packets generated per 50 s per destination", ylabel)
-	for _, proto := range ComparisonSet() {
+	for _, proto := range scenario.ComparisonSet() {
 		for _, load := range sc.SynthLoads {
 			sw.point(string(proto), load, value,
-				synthGrid(p, sc, model, load, proto, metric, scenario.Overrides{}))
+				synthGrid(sc, model, load, proto, metric, scenario.Overrides{}))
 		}
 	}
-	return Output{Figure: sw.run(defaultEngine)}
+	return sw
 }
 
 // Fig16 reproduces Figure 16 (power-law average delay).
 func Fig16(sc Scale) Output {
 	return synthComparison(sc, "powerlaw", core.AvgDelay, avgDelaySec,
-		"fig16", "Average delay vs load (power law)", "avg delay (s)")
+		"fig16", "Average delay vs load (power law)", "avg delay (s)").output()
 }
 
 // Fig17 reproduces Figure 17 (power-law max delay).
 func Fig17(sc Scale) Output {
 	return synthComparison(sc, "powerlaw", core.MaxDelay, maxDelaySec,
-		"fig17", "Max delay vs load (power law)", "max delay (s)")
+		"fig17", "Max delay vs load (power law)", "max delay (s)").output()
 }
 
 // Fig18 reproduces Figure 18 (power-law within-deadline).
 func Fig18(sc Scale) Output {
 	return synthComparison(sc, "powerlaw", core.Deadline, withinDeadline,
-		"fig18", "Delivered within deadline vs load (power law)", "fraction within deadline")
+		"fig18", "Delivered within deadline vs load (power law)", "fraction within deadline").output()
 }
 
 // synthBufferSweep powers Figs. 19–21: fixed load, varying per-node
 // storage.
 func synthBufferSweep(sc Scale, metric core.Metric, value func(metrics.Summary) float64, id, title, ylabel string) Output {
-	p := DefaultSynthParams()
 	const load = 20 // Table 4 / §6.3.2: 20 packets per destination
 	sw := newSweep(id, title, "available storage (KB)", ylabel)
-	for _, proto := range ComparisonSet() {
+	for _, proto := range scenario.ComparisonSet() {
 		for _, buf := range sc.Buffers {
 			ov := scenario.Overrides{BufferBytes: buf, BufferBytesSet: true}
 			sw.point(string(proto), float64(buf>>10), value,
-				synthGrid(p, sc, "powerlaw", load, proto, metric, ov))
+				synthGrid(sc, "powerlaw", load, proto, metric, ov))
 		}
 	}
-	return Output{Figure: sw.run(defaultEngine)}
+	return sw.output()
 }
 
 // Fig19 reproduces Figure 19 (power-law avg delay vs buffer).
@@ -401,33 +371,38 @@ func Fig21(sc Scale) Output {
 // Fig22 reproduces Figure 22 (exponential average delay).
 func Fig22(sc Scale) Output {
 	return synthComparison(sc, "exponential", core.AvgDelay, avgDelaySec,
-		"fig22", "Average delay vs load (exponential)", "avg delay (s)")
+		"fig22", "Average delay vs load (exponential)", "avg delay (s)").output()
 }
 
 // Fig23 reproduces Figure 23 (exponential max delay).
 func Fig23(sc Scale) Output {
 	return synthComparison(sc, "exponential", core.MaxDelay, maxDelaySec,
-		"fig23", "Max delay vs load (exponential)", "max delay (s)")
+		"fig23", "Max delay vs load (exponential)", "max delay (s)").output()
 }
 
 // Fig24 reproduces Figure 24 (exponential within-deadline).
 func Fig24(sc Scale) Output {
 	return synthComparison(sc, "exponential", core.Deadline, withinDeadline,
-		"fig24", "Delivered within deadline vs load (exponential)", "fraction within deadline")
+		"fig24", "Delivered within deadline vs load (exponential)", "fraction within deadline").output()
 }
 
-// sortSeries orders a series by X (Fig. 8 builds out of order).
-func sortSeries(s *SeriesData) {
+// sortSeries orders a series by X (Fig. 8 and the replication
+// reductions build out of order), keeping Y and any YErr aligned.
+func sortSeries(s *report.Series) {
 	idx := make([]int, len(s.X))
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.Slice(idx, func(a, b int) bool { return s.X[idx[a]] < s.X[idx[b]] })
-	nx := make([]float64, len(idx))
-	ny := make([]float64, len(idx))
-	for i, j := range idx {
-		nx[i] = s.X[j]
-		ny[i] = s.Y[j]
+	sort.SliceStable(idx, func(a, b int) bool { return s.X[idx[a]] < s.X[idx[b]] })
+	permute := func(v []float64) []float64 {
+		if v == nil {
+			return nil
+		}
+		out := make([]float64, len(idx))
+		for i, j := range idx {
+			out[i] = v[j]
+		}
+		return out
 	}
-	s.X, s.Y = nx, ny
+	s.X, s.Y, s.YErr = permute(s.X), permute(s.Y), permute(s.YErr)
 }

@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"rapid/internal/exp"
-	"rapid/internal/report"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden figure checksums")
@@ -36,20 +35,20 @@ func TestGoldenFigures(t *testing.T) {
 		out := e.Run(sc)
 		var buf strings.Builder
 		if out.Figure != nil {
-			fig := &report.Figure{
-				ID: out.Figure.ID, Title: out.Figure.Title,
-				XLabel: out.Figure.XLabel, YLabel: out.Figure.YLabel,
-			}
+			// The checksums cover each series' label, X and Y; the
+			// YErr columns are not part of them.
+			fig := *out.Figure
+			fig.Series = nil
 			for _, s := range out.Figure.Series {
-				fig.Series = append(fig.Series, report.Series{Label: s.Label, X: s.X, Y: s.Y})
+				s.YErr = nil
+				fig.Series = append(fig.Series, s)
 			}
 			if err := fig.WriteDat(&buf); err != nil {
 				t.Fatalf("%s: WriteDat: %v", e.ID, err)
 			}
 		}
 		if out.Table != nil {
-			tbl := &report.Table{Header: out.Table.Header, Rows: out.Table.Rows}
-			buf.WriteString(tbl.Render())
+			buf.WriteString(out.Table.Render())
 		}
 		for _, n := range out.Notes {
 			fmt.Fprintf(&buf, "note: %s\n", n)

@@ -1,84 +1,11 @@
 // Package exp is the experiment harness: it reconstructs every table
 // and figure of the paper's evaluation (§5–§6) from the simulator,
-// producing report.Figure data that cmd/experiments writes to disk and
-// the benchmark suite samples. DESIGN.md carries the per-experiment
-// index mapping each figure to the modules and parameters used here.
+// producing the report.Figure and report.Table values cmd/experiments
+// writes to disk. Scenario parameters (Table 4) come from
+// internal/scenario; this package owns only scales, sweeps, reductions
+// and the figure list. DESIGN.md carries the per-experiment index
+// mapping each figure to the modules and parameters used here.
 package exp
-
-import (
-	"rapid/internal/routing"
-	"rapid/internal/scenario"
-	"rapid/internal/trace"
-)
-
-// TraceParams mirrors the trace-driven column of Table 4 plus the
-// deployment parameters of §5.1.
-type TraceParams struct {
-	// Diesel is the synthetic DieselNet generator configuration
-	// (Table 3 calibration).
-	Diesel trace.DieselNetConfig
-	// PacketBytes is the packet size (1 KB).
-	PacketBytes int64
-	// BufferBytes is per-node storage (40 GB — effectively unlimited;
-	// encoded as 0 = unlimited).
-	BufferBytes int64
-	// DeadlineSeconds is the delivery deadline (2.7 h).
-	DeadlineSeconds float64
-	// LoadWindow is the unit of the load axis (packets per hour per
-	// destination).
-	LoadWindow float64
-	// DefaultLoad is the deployment's rate: 4 packets/hour/destination.
-	DefaultLoad float64
-}
-
-// DefaultTraceParams returns Table 4's trace-driven values.
-func DefaultTraceParams() TraceParams {
-	return TraceParams{
-		Diesel:          trace.DefaultDieselNet(),
-		PacketBytes:     1 << 10,
-		BufferBytes:     0, // 40 GB never filled in deployment
-		DeadlineSeconds: 2.7 * 3600,
-		LoadWindow:      3600,
-		DefaultLoad:     scenario.DefaultTraceLoad,
-	}
-}
-
-// SynthParams mirrors the exponential/power-law column of Table 4.
-type SynthParams struct {
-	Nodes         int
-	BufferBytes   int64
-	TransferBytes int64
-	Duration      float64
-	PacketBytes   int64
-	// LoadWindow is the load axis unit: packets per 50 s per
-	// destination.
-	LoadWindow float64
-	// DeadlineSeconds is the synthetic delivery deadline (20 s).
-	DeadlineSeconds float64
-	// MeanMeeting is the mean pairwise inter-meeting time in seconds,
-	// calibrated so that synthetic delays land in the paper's 2–25 s
-	// band (the paper's "0.3" power-law mean is a unit-less scale; see
-	// DESIGN.md §3).
-	MeanMeeting float64
-	// PowerLawAlpha skews rates by popularity rank for the power-law
-	// model.
-	PowerLawAlpha float64
-}
-
-// DefaultSynthParams returns Table 4's synthetic values.
-func DefaultSynthParams() SynthParams {
-	return SynthParams{
-		Nodes:           20,
-		BufferBytes:     100 << 10,
-		TransferBytes:   100 << 10,
-		Duration:        15 * 60,
-		PacketBytes:     1 << 10,
-		LoadWindow:      50,
-		DeadlineSeconds: 20,
-		MeanMeeting:     60,
-		PowerLawAlpha:   1,
-	}
-}
 
 // Scale trades fidelity for wall-clock time. The paper's full scale
 // (58 days × 10 averaging runs) takes CPU-hours; the default scale
@@ -184,27 +111,5 @@ func FullScale() Scale {
 		ConstelPeriod: 5400, ConstelLoads: []float64{1, 2, 4, 8},
 		MegaPlanes: 40, MegaSats: 50, MegaGround: 50,
 		MegaPeriod: 5400, MegaLoads: []float64{1, 2},
-	}
-}
-
-// baseTraceConfig is the runtime config for trace scenarios.
-func baseTraceConfig(p TraceParams) routing.Config {
-	return routing.Config{
-		BufferBytes:          p.BufferBytes,
-		Mode:                 routing.ControlInBand,
-		MetaFraction:         -1,
-		Hops:                 3,
-		DefaultTransferBytes: p.Diesel.MeanTransferBytes,
-	}
-}
-
-// baseSynthConfig is the runtime config for synthetic scenarios.
-func baseSynthConfig(p SynthParams) routing.Config {
-	return routing.Config{
-		BufferBytes:          p.BufferBytes,
-		Mode:                 routing.ControlInBand,
-		MetaFraction:         -1,
-		Hops:                 3,
-		DefaultTransferBytes: float64(p.TransferBytes),
 	}
 }

@@ -2,10 +2,9 @@ package exp
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
-	"rapid/internal/metrics"
+	"rapid/internal/report"
 	"rapid/internal/scenario"
 	"rapid/internal/stat"
 )
@@ -24,15 +23,9 @@ const ciConfidence = 0.95
 // single rule shared by cmd/experiments' family runner, the replication
 // engine, and the CI smoke jobs.
 func FamilyParams(name string, sc Scale) scenario.Params {
-	// Table 4's 15-minute horizon unless the scale overrides it — the
-	// same rule the synthetic figures use (SynthParams.Duration).
-	duration := 900.0
-	if sc.SynthDuration > 0 {
-		duration = sc.SynthDuration
-	}
 	p := scenario.Params{
 		Tag: sc.Name, Days: sc.Days, Runs: sc.Runs, DayHours: sc.DayHours,
-		Loads: sc.SynthLoads, Nodes: 20, Duration: duration,
+		Loads: sc.SynthLoads, Nodes: scenario.DefaultSynthNodes, Duration: sc.synthDuration(),
 		Planes: sc.ConstelPlanes, SatsPerPlane: sc.ConstelSats,
 		Ground: sc.ConstelGround, OrbitPeriod: sc.ConstelPeriod,
 	}
@@ -143,8 +136,8 @@ func (e *Engine) FamilyCI(name string, sc Scale, reps int) ([]Output, error) {
 		g.rate.Add(s.DeliveryRate)
 	}
 
-	mkFigure := func(id, title, ylabel string, value func(*repPoint) stat.CI) *Figure {
-		fig := &Figure{ID: id, Title: title, XLabel: xlabel, YLabel: ylabel}
+	mkFigure := func(id, title, ylabel string, value func(*repPoint) stat.CI) *report.Figure {
+		fig := &report.Figure{ID: id, Title: title, XLabel: xlabel, YLabel: ylabel}
 		idx := map[string]int{}
 		for _, k := range order {
 			g := groups[k]
@@ -153,7 +146,7 @@ func (e *Engine) FamilyCI(name string, sc Scale, reps int) ([]Output, error) {
 			if !ok {
 				si = len(fig.Series)
 				idx[g.series] = si
-				fig.Series = append(fig.Series, SeriesData{Label: g.series})
+				fig.Series = append(fig.Series, report.Series{Label: g.series})
 			}
 			s := &fig.Series[si]
 			s.X = append(s.X, g.x)
@@ -161,12 +154,12 @@ func (e *Engine) FamilyCI(name string, sc Scale, reps int) ([]Output, error) {
 			s.YErr = append(s.YErr, ci.Half)
 		}
 		for i := range fig.Series {
-			sortSeriesErr(&fig.Series[i])
+			sortSeries(&fig.Series[i])
 		}
 		return fig
 	}
 
-	tbl := &TableData{Header: []string{
+	tbl := &report.Table{Header: []string{
 		"protocol", "x", "reps", "avg delay (s)", "±95%", "delivery rate", "±95%",
 	}}
 	for _, k := range order {
@@ -201,22 +194,6 @@ func (e *Engine) FamilyCI(name string, sc Scale, reps int) ([]Output, error) {
 	}, nil
 }
 
-// Replicated runs mk for each replication index in [0, reps) and
-// reduces value over the summaries to one confidence interval — the
-// programmatic single-point form of FamilyCI, used by tests and ad-hoc
-// sweeps.
-func (e *Engine) Replicated(mk func(run int) scenario.Scenario, reps int, value func(metrics.Summary) float64) stat.CI {
-	scs := make([]scenario.Scenario, reps)
-	for r := range scs {
-		scs[r] = mk(r)
-	}
-	var w stat.Welford
-	for _, s := range e.Summaries(scs) {
-		w.Add(value(s))
-	}
-	return w.CI(ciConfidence)
-}
-
 // distinctDays counts the day values a grid sweeps (1 for dayless
 // families).
 func distinctDays(scs []scenario.Scenario) int {
@@ -225,22 +202,6 @@ func distinctDays(scs []scenario.Scenario) int {
 		days[s.Schedule.Day] = true
 	}
 	return len(days)
-}
-
-// sortSeriesErr orders a series by X, keeping YErr aligned.
-func sortSeriesErr(s *SeriesData) {
-	idx := make([]int, len(s.X))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return s.X[idx[a]] < s.X[idx[b]] })
-	nx := make([]float64, len(idx))
-	ny := make([]float64, len(idx))
-	ne := make([]float64, len(idx))
-	for i, j := range idx {
-		nx[i], ny[i], ne[i] = s.X[j], s.Y[j], s.YErr[j]
-	}
-	s.X, s.Y, s.YErr = nx, ny, ne
 }
 
 // trim formats a float compactly for the aggregate table.

@@ -6,29 +6,18 @@ import (
 	"rapid/internal/scenario"
 )
 
-// This file turns (params, scale) experiment coordinates into scenario
-// values. All execution flows through the Engine (engine.go): the
-// figures assemble scenario grids here and submit them as one flat job
-// list, replacing the old one-point-at-a-time serial loops and their
-// stringly-keyed sync.Map memo.
+// This file turns (scale, experiment point) coordinates into scenario
+// values built from scenario's Table 4 constructors. All execution
+// flows through the Engine (engine.go): the figures assemble scenario
+// grids here and submit them as one flat job list.
 
 // traceScenario builds the clean DieselNet scenario for one
 // (day, run, load, protocol) coordinate.
-func traceScenario(p TraceParams, sc Scale, day, run int, load float64, proto Proto, metric core.Metric, ov scenario.Overrides) scenario.Scenario {
-	if p.BufferBytes > 0 && !ov.BufferBytesSet {
-		ov.BufferBytes = p.BufferBytes
-		ov.BufferBytesSet = true
-	}
+func traceScenario(sc Scale, day, run int, load float64, proto scenario.Proto, metric core.Metric, ov scenario.Overrides) scenario.Scenario {
 	return scenario.Scenario{
 		Family: "trace", Tag: sc.Name,
-		Schedule: scenario.ScheduleSpec{
-			Source: scenario.SourceDieselNet, Diesel: p.Diesel,
-			Day: day, DayHours: sc.DayHours,
-		},
-		Workload: scenario.WorkloadSpec{
-			Shape: scenario.ShapePoisson, Load: load, Window: p.LoadWindow,
-			PacketBytes: p.PacketBytes, Deadline: p.DeadlineSeconds,
-		},
+		Schedule: scenario.DefaultTraceSchedule(day, sc.DayHours),
+		Workload: scenario.DefaultTraceWorkload(load),
 		Protocol: proto,
 		Metric:   scenario.NormalizeMetric(proto, metric),
 		Config:   ov,
@@ -37,11 +26,11 @@ func traceScenario(p TraceParams, sc Scale, day, run int, load float64, proto Pr
 }
 
 // traceGrid expands the scale's day×run grid for one experiment point.
-func traceGrid(p TraceParams, sc Scale, load float64, proto Proto, metric core.Metric, ov scenario.Overrides) []scenario.Scenario {
+func traceGrid(sc Scale, load float64, proto scenario.Proto, metric core.Metric, ov scenario.Overrides) []scenario.Scenario {
 	out := make([]scenario.Scenario, 0, sc.Days*sc.Runs)
 	for day := 0; day < sc.Days; day++ {
 		for run := 0; run < sc.Runs; run++ {
-			out = append(out, traceScenario(p, sc, day, run, load, proto, metric, ov))
+			out = append(out, traceScenario(sc, day, run, load, proto, metric, ov))
 		}
 	}
 	return out
@@ -49,42 +38,34 @@ func traceGrid(p TraceParams, sc Scale, load float64, proto Proto, metric core.M
 
 // deployScenario builds the "Real" arm: the perturbed schedule standing
 // in for the physical deployment (Table 3, Fig. 3).
-func deployScenario(p TraceParams, sc Scale, day int) scenario.Scenario {
-	s := scenario.Deployment(sc.Name, day, sc.DayHours, p.DefaultLoad)
-	s.Schedule.Diesel = p.Diesel
-	s.Workload.Window = p.LoadWindow
-	s.Workload.PacketBytes = p.PacketBytes
-	s.Workload.Deadline = p.DeadlineSeconds
-	return s
+func deployScenario(sc Scale, day int) scenario.Scenario {
+	return scenario.Deployment(sc.Name, day, sc.DayHours, scenario.DefaultTraceLoad)
+}
+
+// synthDuration is the synthetic run length: Table 4's 15 minutes
+// unless the scale shortens it.
+func (sc Scale) synthDuration() float64 {
+	if sc.SynthDuration > 0 {
+		return sc.SynthDuration
+	}
+	return scenario.DefaultSynthDuration
 }
 
 // synthScenario builds one synthetic-mobility scenario. model is a
-// mobility registry name ("exponential" or "powerlaw").
-func synthScenario(p SynthParams, sc Scale, model string, run int, load float64, proto Proto, metric core.Metric, ov scenario.Overrides) scenario.Scenario {
+// mobility registry name ("exponential" or "powerlaw"); storage is
+// Table 4's uniform buffer unless ov sets its own.
+func synthScenario(sc Scale, model string, run int, load float64, proto scenario.Proto, metric core.Metric, ov scenario.Overrides) scenario.Scenario {
 	src := scenario.SourceExponential
 	if model == "powerlaw" {
 		src = scenario.SourcePowerLaw
 	}
-	duration := p.Duration
-	if sc.SynthDuration > 0 {
-		duration = sc.SynthDuration
-	}
-	if p.BufferBytes > 0 && !ov.BufferBytesSet {
-		ov.BufferBytes = p.BufferBytes
-		ov.BufferBytesSet = true
+	if !ov.BufferBytesSet {
+		ov.BufferBytes, ov.BufferBytesSet = scenario.DefaultSynthBuffer, true
 	}
 	return scenario.Scenario{
 		Family: "synth-" + model, Tag: sc.Name,
-		Schedule: scenario.ScheduleSpec{
-			Source: src, Nodes: p.Nodes, Duration: duration,
-			MeanMeeting: p.MeanMeeting, TransferBytes: p.TransferBytes,
-			Alpha: p.PowerLawAlpha, RankSeed: 42,
-		},
-		Workload: scenario.WorkloadSpec{
-			Shape: scenario.ShapePoisson, Load: load, Window: p.LoadWindow,
-			PacketBytes: p.PacketBytes, Deadline: p.DeadlineSeconds,
-			NodeCount: p.Nodes, PerPair: true,
-		},
+		Schedule: scenario.DefaultSynthSchedule(src, scenario.DefaultSynthNodes, sc.synthDuration()),
+		Workload: scenario.DefaultSynthWorkload(load, scenario.DefaultSynthNodes),
 		Protocol: proto,
 		Metric:   scenario.NormalizeMetric(proto, metric),
 		Config:   ov,
@@ -93,10 +74,10 @@ func synthScenario(p SynthParams, sc Scale, model string, run int, load float64,
 }
 
 // synthGrid expands the scale's runs for one synthetic point.
-func synthGrid(p SynthParams, sc Scale, model string, load float64, proto Proto, metric core.Metric, ov scenario.Overrides) []scenario.Scenario {
+func synthGrid(sc Scale, model string, load float64, proto scenario.Proto, metric core.Metric, ov scenario.Overrides) []scenario.Scenario {
 	out := make([]scenario.Scenario, 0, sc.Runs)
 	for run := 0; run < sc.Runs; run++ {
-		out = append(out, synthScenario(p, sc, model, run, load, proto, metric, ov))
+		out = append(out, synthScenario(sc, model, run, load, proto, metric, ov))
 	}
 	return out
 }
@@ -104,14 +85,12 @@ func synthGrid(p SynthParams, sc Scale, model string, load float64, proto Proto,
 // fairnessScenario builds the Fig. 15 cohort workload for one day: a
 // Poisson background keeping resources contended plus batches of
 // packets created in parallel.
-func fairnessScenario(p TraceParams, sc Scale, day, parallel int) scenario.Scenario {
-	s := traceScenario(p, sc, day, 0, 0, ProtoRapid, core.AvgDelay, scenario.Overrides{})
+func fairnessScenario(sc Scale, day, parallel int) scenario.Scenario {
+	s := traceScenario(sc, day, 0, 0, scenario.ProtoRapid, core.AvgDelay, scenario.Overrides{})
 	s.Family = "trace-fairness"
-	s.Workload = scenario.WorkloadSpec{
-		Shape: scenario.ShapeCohorts, Window: p.LoadWindow,
-		PacketBytes: p.PacketBytes,
-		Cohorts:     8, Parallel: parallel, BgLoad: 10,
-	}
+	// The trace workload's window and packet size, without a deadline.
+	s.Workload.Shape, s.Workload.Deadline = scenario.ShapeCohorts, 0
+	s.Workload.Cohorts, s.Workload.Parallel, s.Workload.BgLoad = 8, parallel, 10
 	return s
 }
 

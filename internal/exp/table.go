@@ -8,17 +8,17 @@ import (
 	"rapid/internal/scenario"
 )
 
-// FamilySummaryTable renders one summary row per scenario of a family
-// sweep — the table cmd/experiments prints for -family and the one the
-// simulation service returns for a finished job. Both front ends build
-// it here so a job submitted over HTTP is byte-identical to the batch
-// CLI run of the same scenarios.
-func FamilySummaryTable(scs []scenario.Scenario, sums []metrics.Summary) *TableData {
-	td := &TableData{Header: []string{
+// RenderFamilySummaryTable renders one summary row per scenario of a
+// family sweep — the table cmd/experiments prints for -family and the
+// one the simulation service returns for a finished job. Both front
+// ends build it here so a job submitted over HTTP is byte-identical to
+// the batch CLI run of the same scenarios.
+func RenderFamilySummaryTable(scs []scenario.Scenario, sums []metrics.Summary) string {
+	tbl := &report.Table{Header: []string{
 		"protocol", "load", "run", "generated", "delivered", "rate", "avg delay (s)", "within deadline", "lost",
 	}}
 	for i, s := range sums {
-		td.Rows = append(td.Rows, []string{
+		tbl.AddRow(
 			string(scs[i].Protocol),
 			report.F(scs[i].Workload.Load),
 			fmt.Sprint(scs[i].Run),
@@ -28,14 +28,7 @@ func FamilySummaryTable(scs []scenario.Scenario, sums []metrics.Summary) *TableD
 			report.F(s.AvgDelay),
 			report.Pct(s.WithinDeadline),
 			fmt.Sprint(s.LostTransfers),
-		})
+		)
 	}
-	return td
-}
-
-// RenderFamilySummaryTable is FamilySummaryTable taken to final text.
-func RenderFamilySummaryTable(scs []scenario.Scenario, sums []metrics.Summary) string {
-	td := FamilySummaryTable(scs, sums)
-	tbl := &report.Table{Header: td.Header, Rows: td.Rows}
 	return tbl.Render()
 }

@@ -13,10 +13,9 @@ import (
 // RAPID at the default load (4 packets/hour/destination) over the
 // scale's days, on the deployment-emulated (perturbed) schedules.
 func Table3(sc Scale) Output {
-	p := DefaultTraceParams()
 	scs := make([]scenario.Scenario, sc.Days)
 	for day := range scs {
-		scs[day] = deployScenario(p, sc, day)
+		scs[day] = deployScenario(sc, day)
 	}
 	sums := defaultEngine.Summaries(scs)
 
@@ -35,8 +34,8 @@ func Table3(sc Scale) Output {
 		metaBW.Add(s.MetaOverBandwidth)
 		metaData.Add(s.MetaOverData)
 	}
-	t := &TableData{Header: []string{"statistic", "paper", "reproduced"}}
-	add := func(name, paper, ours string) { t.Rows = append(t.Rows, []string{name, paper, ours}) }
+	t := &report.Table{Header: []string{"statistic", "paper", "reproduced"}}
+	add := t.AddRow
 	add("Avg. buses scheduled per day", "19", report.F(buses.Mean()))
 	add("Avg. total bytes transferred per day (MB)", "261.4", report.F(bytesDay.Mean()/1e6))
 	add("Avg. number of meetings per day", "147.5", report.F(meetings.Mean()))
@@ -59,27 +58,26 @@ func Table3(sc Scale) Output {
 // validation statistic — the simulator's mean delay within a small
 // relative error of the deployment's at 95% confidence.
 func Fig3(sc Scale) Output {
-	p := DefaultTraceParams()
 
 	// Both arms submitted as one flat batch: days × (1 real + Runs sim).
 	realScs := make([]scenario.Scenario, sc.Days)
 	var simScs []scenario.Scenario
 	for day := 0; day < sc.Days; day++ {
-		realScs[day] = deployScenario(p, sc, day)
+		realScs[day] = deployScenario(sc, day)
 		for run := 0; run < sc.Runs; run++ {
-			simScs = append(simScs, traceScenario(p, sc, day, run,
-				p.DefaultLoad, ProtoRapid, core.AvgDelay, scenario.Overrides{}))
+			simScs = append(simScs, traceScenario(sc, day, run,
+				scenario.DefaultTraceLoad, scenario.ProtoRapid, core.AvgDelay, scenario.Overrides{}))
 		}
 	}
 	sums := defaultEngine.Summaries(append(append([]scenario.Scenario{}, realScs...), simScs...))
 	realSums, simSums := sums[:sc.Days], sums[sc.Days:]
 
-	fig := &Figure{
+	fig := &report.Figure{
 		ID: "fig3", Title: "Deployment vs simulation, daily average delay",
 		XLabel: "day", YLabel: "avg delay (min)",
 	}
-	real := SeriesData{Label: "Real"}
-	simS := SeriesData{Label: "Simulation"}
+	real := report.Series{Label: "Real"}
+	simS := report.Series{Label: "Simulation"}
 	var relDiffs []float64
 	for day := 0; day < sc.Days; day++ {
 		rs := realSums[day]
@@ -97,7 +95,7 @@ func Fig3(sc Scale) Output {
 			relDiffs = append(relDiffs, (w.Mean()*60-rs.AvgDelay)/rs.AvgDelay)
 		}
 	}
-	fig.Series = []SeriesData{real, simS}
+	fig.Series = []report.Series{real, simS}
 	notes := []string{}
 	if len(relDiffs) >= 2 {
 		mean, hw, err := stat.MeanCI(relDiffs, 0.95)

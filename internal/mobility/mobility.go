@@ -39,6 +39,25 @@ type Config struct {
 	Jitter        bool
 }
 
+// Validate rejects a config the models cannot draw a finite schedule
+// from: fewer than two nodes, a non-finite or non-positive horizon or
+// mean inter-meeting time (a zero mean asks for unboundedly many
+// meetings), or empty transfer opportunities.
+func (c Config) Validate() error {
+	positive := func(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
+	switch {
+	case c.Nodes < 2:
+		return fmt.Errorf("mobility: %d nodes, need at least 2", c.Nodes)
+	case !positive(c.Duration):
+		return fmt.Errorf("mobility: duration %v must be finite and positive", c.Duration)
+	case !positive(c.MeanMeeting):
+		return fmt.Errorf("mobility: mean meeting time %v must be finite and positive", c.MeanMeeting)
+	case c.TransferBytes <= 0:
+		return fmt.Errorf("mobility: transfer bytes %d must be positive", c.TransferBytes)
+	}
+	return nil
+}
+
 // ByName constructs a Model from its registry name — the spec
 // constructor used by the scenario layer and the command-line tools.
 // alpha and ranks parameterize the power-law model only (alpha <= 0

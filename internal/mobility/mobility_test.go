@@ -183,3 +183,29 @@ func TestPowerLawDefaultAlpha(t *testing.T) {
 		t.Error("fallback alpha generated no meetings")
 	}
 }
+
+// TestConfigValidate: Table 4's config passes, and each field outside
+// its domain — including the non-finite values JSON cannot carry — is
+// rejected.
+func TestConfigValidate(t *testing.T) {
+	if err := defaultCfg().Validate(); err != nil {
+		t.Fatalf("Table 4 config rejected: %v", err)
+	}
+	for name, mutate := range map[string]func(*Config){
+		"one-node":          func(c *Config) { c.Nodes = 1 },
+		"zero-duration":     func(c *Config) { c.Duration = 0 },
+		"nan-duration":      func(c *Config) { c.Duration = math.NaN() },
+		"inf-duration":      func(c *Config) { c.Duration = math.Inf(1) },
+		"zero-mean-meeting": func(c *Config) { c.MeanMeeting = 0 },
+		"negative-meeting":  func(c *Config) { c.MeanMeeting = -60 },
+		"nan-mean-meeting":  func(c *Config) { c.MeanMeeting = math.NaN() },
+		"inf-mean-meeting":  func(c *Config) { c.MeanMeeting = math.Inf(1) },
+		"zero-transfer":     func(c *Config) { c.TransferBytes = 0 },
+	} {
+		c := defaultCfg()
+		mutate(&c)
+		if c.Validate() == nil {
+			t.Errorf("%s: %+v accepted", name, c)
+		}
+	}
+}

@@ -111,9 +111,10 @@ func TestCGRPolicyArmsNoPristineRegression(t *testing.T) {
 }
 
 // TestAllProtosHaveArms pins the registration contract: every arm
-// declared through newProto must resolve to a router factory, so a new
-// Proto cannot exist without both an Arm case and (via AllProtos) a
-// slot in the cross-protocol invariant harness.
+// declared through newProto must resolve to a router factory that
+// builds a named router, so a new Proto cannot exist without both an
+// Arm case and (via AllProtos) a slot in the cross-protocol invariant
+// harness.
 func TestAllProtosHaveArms(t *testing.T) {
 	protos := AllProtos()
 	if len(protos) < 10 {
@@ -123,9 +124,12 @@ func TestAllProtosHaveArms(t *testing.T) {
 		factory, _ := Arm(p, 0, routing.Config{})
 		if factory == nil {
 			t.Errorf("arm %q resolved to a nil factory", p)
+			continue
 		}
-		if factory != nil && factory(0) == nil {
+		if r := factory(0); r == nil {
 			t.Errorf("arm %q built a nil router", p)
+		} else if r.Name() == "" {
+			t.Errorf("arm %q built an unnamed router", p)
 		}
 	}
 }

@@ -6,10 +6,12 @@ import (
 	"rapid/internal/trace"
 )
 
+// This file owns Table 4: every trace and synthetic parameter the
+// paper's evaluation uses is declared here once, and both the registry
+// families below and the figures of internal/exp build from it.
+
 // DefaultTraceLoad is the deployment's generation rate (§5.1):
-// 4 packets per hour per destination. exp.TraceParams.DefaultLoad and
-// the deployment family both derive from it so the Table 3 / Fig. 3
-// arms stay in lockstep (and keep sharing cache entries).
+// 4 packets per hour per destination.
 const DefaultTraceLoad = 4.0
 
 // DefaultTraceWorkload returns the §5.1/Table 4 trace-driven workload:
@@ -25,6 +27,13 @@ func DefaultTraceWorkload(load float64) WorkloadSpec {
 // DefaultSynthBuffer is Table 4's per-node storage (100 KB); synthetic
 // families run with it unless they declare their own storage classes.
 const DefaultSynthBuffer int64 = 100 << 10
+
+// DefaultSynthNodes and DefaultSynthDuration are Table 4's synthetic
+// population (20 nodes) and run length (15 minutes).
+const (
+	DefaultSynthNodes    = 20
+	DefaultSynthDuration = 15 * 60.0
+)
 
 // defaultSynthOverrides applies Table 4's uniform buffer.
 func defaultSynthOverrides() Overrides {

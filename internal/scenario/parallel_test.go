@@ -87,8 +87,8 @@ func firstDiff(want, got string) string {
 }
 
 // TestWorkersOverride pins the Overrides plumbing: a Workers override
-// lands in the materialized config, and the -run-workers process
-// default applies exactly when nothing else pinned a count.
+// lands in the materialized config, and nothing else sets a count (the
+// engine's run-worker default is applied by internal/exp).
 func TestWorkersOverride(t *testing.T) {
 	p := metamorphicParams()
 	scs, err := scenario.Expand("synth-exponential", p)
@@ -102,15 +102,6 @@ func TestWorkersOverride(t *testing.T) {
 	s.Config.Workers = 4
 	if rs := s.Materialize(); rs.Cfg.Workers != 4 {
 		t.Fatalf("override Workers = %d, want 4", rs.Cfg.Workers)
-	}
-	scenario.SetDefaultRunWorkers(-1)
-	defer scenario.SetDefaultRunWorkers(0)
-	if rs := s.Materialize(); rs.Cfg.Workers != 4 {
-		t.Fatalf("override beats default: Workers = %d, want 4", rs.Cfg.Workers)
-	}
-	s.Config.Workers = 0
-	if rs := s.Materialize(); rs.Cfg.Workers != -1 {
-		t.Fatalf("process default Workers = %d, want -1", rs.Cfg.Workers)
 	}
 }
 

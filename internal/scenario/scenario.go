@@ -158,6 +158,18 @@ func (ss ScheduleSpec) constellation() mobility.Constellation {
 	}}
 }
 
+// mobilityConfig is the synthetic-mobility config the spec declares
+// (SourceExponential, SourcePowerLaw).
+func (ss ScheduleSpec) mobilityConfig() mobility.Config {
+	return mobility.Config{
+		Nodes:         ss.Nodes,
+		Duration:      ss.Duration,
+		MeanMeeting:   ss.MeanMeeting,
+		TransferBytes: ss.TransferBytes,
+		Jitter:        true,
+	}
+}
+
 // Build materializes the schedule. DieselNet days are deterministic in
 // the config alone; the synthetic models consume seed.
 func (ss ScheduleSpec) Build(seed int64) *trace.Schedule {
@@ -177,13 +189,7 @@ func (ss ScheduleSpec) build(seed int64) *trace.Schedule {
 		}
 		return trace.NewDieselNet(cfg).Day(ss.Day)
 	case SourceExponential, SourcePowerLaw:
-		cfg := mobility.Config{
-			Nodes:         ss.Nodes,
-			Duration:      ss.Duration,
-			MeanMeeting:   ss.MeanMeeting,
-			TransferBytes: ss.TransferBytes,
-			Jitter:        true,
-		}
+		cfg := ss.mobilityConfig()
 		var ranks []int
 		if ss.Source == SourcePowerLaw {
 			ranks = mobility.RandomRanks(ss.Nodes, rand.New(rand.NewSource(ss.RankSeed)))
@@ -501,18 +507,6 @@ func (s Scenario) Seeds() (schedule, workload, sim int64) {
 	}
 }
 
-// defaultRunWorkers is the process-wide engine worker default applied
-// by Materialize when neither the scenario's Overrides nor its family
-// pinned a count. See SetDefaultRunWorkers.
-var defaultRunWorkers int
-
-// SetDefaultRunWorkers sets the engine worker count scenarios run with
-// unless they pin their own (the cmd-level -run-workers knob). 0 or 1
-// is the serial engine; negative means one worker per CPU. Safe to call
-// between runs; not synchronized against concurrently executing
-// scenarios.
-func SetDefaultRunWorkers(n int) { defaultRunWorkers = n }
-
 // baseConfig is the runtime config before protocol arm and overrides.
 func (s Scenario) baseConfig() routing.Config {
 	cfg := routing.Config{
@@ -554,6 +548,7 @@ func (s Scenario) Validate() error {
 	case SourceDieselNet:
 		err = s.Schedule.Diesel.Validate()
 	case SourceExponential, SourcePowerLaw:
+		err = s.Schedule.mobilityConfig().Validate()
 	case SourceConstellation:
 		err = s.Schedule.constellation().Config.Validate()
 	default:
@@ -584,13 +579,6 @@ func (s Scenario) Materialize() routing.Scenario {
 	schedSeed, wSeed, simSeed := s.Seeds()
 	factory, cfg := Arm(s.Protocol, s.Metric, s.baseConfig())
 	s.Config.Apply(&cfg)
-	if cfg.Workers == 0 {
-		// The process-wide default (the -run-workers flag) applies only
-		// where the scenario did not pin a count. It lives outside the
-		// Scenario value — runs are byte-identical at every worker
-		// count, so it cannot change what a cached result would hold.
-		cfg.Workers = defaultRunWorkers
-	}
 	rs := routing.Scenario{Factory: factory, Cfg: cfg, Seed: simSeed}
 	var horizon float64
 	if s.Schedule.lazyPlan() {

@@ -96,9 +96,6 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// Engine exposes the instance engine (tests assert cache behavior).
-func (s *Server) Engine() *exp.Engine { return s.engine }
-
 // Handler returns the root HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 

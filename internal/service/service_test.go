@@ -462,6 +462,22 @@ func TestQueueFullRejects(t *testing.T) {
 // it runs.
 func TestBadDisruptionRejected(t *testing.T) {
 	_, ts := testServer(t, Config{})
+	for _, d := range []disrupt.Spec{
+		{Enabled: true, PLoss: 2},
+		{Enabled: true, ChurnDownMean: 10},
+	} {
+		sc := smokeScenario(t)
+		sc.Disruption = d
+		if code := submitScenarioCode(t, ts, sc); code != http.StatusBadRequest {
+			t.Errorf("disruption %+v: status %d, want 400", d, code)
+		}
+	}
+}
+
+// smokeScenario is the first scenario of smokeSpec's expansion: a
+// valid synthetic-exponential run for the rejection tests to break.
+func smokeScenario(t *testing.T) scenario.Scenario {
+	t.Helper()
 	var js JobSpec
 	if err := json.Unmarshal([]byte(smokeSpec), &js); err != nil {
 		t.Fatal(err)
@@ -470,19 +486,43 @@ func TestBadDisruptionRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range []disrupt.Spec{
-		{Enabled: true, PLoss: 2},
-		{Enabled: true, ChurnDownMean: 10},
+	return scs[0]
+}
+
+// submitScenarioCode submits sc as a raw-scenario job and returns the
+// HTTP status.
+func submitScenarioCode(t *testing.T, ts *httptest.Server, sc scenario.Scenario) int {
+	t.Helper()
+	raw, err := json.Marshal(JobSpec{Scenario: &sc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, code := submitCode(t, ts, string(raw))
+	return code
+}
+
+// TestBadSyntheticScheduleRejected: a synthetic schedule outside the
+// mobility models' domain is a bad request at submit, one subtest per
+// field. A zero mean inter-meeting time would otherwise draw meetings
+// without bound instead of failing.
+func TestBadSyntheticScheduleRejected(t *testing.T) {
+	_, ts := testServer(t, Config{})
+	for _, c := range []struct {
+		name   string
+		mutate func(*scenario.ScheduleSpec)
+	}{
+		{"one-node", func(ss *scenario.ScheduleSpec) { ss.Nodes = 1 }},
+		{"zero-duration", func(ss *scenario.ScheduleSpec) { ss.Duration = 0 }},
+		{"zero-mean-meeting", func(ss *scenario.ScheduleSpec) { ss.MeanMeeting = 0 }},
+		{"zero-transfer-bytes", func(ss *scenario.ScheduleSpec) { ss.TransferBytes = 0 }},
 	} {
-		sc := scs[0]
-		sc.Disruption = d
-		raw, err := json.Marshal(JobSpec{Scenario: &sc})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, code := submitCode(t, ts, string(raw)); code != http.StatusBadRequest {
-			t.Errorf("disruption %+v: status %d, want 400", d, code)
-		}
+		t.Run(c.name, func(t *testing.T) {
+			sc := smokeScenario(t)
+			c.mutate(&sc.Schedule)
+			if code := submitScenarioCode(t, ts, sc); code != http.StatusBadRequest {
+				t.Errorf("status %d, want 400", code)
+			}
+		})
 	}
 }
 
@@ -491,14 +531,6 @@ func TestBadDisruptionRejected(t *testing.T) {
 // workload.
 func TestBadRawScenarioRejected(t *testing.T) {
 	_, ts := testServer(t, Config{})
-	var js JobSpec
-	if err := json.Unmarshal([]byte(smokeSpec), &js); err != nil {
-		t.Fatal(err)
-	}
-	scs, err := expandSpec(js)
-	if err != nil {
-		t.Fatal(err)
-	}
 	diesel := func(fleet, active int) func(*scenario.Scenario) {
 		return func(sc *scenario.Scenario) {
 			sc.Schedule.Source = scenario.SourceDieselNet
@@ -534,16 +566,12 @@ func TestBadRawScenarioRejected(t *testing.T) {
 		{"streaming-without-node-count", streaming(scenario.ShapePoisson, 0)},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			sc := scs[0]
+			sc := smokeScenario(t)
 			c.mutate(&sc)
 			if !panics(func() { sc.Materialize() }) {
 				t.Fatal("Materialize does not panic on this scenario; the case tests nothing")
 			}
-			raw, err := json.Marshal(JobSpec{Scenario: &sc})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, code := submitCode(t, ts, string(raw)); code != http.StatusBadRequest {
+			if code := submitScenarioCode(t, ts, sc); code != http.StatusBadRequest {
 				t.Errorf("status %d, want 400", code)
 			}
 		})
