@@ -455,6 +455,34 @@ func BenchmarkRapidSessionHeavyBuffer(b *testing.B) {
 	}
 }
 
+// BenchmarkWindowedSession is the windowed twin of
+// BenchmarkRapidSessionHeavyBuffer: the same 8 nodes, contact pairs and
+// workload, but every contact is a 16 s window at 16 KB/s (the same
+// 256 KB of capacity), so transfers stream through the windowed
+// runtime: contact start and end events, one completion event per
+// packet, and RAPID re-planning as each transfer lands.
+func BenchmarkWindowedSession(b *testing.B) {
+	sched := &trace.Schedule{Duration: 1000}
+	for i := 0; i < 40; i++ {
+		sched.Contacts = append(sched.Contacts, trace.Contact{
+			A: packet.NodeID(i % 8), B: packet.NodeID((i + 3) % 8),
+			Start: float64(i * 20), Duration: 16, RateBps: 16 << 10,
+		})
+	}
+	w := rapid.PoissonWorkload(rapid.WorkloadConfig{
+		Nodes: []rapid.NodeID{0, 1, 2, 3, 4, 5, 6, 7}, PacketsPerWindowPerDest: 40,
+		Window: 100, Duration: 800, PacketBytes: 1 << 10,
+	}, 2)
+	if res := rapid.Run(sched, w, rapid.RAPID(rapid.MinimizeAvgDelay), rapid.Config{}); res.Summary.Delivered == 0 {
+		b.Fatal("windowed sessions delivered nothing")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rapid.Run(sched, w, rapid.RAPID(rapid.MinimizeAvgDelay), rapid.Config{Seed: int64(i)})
+	}
+}
+
 // ---------------------------------------------------------------------
 // Constellation scale (DESIGN.md §5): a 200-node orbital contact plan —
 // 8 planes × 24 satellites + 8 ground stations, the tiny-scale

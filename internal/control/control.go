@@ -163,10 +163,12 @@ type State struct {
 	avgTransfer stat.MovingAverage
 	// peerTransfer holds the last announced average transfer size per
 	// peer, indexed by the run's dense node IDs (NaN = never heard).
-	// Packet-keyed state below stays map-shaped: packet IDs are sparse.
 	peerTransfer []float64
 
-	acked map[packet.ID]float64 // id -> time learned
+	// acked is the node's set of known-delivered packets. Replica
+	// metadata stays map-shaped: every protocol records it, so a table
+	// indexed by packet ID would cost nodes × max ID.
+	acked ackSet
 	meta  map[packet.ID]*PacketMeta
 	// tableAsOf is the freshness of merged meet tables, indexed by
 	// owner; tableKnown marks owners actually present.
@@ -241,7 +243,6 @@ func NewState(self packet.NodeID, hops int, g *Global) *State {
 		self:   self,
 		Meet:   meet.New(self, hops),
 		global: g,
-		acked:  make(map[packet.ID]float64),
 		meta:   make(map[packet.ID]*PacketMeta),
 	}
 	if g != nil {
@@ -313,13 +314,10 @@ func (s *State) setPeerTransfer(node packet.NodeID, v float64) {
 // delivered packets is deleted (§4.2).
 func (s *State) LearnAck(id packet.ID, now float64) {
 	if s.global != nil {
-		if _, ok := s.global.acked[id]; !ok {
-			s.global.acked[id] = now
-		}
+		s.global.acked.add(id)
 		return
 	}
-	if _, ok := s.acked[id]; !ok {
-		s.acked[id] = now
+	if s.acked.add(id) {
 		s.ackLog = append(s.ackLog, now)
 		s.ackIDs = append(s.ackIDs, id)
 		delete(s.meta, id)
@@ -329,19 +327,9 @@ func (s *State) LearnAck(id packet.ID, now float64) {
 // IsAcked reports whether the packet is known to be delivered.
 func (s *State) IsAcked(id packet.ID) bool {
 	if s.global != nil {
-		_, ok := s.global.acked[id]
-		return ok
+		return s.global.acked.has(id)
 	}
-	_, ok := s.acked[id]
-	return ok
-}
-
-// AckCount returns the number of known-delivered packets.
-func (s *State) AckCount() int {
-	if s.global != nil {
-		return len(s.global.acked)
-	}
-	return len(s.acked)
+	return s.acked.has(id)
 }
 
 // NoteReplica records (or refreshes) knowledge that `holder` carries a
@@ -443,7 +431,7 @@ func (s *State) Meta(id packet.ID) *PacketMeta {
 // acks, replica sets, delay estimates, and transfer averages. "In our
 // experiments, we assumed that the global channel is instant" (§6.2.3).
 type Global struct {
-	acked       map[packet.ID]float64
+	acked       ackSet
 	meta        map[packet.ID]*PacketMeta
 	avgTransfer map[packet.NodeID]float64
 	states      []*State // sorted by node ID
@@ -452,7 +440,6 @@ type Global struct {
 // NewGlobal returns an empty global snapshot.
 func NewGlobal() *Global {
 	return &Global{
-		acked:       make(map[packet.ID]float64),
 		meta:        make(map[packet.ID]*PacketMeta),
 		avgTransfer: make(map[packet.NodeID]float64),
 	}

@@ -18,6 +18,13 @@ type NodeID int
 // ID uniquely identifies a packet within a simulation run.
 type ID int64
 
+// MaxID bounds packet IDs: a run accepts only packets with IDs in
+// [0, MaxID). Every generator numbers packets sequentially from
+// GenConfig.FirstID, and the control plane keeps each node's ack set as
+// a bitset indexed by ID (DESIGN.md §3), so a huge ID would size a
+// node's ack set to it; the bound caps that at MaxID/8 bytes (32 MiB).
+const MaxID = 1 << 28
+
 // Packet is an immutable description of a DTN bundle. Replicas share the
 // same *Packet; per-replica state lives with the node holding the copy.
 type Packet struct {

@@ -173,8 +173,13 @@ func (n *Network) transferLost(id packet.ID, from, to packet.NodeID, now float64
 }
 
 // generated registers a packet's creation with the collector and fires
-// the telemetry hook; generateEvent calls it at collection time.
+// the telemetry hook; generateEvent calls it at collection time. Every
+// packet of a run, materialized or streamed, enters here, so this is
+// where its ID is checked against packet.MaxID.
 func (n *Network) generated(p *packet.Packet, now float64) {
+	if p.ID < 0 || p.ID >= packet.MaxID {
+		panic(fmt.Sprintf("routing: packet %d outside [0,%d)", p.ID, packet.MaxID))
+	}
 	n.Collector.Generated(p)
 	if h := n.hooks; h != nil && h.OnGenerated != nil {
 		h.OnGenerated(p, now)

@@ -1,6 +1,7 @@
 package routing_test
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -178,6 +179,40 @@ func TestAckPropagationPurgesReplicas(t *testing.T) {
 	// Data moved: one replication (t=10) + one delivery (t=20) only.
 	if s.DataBytes != 2048 {
 		t.Errorf("data bytes %d want 2048 (ack purge failed?)", s.DataBytes)
+	}
+}
+
+// TestPacketIDBoundEnforcedAtGeneration: a packet whose ID lies
+// outside [0, packet.MaxID) panics with the bound's message when it is
+// generated, whether it arrives in a materialized workload or a
+// streamed source. MaxID-1 is accepted (its destination never meets
+// anyone, so no ack set grows to it).
+func TestPacketIDBoundEnforcedAtGeneration(t *testing.T) {
+	run := func(id packet.ID, streamed bool) (msg string) {
+		sc := twoNodeScenario(1<<20, 1024)
+		sc.Workload[0].ID = id
+		sc.Workload[0].Dst = 2
+		if streamed {
+			sc.Source, sc.Workload = packet.NewSliceSource(sc.Workload), nil
+		}
+		defer func() {
+			if r := recover(); r != nil {
+				msg = fmt.Sprint(r)
+			}
+		}()
+		routing.Run(sc)
+		return ""
+	}
+	for _, streamed := range []bool{false, true} {
+		for _, id := range []packet.ID{-1, -1 << 40, packet.MaxID, packet.MaxID + 1} {
+			want := fmt.Sprintf("routing: packet %d outside [0,%d)", id, packet.MaxID)
+			if msg := run(id, streamed); msg != want {
+				t.Errorf("streamed=%v: panic %q, want %q", streamed, msg, want)
+			}
+		}
+		if msg := run(packet.MaxID-1, streamed); msg != "" {
+			t.Errorf("streamed=%v: packet MaxID-1 rejected: %s", streamed, msg)
+		}
 	}
 }
 

@@ -301,6 +301,9 @@ func expandSpec(spec JobSpec) ([]scenario.Scenario, error) {
 		}
 		return []scenario.Scenario{sc}, nil
 	}
+	if spec.Reps < 0 {
+		return nil, fmt.Errorf("reps %d is negative", spec.Reps)
+	}
 	sc, err := scaleByName(spec.Scale)
 	if err != nil {
 		return nil, err
@@ -319,6 +322,9 @@ func expandSpec(spec JobSpec) ([]scenario.Scenario, error) {
 			params.Protocols = append(params.Protocols, proto)
 		}
 	}
+	if err = checkJobSize(spec.Family, params); err != nil {
+		return nil, err
+	}
 	scs, err := scenario.Expand(spec.Family, params)
 	if err != nil {
 		return nil, err
@@ -334,6 +340,33 @@ func expandSpec(spec JobSpec) ([]scenario.Scenario, error) {
 		}
 	}
 	return scs, nil
+}
+
+// maxScenariosPerJob caps the scenarios one family job may expand to.
+// The largest job a registered family asks for, trace-comparison at
+// full scale with its own runs, expands to 27,840.
+const maxScenariosPerJob = 30_000
+
+// checkJobSize rejects a family job that would expand past
+// maxScenariosPerJob, before the full grid allocates. Every family's
+// grid is a cross product with one factor per protocol arm and one per
+// run, so expanding a single arm at a single run and scaling by the rest
+// sizes the job exactly; deployment, which ignores both, is overcounted,
+// so the check errs on the side of rejecting.
+func checkJobSize(family string, p scenario.Params) error {
+	probe, arms := p, 1
+	probe.Runs = 1
+	if len(p.Protocols) > 0 {
+		probe.Protocols, arms = p.Protocols[:1], len(p.Protocols)
+	}
+	base, err := scenario.Expand(family, probe)
+	if err != nil {
+		return err
+	}
+	if per := len(base) * arms; per > 0 && p.Runs > maxScenariosPerJob/per {
+		return fmt.Errorf("family %q at %d runs expands to more than %d scenarios", family, p.Runs, maxScenariosPerJob)
+	}
+	return nil
 }
 
 // scaleByName maps the wire scale names onto exp scales, defaulting to

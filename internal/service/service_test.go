@@ -601,6 +601,53 @@ func TestBadSpecsRejected(t *testing.T) {
 	}
 }
 
+func TestNegativeRepsRejected(t *testing.T) {
+	_, ts := testServer(t, Config{})
+	if _, code := submitCode(t, ts, `{"family":"synth-exponential","reps":-1}`); code != http.StatusBadRequest {
+		t.Errorf("negative reps: status %d, want 400", code)
+	}
+}
+
+// TestOversizedJobRejected: a job that would expand past
+// maxScenariosPerJob — by reps or by a repeated protocol list — is
+// refused before its grid is built.
+func TestOversizedJobRejected(t *testing.T) {
+	_, ts := testServer(t, Config{})
+	arms := strings.Repeat(`"Random",`, 50_000) + `"Random"`
+	for _, spec := range []string{
+		`{"family":"trace-comparison","reps":100000}`,
+		`{"family":"trace-comparison","reps":2000000}`,
+		`{"family":"trace-comparison","scale":"full","reps":11}`,
+		`{"family":"synth-exponential","reps":9223372036854775807}`,
+		`{"family":"synth-exponential","protocols":[` + arms + `]}`,
+	} {
+		if _, code := submitCode(t, ts, spec); code != http.StatusBadRequest {
+			t.Errorf("spec %.80s: status %d, want 400", spec, code)
+		}
+	}
+}
+
+// TestEveryFamilyUnderJobCap: every registered family, at every scale
+// with that scale's own runs, is accepted and stays under
+// maxScenariosPerJob.
+func TestEveryFamilyUnderJobCap(t *testing.T) {
+	largest := 0
+	for _, f := range scenario.Families() {
+		for _, scale := range []string{"tiny", "default", "full"} {
+			scs, err := expandSpec(JobSpec{Family: f.Name, Scale: scale})
+			if err != nil {
+				t.Errorf("%s at %s: %v", f.Name, scale, err)
+				continue
+			}
+			if len(scs) > maxScenariosPerJob {
+				t.Errorf("%s at %s: %d scenarios, cap %d", f.Name, scale, len(scs), maxScenariosPerJob)
+			}
+			largest = max(largest, len(scs))
+		}
+	}
+	t.Logf("largest family job: %d scenarios (cap %d)", largest, maxScenariosPerJob)
+}
+
 func TestFamiliesHealthzAndList(t *testing.T) {
 	_, ts := testServer(t, Config{})
 	resp, err := http.Get(ts.URL + "/v1/families")

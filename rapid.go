@@ -75,6 +75,10 @@ type (
 // only nodes in [0, MaxNodeID).
 const MaxNodeID = trace.MaxNodeID
 
+// MaxPacketID bounds packet IDs: a run accepts only packets with IDs in
+// [0, MaxPacketID).
+const MaxPacketID = packet.MaxID
+
 // Metric selects RAPID's routing objective (§3.5).
 type Metric = core.Metric
 
@@ -202,7 +206,9 @@ type Result struct {
 // The schedule must be valid (sched.Validate() == nil): in particular
 // every node ID, in the schedule and in the workload, must lie in
 // [0, MaxNodeID). Per-node state is indexed by ID, so a negative
-// ID panics and a huge one sizes every per-node table to it.
+// ID panics and a huge one sizes every per-node table to it. Every
+// packet ID must lie in [0, MaxPacketID); a packet outside it panics
+// when it is generated.
 func Run(sched *Schedule, w Workload, p Protocol, cfg Config) Result {
 	rcfg := routing.Config{
 		BufferBytes:   cfg.BufferBytes,
