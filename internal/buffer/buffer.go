@@ -29,6 +29,10 @@ type Entry struct {
 	// [24, 29] of Table 1). Zero for protocols that do not bound
 	// copies.
 	Tokens int
+
+	// pos is the entry's index in its store's order slice while it is
+	// buffered.
+	pos int
 }
 
 // Utility ranks entries for eviction: lower values are evicted first.
@@ -37,18 +41,21 @@ type Entry struct {
 type Utility func(*Entry) float64
 
 // Store is a single node's packet buffer. The zero value is unusable;
-// construct with New. Store is not safe for concurrent use — the
-// simulator is single-threaded by design (deterministic replay).
+// construct with New. Store is not safe for concurrent use: only
+// sessions keyed on its node touch it, and the parallel engine orders
+// every event sharing a key (DESIGN.md §12).
 type Store struct {
 	capacity int64 // bytes; <= 0 means unlimited
 	used     int64
-	entries  map[packet.ID]*Entry
+	// entries stays a map: a per-node paged packet-ID table for it
+	// allocated more than the map it replaced (DESIGN.md §3).
+	entries map[packet.ID]*Entry
 	// order preserves a deterministic iteration sequence (map order is
 	// randomized in Go). It is maintained with swap-removal, so the
 	// sequence is deterministic for a given operation history but not
-	// sorted; routers impose their own orderings.
+	// sorted; routers impose their own orderings. Each entry records
+	// its own index (Entry.pos).
 	order []*Entry
-	index map[packet.ID]int
 	// byDst tracks buffered bytes per destination, so queue-position
 	// estimates for a just-created packet (younger than everything
 	// buffered) are O(1). Destination IDs are dense per run, so both
@@ -74,7 +81,6 @@ func New(capacity int64) *Store {
 	return &Store{
 		capacity: capacity,
 		entries:  make(map[packet.ID]*Entry),
-		index:    make(map[packet.ID]int),
 	}
 }
 
@@ -135,7 +141,7 @@ func (s *Store) Insert(e *Entry, util Utility) bool {
 		}
 	}
 	s.entries[e.P.ID] = e
-	s.index[e.P.ID] = len(s.order)
+	e.pos = len(s.order)
 	s.order = append(s.order, e)
 	s.used += need
 	s.ensureDst(e.P.Dst)
@@ -216,13 +222,12 @@ func (s *Store) Remove(id packet.ID) bool {
 		return false
 	}
 	delete(s.entries, id)
-	i := s.index[id]
-	delete(s.index, id)
+	i := e.pos
 	last := len(s.order) - 1
 	if i != last {
 		moved := s.order[last]
 		s.order[i] = moved
-		s.index[moved.P.ID] = i
+		moved.pos = i
 	}
 	s.order[last] = nil
 	s.order = s.order[:last]
@@ -267,28 +272,4 @@ func (s *Store) EachQueue(f func(dst packet.NodeID, q []*Entry)) {
 			f(packet.NodeID(dst), q)
 		}
 	}
-}
-
-// Ack marks a packet as delivered network-wide: the local copy (if any)
-// is dropped, including a source's own copy ("unless it receives an
-// acknowledgment"). Returns whether a copy was dropped.
-func (s *Store) Ack(id packet.ID) bool {
-	return s.Remove(id)
-}
-
-// DropExpired removes packets whose deadline has passed and returns the
-// victims. A source's own copy is retained: it can no longer contribute
-// to the deadline metric but remains the origin of record until acked
-// (matching the protocol's protection rule).
-func (s *Store) DropExpired(now float64) []*Entry {
-	var out []*Entry
-	for _, e := range s.order {
-		if !e.Own && e.P.Expired(now) {
-			out = append(out, e)
-		}
-	}
-	for _, e := range out {
-		s.Remove(e.P.ID)
-	}
-	return out
 }

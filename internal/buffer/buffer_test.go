@@ -120,45 +120,6 @@ func TestOwnPacketsProtectedFromEviction(t *testing.T) {
 	}
 }
 
-func TestAckDropsOwnCopy(t *testing.T) {
-	s := New(100)
-	s.Insert(&Entry{P: mkPkt(1, 50), Own: true}, nil)
-	if !s.Ack(1) {
-		t.Fatal("ack should drop own copy")
-	}
-	if s.Has(1) {
-		t.Fatal("own copy still present after ack")
-	}
-	if s.Ack(1) {
-		t.Error("double ack reports drop")
-	}
-}
-
-func TestDropExpired(t *testing.T) {
-	s := New(0)
-	p1 := &packet.Packet{ID: 1, Size: 10, Created: 0, Deadline: 50}
-	p2 := &packet.Packet{ID: 2, Size: 10, Created: 0, Deadline: 200}
-	p3 := &packet.Packet{ID: 3, Size: 10, Created: 0} // no deadline
-	p4 := &packet.Packet{ID: 4, Size: 10, Created: 0, Deadline: 50}
-	s.Insert(&Entry{P: p1}, nil)
-	s.Insert(&Entry{P: p2}, nil)
-	s.Insert(&Entry{P: p3}, nil)
-	s.Insert(&Entry{P: p4, Own: true}, nil)
-	dropped := s.DropExpired(100)
-	if len(dropped) != 1 || dropped[0].P.ID != 1 {
-		t.Fatalf("dropped %v", dropped)
-	}
-	if s.Has(1) {
-		t.Error("expired packet still stored")
-	}
-	if !s.Has(4) {
-		t.Error("own expired packet must be retained")
-	}
-	if !s.Has(2) || !s.Has(3) {
-		t.Error("live packets dropped")
-	}
-}
-
 // Property: under any operation sequence, used bytes equal the sum of
 // stored packet sizes and never exceed capacity.
 func TestAccountingInvariant(t *testing.T) {

@@ -76,6 +76,14 @@ type PacketMeta struct {
 	logAt int
 }
 
+// newMeta returns an empty record for the packet item describes.
+func newMeta(item InventoryItem) *PacketMeta {
+	return &PacketMeta{
+		ID: item.ID, Dst: item.Dst, Size: item.Size,
+		Created: item.Created, Deadline: item.Deadline,
+	}
+}
+
 // replica returns the index of holder's entry in m.Replicas and whether
 // it exists, by binary search.
 func (m *PacketMeta) replica(holder packet.NodeID) (int, bool) {
@@ -165,11 +173,14 @@ type State struct {
 	// peer, indexed by the run's dense node IDs (NaN = never heard).
 	peerTransfer []float64
 
-	// acked is the node's set of known-delivered packets. Replica
-	// metadata stays map-shaped: every protocol records it, so a table
-	// indexed by packet ID would cost nodes × max ID.
+	// acked is the node's set of known-delivered packets; meta holds
+	// its replica records in a paged packet-ID table, which costs 16
+	// bytes of directory per 1024 IDs up to the highest ID recorded,
+	// plus 8 bytes per record on a sparse page or 8 KiB per dense one
+	// (packet.Table). Only protocols that read or gossip records write
+	// them (routing's acceptReplica), so the others pay nothing.
 	acked ackSet
-	meta  map[packet.ID]*PacketMeta
+	meta  packet.Table[PacketMeta]
 	// tableAsOf is the freshness of merged meet tables, indexed by
 	// owner; tableKnown marks owners actually present.
 	tableAsOf  []float64
@@ -243,7 +254,6 @@ func NewState(self packet.NodeID, hops int, g *Global) *State {
 		self:   self,
 		Meet:   meet.New(self, hops),
 		global: g,
-		meta:   make(map[packet.ID]*PacketMeta),
 	}
 	if g != nil {
 		i, found := slices.BinarySearchFunc(g.states, self, func(o *State, id packet.NodeID) int { return cmp.Compare(o.self, id) })
@@ -320,7 +330,7 @@ func (s *State) LearnAck(id packet.ID, now float64) {
 	if s.acked.add(id) {
 		s.ackLog = append(s.ackLog, now)
 		s.ackIDs = append(s.ackIDs, id)
-		delete(s.meta, id)
+		s.meta.Delete(id)
 	}
 }
 
@@ -342,13 +352,10 @@ func (s *State) NoteReplica(item InventoryItem, holder packet.NodeID, now float6
 		s.global.note(item, holder, now)
 		return
 	}
-	m := s.meta[item.ID]
+	m := s.meta.Get(item.ID)
 	if m == nil {
-		m = &PacketMeta{
-			ID: item.ID, Dst: item.Dst, Size: item.Size,
-			Created: item.Created, Deadline: item.Deadline,
-		}
-		s.meta[item.ID] = m
+		m = newMeta(item)
+		s.meta.Set(item.ID, m)
 	}
 	// Self-held replicas ride inventories, not the third-party gossip
 	// log; immaterial delay wiggles are not worth re-flooding either.
@@ -365,17 +372,19 @@ func (s *State) logMeta(m *PacketMeta, t float64) {
 	m.logAt = len(s.metaLog)
 }
 
-// DropReplica forgets that holder carries the packet (used when a node
-// evicts a replica it previously announced).
+// DropReplica forgets that holder carries the packet. No simulation
+// path calls it: a node that evicts a replica does not retract it, so
+// the evicted holder stays in every record that lists it until the
+// packet is acked.
 func (s *State) DropReplica(id packet.ID, holder packet.NodeID, now float64) {
 	if s.global != nil {
-		if m := s.global.meta[id]; m != nil {
+		if m := s.global.meta.Get(id); m != nil {
 			m.removeReplica(holder)
 			m.Updated = now
 		}
 		return
 	}
-	if m := s.meta[id]; m != nil {
+	if m := s.meta.Get(id); m != nil {
 		m.removeReplica(holder)
 		s.logMeta(m, now)
 	}
@@ -392,39 +401,24 @@ func (m *PacketMeta) removeReplica(holder packet.NodeID) {
 // holder. The slice is the live internal state — callers must not
 // modify it or retain it across state mutations.
 func (s *State) Replicas(id packet.ID) []ReplicaEstimate {
-	var m *PacketMeta
-	if s.global != nil {
-		m = s.global.meta[id]
-	} else {
-		m = s.meta[id]
+	if m := s.Meta(id); m != nil {
+		return m.Replicas
 	}
-	if m == nil {
-		return nil
-	}
-	return m.Replicas
+	return nil
 }
 
 // ReplicaCount returns the number of known replicas of a packet
 // (at least 0; the local copy is included only if announced).
 func (s *State) ReplicaCount(id packet.ID) int {
-	if s.global != nil {
-		if m := s.global.meta[id]; m != nil {
-			return len(m.Replicas)
-		}
-		return 0
-	}
-	if m := s.meta[id]; m != nil {
-		return len(m.Replicas)
-	}
-	return 0
+	return len(s.Replicas(id))
 }
 
 // Meta returns the stored metadata for a packet (nil if unknown).
 func (s *State) Meta(id packet.ID) *PacketMeta {
 	if s.global != nil {
-		return s.global.meta[id]
+		return s.global.meta.Get(id)
 	}
-	return s.meta[id]
+	return s.meta.Get(id)
 }
 
 // Global is the instant global control channel: one shared snapshot of
@@ -432,27 +426,21 @@ func (s *State) Meta(id packet.ID) *PacketMeta {
 // experiments, we assumed that the global channel is instant" (§6.2.3).
 type Global struct {
 	acked       ackSet
-	meta        map[packet.ID]*PacketMeta
+	meta        packet.Table[PacketMeta]
 	avgTransfer map[packet.NodeID]float64
 	states      []*State // sorted by node ID
 }
 
 // NewGlobal returns an empty global snapshot.
 func NewGlobal() *Global {
-	return &Global{
-		meta:        make(map[packet.ID]*PacketMeta),
-		avgTransfer: make(map[packet.NodeID]float64),
-	}
+	return &Global{avgTransfer: make(map[packet.NodeID]float64)}
 }
 
 func (g *Global) note(item InventoryItem, holder packet.NodeID, now float64) {
-	m := g.meta[item.ID]
+	m := g.meta.Get(item.ID)
 	if m == nil {
-		m = &PacketMeta{
-			ID: item.ID, Dst: item.Dst, Size: item.Size,
-			Created: item.Created, Deadline: item.Deadline,
-		}
-		g.meta[item.ID] = m
+		m = newMeta(item)
+		g.meta.Set(item.ID, m)
 	}
 	m.upsertReplica(holder, item.Delay, now)
 	m.Updated = now
@@ -628,7 +616,7 @@ func Exchange(a, b *State, invA, invB []InventoryItem, now float64, opts Options
 				continue // no record has an append past the cut
 			}
 			for _, id := range dir.to.sortedIDs(dir.toInv) {
-				m := dir.from.meta[id]
+				m := dir.from.meta.Get(id)
 				if m == nil || m.logAt <= k || m.Updated <= dir.since {
 					continue
 				}

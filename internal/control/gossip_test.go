@@ -91,7 +91,7 @@ func (r *refState) refMetaChangedSince(since float64) []*PacketMeta {
 	r.seenEpoch++
 	out := r.metaScratch[:0]
 	for _, ev := range evs {
-		m := r.meta[ev.id]
+		m := r.meta.Get(ev.id)
 		if m == nil || r.seen[m] == r.seenEpoch {
 			continue
 		}

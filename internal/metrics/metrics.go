@@ -60,7 +60,7 @@ func (d *Delta) Add(o *Delta) {
 // Collector accumulates simulation outcomes. The zero value is unusable;
 // construct with New. Not safe for concurrent use.
 type Collector struct {
-	byID  map[packet.ID]*Record
+	byID  packet.Table[Record]
 	order []*Record // insertion order for deterministic iteration
 
 	// Delta holds the channel accounting; embedding promotes the
@@ -97,17 +97,17 @@ type Collector struct {
 
 // New returns an empty collector.
 func New() *Collector {
-	return &Collector{byID: make(map[packet.ID]*Record)}
+	return &Collector{}
 }
 
 // Generated registers a packet's creation. Duplicate registration is a
 // programming error and panics (the workload is injected exactly once).
 func (c *Collector) Generated(p *packet.Packet) {
-	if _, ok := c.byID[p.ID]; ok {
+	if c.byID.Get(p.ID) != nil {
 		panic("metrics: packet generated twice")
 	}
 	r := &Record{P: p}
-	c.byID[p.ID] = r
+	c.byID.Set(p.ID, r)
 	c.order = append(c.order, r)
 }
 
@@ -115,7 +115,7 @@ func (c *Collector) Generated(p *packet.Packet) {
 // deliveries of other replicas are ignored. Unknown packets are ignored
 // (defensive: a router must not invent traffic).
 func (c *Collector) Delivered(id packet.ID, now float64, hops int) {
-	r := c.byID[id]
+	r := c.byID.Get(id)
 	if r == nil || r.Delivered {
 		return
 	}
@@ -126,7 +126,7 @@ func (c *Collector) Delivered(id packet.ID, now float64, hops int) {
 
 // IsDelivered reports whether the packet has reached its destination.
 func (c *Collector) IsDelivered(id packet.ID) bool {
-	r := c.byID[id]
+	r := c.byID.Get(id)
 	return r != nil && r.Delivered
 }
 
@@ -290,10 +290,10 @@ func (c *Collector) CohortFairness(horizon float64) []float64 {
 // disjoint.
 func (c *Collector) Merge(o *Collector) {
 	for _, r := range o.order {
-		if _, ok := c.byID[r.P.ID]; ok {
+		if c.byID.Get(r.P.ID) != nil {
 			panic("metrics: merging collectors with overlapping packet IDs")
 		}
-		c.byID[r.P.ID] = r
+		c.byID.Set(r.P.ID, r)
 		c.order = append(c.order, r)
 	}
 	c.Delta.Add(&o.Delta)

@@ -22,7 +22,8 @@ type ID int64
 // [0, MaxID). Every generator numbers packets sequentially from
 // GenConfig.FirstID, and the control plane keeps each node's ack set as
 // a bitset indexed by ID (DESIGN.md §3), so a huge ID would size a
-// node's ack set to it; the bound caps that at MaxID/8 bytes (32 MiB).
+// node's ack set to it; the bound caps that at MaxID/8 bytes (32 MiB),
+// and a Table's directory at 4 MiB.
 const MaxID = 1 << 28
 
 // Packet is an immutable description of a DTN bundle. Replicas share the

@@ -270,9 +270,10 @@ func (s *Session) replicable(e *buffer.Entry, from, to *Node) bool {
 // acceptReplica stores the transmitted copy at the receiver and runs
 // the shared post-transfer bookkeeping: replication observers, then —
 // only if the receiver keeps the copy — data accounting and the
-// replica notes at both ends, primed with the sender's hypothesized
-// delivery estimate for the new replica (RAPID's d_Y; it refreshes at
-// the receiver's next exchange either way). delayOf pins a windowed
+// replica notes at each end whose records have a reader
+// (keepsReplicas), primed with the sender's hypothesized delivery
+// estimate for the new replica (RAPID's d_Y; it refreshes at the
+// receiver's next exchange either way). delayOf pins a windowed
 // session's planning-time snapshot; nil selects the live estimator,
 // which is exact for the instantaneous path.
 func (s *Session) acceptReplica(from, to *Node, e *buffer.Entry, now float64, delayOf ReplicaDelayFunc) bool {
@@ -304,9 +305,33 @@ func (s *Session) acceptReplica(from, to *Node, e *buffer.Entry, now float64, de
 		Created: e.P.Created, Deadline: e.P.Deadline,
 		Delay: delay, Hops: copyEntry.Hops,
 	}
-	from.Ctl.NoteReplica(item, to.ID, now)
-	to.Ctl.NoteReplica(item, to.ID, now)
+	if s.net.keepsReplicas(from) {
+		from.Ctl.NoteReplica(item, to.ID, now)
+	}
+	if s.net.keepsReplicas(to) {
+		to.Ctl.NoteReplica(item, to.ID, now)
+	}
 	return true
+}
+
+// keepsReplicas reports whether n's replica records have a reader: its
+// own router estimates delays from them (a ReplicaDelayEstimator, i.e.
+// RAPID's core), or the control channel gossips and prices them (the
+// global channel, or the full in-band exchange). A scenario may
+// override the mode of any arm, so the test keys on the reader, not on
+// the protocol. Elsewhere — ControlNone, acks-only exchanges — nothing
+// reads a record, and acceptReplica writes none.
+func (net *Network) keepsReplicas(n *Node) bool {
+	if _, ok := n.Router.(ReplicaDelayEstimator); ok {
+		return true
+	}
+	switch net.Cfg.Mode {
+	case ControlGlobal:
+		return true
+	case ControlInBand:
+		return !net.Cfg.AcksOnly
+	}
+	return false
 }
 
 // replicateNext transfers the next eligible candidate from plan[i:],
