@@ -36,9 +36,12 @@ type Entry struct {
 }
 
 // Utility ranks entries for eviction: lower values are evicted first.
-// Implementations must be pure with respect to the store (they are
-// called mid-eviction).
-type Utility func(*Entry) float64
+// ahead is the bytes buffered ahead of e in its destination queue (the
+// b(i) of the paper's Fig. 1). An insert scores every unprotected entry
+// once, against the store as it stood before the insert, so a utility
+// must be a pure function of its arguments and of state the eviction
+// does not touch.
+type Utility func(e *Entry, ahead int64) float64
 
 // Store is a single node's packet buffer. The zero value is unusable;
 // construct with New. Store is not safe for concurrent use: only
@@ -72,6 +75,14 @@ type Store struct {
 	// (RAPID's queue index and delay estimates) compare versions instead
 	// of rebuilding per contact.
 	version uint64
+	// scored is makeRoom's reusable scratch of eviction candidates.
+	scored []scoredEntry
+}
+
+// scoredEntry is one eviction candidate with its utility.
+type scoredEntry struct {
+	e *Entry
+	u float64
 }
 
 // New returns an empty store with the given byte capacity
@@ -180,39 +191,42 @@ func queuePos(q []*Entry, created float64, id packet.ID) int {
 	return lo
 }
 
-// makeRoom evicts unprotected entries in increasing utility order until
-// `need` bytes fit. It returns false (leaving the store unchanged aside
-// from already-performed evictions being rolled forward — eviction is
-// destructive, as in the protocol) when protected entries prevent
-// reaching the target.
+// makeRoom evicts unprotected entries in increasing (utility, ID)
+// order until `need` bytes fit. One walk of the destination queues
+// scores every unprotected entry, with the bytes ahead of it, against
+// the pre-insert store. It returns false when protected entries
+// prevent reaching the target; the evictions already performed stand
+// (eviction is destructive, as in the protocol).
 func (s *Store) makeRoom(need int64, util Utility) bool {
+	cands := s.scored[:0]
+	for _, q := range s.queues {
+		var ahead int64
+		for _, e := range q {
+			if !e.Own {
+				cands = append(cands, scoredEntry{e: e, u: util(e, ahead)})
+			}
+			ahead += e.P.Size
+		}
+	}
+	s.scored = cands
+	// Drop the pointers afterwards so evicted entries can be collected.
+	defer clear(s.scored)
 	for s.used+need > s.capacity {
-		victim := s.lowestUtility(util)
-		if victim == nil {
+		if len(cands) == 0 {
 			return false
 		}
-		s.Remove(victim.P.ID)
+		best, bestU, bestID := 0, cands[0].u, cands[0].e.P.ID
+		for i, c := range cands {
+			if c.u < bestU || (c.u == bestU && c.e.P.ID < bestID) {
+				best, bestU, bestID = i, c.u, c.e.P.ID
+			}
+		}
+		s.Remove(cands[best].e.P.ID)
+		last := len(cands) - 1
+		cands[best] = cands[last]
+		cands = cands[:last]
 	}
 	return true
-}
-
-// lowestUtility returns the unprotected entry with minimal utility, or
-// nil when every entry is protected. Ties break on packet ID for
-// determinism.
-func (s *Store) lowestUtility(util Utility) *Entry {
-	var best *Entry
-	bestU := math.Inf(1)
-	for _, e := range s.order {
-		if e.Own {
-			continue
-		}
-		u := util(e)
-		if best == nil || u < bestU || (u == bestU && e.P.ID < best.P.ID) {
-			best = e
-			bestU = u
-		}
-	}
-	return best
 }
 
 // Remove deletes the packet, reporting whether it was present.

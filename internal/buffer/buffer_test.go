@@ -51,7 +51,7 @@ func TestCapacityEnforcedWithoutUtility(t *testing.T) {
 		t.Fatalf("used=%d", s.Used())
 	}
 	// A packet bigger than total capacity never fits.
-	if s.Insert(&Entry{P: mkPkt(3, 200)}, func(*Entry) float64 { return 0 }) {
+	if s.Insert(&Entry{P: mkPkt(3, 200)}, func(*Entry, int64) float64 { return 0 }) {
 		t.Fatal("oversized packet must fail")
 	}
 }
@@ -70,7 +70,7 @@ func TestUnlimitedCapacity(t *testing.T) {
 
 func TestEvictionOrderByUtility(t *testing.T) {
 	s := New(100)
-	util := func(e *Entry) float64 { return float64(e.P.ID) } // higher ID = higher utility
+	util := func(e *Entry, _ int64) float64 { return float64(e.P.ID) } // higher ID = higher utility
 	for i := 1; i <= 4; i++ {
 		if !s.Insert(&Entry{P: mkPkt(packet.ID(i), 25)}, util) {
 			t.Fatalf("insert %d", i)
@@ -94,7 +94,7 @@ func TestEvictionOrderByUtility(t *testing.T) {
 
 func TestOwnPacketsProtectedFromEviction(t *testing.T) {
 	s := New(100)
-	util := func(e *Entry) float64 { return float64(e.P.ID) }
+	util := func(e *Entry, _ int64) float64 { return float64(e.P.ID) }
 	if !s.Insert(&Entry{P: mkPkt(1, 50), Own: true}, util) {
 		t.Fatal("insert own")
 	}
@@ -127,7 +127,7 @@ func TestAccountingInvariant(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		capacity := int64(500 + r.Intn(1000))
 		s := New(capacity)
-		util := func(e *Entry) float64 { return float64(e.P.ID % 7) }
+		util := func(e *Entry, _ int64) float64 { return float64(e.P.ID % 7) }
 		nextID := packet.ID(1)
 		live := map[packet.ID]bool{}
 		for op := 0; op < 300; op++ {

@@ -204,9 +204,10 @@ type State struct {
 	// that cut exactly: it decides which records a peer is sent.
 	metaLog []float64
 	// ackScratch and invScratch are reused buffers for the ack delta
-	// query and the sorted receiver inventory (one exchange runs at a
-	// time per node). dstMark stamps, per destination node ID, the
-	// dstStamp of the inventory digest that last counted it.
+	// (the acks a peer lacks) and the sorted receiver inventory (one
+	// exchange runs at a time per node). dstMark stamps, per
+	// destination node ID, the dstStamp of the inventory digest that
+	// last counted it.
 	ackScratch []packet.ID
 	invScratch []packet.ID
 	dstMark    []uint32
@@ -506,18 +507,15 @@ func Exchange(a, b *State, invA, invB []InventoryItem, now float64, opts Options
 
 	// 1. Acknowledgments, delta since the last exchange with this peer.
 	// Acks the receiver already knows are suppressed by the summary
-	// vector that prefixes a real exchange, so they cost nothing here.
+	// vector that prefixes a real exchange, so they cost nothing here
+	// and acksSince leaves them out.
 	sinceA := a.lastExchangeWith(b.self)
 	sinceB := b.lastExchangeWith(a.self)
 	for _, pair := range []struct {
 		from, to *State
 		since    float64
 	}{{a, b, sinceA}, {b, a, sinceB}} {
-		ids := pair.from.acksSince(pair.since)
-		for _, id := range ids {
-			if pair.to.IsAcked(id) {
-				continue
-			}
+		for _, id := range pair.from.acksSince(pair.since, pair.to) {
 			if !spend(AckRecordBytes) {
 				return finishExchange(a, b, now, res)
 			}
@@ -710,11 +708,17 @@ func finishExchange(a, b *State, now float64, res Result) Result {
 	return res
 }
 
-// acksSince returns ack IDs learned after `since`, sorted for
-// determinism. The changelog makes this O(changed), not O(all acks);
+// acksSince returns the ack IDs learned after `since` that `to` does
+// not know yet, sorted for determinism. The changelog makes this
+// O(changed), not O(all acks), and only the acks `to` lacks are sorted;
 // the returned slice is a reused scratch valid until the next call.
-func (s *State) acksSince(since float64) []packet.ID {
-	out := append(s.ackScratch[:0], s.ackIDs[logCut(s.ackLog, since):]...)
+func (s *State) acksSince(since float64, to *State) []packet.ID {
+	out := s.ackScratch[:0]
+	for _, id := range s.ackIDs[logCut(s.ackLog, since):] {
+		if !to.IsAcked(id) {
+			out = append(out, id)
+		}
+	}
 	slices.Sort(out)
 	s.ackScratch = out
 	return out

@@ -114,8 +114,10 @@ func (q *QueueIndex) HypoBytesAhead(p *packet.Packet) int64 {
 // Estimator implements Estimate-Delay (§4.1) from one node's local
 // view: its own buffer, its control state (replica metadata, average
 // transfer sizes), and its meeting-time matrix. Estimates are computed
-// on demand: each is a memoized meeting-matrix read, one queue-index
-// search and a walk over the packet's replicas.
+// on demand: each is a memoized meeting-matrix read and a walk over the
+// packet's replicas. The caller supplies the packet's position in the
+// node's own queue, ahead = b(i), from a QueueIndex or from a walk of
+// the store's destination queues.
 type Estimator struct {
 	node *routing.Node
 }
@@ -145,16 +147,16 @@ func meetingsNeeded(bytesAhead, size int64, avgTransfer float64) float64 {
 }
 
 // SelfDelay estimates the node's own direct-delivery time for packet p
-// given its current queue position: E(M_XZ) · n_X(i) (the Eq. 9 terms).
-// Returns +Inf when the destination is unreachable within the h-hop
-// matrix.
-func (est *Estimator) SelfDelay(p *packet.Packet, idx *QueueIndex) float64 {
+// with `ahead` bytes queued before it: E(M_XZ) · n_X(i) (the Eq. 9
+// terms). Returns +Inf when the destination is unreachable within the
+// h-hop matrix.
+func (est *Estimator) SelfDelay(p *packet.Packet, ahead int64) float64 {
 	em := est.node.Ctl.Meet.Expected(est.node.ID, p.Dst)
 	if math.IsInf(em, 1) {
 		return math.Inf(1)
 	}
 	b := est.node.Ctl.AvgTransferBytes(est.node.Net.Cfg.DefaultTransferBytes)
-	return em * meetingsNeeded(idx.BytesAhead(p), p.Size, b)
+	return em * meetingsNeeded(ahead, p.Size, b)
 }
 
 // PeerDelay hypothesizes the direct-delivery time of a replica of p
@@ -174,8 +176,8 @@ func (est *Estimator) PeerDelay(peer *routing.Node, peerIdx *QueueIndex, p *pack
 // for packet p: the node's own fresh estimate plus the control plane's
 // estimates for remote replicas (stale by design — "the propagated
 // information may be stale", §4.2).
-func (est *Estimator) KnownDelays(p *packet.Packet, idx *QueueIndex) []float64 {
-	delays := []float64{est.SelfDelay(p, idx)}
+func (est *Estimator) KnownDelays(p *packet.Packet, ahead int64) []float64 {
+	delays := []float64{est.SelfDelay(p, ahead)}
 	for _, rep := range est.node.Ctl.Replicas(p.ID) {
 		if rep.Holder == est.node.ID {
 			continue // fresh local estimate already included
@@ -193,8 +195,8 @@ func (est *Estimator) KnownDelays(p *packet.Packet, idx *QueueIndex) []float64 {
 // delivered reports a zero-delay replica (packet effectively at its
 // destination). This is the hot-path form of KnownDelays: it is
 // evaluated once per buffered packet per contact.
-func (est *Estimator) RateSum(p *packet.Packet, idx *QueueIndex) (rate float64, delivered bool) {
-	d := est.SelfDelay(p, idx)
+func (est *Estimator) RateSum(p *packet.Packet, ahead int64) (rate float64, delivered bool) {
+	d := est.SelfDelay(p, ahead)
 	if d == 0 {
 		return 0, true
 	}
@@ -217,8 +219,8 @@ func (est *Estimator) RateSum(p *packet.Packet, idx *QueueIndex) (rate float64, 
 
 // RemainingDelay returns A(i) = E[a(i)], the expected remaining time to
 // deliver p by any replica (Eq. 6/8).
-func (est *Estimator) RemainingDelay(p *packet.Packet, idx *QueueIndex) float64 {
-	rate, delivered := est.RateSum(p, idx)
+func (est *Estimator) RemainingDelay(p *packet.Packet, ahead int64) float64 {
+	rate, delivered := est.RateSum(p, ahead)
 	if delivered {
 		return 0
 	}
@@ -229,6 +231,6 @@ func (est *Estimator) RemainingDelay(p *packet.Packet, idx *QueueIndex) float64 
 }
 
 // ExpectedDelay returns D(i) = T(i) + A(i) (Table 2).
-func (est *Estimator) ExpectedDelay(p *packet.Packet, idx *QueueIndex, now float64) float64 {
-	return p.Age(now) + est.RemainingDelay(p, idx)
+func (est *Estimator) ExpectedDelay(p *packet.Packet, ahead int64, now float64) float64 {
+	return p.Age(now) + est.RemainingDelay(p, ahead)
 }

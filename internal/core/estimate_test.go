@@ -122,15 +122,15 @@ func TestSelfDelayUsesMeetingTimeAndQueue(t *testing.T) {
 	n0.Store.Insert(&buffer.Entry{P: p2}, nil)
 	idx := NewQueueIndex(n0.Store)
 	// Head packet: 1 meeting -> 100 s. Second: 2 meetings -> 200 s.
-	if got := r.est.SelfDelay(p1, idx); got != 100 {
+	if got := r.est.SelfDelay(p1, idx.BytesAhead(p1)); got != 100 {
 		t.Errorf("head self delay %v want 100", got)
 	}
-	if got := r.est.SelfDelay(p2, idx); got != 200 {
+	if got := r.est.SelfDelay(p2, idx.BytesAhead(p2)); got != 200 {
 		t.Errorf("queued self delay %v want 200", got)
 	}
 	// Unknown destination: infinite.
 	pu := &packet.Packet{ID: 3, Dst: 99, Size: 1, Created: 0}
-	if got := r.est.SelfDelay(pu, idx); !math.IsInf(got, 1) {
+	if got := r.est.SelfDelay(pu, idx.BytesAhead(pu)); !math.IsInf(got, 1) {
 		t.Errorf("unreachable dst delay %v want +Inf", got)
 	}
 }
@@ -146,19 +146,19 @@ func TestKnownDelaysIncludesRemoteReplicas(t *testing.T) {
 	n0.Ctl.NoteReplica(control.InventoryItem{
 		ID: p.ID, Dst: p.Dst, Size: p.Size, Created: p.Created, Delay: 50,
 	}, 1, 1)
-	idx := NewQueueIndex(n0.Store)
-	delays := r.est.KnownDelays(p, idx)
+	ahead := NewQueueIndex(n0.Store).BytesAhead(p)
+	delays := r.est.KnownDelays(p, ahead)
 	if len(delays) != 2 {
 		t.Fatalf("delays %v", delays)
 	}
 	// Combined: 1/(1/100 + 1/50) = 33.3…
-	a := r.est.RemainingDelay(p, idx)
+	a := r.est.RemainingDelay(p, ahead)
 	want := 1.0 / (1.0/100 + 1.0/50)
 	if math.Abs(a-want) > 1e-9 {
 		t.Errorf("A(i)=%v want %v", a, want)
 	}
 	// D(i) = T + A at now=10.
-	d := r.est.ExpectedDelay(p, idx, 10)
+	d := r.est.ExpectedDelay(p, ahead, 10)
 	if math.Abs(d-(10+want)) > 1e-9 {
 		t.Errorf("D(i)=%v want %v", d, 10+want)
 	}

@@ -36,10 +36,11 @@ func saturated(t *testing.T, entries int) (*Router, func() *buffer.Entry) {
 	return r, fresh
 }
 
-// TestSaturatedAcceptAllocs: once the own queue index has been built,
-// a saturated Accept (insert plus utility-ranked eviction, which
-// re-indexes the buffer) allocates a constant, small number of objects
-// whatever the buffer population.
+// TestSaturatedAcceptAllocs: once the store's eviction scratch has
+// grown, a saturated Accept (insert plus utility-ranked eviction, which
+// scores every unprotected entry in one walk of the destination queues)
+// allocates a constant, small number of objects whatever the buffer
+// population.
 func TestSaturatedAcceptAllocs(t *testing.T) {
 	measure := func(entries int) float64 {
 		r, fresh := saturated(t, entries)
@@ -48,7 +49,7 @@ func TestSaturatedAcceptAllocs(t *testing.T) {
 		for i := range pool {
 			pool[i] = fresh()
 		}
-		// Warm the store's and index's slices past their growth phase.
+		// Warm the store's slices past their growth phase.
 		for _, e := range pool[:runs] {
 			r.Accept(e, 1, 1e4)
 		}
@@ -71,11 +72,12 @@ func TestSaturatedAcceptAllocs(t *testing.T) {
 }
 
 // TestEvictionScoresPreInsertSnapshot is a differential test of the
-// reused own index: with mixed packet sizes one insert evicts several
-// victims, and they must be exactly those a reference picks by scoring
-// every unprotected entry against a fresh index of the pre-insert store
-// (utilities are pure with respect to the store, so the victims are
-// the lowest-utility prefix that frees enough room).
+// single-walk eviction: with mixed packet sizes one insert evicts
+// several victims, and they must be exactly those a reference picks by
+// scoring every unprotected entry with its bytes ahead from a fresh
+// index of the pre-insert store (utilities are pure with respect to the
+// store, so the victims are the lowest-utility prefix that frees enough
+// room).
 func TestEvictionScoresPreInsertSnapshot(t *testing.T) {
 	for _, metric := range []Metric{AvgDelay, Deadline, MaxDelay} {
 		for seed := int64(1); seed <= 40; seed++ {
@@ -115,8 +117,8 @@ func checkEvictionSnapshot(t *testing.T, metric Metric, seed int64) {
 	for n0.Store.Used() < capacity-5000 {
 		r.Accept(mk(3000), 1, now)
 	}
-	// Build the own index, then move the store, so the insert below
-	// refills a previously used index in place.
+	// Build the own index, then move the store, so the own index is
+	// stale during the insert below (eviction must not read it).
 	r.Inventory(now)
 	r.Accept(mk(800), 1, now)
 
@@ -130,7 +132,7 @@ func checkEvictionSnapshot(t *testing.T, metric Metric, seed int64) {
 	for _, e := range n0.Store.Entries() {
 		if !e.Own {
 			cands = append(cands, e)
-			util[e.P.ID] = evictionUtility(metric, r.est, ref, e, now, cap)
+			util[e.P.ID] = evictionUtility(metric, r.est, ref.BytesAhead(e.P), e, now, cap)
 		}
 	}
 	slices.SortFunc(cands, func(a, b *buffer.Entry) int {
@@ -167,7 +169,7 @@ func checkEvictionSnapshot(t *testing.T, metric Metric, seed int64) {
 	if !slices.Equal(got, want) {
 		t.Fatalf("%v seed %d: evicted %v, pre-insert reference %v", metric, seed, got, want)
 	}
-	// After the insert the reused index tracks the live store again.
+	// After the insert the own index tracks the live store again.
 	fresh := NewQueueIndex(n0.Store)
 	for _, e := range n0.Store.Entries() {
 		if g, w := r.ownIndex().BytesAhead(e.P), fresh.BytesAhead(e.P); g != w {
@@ -178,7 +180,7 @@ func checkEvictionSnapshot(t *testing.T, metric Metric, seed int64) {
 
 // TestSameTimeContactSeesAcceptedReplica: a replica the peer accepted
 // during a first contact (evicting under saturation, so the peer's own
-// index is refilled in place) is visible to a second contact with the
+// index goes stale) is visible to a second contact with the
 // same peer at the same timestamp, and the peer's own estimates track
 // its live buffer.
 func TestSameTimeContactSeesAcceptedReplica(t *testing.T) {
@@ -221,7 +223,7 @@ func TestSameTimeContactSeesAcceptedReplica(t *testing.T) {
 	fresh := NewQueueIndex(n1.Store)
 	for _, it := range r1.Inventory(now) {
 		e := n1.Store.Get(it.ID)
-		if want := r1.est.SelfDelay(e.P, fresh); it.Delay != want {
+		if want := r1.est.SelfDelay(e.P, fresh.BytesAhead(e.P)); it.Delay != want {
 			t.Fatalf("peer inventory delay of %d is %v, fresh index gives %v", it.ID, it.Delay, want)
 		}
 	}

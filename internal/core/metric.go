@@ -106,8 +106,10 @@ func marginalDeadline(rate float64, delivered bool, dY float64, p *packet.Packet
 
 // evictionUtility ranks buffered packets for deletion under storage
 // pressure: lowest utility evicted first (§3.4). The keys follow each
-// metric's utility directly.
-func evictionUtility(m Metric, est *Estimator, idx *QueueIndex, e *buffer.Entry, now, cap float64) float64 {
+// metric's utility directly; ahead is the entry's b(i) in the node's
+// own queue. The deadline key reads the meeting matrix only for live
+// deadlines.
+func evictionUtility(m Metric, est *Estimator, ahead int64, e *buffer.Entry, now, cap float64) float64 {
 	switch m {
 	case Deadline:
 		if e.P.Deadline == 0 {
@@ -117,7 +119,7 @@ func evictionUtility(m Metric, est *Estimator, idx *QueueIndex, e *buffer.Entry,
 		if rem <= 0 {
 			return -1 // expired packets deleted before anything else
 		}
-		rate, delivered := est.RateSum(e.P, idx)
+		rate, delivered := est.RateSum(e.P, ahead)
 		if delivered {
 			return 1
 		}
@@ -126,10 +128,10 @@ func evictionUtility(m Metric, est *Estimator, idx *QueueIndex, e *buffer.Entry,
 		// Keeping the oldest, most-delayed packets is what minimizes
 		// the maximum: evict the packet with the smallest expected
 		// delay first.
-		return capDelay(est.ExpectedDelay(e.P, idx, now), cap)
+		return capDelay(est.ExpectedDelay(e.P, ahead, now), cap)
 	default: // AvgDelay
 		// U = -D(i): the packet with the largest expected delay
 		// contributes least and is evicted first.
-		return -capDelay(est.ExpectedDelay(e.P, idx, now), cap)
+		return -capDelay(est.ExpectedDelay(e.P, ahead, now), cap)
 	}
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 
 	"rapid/internal/buffer"
@@ -19,9 +21,9 @@ type Router struct {
 
 	// ownIdx is the queue index over the node's own buffer as of store
 	// version ownIdxVer. It is refilled in place, reusing its slices,
-	// whenever the store has moved: Inventory, PlanReplication and the
-	// eviction utility of one contact share a single build, and a
-	// saturated Accept rebuilds it without allocating.
+	// when Inventory or PlanReplication finds the store has moved, so
+	// one contact shares a single build. Eviction does not use it: the
+	// store hands each scored entry its bytes ahead.
 	ownIdx    QueueIndex
 	ownIdxVer uint64
 
@@ -117,7 +119,7 @@ func (r *Router) Inventory(now float64) []control.InventoryItem {
 		out = append(out, control.InventoryItem{
 			ID: e.P.ID, Dst: e.P.Dst, Size: e.P.Size,
 			Created: e.P.Created, Deadline: e.P.Deadline,
-			Delay: r.est.SelfDelay(e.P, idx),
+			Delay: r.est.SelfDelay(e.P, idx.BytesAhead(e.P)),
 			Hops:  e.Hops,
 		})
 	}
@@ -200,33 +202,33 @@ func (r *Router) PlanReplication(peer *routing.Node, now float64) []*buffer.Entr
 			// Work-conserving order: decreasing expected delay among
 			// packets the peer could actually deliver.
 			if !math.IsInf(dY, 1) {
-				key = capDelay(r.est.ExpectedDelay(e.P, idx, now), cap)
+				key = capDelay(r.est.ExpectedDelay(e.P, idx.BytesAhead(e.P), now), cap)
 			}
 		case Deadline:
-			rate, delivered := r.est.RateSum(e.P, idx)
+			rate, delivered := r.est.RateSum(e.P, idx.BytesAhead(e.P))
 			key = marginalDeadline(rate, delivered, dY, e.P, now) / float64(e.P.Size)
 		default: // AvgDelay
-			rate, delivered := r.est.RateSum(e.P, idx)
+			rate, delivered := r.est.RateSum(e.P, idx.BytesAhead(e.P))
 			key = marginalAvgDelay(rate, delivered, dY, cap) / float64(e.P.Size)
 		}
 		cands = append(cands, repCand{e: e, key: key, tail: key <= 0})
 	}
 	r.candScratch = cands
-	sort.Slice(cands, func(i, j int) bool {
-		ci, cj := cands[i], cands[j]
+	slices.SortFunc(cands, func(ci, cj repCand) int {
 		if ci.tail != cj.tail {
-			return !ci.tail // intentional candidates first
+			if !ci.tail {
+				return -1 // intentional candidates first
+			}
+			return 1
 		}
 		if !ci.tail && ci.key != cj.key {
-			return ci.key > cj.key
+			return cmp.Compare(cj.key, ci.key) // decreasing δU/s
 		}
-		if ci.tail {
+		if ci.tail && ci.e.P.Created != cj.e.P.Created {
 			// Tail: oldest first (they have waited longest), ID ties.
-			if ci.e.P.Created != cj.e.P.Created {
-				return ci.e.P.Created < cj.e.P.Created
-			}
+			return cmp.Compare(ci.e.P.Created, cj.e.P.Created)
 		}
-		return ci.e.P.ID < cj.e.P.ID
+		return cmp.Compare(ci.e.P.ID, cj.e.P.ID)
 	})
 	out := r.planScratch[:0]
 	for _, c := range cands {
@@ -303,19 +305,11 @@ func (r *Router) peerSnapshot(peer *routing.Node) *QueueIndex {
 }
 
 // bufferUtility returns the eviction ranking for the current metric.
-// Utilities must be pure with respect to the store, so every victim of
-// one insert is scored against the pre-insert snapshot: the own index
-// is refilled at most once, on first use (eviction is rare relative to
-// insertion), and pinned to the pre-insert version so the evictions'
-// own version bumps do not refill it mid-insert.
+// The store scores each unprotected entry once per insert, passing its
+// bytes ahead in the pre-insert queue, so no queue index is read.
 func (r *Router) bufferUtility(now float64) buffer.Utility {
-	pre := r.node.Store.Version()
 	cap := delayCap(r.node.Net.Horizon)
-	return func(e *buffer.Entry) float64 {
-		if r.ownIdxVer != pre {
-			r.ownIdx.fill(r.node.Store)
-			r.ownIdxVer = pre
-		}
-		return evictionUtility(r.metric, r.est, &r.ownIdx, e, now, cap)
+	return func(e *buffer.Entry, ahead int64) float64 {
+		return evictionUtility(r.metric, r.est, ahead, e, now, cap)
 	}
 }

@@ -88,7 +88,7 @@ func (r *Router) Accept(e *buffer.Entry, from packet.NodeID, now float64) bool {
 
 // evictionUtility drops the oldest-received copy first (drop-head
 // FIFO, the classic epidemic buffer policy).
-func (r *Router) evictionUtility(e *buffer.Entry) float64 { return e.ReceivedAt }
+func (r *Router) evictionUtility(e *buffer.Entry, _ int64) float64 { return e.ReceivedAt }
 
 // sortOldestFirst orders by creation time ascending, ID for ties.
 func sortOldestFirst(es []*buffer.Entry) {

@@ -229,7 +229,7 @@ func (r *Router) Accept(e *buffer.Entry, from packet.NodeID, now float64) bool {
 // first): head-of-line packets are valuable (high utility); the rest
 // rank inversely to path cost.
 func (r *Router) evictUtility() buffer.Utility {
-	return func(e *buffer.Entry) float64 {
+	return func(e *buffer.Entry, _ int64) float64 {
 		if e.Hops < HopThreshold {
 			return 1e9 - float64(e.Hops)
 		}

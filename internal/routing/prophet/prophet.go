@@ -170,7 +170,7 @@ func (r *Router) Accept(e *buffer.Entry, from packet.NodeID, now float64) bool {
 
 // evictFIFO drops the oldest-received packet first (PRoPHET's FIFO
 // queue management).
-func evictFIFO(e *buffer.Entry) float64 { return e.ReceivedAt }
+func evictFIFO(e *buffer.Entry, _ int64) float64 { return e.ReceivedAt }
 
 func older(a, b *buffer.Entry) bool {
 	if a.P.Created != b.P.Created {

@@ -79,7 +79,7 @@ func (r *Router) Accept(e *buffer.Entry, from packet.NodeID, now float64) bool {
 
 // evict drops a pseudo-random victim, deterministically derived from
 // the packet ID.
-func (r *Router) evict(e *buffer.Entry) float64 {
+func (r *Router) evict(e *buffer.Entry, _ int64) float64 {
 	h := uint64(e.P.ID)*0x9E3779B97F4A7C15 + 0xBF58476D1CE4E5B9
 	h ^= h >> 31
 	return float64(h%1000) / 1000

@@ -94,7 +94,7 @@ func (r *Router) Accept(e *buffer.Entry, from packet.NodeID, now float64) bool {
 // evictUtility drops packets pseudo-randomly ("Spray and Wait and
 // Random delete packets randomly", §6.3.2) but deterministically: a
 // hash of the packet ID.
-func evictUtility(e *buffer.Entry) float64 {
+func evictUtility(e *buffer.Entry, _ int64) float64 {
 	h := uint64(e.P.ID) * 0x9E3779B97F4A7C15
 	h ^= h >> 29
 	return float64(h%1000) / 1000
