@@ -173,6 +173,59 @@ func BenchmarkQueueIndexBuild(b *testing.B) {
 	}
 }
 
+// BenchmarkPlanReplication measures RAPID's replication plan at one
+// contact: a 4,000-entry own buffer over 20 destinations, a third of
+// its packets with a remote replica estimate, priced against a
+// 4,000-entry peer buffer that holds a quarter of them too, under the
+// average-delay metric. The peer's queue index is built on the first
+// op and reused after, as within one session, so each op is the pass
+// that prices every candidate plus the sort.
+func BenchmarkPlanReplication(b *testing.B) {
+	const entries, dsts = 4000, 20
+	ids := make([]packet.NodeID, dsts+2)
+	for i := range ids {
+		ids[i] = packet.NodeID(i)
+	}
+	net := routing.NewNetwork(sim.New(1), ids, core.New(core.AvgDelay),
+		routing.Config{Mode: routing.ControlInBand, MetaFraction: -1, DefaultTransferBytes: 64 << 10})
+	net.Horizon = 1e5
+	own, peer := net.Node(0), net.Node(1)
+	peerRow := map[packet.NodeID]float64{}
+	for d := packet.NodeID(2); d < dsts+2; d++ {
+		own.Ctl.Meet.ObserveMeeting(d, float64(100+10*d))
+		peerRow[d] = float64(50 + 20*d)
+	}
+	own.Ctl.Meet.MergeTable(1, peerRow)
+	own.Ctl.ObserveTransfer(64 << 10)
+	r := rand.New(rand.NewSource(1))
+	mk := func(id int) *packet.Packet {
+		return &packet.Packet{
+			ID: packet.ID(id), Src: 0, Dst: packet.NodeID(2 + r.Intn(dsts)),
+			Size: 1 << 10, Created: r.Float64() * 1e4,
+		}
+	}
+	for i := 0; i < entries; i++ {
+		p := mk(i)
+		own.Store.Insert(&buffer.Entry{P: p}, nil)
+		if i%4 == 0 {
+			peer.Store.Insert(&buffer.Entry{P: p}, nil)
+		}
+		if i%3 == 0 {
+			own.Ctl.NoteReplica(control.InventoryItem{
+				ID: p.ID, Dst: p.Dst, Size: p.Size, Created: p.Created,
+				Delay: 200 + r.Float64()*1000,
+			}, packet.NodeID(100+i%50), 1)
+		}
+	}
+	for i := entries; peer.Store.Len() < entries; i++ {
+		peer.Store.Insert(&buffer.Entry{P: mk(i)}, nil)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		own.Router.PlanReplication(peer, 2e4)
+	}
+}
+
 // BenchmarkSaturatedAccept measures buffer eviction: a RAPID avg-delay
 // router on a full 100 KB store of 1 KB packets accepting replicas, so
 // every op is an insert plus a utility-ranked eviction over the whole

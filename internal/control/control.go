@@ -178,7 +178,9 @@ type State struct {
 	// bytes of directory per 1024 IDs up to the highest ID recorded,
 	// plus 8 bytes per record on a sparse page or 8 KiB per dense one
 	// (packet.Table). Only protocols that read or gossip records write
-	// them (routing's acceptReplica), so the others pay nothing.
+	// them (routing's acceptReplica), so the others pay nothing. The
+	// records list only other holders: nothing in-band reads an entry
+	// for the node's own copy (NoteReplica).
 	acked ackSet
 	meta  packet.Table[PacketMeta]
 	// tableAsOf is the freshness of merged meet tables, indexed by
@@ -344,8 +346,16 @@ func (s *State) IsAcked(id packet.ID) bool {
 }
 
 // NoteReplica records (or refreshes) knowledge that `holder` carries a
-// replica with the given delivery-delay estimate.
+// replica with the given delivery-delay estimate. On an in-band state a
+// note of the node's own copy is dropped: the node's estimators price
+// their own copy afresh, its inventories announce that estimate, and
+// replica gossip skips it, so nothing would read the entry. On the
+// global channel it is kept, because other nodes read the shared
+// snapshot.
 func (s *State) NoteReplica(item InventoryItem, holder packet.NodeID, now float64) {
+	if s.global == nil && holder == s.self {
+		return
+	}
 	if s.IsAcked(item.ID) {
 		return
 	}
@@ -358,9 +368,8 @@ func (s *State) NoteReplica(item InventoryItem, holder packet.NodeID, now float6
 		m = newMeta(item)
 		s.meta.Set(item.ID, m)
 	}
-	// Self-held replicas ride inventories, not the third-party gossip
-	// log; immaterial delay wiggles are not worth re-flooding either.
-	if m.upsertReplica(holder, item.Delay, now) && holder != s.self {
+	// Immaterial delay wiggles are not worth re-flooding.
+	if m.upsertReplica(holder, item.Delay, now) {
 		s.logMeta(m, now)
 	}
 }
@@ -543,7 +552,8 @@ func Exchange(a, b *State, invA, invB []InventoryItem, now float64, opts Options
 	// per-destination queue digests (see the wire-size constants). The
 	// holder's own delay estimates ride the digest ("For each of its
 	// own packets, the updated delivery delay estimate based on current
-	// buffer state").
+	// buffer state"); the receiver records them under the sender, and
+	// the sender keeps no record of its own copies (NoteReplica).
 	for _, dir := range []struct {
 		from, to *State
 		inv      []InventoryItem
@@ -557,7 +567,6 @@ func Exchange(a, b *State, invA, invB []InventoryItem, now float64, opts Options
 			return finishExchange(a, b, now, res)
 		}
 		for _, it := range dir.inv {
-			dir.from.NoteReplica(it, dir.from.self, now) // keep own estimate fresh
 			if dir.to.IsAcked(it.ID) {
 				continue
 			}

@@ -45,9 +45,9 @@ func TestExchangeInventoryCreatesReplicaKnowledge(t *testing.T) {
 	if len(reps) != 1 || reps[0].Holder != 0 || reps[0].Delay != 300 {
 		t.Fatalf("replicas=%v", reps)
 	}
-	// The announcing side records its own self-announcement too.
-	if got := a.ReplicaCount(7); got != 1 {
-		t.Errorf("sender replica count=%d want 1", got)
+	// The announcing side keeps no in-band record of its own copy.
+	if got := a.ReplicaCount(7); got != 0 {
+		t.Errorf("sender replica count=%d want 0", got)
 	}
 	m := b.Meta(7)
 	if m == nil || m.Dst != 5 || m.Size != 1024 {
@@ -388,7 +388,7 @@ func TestExchangeAllocs(t *testing.T) {
 		for i := 0; i < 4; i++ {
 			step()
 		}
-		if got := b.Replicas(packet.ID(1)); len(got) != 2 || got[1].Holder != 2 || got[1].Updated != now {
+		if got := b.Replicas(packet.ID(1)); len(got) != 1 || got[0].Holder != 2 || got[0].Updated != now {
 			t.Fatalf("receiver replicas %+v at %v: gossip not flowing", got, now)
 		}
 		return testing.AllocsPerRun(50, step)

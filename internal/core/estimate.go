@@ -9,7 +9,6 @@ package core
 
 import (
 	"math"
-	"slices"
 
 	"rapid/internal/buffer"
 	"rapid/internal/packet"
@@ -21,7 +20,11 @@ import (
 // packets that precede i (Fig. 1 of the paper). Queues are ordered
 // oldest-first — "sorted in decreasing order of T(i) or time since
 // creation — the order in which they would be delivered directly"
-// (§4.1).
+// (§4.1). RAPID builds one over the contact peer's buffer at planning
+// time: it is the snapshot that prices hypothetical replicas at the
+// peer for the rest of the session. A node's own b(i) needs no index;
+// Inventory, PlanReplication and eviction read it off one walk of the
+// store's destination queues.
 type QueueIndex struct {
 	// byDst is indexed by the run's dense destination IDs; a packet's
 	// position is found by binary search in its destination's queue.
@@ -38,45 +41,47 @@ type qent struct {
 }
 
 // NewQueueIndex builds a fresh index for a store's current contents.
+// The store maintains per-destination delivery-ordered queues, so the
+// build is a linear prefix-sum pass — no scan-and-sort of the whole
+// buffer.
 func NewQueueIndex(store *buffer.Store) *QueueIndex {
-	idx := &QueueIndex{}
-	idx.fill(store)
-	return idx
-}
-
-// fill rebuilds the index from the store's current contents, reusing
-// the index's slices. The store maintains per-destination
-// delivery-ordered queues, so the build is a linear prefix-sum pass —
-// no scan-and-sort of the whole buffer.
-func (q *QueueIndex) fill(store *buffer.Store) {
-	for i := range q.byDst {
-		q.byDst[i] = q.byDst[i][:0]
-	}
+	q := &QueueIndex{}
 	store.EachQueue(func(dst packet.NodeID, queue []*buffer.Entry) {
 		for len(q.byDst) <= int(dst) {
 			q.byDst = append(q.byDst, nil)
 		}
-		ents := slices.Grow(q.byDst[dst], len(queue))
+		ents := make([]qent, len(queue))
 		var cum int64
-		for _, e := range queue {
-			ents = append(ents, qent{created: e.P.Created, id: e.P.ID, size: e.P.Size, cum: cum})
+		for i, e := range queue {
+			ents[i] = qent{created: e.P.Created, id: e.P.ID, size: e.P.Size, cum: cum}
 			cum += e.P.Size
 		}
 		q.byDst[dst] = ents
 	})
+	return q
+}
+
+// before reports whether e precedes p in delivery order.
+func (e qent) before(p *packet.Packet) bool {
+	return e.created < p.Created || (e.created == p.Created && e.id < p.ID)
+}
+
+// queue returns the indexed queue for dst (nil when none is indexed).
+func (q *QueueIndex) queue(dst packet.NodeID) []qent {
+	if dst < 0 || int(dst) >= len(q.byDst) {
+		return nil
+	}
+	return q.byDst[dst]
 }
 
 // position returns p's destination queue and the index of its first
 // entry not older than p. O(log q).
 func (q *QueueIndex) position(p *packet.Packet) ([]qent, int) {
-	if p.Dst < 0 || int(p.Dst) >= len(q.byDst) {
-		return nil, 0
-	}
-	ents := q.byDst[p.Dst]
+	ents := q.queue(p.Dst)
 	lo, hi := 0, len(ents)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if e := ents[mid]; e.created < p.Created || (e.created == p.Created && e.id < p.ID) {
+		if ents[mid].before(p) {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -87,6 +92,8 @@ func (q *QueueIndex) position(p *packet.Packet) ([]qent, int) {
 
 // BytesAhead returns b(i) for a packet in the indexed buffer, or 0 for
 // a packet not in it (for hypothetical placements use HypoBytesAhead).
+// RAPID reads its own b(i) off its queue walks; tests use this lookup
+// as their from-scratch reference.
 func (q *QueueIndex) BytesAhead(p *packet.Packet) int64 {
 	if ents, i := q.position(p); i < len(ents) && ents[i].id == p.ID {
 		return ents[i].cum
@@ -100,9 +107,14 @@ func (q *QueueIndex) BytesAhead(p *packet.Packet) int64 {
 // contact peer (the peer's queue as just announced).
 func (q *QueueIndex) HypoBytesAhead(p *packet.Packet) int64 {
 	ents, i := q.position(p)
-	// Everything before i is strictly older; if p itself is present at
-	// position i, its own bytes are not ahead of it.
-	if i < len(ents) && ents[i].id == p.ID {
+	return hypoAt(ents, i, p.ID)
+}
+
+// hypoAt is HypoBytesAhead for packet id whose position in ents is i.
+// Everything before i is strictly older; if the packet itself sits at
+// i, its own bytes are not ahead of it.
+func hypoAt(ents []qent, i int, id packet.ID) int64 {
+	if i < len(ents) && ents[i].id == id {
 		return ents[i].cum
 	}
 	if i == 0 {
@@ -111,13 +123,32 @@ func (q *QueueIndex) HypoBytesAhead(p *packet.Packet) int64 {
 	return ents[i-1].cum + ents[i-1].size
 }
 
+// queueCursor answers HypoBytesAhead for the packets of one
+// destination offered in delivery order: its position only moves
+// forward, so a whole queue costs one pass over the indexed queue
+// instead of a binary search per packet.
+type queueCursor struct {
+	ents []qent
+	i    int
+}
+
+// hypoBytesAhead returns HypoBytesAhead(p). p must not precede the
+// packet of the previous call in delivery order.
+func (c *queueCursor) hypoBytesAhead(p *packet.Packet) int64 {
+	for c.i < len(c.ents) && c.ents[c.i].before(p) {
+		c.i++
+	}
+	return hypoAt(c.ents, c.i, p.ID)
+}
+
 // Estimator implements Estimate-Delay (§4.1) from one node's local
 // view: its own buffer, its control state (replica metadata, average
 // transfer sizes), and its meeting-time matrix. Estimates are computed
 // on demand: each is a memoized meeting-matrix read and a walk over the
-// packet's replicas. The caller supplies the packet's position in the
-// node's own queue, ahead = b(i), from a QueueIndex or from a walk of
-// the store's destination queues.
+// packet's replicas. The caller supplies queue positions as bytes
+// ahead: b(i) in the node's own queue, from a walk of the store's
+// destination queues, and the hypothetical b(i) at a peer, from the
+// peer's QueueIndex.
 type Estimator struct {
 	node *routing.Node
 }
@@ -160,16 +191,16 @@ func (est *Estimator) SelfDelay(p *packet.Packet, ahead int64) float64 {
 }
 
 // PeerDelay hypothesizes the direct-delivery time of a replica of p
-// placed at peer right now, using peer's just-announced buffer state
-// (pre-indexed in peerIdx) and the local matrix's estimate of E(M_YZ).
-func (est *Estimator) PeerDelay(peer *routing.Node, peerIdx *QueueIndex, p *packet.Packet) float64 {
+// placed at peer right now, with `ahead` bytes queued before it in the
+// peer's just-announced buffer (its HypoBytesAhead), and the local
+// matrix's estimate of E(M_YZ).
+func (est *Estimator) PeerDelay(peer *routing.Node, ahead int64, p *packet.Packet) float64 {
 	em := est.node.Ctl.Meet.Expected(peer.ID, p.Dst)
 	if math.IsInf(em, 1) {
 		return math.Inf(1)
 	}
 	b := est.node.Ctl.AvgTransferOf(peer.ID, est.node.Net.Cfg.DefaultTransferBytes)
-	n := meetingsNeeded(peerIdx.HypoBytesAhead(p), p.Size, b)
-	return em * n
+	return em * meetingsNeeded(ahead, p.Size, b)
 }
 
 // KnownDelays gathers the per-replica expected direct-delivery delays
@@ -180,7 +211,9 @@ func (est *Estimator) KnownDelays(p *packet.Packet, ahead int64) []float64 {
 	delays := []float64{est.SelfDelay(p, ahead)}
 	for _, rep := range est.node.Ctl.Replicas(p.ID) {
 		if rep.Holder == est.node.ID {
-			continue // fresh local estimate already included
+			// Fresh local estimate already included (only the global
+			// channel's shared snapshot lists the node itself).
+			continue
 		}
 		if rep.Holder == p.Dst {
 			continue // a replica at the destination is a delivery; ack pending

@@ -174,7 +174,7 @@ func TestPeerDelayHypothesis(t *testing.T) {
 	n1.Store.Insert(&buffer.Entry{P: &packet.Packet{ID: 9, Dst: 2, Size: 1000, Created: 0}}, nil)
 	p.Created = 10
 	// b_Y = 1000 (the older packet), so n = ceil(2000/1000) = 2.
-	if got := r.est.PeerDelay(n1, NewQueueIndex(n1.Store), p); got != 80 {
+	if got := r.est.PeerDelay(n1, NewQueueIndex(n1.Store).HypoBytesAhead(p), p); got != 80 {
 		t.Errorf("peer delay %v want 80", got)
 	}
 }

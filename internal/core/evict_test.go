@@ -117,8 +117,8 @@ func checkEvictionSnapshot(t *testing.T, metric Metric, seed int64) {
 	for n0.Store.Used() < capacity-5000 {
 		r.Accept(mk(3000), 1, now)
 	}
-	// Build the own index, then move the store, so the own index is
-	// stale during the insert below (eviction must not read it).
+	// An inventory, then a further insert: eviction must read nothing
+	// either leaves behind.
 	r.Inventory(now)
 	r.Accept(mk(800), 1, now)
 
@@ -169,11 +169,12 @@ func checkEvictionSnapshot(t *testing.T, metric Metric, seed int64) {
 	if !slices.Equal(got, want) {
 		t.Fatalf("%v seed %d: evicted %v, pre-insert reference %v", metric, seed, got, want)
 	}
-	// After the insert the own index tracks the live store again.
+	// After the insert the inventory prices the live store.
 	fresh := NewQueueIndex(n0.Store)
-	for _, e := range n0.Store.Entries() {
-		if g, w := r.ownIndex().BytesAhead(e.P), fresh.BytesAhead(e.P); g != w {
-			t.Fatalf("%v seed %d: own index b(%d)=%d, fresh %d", metric, seed, e.P.ID, g, w)
+	for _, it := range r.Inventory(now) {
+		e := n0.Store.Get(it.ID)
+		if want := r.est.SelfDelay(e.P, fresh.BytesAhead(e.P)); it.Delay != want {
+			t.Fatalf("%v seed %d: inventory delay of %d is %v, fresh index gives %v", metric, seed, it.ID, it.Delay, want)
 		}
 	}
 }
@@ -214,7 +215,7 @@ func TestSameTimeContactSeesAcceptedReplica(t *testing.T) {
 	// Second contact, same timestamp: p now queues ahead of q at n1.
 	r0.PlanReplication(n1, now)
 	d2 := r0.EstimateReplicaDelay(n0.Store.Get(q.ID), n1, now)
-	if want := r0.est.PeerDelay(n1, NewQueueIndex(n1.Store), q); d2 != want {
+	if want := r0.est.PeerDelay(n1, NewQueueIndex(n1.Store).HypoBytesAhead(q), q); d2 != want {
 		t.Fatalf("second contact estimate %v, fresh peer index %v", d2, want)
 	}
 	if !(d2 > d1) {

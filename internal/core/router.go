@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"math"
 	"slices"
-	"sort"
 
 	"rapid/internal/buffer"
 	"rapid/internal/control"
@@ -13,19 +12,13 @@ import (
 )
 
 // Router is the RAPID protocol (Protocol rapid, §3.4) bound to one
-// node. Construct via New.
+// node. Construct via New. It keeps no index over its own buffer:
+// Inventory, PlanReplication and eviction each walk the store's
+// destination queues once, summing b(i) as they go.
 type Router struct {
 	metric Metric
 	node   *routing.Node
 	est    *Estimator
-
-	// ownIdx is the queue index over the node's own buffer as of store
-	// version ownIdxVer. It is refilled in place, reusing its slices,
-	// when Inventory or PlanReplication finds the store has moved, so
-	// one contact shares a single build. Eviction does not use it: the
-	// store hands each scored entry its bytes ahead.
-	ownIdx    QueueIndex
-	ownIdxVer uint64
 
 	// peerIdx caches the contact peer's queue index between
 	// PlanReplication and the per-send EstimateReplicaDelay calls of
@@ -79,15 +72,16 @@ func (r *Router) Metric() Metric { return r.metric }
 func (r *Router) Attach(n *routing.Node) {
 	r.node = n
 	r.est = NewEstimator(n)
-	r.ownIdx.fill(n.Store)
-	r.ownIdxVer = n.Store.Version()
 }
 
 // Generate implements routing.Router: store the new packet as the
-// protected source copy and announce the replica to the control plane.
-// The fresh packet is younger than everything buffered, so its queue
-// position is the per-destination byte total — no index build needed
-// (packet generation is the highest-frequency event in the simulator).
+// protected source copy and, on the global channel, announce the
+// replica to the shared snapshot. In-band, nothing reads a node's
+// record of its own copy (its inventories carry that estimate), so
+// none is written. The fresh packet is younger than everything
+// buffered, so its queue position is the per-destination byte total —
+// no index build needed (packet generation is the highest-frequency
+// event in the simulator).
 func (r *Router) Generate(p *packet.Packet, now float64) {
 	// Compute the position before inserting so the packet's own bytes
 	// are not counted ahead of itself.
@@ -95,6 +89,9 @@ func (r *Router) Generate(p *packet.Packet, now float64) {
 	e := &buffer.Entry{P: p, ReceivedAt: now, Own: true}
 	if !r.node.Store.Insert(e, r.bufferUtility(now)) {
 		return // a packet larger than total storage cannot be routed
+	}
+	if !r.node.Ctl.Global() {
+		return
 	}
 	delay := math.Inf(1)
 	if em := r.node.Ctl.Meet.Expected(r.node.ID, p.Dst); !math.IsInf(em, 1) {
@@ -111,18 +108,22 @@ func (r *Router) Generate(p *packet.Packet, now float64) {
 // Inventory implements routing.Router: announce every buffered packet
 // with a fresh local delivery estimate ("For each of its own packets,
 // the updated delivery delay estimate based on current buffer state",
-// §4.2).
+// §4.2). Items come in destination-queue order, each priced with the
+// running byte sum of its queue.
 func (r *Router) Inventory(now float64) []control.InventoryItem {
-	idx := r.ownIndex()
 	out := r.invScratch[:0]
-	for _, e := range r.node.Store.Entries() {
-		out = append(out, control.InventoryItem{
-			ID: e.P.ID, Dst: e.P.Dst, Size: e.P.Size,
-			Created: e.P.Created, Deadline: e.P.Deadline,
-			Delay: r.est.SelfDelay(e.P, idx.BytesAhead(e.P)),
-			Hops:  e.Hops,
-		})
-	}
+	r.node.Store.EachQueue(func(_ packet.NodeID, q []*buffer.Entry) {
+		var ahead int64
+		for _, e := range q {
+			out = append(out, control.InventoryItem{
+				ID: e.P.ID, Dst: e.P.Dst, Size: e.P.Size,
+				Created: e.P.Created, Deadline: e.P.Deadline,
+				Delay: r.est.SelfDelay(e.P, ahead),
+				Hops:  e.Hops,
+			})
+			ahead += e.P.Size
+		}
+	})
 	r.invScratch = out
 	return out
 }
@@ -138,19 +139,25 @@ func (r *Router) DirectQueue(peer packet.NodeID, now float64) []*buffer.Entry {
 	out := append(r.dqScratch[:0], r.node.Store.Queue(peer)...)
 	r.dqScratch = out
 	if r.metric == Deadline {
-		sort.Slice(out, func(i, j int) bool {
-			ei, ej := out[i], out[j]
+		slices.SortFunc(out, func(ei, ej *buffer.Entry) int {
 			ri, iOK := remaining(ei.P, now)
 			rj, jOK := remaining(ej.P, now)
 			if iOK != jOK {
-				return iOK // live-deadline packets before expired/none
+				if iOK {
+					return -1 // live-deadline packets before expired/none
+				}
+				return 1
 			}
-			if iOK && ri != rj {
-				return ri < rj // most urgent first
+			if iOK {
+				if c := cmp.Compare(ri, rj); c != 0 {
+					return c // most urgent first
+				}
 			}
-			return olderFirst(ei, ej)
+			if c := cmp.Compare(ei.P.Created, ej.P.Created); c != 0 {
+				return c // oldest first, ID ties
+			}
+			return cmp.Compare(ei.P.ID, ej.P.ID)
 		})
-		return out
 	}
 	return out
 }
@@ -161,13 +168,6 @@ func remaining(p *packet.Packet, now float64) (float64, bool) {
 	}
 	rem := p.Deadline - now
 	return rem, rem > 0
-}
-
-func olderFirst(a, b *buffer.Entry) bool {
-	if a.P.Created != b.P.Created {
-		return a.P.Created < b.P.Created
-	}
-	return a.P.ID < b.P.ID
 }
 
 // PlanReplication implements routing.Router (Protocol rapid Step 3):
@@ -186,56 +186,80 @@ func olderFirst(a, b *buffer.Entry) bool {
 // rule). Because a replicated packet is immediately skipped by the
 // session thereafter, the recalculated order is exactly decreasing
 // D(i) — which is how it is produced here.
+//
+// One walk of the destination queues prices every candidate: b(i) at
+// this node is the queue's running byte sum, and the hypothetical b(i)
+// at the peer comes from a cursor over the peer's queue for the same
+// destination. The walk order is immaterial, because the candidates are
+// then sorted by a strict total order (every key tie falls to the
+// packet ID).
 func (r *Router) PlanReplication(peer *routing.Node, now float64) []*buffer.Entry {
-	idx := r.ownIndex()
 	peerIdx := r.peerIndex(peer)
 	cap := delayCap(r.node.Net.Horizon)
 	cands := r.candScratch[:0]
-	for _, e := range r.node.Store.Entries() {
-		if e.P.Dst == peer.ID {
-			continue
+	r.node.Store.EachQueue(func(dst packet.NodeID, q []*buffer.Entry) {
+		if dst == peer.ID {
+			return // direct delivery, not replication
 		}
-		dY := r.est.PeerDelay(peer, peerIdx, e.P)
-		var key float64
-		switch r.metric {
-		case MaxDelay:
-			// Work-conserving order: decreasing expected delay among
-			// packets the peer could actually deliver.
-			if !math.IsInf(dY, 1) {
-				key = capDelay(r.est.ExpectedDelay(e.P, idx.BytesAhead(e.P), now), cap)
-			}
-		case Deadline:
-			rate, delivered := r.est.RateSum(e.P, idx.BytesAhead(e.P))
-			key = marginalDeadline(rate, delivered, dY, e.P, now) / float64(e.P.Size)
-		default: // AvgDelay
-			rate, delivered := r.est.RateSum(e.P, idx.BytesAhead(e.P))
-			key = marginalAvgDelay(rate, delivered, dY, cap) / float64(e.P.Size)
+		peerQ := queueCursor{ents: peerIdx.queue(dst)}
+		var ahead int64
+		for _, e := range q {
+			cands = append(cands, r.candidate(peer, e, ahead, peerQ.hypoBytesAhead(e.P), now, cap))
+			ahead += e.P.Size
 		}
-		cands = append(cands, repCand{e: e, key: key, tail: key <= 0})
-	}
-	r.candScratch = cands
-	slices.SortFunc(cands, func(ci, cj repCand) int {
-		if ci.tail != cj.tail {
-			if !ci.tail {
-				return -1 // intentional candidates first
-			}
-			return 1
-		}
-		if !ci.tail && ci.key != cj.key {
-			return cmp.Compare(cj.key, ci.key) // decreasing δU/s
-		}
-		if ci.tail && ci.e.P.Created != cj.e.P.Created {
-			// Tail: oldest first (they have waited longest), ID ties.
-			return cmp.Compare(ci.e.P.Created, cj.e.P.Created)
-		}
-		return cmp.Compare(ci.e.P.ID, cj.e.P.ID)
 	})
+	r.candScratch = cands
+	slices.SortFunc(cands, planOrder)
 	out := r.planScratch[:0]
 	for _, c := range cands {
 		out = append(out, c.e)
 	}
 	r.planScratch = out
 	return out
+}
+
+// candidate prices replicating e to peer, with b(i) = ahead bytes
+// queued before e here and peerAhead at the peer.
+func (r *Router) candidate(peer *routing.Node, e *buffer.Entry, ahead, peerAhead int64, now, cap float64) repCand {
+	dY := r.est.PeerDelay(peer, peerAhead, e.P)
+	var key float64
+	switch r.metric {
+	case MaxDelay:
+		// Work-conserving order: decreasing expected delay among
+		// packets the peer could actually deliver.
+		if !math.IsInf(dY, 1) {
+			key = capDelay(r.est.ExpectedDelay(e.P, ahead, now), cap)
+		}
+	case Deadline:
+		rate, delivered := r.est.RateSum(e.P, ahead)
+		key = marginalDeadline(rate, delivered, dY, e.P, now) / float64(e.P.Size)
+	default: // AvgDelay
+		rate, delivered := r.est.RateSum(e.P, ahead)
+		key = marginalAvgDelay(rate, delivered, dY, cap) / float64(e.P.Size)
+	}
+	return repCand{e: e, key: key, tail: key <= 0}
+}
+
+// planOrder ranks replication candidates: intentional ones first in
+// decreasing δU/s, then the tail oldest first. It is a strict total
+// order (two NaN keys compare equal and fall to the ID tie-break like
+// any other tie), so the plan does not depend on the candidates' input
+// order.
+func planOrder(ci, cj repCand) int {
+	if ci.tail != cj.tail {
+		if !ci.tail {
+			return -1 // intentional candidates first
+		}
+		return 1
+	}
+	if !ci.tail {
+		if c := cmp.Compare(cj.key, ci.key); c != 0 {
+			return c // decreasing δU/s
+		}
+	} else if c := cmp.Compare(ci.e.P.Created, cj.e.P.Created); c != 0 {
+		return c // tail: oldest first (they have waited longest)
+	}
+	return cmp.Compare(ci.e.P.ID, cj.e.P.ID)
 }
 
 // Accept implements routing.Router: store the replica under the
@@ -252,7 +276,7 @@ func (r *Router) Accept(e *buffer.Entry, from packet.NodeID, now float64) bool {
 // after each one would both change the announced estimates and
 // reintroduce the O(|buffer|²) rebuild cost.
 func (r *Router) EstimateReplicaDelay(e *buffer.Entry, holder *routing.Node, now float64) float64 {
-	return r.est.PeerDelay(holder, r.peerSnapshot(holder), e.P)
+	return r.est.PeerDelay(holder, r.peerSnapshot(holder).HypoBytesAhead(e.P), e.P)
 }
 
 // SnapshotReplicaDelays implements routing.ReplicaDelaySnapshotter:
@@ -263,22 +287,12 @@ func (r *Router) EstimateReplicaDelay(e *buffer.Entry, holder *routing.Node, now
 func (r *Router) SnapshotReplicaDelays(holder *routing.Node) routing.ReplicaDelayFunc {
 	idx := r.peerIndex(holder)
 	return func(e *buffer.Entry) float64 {
-		return r.est.PeerDelay(holder, idx, e.P)
+		return r.est.PeerDelay(holder, idx.HypoBytesAhead(e.P), e.P)
 	}
-}
-
-// ownIndex returns the queue index over the node's own buffer,
-// refilled only when the store has changed since the last fill.
-func (r *Router) ownIndex() *QueueIndex {
-	if v := r.node.Store.Version(); r.ownIdxVer != v {
-		r.ownIdx.fill(r.node.Store)
-		r.ownIdxVer = v
-	}
-	return &r.ownIdx
 }
 
 // peerIndex returns a fresh queue index over the peer's buffer as it
-// stands right now. Unlike the own index it is never refilled in place:
+// stands right now. It is never refilled in place:
 // SnapshotReplicaDelays pins it across a window. The cached build is
 // reused only while the peer's store is unchanged (the index is a pure
 // function of the store, so version equality makes reuse exact). Called

@@ -2,13 +2,16 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"rapid/internal/buffer"
 	"rapid/internal/control"
+	"rapid/internal/metrics"
 	"rapid/internal/mobility"
 	"rapid/internal/packet"
 	"rapid/internal/routing"
+	"rapid/internal/sim"
 	"rapid/internal/trace"
 )
 
@@ -20,8 +23,82 @@ func TestGenerateStoresOwnProtectedCopy(t *testing.T) {
 	if e == nil || !e.Own {
 		t.Fatal("generated packet not stored as own copy")
 	}
-	if n0.Ctl.ReplicaCount(1) != 1 {
-		t.Error("self replica not announced to control plane")
+	// In-band, nothing reads a record of the node's own copy.
+	if got := n0.Ctl.ReplicaCount(1); got != 0 {
+		t.Errorf("in-band self replica recorded: %d replicas", got)
+	}
+
+	// On the global channel the shared snapshot lists the generator.
+	net := routing.NewNetwork(sim.New(1), []packet.NodeID{0, 1, 2},
+		New(AvgDelay), routing.Config{Mode: routing.ControlGlobal, DefaultTransferBytes: 1000})
+	net.Node(0).Router.Generate(p, 0)
+	if reps := net.Node(2).Ctl.Replicas(1); len(reps) != 1 || reps[0].Holder != 0 {
+		t.Errorf("global snapshot replicas %+v, want the generator", reps)
+	}
+}
+
+// TestNoSelfHeldRecordsInBand: throughout an in-band RAPID run no
+// node's record of any workload packet lists the node itself, while
+// records of other holders exist. On the global channel the shared
+// snapshot still lists every generated packet's source.
+func TestNoSelfHeldRecordsInBand(t *testing.T) {
+	model := mobility.Exponential{Config: mobility.Config{
+		Nodes: 8, Duration: 600, MeanMeeting: 60, TransferBytes: 20 << 10,
+	}}
+	sched := model.Schedule(rand.New(rand.NewSource(3)))
+	w := packet.Generate(packet.GenConfig{
+		Nodes: sched.Nodes(), PacketsPerHourPerDest: 1, LoadWindow: 50,
+		Duration: 400, PacketSize: 1 << 10, FirstID: 1,
+	}, rand.New(rand.NewSource(4)))
+	// run returns the network as the last event left it, calling check
+	// (if any) after every event.
+	run := func(mode routing.ControlMode, check func(*routing.Network)) (*routing.Network, *metrics.Collector) {
+		var net *routing.Network
+		c := routing.Run(routing.Scenario{
+			Schedule: sched, Workload: w, Factory: New(AvgDelay),
+			Cfg: routing.Config{
+				BufferBytes: 100 << 10, Mode: mode,
+				MetaFraction: -1, DefaultTransferBytes: 20 << 10,
+			},
+			Seed: 5,
+			Hooks: &routing.Hooks{AfterEvent: func(n *routing.Network) {
+				net = n
+				if check != nil {
+					check(n)
+				}
+			}},
+		})
+		if c.Replications == 0 {
+			t.Fatalf("%v: vacuous run (no replications)", mode)
+		}
+		return net, c
+	}
+
+	nodes := sched.Nodes()
+	others := 0
+	run(routing.ControlInBand, func(net *routing.Network) {
+		for _, p := range w {
+			for _, id := range nodes {
+				for _, rep := range net.Node(id).Ctl.Replicas(p.ID) {
+					if rep.Holder == id {
+						t.Fatalf("node %d's record of packet %d lists the node itself: %+v", id, p.ID, net.Node(id).Ctl.Replicas(p.ID))
+					}
+					others++
+				}
+			}
+		}
+	})
+	if others == 0 {
+		t.Fatal("in-band run kept no replica records at all")
+	}
+	t.Logf("%d packets, %d other-holder entries seen", len(w), others)
+
+	net, c := run(routing.ControlGlobal, nil)
+	for _, r := range c.Records() {
+		reps := net.Node(r.P.Src).Ctl.Replicas(r.P.ID)
+		if !slices.ContainsFunc(reps, func(rep control.ReplicaEstimate) bool { return rep.Holder == r.P.Src }) {
+			t.Fatalf("global snapshot of packet %d does not list its source %d: %+v", r.P.ID, r.P.Src, reps)
+		}
 	}
 }
 
