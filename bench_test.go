@@ -449,9 +449,10 @@ func BenchmarkCGRPlan(b *testing.B) {
 		b.Fatal(err)
 	}
 	rs := scs[0].Materialize()
-	net := routing.NewNetwork(sim.New(rs.Seed), rs.Schedule.Nodes(), rs.Factory, rs.Cfg)
+	sched := rs.Plan.Expand()
+	net := routing.NewNetwork(sim.New(rs.Seed), sched.Nodes(), rs.Factory, rs.Cfg)
 	src := net.Nodes[0]
-	src.Router.(routing.SchedulePrimer).PrimeSchedule(rs.Schedule, net)
+	src.Router.(routing.SchedulePrimer).PrimeSchedule(sched, net)
 	deliver := src.Router.(routing.DeliveryObserver)
 	const now = 450
 	p := &packet.Packet{ID: 1, Src: 0, Dst: 11, Size: 1 << 10, Created: now}

@@ -3,7 +3,6 @@ package mobility
 import (
 	"errors"
 	"math"
-	"math/rand"
 
 	"rapid/internal/packet"
 	"rapid/internal/trace"
@@ -28,11 +27,6 @@ type ConstellationConfig struct {
 	// contact window; GroundBytes of one ground pass.
 	ISLBytes    int64
 	GroundBytes int64
-	// JitterFrac, when positive, perturbs each contact instant by up to
-	// ±JitterFrac of its repeat interval using the schedule seed —
-	// modeling clock/ephemeris error. Zero keeps the plan strictly
-	// deterministic: every seed yields the byte-identical schedule.
-	JitterFrac float64
 
 	// Windowed-contact emission. When PassWindow > 0 the plan carries
 	// duration-aware pass windows with finite link rates instead of
@@ -82,15 +76,12 @@ func (c ConstellationConfig) Sat(p, m int) packet.NodeID {
 	return packet.NodeID(c.GroundStations + m*c.Planes + p)
 }
 
-// Constellation is the orbital/ring mobility model. Construct directly;
-// it implements Model like the statistical generators, so schedules
-// flow through the same scenario machinery.
+// Constellation is the orbital/ring contact-plan generator. Unlike the
+// statistical models it draws no randomness, so it is not a Model: its
+// product is the plan itself, which runs either directly or expanded.
 type Constellation struct {
 	Config ConstellationConfig
 }
-
-// Name implements Model.
-func (Constellation) Name() string { return "constellation" }
 
 // Plan builds the deterministic contact plan:
 //
@@ -185,38 +176,6 @@ func passElevationSin(g, p, s int) float64 {
 	frac := float64(h>>11) / float64(1<<53)
 	const minElev = 10 * math.Pi / 180
 	return math.Sin(minElev + (math.Pi/2-minElev)*frac)
-}
-
-// Schedule implements Model. With JitterFrac == 0 the draw ignores r
-// entirely — the plan is the schedule.
-func (m Constellation) Schedule(r *rand.Rand) *trace.Schedule {
-	s := m.Plan().Expand()
-	if m.Config.JitterFrac > 0 && r != nil {
-		span := m.Config.JitterFrac * m.Config.OrbitPeriod
-		for i := range s.Meetings {
-			t := s.Meetings[i].Time + (r.Float64()*2-1)*span
-			if t < 0 {
-				t = 0
-			}
-			if t >= s.Duration {
-				t = s.Duration * (1 - 1e-9)
-			}
-			s.Meetings[i].Time = t
-		}
-		for i := range s.Contacts {
-			c := &s.Contacts[i]
-			t := c.Start + (r.Float64()*2-1)*span
-			if t < 0 {
-				t = 0
-			}
-			if hi := s.Duration - c.Duration; t > hi {
-				t = hi // keep the whole window inside the horizon
-			}
-			c.Start = t
-		}
-		s.Sort()
-	}
-	return s
 }
 
 // mod wraps x into [0, m) for positive m.

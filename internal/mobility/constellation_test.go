@@ -3,7 +3,6 @@ package mobility
 import (
 	"bytes"
 	"math"
-	"math/rand"
 	"testing"
 
 	"rapid/internal/packet"
@@ -81,34 +80,14 @@ func TestConstellationPeriodicity(t *testing.T) {
 	}
 }
 
-// TestConstellationDeterminism: without jitter the schedule is
-// byte-identical across draws AND across seeds (a contact plan, not a
-// statistical process); with jitter it is deterministic per seed but
-// varies across seeds.
+// TestConstellationDeterminism: the expanded plan is byte-identical
+// across builds (a contact plan, not a statistical process).
 func TestConstellationDeterminism(t *testing.T) {
 	m := testConstellation()
-	a := schedBytes(t, m.Schedule(rand.New(rand.NewSource(1))))
-	b := schedBytes(t, m.Schedule(rand.New(rand.NewSource(2))))
+	a := schedBytes(t, m.Plan().Expand())
+	b := schedBytes(t, m.Plan().Expand())
 	if !bytes.Equal(a, b) {
-		t.Fatal("jitter-free constellation schedule depends on the seed")
-	}
-
-	m.Config.JitterFrac = 0.05
-	j1 := schedBytes(t, m.Schedule(rand.New(rand.NewSource(7))))
-	j2 := schedBytes(t, m.Schedule(rand.New(rand.NewSource(7))))
-	j3 := schedBytes(t, m.Schedule(rand.New(rand.NewSource(8))))
-	if !bytes.Equal(j1, j2) {
-		t.Fatal("same seed produced different jittered schedules")
-	}
-	if bytes.Equal(j1, j3) {
-		t.Fatal("different seeds produced identical jittered schedules")
-	}
-	js, err := trace.Read(bytes.NewReader(j1))
-	if err != nil {
-		t.Fatalf("read jittered schedule: %v", err)
-	}
-	if err := js.Validate(); err != nil {
-		t.Fatalf("jittered schedule invalid: %v", err)
+		t.Fatal("constellation schedule differs between builds")
 	}
 }
 
@@ -193,20 +172,6 @@ func TestConstellationPassWindows(t *testing.T) {
 		if a.Contacts[i] != b.Contacts[i] {
 			t.Fatalf("contact %d differs between builds", i)
 		}
-	}
-}
-
-// TestConstellationWindowedJitterStaysValid: schedule-level jitter
-// moves window starts but never pushes a window outside the horizon.
-func TestConstellationWindowedJitterStaysValid(t *testing.T) {
-	m := testWindowedConstellation()
-	m.Config.JitterFrac = 0.2
-	s := m.Schedule(rand.New(rand.NewSource(9)))
-	if err := s.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if len(s.Contacts) == 0 {
-		t.Fatal("jittered windowed schedule empty")
 	}
 }
 

@@ -145,7 +145,12 @@ func checkInvariants(t *testing.T, s scenario.Scenario) {
 	if rs.Disrupt.Enabled {
 		model = disrupt.New(rs.Disrupt, rs.DisruptSeed)
 	}
-	horizon := rs.Schedule.Duration
+	var horizon float64
+	if rs.Schedule != nil {
+		horizon = rs.Schedule.Duration
+	} else {
+		horizon = rs.Plan.Duration
+	}
 	strictDown := func(id packet.NodeID, at float64) bool {
 		return model != nil && model.Down(id, at, horizon)
 	}
@@ -218,7 +223,7 @@ func checkInvariants(t *testing.T, s scenario.Scenario) {
 	}
 
 	col := routing.Run(rs)
-	sum := col.Summarize(rs.Schedule.Duration)
+	sum := col.Summarize(horizon)
 	if sum.Delivered == 0 && !allowZeroDelivery(s) {
 		t.Error("no packet delivered — the grid point exercises nothing")
 	}

@@ -97,10 +97,6 @@ func (s *Session) finish() {
 	}
 }
 
-// Remaining returns the unspent byte budget (visible to routers that
-// want budget-aware planning).
-func (s *Session) Remaining() int64 { return s.budget }
-
 // exchangeMetadata runs the control-plane exchange and charges its
 // bytes against the opportunity.
 func (s *Session) exchangeMetadata() {

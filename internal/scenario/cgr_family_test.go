@@ -61,7 +61,7 @@ func TestCGRFamilyBracketsBaselinesAndOracle(t *testing.T) {
 		}
 	}
 	rs := cgrScenario.Materialize()
-	res := optimal.Solve(rs.Schedule, rs.Workload, optimal.Options{})
+	res := optimal.Solve(rs.Plan.Expand(), rs.Workload, optimal.Options{})
 	oracleDelivered := 0
 	for _, d := range res.Deliveries {
 		if d.Delivered {

@@ -333,13 +333,11 @@ func init() {
 				p.Protocols = []Proto{ProtoRapid}
 			}
 			return grid(p, false, func(_, run int, load float64, proto Proto) Scenario {
-				ss := ConstellationSchedule(p)
-				ss.Lazy = true
 				w := constellationWorkload(load, p.Ground, p.OrbitPeriod)
 				w.Streaming = true
 				return Scenario{
 					Family: "mega-constellation", Tag: p.Tag,
-					Schedule: ss,
+					Schedule: ConstellationSchedule(p),
 					Workload: w,
 					Protocol: proto, Metric: NormalizeMetric(proto, core.AvgDelay),
 					Config: constellationOverrides(),
@@ -398,9 +396,8 @@ func synthFamily(name string, src Source, p Params) []Scenario {
 }
 
 // ConstellationSchedule returns the family's orbital contact-plan spec
-// for the given grid parameters. The plan is jitter-free: every seed
-// builds the byte-identical schedule (the defining property of a
-// deterministic contact plan).
+// for the given grid parameters. Every seed builds the byte-identical
+// plan (the defining property of a deterministic contact plan).
 func ConstellationSchedule(p Params) ScheduleSpec {
 	return ScheduleSpec{
 		Source: SourceConstellation,

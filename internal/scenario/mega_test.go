@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"rapid/internal/core"
+	"rapid/internal/routing"
+	"rapid/internal/trace"
 )
 
 // megaParams is a miniature mega-constellation grid: the family's lazy
@@ -28,8 +30,8 @@ func TestMegaConstellationFamilyWiring(t *testing.T) {
 		if s.Protocol != ProtoRapid {
 			t.Errorf("default protocol arm is %v, want RAPID-only", s.Protocol)
 		}
-		if !s.Schedule.Lazy || !s.Workload.Streaming {
-			t.Fatalf("mega scenario is not lazy+streaming: %+v", s)
+		if !s.Workload.Streaming {
+			t.Fatalf("mega scenario is not streaming: %+v", s)
 		}
 		rs := s.Materialize()
 		if rs.Schedule != nil {
@@ -54,42 +56,45 @@ func TestMegaConstellationFamilyWiring(t *testing.T) {
 	}
 }
 
-// TestLazySpecMatchesMaterialized pins the scenario-layer equivalence:
-// with the workload held identical (materialized, NodeCount-pinned),
-// flipping only ScheduleSpec.Lazy must not change the summary — the
-// plan cursor is a layout change, not a semantic one.
-func TestLazySpecMatchesMaterialized(t *testing.T) {
+// TestPlanSpecMatchesExpanded pins the scenario-layer equivalence: a
+// pure constellation spec materializes its contact plan and no
+// schedule, and running off the plan's cursor gives the summary of a
+// run over the plan's expansion with the same workload — the cursor is
+// a layout change, not a semantic one.
+func TestPlanSpecMatchesExpanded(t *testing.T) {
 	p := megaParams()
-	base := Scenario{
-		Family: "lazy-equiv", Tag: "lazy-equiv",
+	s := Scenario{
+		Family: "plan-equiv", Tag: "plan-equiv",
 		Schedule: ConstellationSchedule(p),
 		Workload: constellationWorkload(2, p.Ground, p.OrbitPeriod),
 		Protocol: ProtoRapid, Metric: NormalizeMetric(ProtoRapid, core.AvgDelay),
 		Config: constellationOverrides(),
 	}
-	base.Schedule.Duration = p.Duration
-
-	lazy := base
-	lazy.Schedule.Lazy = true
-
-	got, want := lazy.Summary(), base.Summary()
+	rs := s.Materialize()
+	if rs.Schedule != nil || rs.Plan == nil {
+		t.Fatalf("constellation spec materialized schedule %v, plan %v; want a plan only",
+			rs.Schedule != nil, rs.Plan != nil)
+	}
+	horizon := rs.Plan.Duration
+	got := routing.Run(rs).Summarize(horizon)
+	expanded := rs
+	expanded.Plan, expanded.Schedule = nil, rs.Plan.Expand()
+	want := routing.Run(expanded).Summarize(horizon)
 	if got != want {
-		t.Errorf("lazy spec diverged from materialized spec:\n  materialized: %+v\n  lazy:         %+v", want, got)
+		t.Errorf("plan run diverged from expanded run:\n  expanded: %+v\n  plan:     %+v", want, got)
 	}
 	if want.Generated == 0 || want.Delivered == 0 {
-		t.Fatalf("equivalence vacuous: baseline summary %+v", want)
+		t.Fatalf("equivalence vacuous: expanded summary %+v", want)
 	}
 }
 
-// TestLazyFallsBackOutsideConstellation: Lazy on a spec that cannot run
-// as a pure plan (jitter, perturbation, non-constellation source) is
-// ignored rather than honored incorrectly.
+// TestLazyFallsBackToMaterialized: a perturbed constellation is no
+// longer a pure plan, so it materializes its (perturbed) schedule.
 func TestLazyFallsBackToMaterialized(t *testing.T) {
 	p := megaParams()
 	ss := ConstellationSchedule(p)
-	ss.Duration = p.Duration
-	ss.Lazy = true
-	ss.ConstelJitter = 0.05
+	ss.Perturb = true
+	ss.PerturbCfg = trace.DefaultPerturb()
 	s := Scenario{
 		Family: "lazy-fallback", Tag: "lazy-fallback",
 		Schedule: ss,
@@ -98,6 +103,6 @@ func TestLazyFallsBackToMaterialized(t *testing.T) {
 	}
 	rs := s.Materialize()
 	if rs.Schedule == nil || rs.Plan != nil {
-		t.Error("jittered constellation must materialize its schedule")
+		t.Error("perturbed constellation must materialize its schedule")
 	}
 }

@@ -99,10 +99,6 @@ type ScheduleSpec struct {
 	// transfer opportunities.
 	ISLBytes    int64
 	GroundBytes int64
-	// ConstelJitter perturbs contact instants by up to ±this fraction of
-	// the orbital period (0 = a strictly deterministic plan: every seed
-	// builds the byte-identical schedule).
-	ConstelJitter float64
 	// Windowed constellation contacts (all zero keeps point meetings):
 	// PassWindow is the zenith ground-pass duration in seconds and
 	// GroundRateBps its peak link rate — per-pass duration and rate
@@ -112,32 +108,23 @@ type ScheduleSpec struct {
 	GroundRateBps float64
 	ISLWindow     float64
 	ISLRateBps    float64
-	// Lazy requests that the run consume the periodic contact plan
-	// directly through a streaming cursor (trace.PlanCursor) instead of
-	// materializing every occurrence up front — memory stays O(plan)
-	// rather than O(horizon), the property the mega-constellation family
-	// depends on. Only a jitter-free, unperturbed constellation is a pure
-	// plan; any other spec silently falls back to the materialized build.
-	Lazy bool
 	// MergeWindows coalesces back-to-back windowed plan occurrences
-	// (Window == Period) into single long windows when running lazily.
-	// Semantics-changing (one open per run instead of per pass), so
-	// opt-in.
+	// (Window == Period) into single long windows when running off the
+	// plan. Semantics-changing (one open per run instead of per pass),
+	// so opt-in.
 	MergeWindows bool
 }
 
-// lazyPlan reports whether the spec can (and asked to) run straight off
-// the contact plan: lazy expansion only exists for the deterministic
-// constellation source — jitter and perturbation are transformations of
-// the materialized schedule.
+// lazyPlan reports whether the spec runs straight off its contact
+// plan, through a streaming cursor (trace.PlanCursor) that keeps memory
+// O(plan) rather than O(horizon): every constellation does, unless it
+// is perturbed — perturbation transforms the materialized schedule.
 func (ss ScheduleSpec) lazyPlan() bool {
-	return ss.Lazy && ss.Source == SourceConstellation &&
-		ss.ConstelJitter == 0 && !ss.Perturb
+	return ss.Source == SourceConstellation && !ss.Perturb
 }
 
 // BuildPlan returns the periodic contact plan of a constellation spec
-// without expanding it. Callers outside the lazy path (e.g. CGR's
-// plan-ahead router construction) may also use it.
+// without expanding it.
 func (ss ScheduleSpec) BuildPlan() *trace.ContactPlan {
 	if ss.Source != SourceConstellation {
 		panic("scenario: BuildPlan requires SourceConstellation")
@@ -152,7 +139,6 @@ func (ss ScheduleSpec) constellation() mobility.Constellation {
 		GroundStations: ss.Ground,
 		OrbitPeriod:    ss.OrbitPeriod, Duration: ss.Duration,
 		ISLBytes: ss.ISLBytes, GroundBytes: ss.GroundBytes,
-		JitterFrac: ss.ConstelJitter,
 		PassWindow: ss.PassWindow, GroundRateBps: ss.GroundRateBps,
 		ISLWindow: ss.ISLWindow, ISLRateBps: ss.ISLRateBps,
 	}}
@@ -200,7 +186,7 @@ func (ss ScheduleSpec) build(seed int64) *trace.Schedule {
 		}
 		return m.Schedule(rand.New(rand.NewSource(seed)))
 	case SourceConstellation:
-		return ss.constellation().Schedule(rand.New(rand.NewSource(seed)))
+		return ss.BuildPlan().Expand()
 	default:
 		panic(fmt.Sprintf("scenario: unknown schedule source %v", ss.Source))
 	}

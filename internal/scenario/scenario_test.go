@@ -300,7 +300,7 @@ func TestPassesFamilyIsWindowed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sched := scs[0].Materialize().Schedule
+		sched := scs[0].Materialize().Plan.Expand()
 		if len(sched.Contacts) == 0 || len(sched.Meetings) != 0 {
 			t.Fatalf("%s: %d contacts / %d meetings, want all-windowed",
 				name, len(sched.Contacts), len(sched.Meetings))

@@ -76,7 +76,7 @@ const MaxOccurrences = 1 << 20
 // expanded schedule re-checks the flattened form via Schedule.Validate),
 // node IDs in [0, MaxNodeID) among them.
 func (cp *ContactPlan) Validate() error {
-	// A non-finite horizon would make Expand's t >= Duration
+	// A non-finite horizon would make the cursor's t >= Duration
 	// termination test unsatisfiable (NaN compares false forever) or
 	// run a periodic contact without end.
 	if math.IsNaN(cp.Duration) || math.IsInf(cp.Duration, 0) || cp.Duration < 0 {
@@ -119,55 +119,19 @@ func (cp *ContactPlan) Validate() error {
 	return nil
 }
 
-// Expand flattens the plan into a time-sorted meeting schedule over
-// [0, Duration). Occurrences landing exactly on the horizon are
-// excluded, matching Schedule.Validate's half-open interval; windowed
-// occurrences are clipped to the horizon (a pass cut off by the end of
-// the experiment transfers only its in-horizon share).
-//
-// Occurrence times are computed as Start + i·Period from an integer
-// counter, never by repeated accumulation: t += Period drifts by an ULP
-// every step and, over the 10⁴–10⁵ occurrences of a constellation-scale
-// plan, breaks the documented property that the same plan always
-// flattens to the byte-identical schedule.
+// Expand flattens the plan into a meeting schedule over [0, Duration)
+// by draining its cursor: point occurrences go to Meetings and windows
+// to Contacts, each list in the cursor's order (see PlanCursor for
+// the order, the half-open horizon and the clipping of windows).
 func (cp *ContactPlan) Expand() *Schedule {
 	s := &Schedule{Duration: cp.Duration}
-	if math.IsNaN(cp.Duration) || math.IsInf(cp.Duration, 0) {
-		// An unvalidated plan must degrade, not hang: NaN makes the
-		// loop's termination test below unsatisfiable.
-		return s
-	}
-	for _, c := range cp.Contacts {
-		if math.IsNaN(c.Start) || math.IsInf(c.Start, 0) ||
-			math.IsNaN(c.Period) || math.IsInf(c.Period, 0) {
-			// Validate rejects these; never loop on them (Inf period
-			// makes Start + 1·Period NaN, Inf start never terminates
-			// against a smaller horizon).
-			continue
-		}
-		for i := 0; ; i++ {
-			t := c.Start + float64(i)*c.Period
-			if t >= cp.Duration || i > MaxOccurrences {
-				break
-			}
-			if c.Window > 0 {
-				w := c.Window
-				if t+w > cp.Duration {
-					w = cp.Duration - t
-				}
-				if w > 0 {
-					s.Contacts = append(s.Contacts, Contact{
-						A: c.A, B: c.B, Start: t, Duration: w, RateBps: c.RateBps,
-					})
-				}
-			} else {
-				s.Meetings = append(s.Meetings, Meeting{A: c.A, B: c.B, Time: t, Bytes: c.Bytes})
-			}
-			if c.Period <= 0 {
-				break // one-shot contact
-			}
+	cur := cp.Cursor(false)
+	for c, ok := cur.Next(); ok; c, ok = cur.Next() {
+		if m, point := c.AsMeeting(); point {
+			s.Meetings = append(s.Meetings, m)
+		} else {
+			s.Contacts = append(s.Contacts, c)
 		}
 	}
-	s.Sort()
 	return s
 }

@@ -8,17 +8,28 @@ import (
 	"rapid/internal/packet"
 )
 
-// PlanCursor streams a contact plan's occurrences in exactly the order
-// a materialized Expand-and-Sort would list them, without ever holding
-// the expanded schedule: memory is O(len(plan.Contacts)), independent
-// of the horizon. Point occurrences (Window == 0, the entries Expand
-// puts in Schedule.Meetings) come out as zero-duration Contacts; the
-// consumer distinguishes them with Contact.Windowed.
+// PlanCursor streams a contact plan's occurrences over [0, Duration)
+// without ever holding the expanded schedule: memory is
+// O(len(plan.Contacts)), independent of the horizon. It is the plan's
+// only enumeration of occurrences; Expand drains it. Point occurrences
+// (Window == 0) come out as zero-duration Contacts; the consumer
+// distinguishes them with Contact.Windowed.
 //
-// Yield order matches the runtime's scheduling order for a materialized
-// plan: globally nondecreasing in time; at equal times point
-// occurrences before windowed ones, each kind in its Schedule.Sort
-// order ((Time, A, B) for points, (Start, A, B, Duration) for windows).
+// Occurrence i of a contact starts at Start + i·Period, computed from
+// the integer counter, never by repeated accumulation: t += Period
+// drifts by an ULP every step and, over the 10⁴–10⁵ occurrences of a
+// constellation-scale plan, would break the property that the same
+// plan always yields the byte-identical sequence. Occurrences landing
+// exactly on the horizon are excluded (Schedule.Validate's half-open
+// interval); windowed occurrences are clipped to the horizon (a pass
+// cut off by the end of the experiment transfers only its in-horizon
+// share). Contacts with a non-finite Start or Period, and every
+// contact of a plan with a non-finite Duration, yield nothing.
+//
+// Yield order is a total order: globally nondecreasing in time; at
+// equal times point occurrences before windowed ones (the runtime's
+// meeting and contact bands), then by A, B, the unclipped Window, and
+// last the contact's index in the plan.
 //
 // With merging enabled, back-to-back windowed occurrences of one plan
 // contact (Window == Period: a continuously available link modeled as
@@ -47,9 +58,8 @@ type occHeap struct {
 
 func (h *occHeap) Len() int { return len(h.items) }
 
-// Less orders occurrences (time, windowed?, A, B, Duration, contact
-// index) — the global interleave of Schedule.Sort's two lists with
-// points first at shared instants.
+// Less orders occurrences (time, windowed?, A, B, Window, contact
+// index): the yield order documented on PlanCursor.
 func (h *occHeap) Less(i, j int) bool {
 	a, b := h.items[i], h.items[j]
 	if a.t != b.t {
@@ -87,15 +97,8 @@ func (h *occHeap) Pop() any {
 func (cp *ContactPlan) Cursor(mergeAbutting bool) *PlanCursor {
 	pc := &PlanCursor{plan: cp, horizon: cp.Duration, merge: mergeAbutting}
 	pc.h.plan = cp
-	if math.IsNaN(cp.Duration) || math.IsInf(cp.Duration, 0) {
-		return pc // unvalidated plan degrades to empty, as Expand does
-	}
 	for ci, c := range cp.Contacts {
-		if math.IsNaN(c.Start) || math.IsInf(c.Start, 0) ||
-			math.IsNaN(c.Period) || math.IsInf(c.Period, 0) {
-			continue // Validate rejects these; mirror Expand's skip
-		}
-		if c.Start < cp.Duration {
+		if cp.occurs(c) {
 			pc.h.items = append(pc.h.items, occ{t: c.Start, c: ci})
 		}
 	}
@@ -103,9 +106,21 @@ func (cp *ContactPlan) Cursor(mergeAbutting bool) *PlanCursor {
 	return pc
 }
 
+// occurs reports whether contact c has an occurrence within the
+// horizon: its first occurrence starts before a finite Duration.
+// Validate rejects a non-finite horizon, Start or Period; an
+// unvalidated plan degrades to skipping them rather than looping on
+// them (a NaN or Inf horizon never ends a periodic contact, an Inf
+// period makes Start + 1·Period NaN).
+func (cp *ContactPlan) occurs(c PeriodicContact) bool {
+	return !math.IsInf(cp.Duration, 1) &&
+		!math.IsNaN(c.Start) && !math.IsInf(c.Start, 0) &&
+		!math.IsNaN(c.Period) && !math.IsInf(c.Period, 0) &&
+		c.Start < cp.Duration
+}
+
 // Next returns the next occurrence in global schedule order; ok is
-// false when the plan is exhausted within the horizon. Windowed
-// occurrences are clipped to the horizon exactly as Expand clips them.
+// false when the plan is exhausted within the horizon.
 func (pc *PlanCursor) Next() (Contact, bool) {
 	for pc.h.Len() > 0 {
 		o := heap.Pop(&pc.h).(occ)
@@ -151,7 +166,7 @@ func (pc *PlanCursor) Next() (Contact, bool) {
 }
 
 // advance pushes the contact's following occurrence, if any remains
-// within the horizon and the MaxOccurrences cap Expand enforces.
+// within the horizon and the MaxOccurrences cap.
 func (pc *PlanCursor) advance(o occ, c PeriodicContact) {
 	if c.Period <= 0 {
 		return // one-shot
@@ -167,12 +182,16 @@ func (pc *PlanCursor) advance(o occ, c PeriodicContact) {
 	heap.Push(&pc.h, occ{t: t, c: o.c, i: i})
 }
 
-// Nodes returns the sorted set of node IDs the plan's contacts touch —
-// the participant set of a run driven directly off the plan, computed
-// without expanding occurrences.
+// Nodes returns the sorted set of node IDs of the contacts that occur
+// within the horizon — the participant set of a run driven directly
+// off the plan, equal to Expand().Nodes() but computed without
+// expanding occurrences.
 func (cp *ContactPlan) Nodes() []packet.NodeID {
 	seen := map[packet.NodeID]bool{}
 	for _, c := range cp.Contacts {
+		if !cp.occurs(c) {
+			continue
+		}
 		seen[c.A] = true
 		seen[c.B] = true
 	}

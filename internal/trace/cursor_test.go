@@ -1,31 +1,80 @@
 package trace
 
 import (
+	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"rapid/internal/packet"
 )
 
-// expandInterleaved flattens the plan through Expand and merges the
-// sorted meeting and contact lists into the single global order the
-// runtime consumes (points before windows at shared instants) — the
-// reference sequence the streaming cursor must reproduce exactly.
-func expandInterleaved(cp *ContactPlan) []Contact {
-	s := cp.Expand()
-	out := make([]Contact, 0, len(s.Meetings)+len(s.Contacts))
-	i, j := 0, 0
-	for i < len(s.Meetings) || j < len(s.Contacts) {
-		takeMeeting := j >= len(s.Contacts) ||
-			(i < len(s.Meetings) && s.Meetings[i].Time <= s.Contacts[j].Start)
-		if takeMeeting {
-			m := s.Meetings[i]
-			i++
-			out = append(out, Contact{A: m.A, B: m.B, Start: m.Time, Bytes: m.Bytes})
-		} else {
-			out = append(out, s.Contacts[j])
-			j++
+// expandReference lists the plan's occurrences with its own
+// enumeration loop, independent of the cursor, and sorts them by the
+// cursor's documented key: time, points before windows, A, B, the
+// unclipped Window, then the contact's index in the plan. It is the
+// reference sequence the cursor (and so Expand) must reproduce exactly.
+func expandReference(cp *ContactPlan) []Contact {
+	type entry struct {
+		c      Contact
+		window float64
+		idx    int
+	}
+	if math.IsNaN(cp.Duration) || math.IsInf(cp.Duration, 0) {
+		return nil
+	}
+	var es []entry
+	for idx, pc := range cp.Contacts {
+		if math.IsNaN(pc.Start) || math.IsInf(pc.Start, 0) ||
+			math.IsNaN(pc.Period) || math.IsInf(pc.Period, 0) {
+			continue
 		}
+		for i := 0; ; i++ {
+			t := pc.Start + float64(i)*pc.Period
+			if t >= cp.Duration || i > MaxOccurrences {
+				break
+			}
+			if pc.Window > 0 {
+				w := pc.Window
+				if t+w > cp.Duration {
+					w = cp.Duration - t // clip to the horizon
+				}
+				if w > 0 {
+					c := Contact{A: pc.A, B: pc.B, Start: t, Duration: w, RateBps: pc.RateBps}
+					es = append(es, entry{c, pc.Window, idx})
+				}
+			} else {
+				c := Contact{A: pc.A, B: pc.B, Start: t, Bytes: pc.Bytes}
+				es = append(es, entry{c, 0, idx})
+			}
+			if pc.Period <= 0 {
+				break // one-shot contact
+			}
+		}
+	}
+	sort.SliceStable(es, func(i, j int) bool {
+		a, b := es[i], es[j]
+		if a.c.Start != b.c.Start {
+			return a.c.Start < b.c.Start
+		}
+		if aw, bw := a.window > 0, b.window > 0; aw != bw {
+			return !aw
+		}
+		if a.c.A != b.c.A {
+			return a.c.A < b.c.A
+		}
+		if a.c.B != b.c.B {
+			return a.c.B < b.c.B
+		}
+		if a.window != b.window {
+			return a.window < b.window
+		}
+		return a.idx < b.idx
+	})
+	out := make([]Contact, len(es))
+	for i, e := range es {
+		out[i] = e.c
 	}
 	return out
 }
@@ -44,17 +93,17 @@ func drainCursor(cp *ContactPlan, merge bool) []Contact {
 }
 
 // checkEquivalent asserts cursor order and content match the
-// materialized reference element for element.
+// reference element for element.
 func checkEquivalent(t *testing.T, cp *ContactPlan) {
 	t.Helper()
-	want := expandInterleaved(cp)
+	want := expandReference(cp)
 	got := drainCursor(cp, false)
 	if len(got) != len(want) {
-		t.Fatalf("cursor yielded %d occurrences, Expand %d", len(got), len(want))
+		t.Fatalf("cursor yielded %d occurrences, reference %d", len(got), len(want))
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("occurrence %d: cursor %+v != expand %+v", i, got[i], want[i])
+			t.Fatalf("occurrence %d: cursor %+v != reference %+v", i, got[i], want[i])
 		}
 	}
 }
@@ -80,9 +129,35 @@ func TestCursorMatchesExpandWindows(t *testing.T) {
 	checkEquivalent(t, cp)
 }
 
+// TestCursorMatchesExpandSamePairTies: contacts of one pair that meet
+// at one instant, and differ only where Schedule.Sort's (time, A, B)
+// or (start, A, B, clipped duration) keys cannot tell them apart, come
+// out in the documented order: by unclipped Window, then contact index.
+func TestCursorMatchesExpandSamePairTies(t *testing.T) {
+	cp := &ContactPlan{Duration: 100}
+	cp.Add(0, 1, 10, 40, 2<<10)
+	cp.Add(0, 1, 10, 40, 1<<10) // same pair and instants, other Bytes
+	// Two windows of one pair opening at 90, both clipped to the last
+	// 10 s of the horizon: equal clipped durations, different rates.
+	cp.AddWindow(2, 3, 90, 0, 50, 4<<10)
+	cp.AddWindow(2, 3, 90, 0, 30, 8<<10)
+	if err := cp.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	checkEquivalent(t, cp)
+	got := drainCursor(cp, false)
+	if got[0].Bytes != 2<<10 || got[1].Bytes != 1<<10 {
+		t.Errorf("point twins at t=10 out of contact order: %+v, %+v", got[0], got[1])
+	}
+	last := got[len(got)-2:]
+	if last[0].RateBps != 8<<10 || last[1].RateBps != 4<<10 || last[0].Duration != last[1].Duration {
+		t.Errorf("clipped window twins not in unclipped-window order: %+v", last)
+	}
+}
+
 func TestCursorHorizonExclusive(t *testing.T) {
-	// An occurrence landing exactly on the horizon is excluded, matching
-	// Expand's half-open interval.
+	// An occurrence landing exactly on the horizon is excluded
+	// (Schedule.Validate's half-open interval).
 	cp := &ContactPlan{Duration: 100}
 	cp.Add(0, 1, 0, 50, 1<<10) // occurrences at 0, 50; 100 excluded
 	got := drainCursor(cp, false)
@@ -159,18 +234,21 @@ func TestCursorMergeLeavesGappedWindowsAlone(t *testing.T) {
 	}
 }
 
+// TestCursorNodes: the plan's node set is that of the contacts that
+// occur within the horizon — a contact whose first occurrence falls at
+// or past it never meets — and equals its expansion's.
 func TestCursorNodes(t *testing.T) {
 	cp := &ContactPlan{Duration: 100}
 	cp.Add(3, 1, 0, 0, 1)
 	cp.AddWindow(2, 5, 10, 0, 5, 100)
+	cp.Add(4, 6, 100, 50, 1)          // first occurrence at the horizon
+	cp.AddWindow(7, 8, 150, 0, 5, 10) // one-shot past it
 	got := cp.Nodes()
 	want := []packet.NodeID{1, 2, 3, 5}
-	if len(got) != len(want) {
+	if !slices.Equal(got, want) {
 		t.Fatalf("Nodes() = %v, want %v", got, want)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Nodes() = %v, want %v", got, want)
-		}
+	if exp := cp.Expand().Nodes(); !slices.Equal(got, exp) {
+		t.Fatalf("Nodes() = %v, Expand().Nodes() = %v", got, exp)
 	}
 }

@@ -132,10 +132,6 @@ func NewDieselNet(cfg DieselNetConfig) *DieselNet {
 	return d
 }
 
-// Route returns the route index of a bus (exposed for tests and the
-// fleet-monitor example).
-func (d *DieselNet) Route(bus packet.NodeID) int { return d.route[int(bus)] }
-
 // ActiveBuses returns the deterministic roster for a day: the subset of
 // the fleet on the road. Roster size varies mildly around ActivePerDay
 // ("the number of buses on the road at any time varies", §5.1).

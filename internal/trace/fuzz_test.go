@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -80,7 +81,9 @@ func normalize(s *Schedule) *Schedule {
 // node IDs exactly when they lie in [0, MaxNodeID), and a plan that
 // validates must expand — without hanging or overrunning the
 // occurrence budget — to a schedule that itself validates, twice over
-// to the byte-identical result (the documented determinism property).
+// to the byte-identical result (the documented determinism property),
+// that lists the independent reference's occurrences in its order, and
+// whose node set is the plan's.
 func FuzzContactPlan(f *testing.F) {
 	f.Add(int8(0), int8(1), 0.0, 10.0, int64(1024), 0.0, 0.0, 100.0)
 	f.Add(int8(3), int8(4), 5.0, 0.0, int64(1), 2.0, 512.0, 60.0)
@@ -96,8 +99,11 @@ func FuzzContactPlan(f *testing.F) {
 			Window: window, RateBps: rate,
 		})
 		// A second contact derived from the first exercises multi-contact
-		// interleaving and the sort in Expand.
+		// interleaving.
 		cp.Add(packet.NodeID(a)+1, packet.NodeID(b)+2, start/2, period*2, bytes)
+		// A same-pair twin at the first contact's instants with other
+		// Bytes exercises the tie-break by contact index.
+		cp.Add(packet.NodeID(a), packet.NodeID(b), start, period, bytes/2)
 		// A well-formed probe with scaled IDs reaches both sides of the
 		// node-ID bound.
 		probe := &ContactPlan{Duration: 100}
@@ -110,6 +116,7 @@ func FuzzContactPlan(f *testing.F) {
 			// Invalid plans may still not hang or panic on a defensive
 			// expansion.
 			cp.Expand()
+			cp.Nodes()
 			return
 		}
 		s1 := cp.Expand()
@@ -120,8 +127,22 @@ func FuzzContactPlan(f *testing.F) {
 		if !reflect.DeepEqual(s1, s2) {
 			t.Fatalf("expansion is not deterministic for plan %+v", cp)
 		}
-		if len(s1.Meetings)+len(s1.Contacts) > 2*(MaxOccurrences+1) {
+		if len(s1.Meetings)+len(s1.Contacts) > 3*(MaxOccurrences+1) {
 			t.Fatalf("expansion overran the occurrence budget: %d records", len(s1.Meetings)+len(s1.Contacts))
+		}
+		want := &Schedule{Duration: cp.Duration}
+		for _, c := range expandReference(cp) {
+			if m, point := c.AsMeeting(); point {
+				want.Meetings = append(want.Meetings, m)
+			} else {
+				want.Contacts = append(want.Contacts, c)
+			}
+		}
+		if !reflect.DeepEqual(s1, want) {
+			t.Fatalf("Expand differs from the reference for plan %+v", cp)
+		}
+		if got, want := cp.Nodes(), s1.Nodes(); !slices.Equal(got, want) {
+			t.Fatalf("Nodes() = %v, Expand().Nodes() = %v for plan %+v", got, want, cp)
 		}
 	})
 }
