@@ -216,32 +216,26 @@ func Fig13(sc Scale) Output {
 		{"Maxprop", scenario.ProtoMaxProp},
 	}
 
-	// Offline oracle, one solve per (load, day), fanned across the pool.
-	type optJob struct {
-		load float64
-		day  int
-	}
-	var jobs []optJob
+	// Offline oracle, one solve per scenario of each load's grid — the
+	// days and runs every arm averages over — fanned across the pool.
+	var jobs []scenario.Scenario
 	for _, load := range sc.OptimalLoads {
-		for day := 0; day < sc.Days; day++ {
-			jobs = append(jobs, optJob{load, day})
-		}
+		jobs = append(jobs, traceGrid(sc, load, scenario.ProtoRapid, core.AvgDelay, scenario.Overrides{})...)
 	}
 	delays := make([]float64, len(jobs))
 	defaultEngine.parallel(len(jobs), func(i int) {
-		s := traceScenario(sc, jobs[i].day, 0, jobs[i].load,
-			scenario.ProtoRapid, core.AvgDelay, scenario.Overrides{})
-		rs := s.Materialize()
+		rs := jobs[i].Materialize()
 		delays[i] = optimal.Solve(rs.Schedule, rs.Workload, optimal.Options{}).AvgDelayAll() / 60
 	})
+	per := sc.Days * sc.Runs
 	optSeries := report.Series{Label: "Optimal"}
 	for i, load := range sc.OptimalLoads {
 		var sum float64
-		for d := 0; d < sc.Days; d++ {
-			sum += delays[i*sc.Days+d]
+		for _, d := range delays[i*per : (i+1)*per] {
+			sum += d
 		}
 		optSeries.X = append(optSeries.X, load)
-		optSeries.Y = append(optSeries.Y, sum/float64(sc.Days))
+		optSeries.Y = append(optSeries.Y, sum/float64(per))
 	}
 
 	sw := newSweep("fig13", "Comparison with Optimal (trace, small loads)",

@@ -1,9 +1,10 @@
 package packet
 
 import (
-	"container/heap"
 	"math"
 	"sort"
+
+	"rapid/internal/minheap"
 )
 
 // Source is a streaming workload: packets are produced one at a time in
@@ -73,7 +74,7 @@ type PoissonSource struct {
 	rate   float64
 	seed   uint64
 	nextID ID
-	h      arrivalHeap
+	h      minheap.Heap[arrival]
 	nodes  []NodeID
 }
 
@@ -85,26 +86,16 @@ type arrival struct {
 	pairSeed uint64
 }
 
-type arrivalHeap []arrival
-
-func (h arrivalHeap) Len() int { return len(h) }
-func (h arrivalHeap) Less(i, j int) bool {
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
+// arrivalLess orders pending arrivals by (time, src, dst); each pair
+// has one pending arrival, so the order is total.
+func arrivalLess(a, b arrival) bool {
+	if a.t != b.t {
+		return a.t < b.t
 	}
-	if h[i].src != h[j].src {
-		return h[i].src < h[j].src
+	if a.src != b.src {
+		return a.src < b.src
 	}
-	return h[i].dst < h[j].dst
-}
-func (h arrivalHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *arrivalHeap) Push(x any)   { *h = append(*h, x.(arrival)) }
-func (h *arrivalHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+	return a.dst < b.dst
 }
 
 // NewPoissonSource returns a streaming Poisson workload for cfg. Packet
@@ -113,6 +104,7 @@ func (h *arrivalHeap) Pop() any {
 // delivery queues assume.
 func NewPoissonSource(cfg GenConfig, seed uint64) *PoissonSource {
 	s := &PoissonSource{cfg: cfg, seed: seed, nextID: cfg.FirstID}
+	s.h.Less = arrivalLess
 	set := map[NodeID]bool{}
 	for _, id := range cfg.Nodes {
 		set[id] = true
@@ -132,11 +124,11 @@ func NewPoissonSource(cfg GenConfig, seed uint64) *PoissonSource {
 			a.t = expGap(ps, a.ctr) / s.rate
 			a.ctr++
 			if a.t < cfg.Duration {
-				s.h = append(s.h, a)
+				s.h.Items = append(s.h.Items, a)
 			}
 		}
 	}
-	heap.Init(&s.h)
+	s.h.Init()
 	return s
 }
 
@@ -145,7 +137,7 @@ func (s *PoissonSource) Next() (*Packet, bool) {
 	if s.h.Len() == 0 {
 		return nil, false
 	}
-	a := heap.Pop(&s.h).(arrival)
+	a := s.h.Pop()
 	p := &Packet{
 		ID: s.nextID, Src: a.src, Dst: a.dst,
 		Size: s.cfg.PacketSize, Created: a.t,
@@ -157,7 +149,7 @@ func (s *PoissonSource) Next() (*Packet, bool) {
 	a.t += expGap(a.pairSeed, a.ctr) / s.rate
 	a.ctr++
 	if a.t < s.cfg.Duration {
-		heap.Push(&s.h, a)
+		s.h.Push(a)
 	}
 	return p, true
 }

@@ -141,3 +141,23 @@ func TestSliceSourceRoundtrip(t *testing.T) {
 		t.Fatalf("slice source yielded %d of %d packets", n, len(w))
 	}
 }
+
+// TestPoissonSourceNextAllocs: once constructed, the source allocates
+// only the packet each Next returns — its heap moves arrivals by value.
+func TestPoissonSourceNextAllocs(t *testing.T) {
+	cfg := sourceCfg()
+	cfg.Duration = 1e6
+	src := NewPoissonSource(cfg, 42)
+	yielded := 0
+	allocs := testing.AllocsPerRun(2000, func() {
+		if _, ok := src.Next(); ok {
+			yielded++
+		}
+	})
+	if yielded < 2001 {
+		t.Fatalf("source yielded only %d packets; the measurement needs a longer run", yielded)
+	}
+	if allocs != 1 {
+		t.Errorf("Next allocates %v per packet, want 1 (the packet itself)", allocs)
+	}
+}

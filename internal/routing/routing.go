@@ -5,11 +5,12 @@
 // the scenario driver that replays a meeting schedule against a
 // workload.
 //
-// Transfer opportunities come in two forms. Point meetings execute an
-// instantaneous Session (session.go). Duration-aware contacts open at
-// their start event, budget RateBps·Duration bytes, and stream packets
-// across the window — cut off at window close, with overlapping windows
-// sharing each node's radio fairly (window.go).
+// Transfer opportunities come in two forms, both run by one Session
+// (session.go). Point meetings run it at one instant. Duration-aware
+// contacts open at their start event, budget RateBps·Duration bytes,
+// and stream the session's transfers across the window — cut off at
+// window close, with overlapping windows sharing each node's radio
+// fairly (window.go).
 //
 // The runtime enforces the feasibility constraints of §3.1: the total
 // bytes moved during a meeting (control plus data, both directions)
@@ -357,10 +358,11 @@ func NewNetwork(engine *sim.Engine, ids []packet.NodeID, f RouterFactory, cfg Co
 // first: stream pumps, packet creations, point meetings, contact
 // occurrences (zero-duration contacts and window opens/closes,
 // interleaved in schedule order), churn toggles, and then band 0 —
-// everything the run's own events schedule while it executes. Within a band events run in insertion order. Because the
-// bands, not insertion time, order the kinds, creations scheduled
-// upfront and occurrences pumped during the run interleave exactly as
-// one upfront-scheduled stream would.
+// everything the run's own events schedule while it executes. Within a
+// band events run in insertion order. Because the bands, not insertion
+// time, order the kinds, creations scheduled upfront and occurrences
+// pumped during the run interleave exactly as one upfront-scheduled
+// stream would.
 const (
 	bandPump     = -5 // source and occurrence pump re-arms
 	bandWorkload = -4 // packet creations

@@ -12,13 +12,19 @@ import (
 // implementing the outer loop of Protocol rapid (§3.4) in a
 // protocol-agnostic way:
 //
-//  1. metadata exchange (control plane; byte-accounted, possibly capped)
-//  2. purge of packets now known to be delivered
-//  3. direct delivery, both directions
-//  4. replication, both directions interleaved round-robin in each
+//  1. control: metadata exchange (byte-accounted, possibly capped),
+//     purge of packets now known to be delivered, and router gossip
+//  2. direct delivery, X→Y then Y→X
+//  3. replication, both directions interleaved round-robin in each
 //     side's decreasing marginal-utility order
-//  5. termination when the byte budget is exhausted or both sides run
-//     out of candidates
+//
+// and stops when the byte budget is exhausted or every queue runs out
+// of candidates. A point meeting and a contact window (window.go) run
+// the same control phase, the same selection (next) and the same
+// commit; they differ only in when the queues are read — a point
+// session reads each at the step that uses it, a window snapshots all
+// four when it opens — and in when a selected transfer commits: at
+// once, or at its completion event.
 //
 // The byte budget is shared between directions and between control and
 // data, matching the merged connection events of the deployment (§5).
@@ -51,10 +57,10 @@ func RunSession(net *Network, a, b *Node, bytes int64) {
 	s.finish()
 }
 
-// beginSession constructs a point session, or nil when a churned-down
+// beginSession constructs a session, or nil when a churned-down
 // endpoint suppresses the meeting. now is passed explicitly because the
-// parallel engine executes sessions after the clock has moved past
-// their instant.
+// parallel engine executes point sessions after the clock has moved
+// past their instant.
 func beginSession(net *Network, a, b *Node, bytes int64, now float64) *Session {
 	if a.Down || b.Down {
 		return nil
@@ -69,11 +75,23 @@ func beginSession(net *Network, a, b *Node, bytes int64, now float64) *Session {
 // delivery records), which is the confinement the parallel engine's
 // per-key chains rely on.
 func (s *Session) run() {
+	s.control()
+	var l transferLoop
+	for {
+		q, e, ok := s.next(&l)
+		if !ok {
+			return
+		}
+		s.commit(&l, q, e, s.now)
+	}
+}
+
+// control runs Step 1: the opportunity is accounted and observed at
+// both ends (the moving average that becomes B in Estimate-Delay),
+// metadata is exchanged, acked packets are purged, and routers gossip.
+func (s *Session) control() {
 	s.stats.Meetings++
 	s.stats.OpportunityBytes += s.capacity
-
-	// Both ends observe the opportunity size (the moving average that
-	// becomes B in Estimate-Delay).
 	s.x.Ctl.ObserveTransfer(s.capacity)
 	s.y.Ctl.ObserveTransfer(s.capacity)
 
@@ -81,10 +99,6 @@ func (s *Session) run() {
 	s.purgeAcked(s.x)
 	s.purgeAcked(s.y)
 	s.gossip()
-
-	s.directDeliver(s.x, s.y)
-	s.directDeliver(s.y, s.x)
-	s.replicate()
 }
 
 // finish folds the session's accounting into the collector and fires
@@ -163,27 +177,137 @@ func (s *Session) gossip() {
 	}
 }
 
-// directEligible applies Step 2's per-candidate filters: a packet that
-// exceeds the remaining budget is skipped (a smaller packet later in
-// the queue may still fit); a packet already known delivered and acked
-// is purged without transmission. Shared by the instantaneous and
-// windowed paths.
-func (s *Session) directEligible(e *buffer.Entry, from *Node) (send, purge bool) {
-	if s.budget < e.P.Size {
-		return false, false
+// The four queues of one opportunity, in the order Protocol rapid
+// reads and drains them: the direct queues X→Y and Y→X (Step 2), then
+// the replication plans X→Y and Y→X (Step 3). An even index sends X→Y.
+const (
+	directXY = iota
+	directYX
+	planXY
+	planYX
+)
+
+// transferLoop is the selection state of Steps 2–3: the four queues,
+// a cursor into each, and whose plan is next in the round-robin. A
+// queue whose cursor has reached its end stays exhausted, which is
+// what stops a direction for good.
+type transferLoop struct {
+	queues [4][]*buffer.Entry
+	at     [4]int
+	// filled counts the queues read so far (queues[:filled]).
+	filled int
+	// turn is 0 when X's plan is tried next, 1 for Y's.
+	turn int
+	// est pins each plan's replica-delay evaluator (X's, then Y's);
+	// nil selects the sender's live estimator.
+	est [2]ReplicaDelayFunc
+}
+
+// side returns the sender and receiver of queue q.
+func (s *Session) side(q int) (from, to *Node) {
+	if q%2 == 0 {
+		return s.x, s.y
+	}
+	return s.y, s.x
+}
+
+// fill reads the queues up to and including q from the routers, in
+// queue order, skipping those already read. Router slices are scratch
+// that the routers' next call overwrites.
+func (s *Session) fill(l *transferLoop, q int) {
+	for ; l.filled <= q; l.filled++ {
+		from, to := s.side(l.filled)
+		if l.filled < planXY {
+			l.queues[l.filled] = from.Router.DirectQueue(to.ID, s.now)
+		} else {
+			l.queues[l.filled] = from.Router.PlanReplication(to, s.now)
+		}
+	}
+}
+
+// next selects the opportunity's next transfer: its queue and entry,
+// or ok false once every queue is exhausted. Direct deliveries go
+// first, X→Y then Y→X; the two replication plans then take turns, a
+// direction whose plan is exhausted passing its turn to the other.
+// Each queue is read from its router when the selection first reaches
+// it, unless the caller filled it already.
+func (s *Session) next(l *transferLoop) (int, *buffer.Entry, bool) {
+	for q := directXY; q <= directYX; q++ {
+		s.fill(l, q)
+		if e, ok := s.pick(l, q); ok {
+			return q, e, true
+		}
+	}
+	s.fill(l, planYX)
+	for range 2 {
+		q := planXY + l.turn
+		l.turn ^= 1
+		if e, ok := s.pick(l, q); ok {
+			return q, e, true
+		}
+	}
+	return 0, nil, false
+}
+
+// pick advances queue q's cursor past its next entry that fits the
+// remaining budget (a smaller one later in the queue may fit when a
+// larger one does not) and may still move, and returns it.
+func (s *Session) pick(l *transferLoop, q int) (*buffer.Entry, bool) {
+	for l.at[q] < len(l.queues[q]) {
+		e := l.queues[q][l.at[q]]
+		l.at[q]++
+		if e.P.Size <= s.budget && s.movable(q, e) {
+			return e, true
+		}
+	}
+	return nil, false
+}
+
+// movable applies the per-candidate filters of queue q that can change
+// while a packet is in flight, so they are checked at selection and
+// again at commit. A direct delivery (Step 2) needs the sender to still
+// hold the packet; one already known delivered and acked is purged
+// without transmission. A replica needs replicableState.
+func (s *Session) movable(q int, e *buffer.Entry) bool {
+	from, to := s.side(q)
+	if q >= planXY {
+		return replicableState(e, from, to)
+	}
+	id := e.P.ID
+	if !from.Store.Has(id) {
+		return false
 	}
 	//rapidlint:allow shardcommit — per-packet record read: a packet's record is only written by sessions sharing its destination endpoint, so the shard conflict rule already orders this against every writer (DESIGN.md §12)
-	if s.net.Collector.IsDelivered(e.P.ID) && from.Ctl.IsAcked(e.P.ID) {
-		return false, true
+	if s.net.Collector.IsDelivered(id) && from.Ctl.IsAcked(id) {
+		from.Store.Remove(id)
+		return false
 	}
-	return true, false
+	return true
+}
+
+// commit completes a selected transfer at now. Bytes are spent before
+// the loss draw and whether or not the receiver keeps the packet: the
+// radio already sent them. The delivery or replica then commits only if
+// it is still movable — a window's transfer may have been overtaken
+// through a concurrent window while in flight; a point session commits
+// right after selecting, so the re-check always passes there.
+func (s *Session) commit(l *transferLoop, q int, e *buffer.Entry, now float64) {
+	from, to := s.side(q)
+	s.budget -= e.P.Size
+	if s.net.transferLost(e.P.ID, from.ID, to.ID, now) || !s.movable(q, e) {
+		return
+	}
+	if q >= planXY {
+		s.acceptReplica(from, to, e, now, l.est[q-planXY])
+	} else {
+		s.deliverDirect(from, to, e, now)
+	}
 }
 
 // deliverDirect finalizes one direct delivery: collector accounting,
 // the in-person acknowledgment at both ends ("both parties instantly
 // know the packet is delivered: the destination generated the ack"),
-// and removal of the sender's copy. Shared by the instantaneous and
-// windowed paths.
+// and removal of the sender's copy.
 func (s *Session) deliverDirect(from, to *Node, e *buffer.Entry, now float64) {
 	s.stats.DataBytes += e.P.Size
 	s.stats.DirectDeliveries++
@@ -203,51 +327,10 @@ func (s *Session) deliverDirect(from, to *Node, e *buffer.Entry, now float64) {
 	}
 }
 
-// directDeliver sends packets destined to `to` (Protocol rapid Step 2).
-func (s *Session) directDeliver(from, to *Node) {
-	for _, e := range from.Router.DirectQueue(to.ID, s.now) {
-		send, purge := s.directEligible(e, from)
-		if purge {
-			from.Store.Remove(e.P.ID)
-			continue
-		}
-		if !send {
-			continue
-		}
-		// Bytes are spent before the loss draw: a lost transfer still
-		// burned the radio time.
-		s.budget -= e.P.Size
-		if s.net.transferLost(e.P.ID, from.ID, to.ID, s.now) {
-			continue
-		}
-		s.deliverDirect(from, to, e, s.now)
-	}
-}
-
-// replicate interleaves the two directions' replication plans
-// (Protocol rapid Steps 3a–3c) until the budget or both plans are
-// exhausted.
-func (s *Session) replicate() {
-	planX := s.x.Router.PlanReplication(s.y, s.now)
-	planY := s.y.Router.PlanReplication(s.x, s.now)
-	ix, iy := 0, 0
-	turnX := true
-	stalledX, stalledY := false, false
-	for !stalledX || !stalledY {
-		if turnX {
-			ix, stalledX = s.replicateNext(s.x, s.y, planX, ix)
-		} else {
-			iy, stalledY = s.replicateNext(s.y, s.x, planY, iy)
-		}
-		turnX = !turnX
-	}
-}
-
 // replicableState applies the Step 3 filters that can change while a
 // packet is in flight: the candidate must not be a direct delivery,
 // must still be held by the sender, and must be new to and unacked at
-// both ends. Shared by the instantaneous path (at transfer time) and
-// the windowed path (at selection and again at completion).
+// both ends.
 func replicableState(e *buffer.Entry, from, to *Node) bool {
 	id := e.P.ID
 	return e.P.Dst != to.ID && // would be direct delivery (Step 2)
@@ -256,22 +339,15 @@ func replicableState(e *buffer.Entry, from, to *Node) bool {
 		!from.Ctl.IsAcked(id) && !to.Ctl.IsAcked(id)
 }
 
-// replicable is replicableState plus the budget filter applied at
-// selection time (an oversized candidate is skipped; a smaller one
-// later in the plan may still fit).
-func (s *Session) replicable(e *buffer.Entry, from, to *Node) bool {
-	return replicableState(e, from, to) && e.P.Size <= s.budget
-}
-
 // acceptReplica stores the transmitted copy at the receiver and runs
 // the shared post-transfer bookkeeping: replication observers, then —
 // only if the receiver keeps the copy — data accounting and the
 // replica notes at each end whose records have a reader
 // (keepsReplicas), primed with the sender's hypothesized delivery
 // estimate for the new replica (RAPID's d_Y; it refreshes at the
-// receiver's next exchange either way). delayOf pins a windowed
-// session's planning-time snapshot; nil selects the live estimator,
-// which is exact for the instantaneous path.
+// receiver's next exchange either way). delayOf pins a window's
+// planning-time snapshot; nil selects the live estimator, which is
+// exact for a point session.
 func (s *Session) acceptReplica(from, to *Node, e *buffer.Entry, now float64, delayOf ReplicaDelayFunc) bool {
 	copyEntry := &buffer.Entry{
 		P:          e.P,
@@ -328,24 +404,4 @@ func (net *Network) keepsReplicas(n *Node) bool {
 		return !net.Cfg.AcksOnly
 	}
 	return false
-}
-
-// replicateNext transfers the next eligible candidate from plan[i:],
-// returning the advanced index and whether this direction is done.
-func (s *Session) replicateNext(from, to *Node, plan []*buffer.Entry, i int) (int, bool) {
-	for ; i < len(plan); i++ {
-		e := plan[i]
-		if !s.replicable(e, from, to) {
-			continue
-		}
-		// Transmit. Bytes are spent whether or not the receiver keeps
-		// the copy (the radio already sent them) — and a transfer the
-		// disruption layer loses spends them for nothing.
-		s.budget -= e.P.Size
-		if !s.net.transferLost(e.P.ID, from.ID, to.ID, s.now) {
-			s.acceptReplica(from, to, e, s.now, nil)
-		}
-		return i + 1, false
-	}
-	return i, true
 }

@@ -1,6 +1,7 @@
 package scenario_test
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"math"
 	"strings"
@@ -35,6 +36,10 @@ func runFingerprint(s scenario.Scenario) string {
 // windowed contacts between barriers). Disruption-enabled families
 // (lossy-constellation, churn-powerlaw) are part of the registry and
 // therefore of this sweep.
+//
+// The serial fingerprint of each run is also checked against
+// sweepPins, so the sweep holds every family to the behaviour of the
+// commit that recorded the pins, not only to itself.
 func TestParallelWorkersEquivalence(t *testing.T) {
 	p := metamorphicParams()
 	p.Tag = "parallel-equiv"
@@ -56,11 +61,17 @@ func TestParallelWorkersEquivalence(t *testing.T) {
 		}
 		for _, s := range scs {
 			s := s
-			t.Run(fmt.Sprintf("%s/%s", fam.Name, s.Protocol), func(t *testing.T) {
+			name := fmt.Sprintf("%s/%s", fam.Name, s.Protocol)
+			t.Run(name, func(t *testing.T) {
 				t.Parallel()
 				serial := s
 				serial.Config.Workers = 1
 				want := runFingerprint(serial)
+				if pin, ok := sweepPins[name]; !ok {
+					t.Errorf("no pinned serial fingerprint hash")
+				} else if got := fmt.Sprintf("%x", sha256.Sum256([]byte(want))); got != pin {
+					t.Errorf("serial fingerprint hash %s, pinned %s", got, pin)
+				}
 				for _, workers := range []int{2, 8} {
 					par := s
 					par.Config.Workers = workers
@@ -72,6 +83,42 @@ func TestParallelWorkersEquivalence(t *testing.T) {
 			})
 		}
 	}
+}
+
+// sweepPins holds the SHA-256 of each serial runFingerprint in
+// TestParallelWorkersEquivalence, keyed by family and protocol.
+// Recorded at commit 2946f92; a change that moves one changes what
+// some family's run does, and must say why.
+var sweepPins = map[string]string{
+	"asym-uplink/Rapid":             "14128c85b2b4a214d07c7c1ca058874a74d40233c08107ee47d29024dc562344",
+	"asym-uplink/Epidemic":          "fcb70cb30a770fc91aad07bb91be0f8292182300cfb17af40372585635f57d23",
+	"bursty-onoff/Rapid":            "a97cd140e288d0afb5c74e7b72b7852d997d6a3f878cee0e87de7cd4133db55f",
+	"bursty-onoff/Epidemic":         "d52f1324d51c12b67b927d0393e17f93974d4ef57e38310287f2914c7bf7c3c4",
+	"cgr-constellation/Rapid":       "156816b7c7b528cadd6681585e979d98ba3f4eac56402f50b782725ea5e1ba2a",
+	"cgr-constellation/Epidemic":    "156816b7c7b528cadd6681585e979d98ba3f4eac56402f50b782725ea5e1ba2a",
+	"cgr-policies/Rapid":            "803bc46d8c9b792f770c53d2b37886dc7aea8314f98b1ba5472afad6d141e001",
+	"cgr-policies/Epidemic":         "3bdf0b9c9576f8b23496483b30ee2d1af986133cc41949bc7070bfb67124f745",
+	"churn-powerlaw/Rapid":          "75963d2bb20729276c5a1dec8b0699fcc52189031b63563388b1831e0ef669a5",
+	"churn-powerlaw/Epidemic":       "a29fb4d9c035ce781ae1191ff1cb8a4f84b19feb15de4f57b468cfd814de0bae",
+	"constellation-ground/Rapid":    "156816b7c7b528cadd6681585e979d98ba3f4eac56402f50b782725ea5e1ba2a",
+	"constellation-ground/Epidemic": "156816b7c7b528cadd6681585e979d98ba3f4eac56402f50b782725ea5e1ba2a",
+	"constellation-passes/Rapid":    "f976b651fdec9569d46db90b605a7a9095cbb0c30c1f7d27005e3a2c3e9d853e",
+	"constellation-passes/Epidemic": "e07ce2a71b546e02e3fdfd15d311600d6c9e01be488f7542f15f47b38e837359",
+	"constellation-ring/Rapid":      "78943acea56b1514151dd0d39666815fa4a49565ca70fdaec6a5f4d902723616",
+	"constellation-ring/Epidemic":   "78943acea56b1514151dd0d39666815fa4a49565ca70fdaec6a5f4d902723616",
+	"deployment/Rapid":              "83d500da29e4767e1b37ef08218ab47433a043aa5800c6e7102b2626f850898f",
+	"hetero-buffers/Rapid":          "37fc725f3e1c3426a286c813d5c6e43a268cace4b0f084a3f17d0664fe14ff52",
+	"hetero-buffers/Epidemic":       "288037c75f00d3bba5e91f509de90c08201eb057397e553a3524c35d6e98ea26",
+	"lossy-constellation/Rapid":     "803bc46d8c9b792f770c53d2b37886dc7aea8314f98b1ba5472afad6d141e001",
+	"lossy-constellation/Epidemic":  "3bdf0b9c9576f8b23496483b30ee2d1af986133cc41949bc7070bfb67124f745",
+	"mega-constellation/Rapid":      "cb5e3af6f6e7e3a528cc6c6f3af5533ff3718f48ebe003ff66d5528a1ee083f2",
+	"mega-constellation/Epidemic":   "cb5e3af6f6e7e3a528cc6c6f3af5533ff3718f48ebe003ff66d5528a1ee083f2",
+	"synth-exponential/Rapid":       "c4893cfca31e4d4cd51d8f6a9777da0261811dec5e40d2612caabeb1a9b81698",
+	"synth-exponential/Epidemic":    "d55969332fbefdb06477798441826847db664ec430d072b8349ed32b56fa18b7",
+	"synth-powerlaw/Rapid":          "cd03e9987627cceaaf1160df7d652f14e54b86f8becfb63af0299f587fc23d65",
+	"synth-powerlaw/Epidemic":       "a325d03193f821719ae2bdcf184cf13e6acf375e79266ea824ebfc33b8ea2c86",
+	"trace-comparison/Rapid":        "cc2c6293071b7a4f303386a8d362bd75634398f6c16d51b75af492e9e2795617",
+	"trace-comparison/Epidemic":     "a3990e4c7939c25bf20514b851154232c7277add2c578ff51bbdb5662fd4a785",
 }
 
 // firstDiff renders the first differing fingerprint line for a readable

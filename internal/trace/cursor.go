@@ -1,10 +1,10 @@
 package trace
 
 import (
-	"container/heap"
 	"math"
 	"sort"
 
+	"rapid/internal/minheap"
 	"rapid/internal/packet"
 )
 
@@ -41,7 +41,7 @@ type PlanCursor struct {
 	plan    *ContactPlan
 	horizon float64
 	merge   bool
-	h       occHeap
+	h       minheap.Heap[occ]
 }
 
 // occ is one periodic contact's next pending occurrence.
@@ -51,21 +51,13 @@ type occ struct {
 	i int64   // occurrence counter
 }
 
-type occHeap struct {
-	items []occ
-	plan  *ContactPlan
-}
-
-func (h *occHeap) Len() int { return len(h.items) }
-
-// Less orders occurrences (time, windowed?, A, B, Window, contact
+// less orders occurrences (time, windowed?, A, B, Window, contact
 // index): the yield order documented on PlanCursor.
-func (h *occHeap) Less(i, j int) bool {
-	a, b := h.items[i], h.items[j]
+func (cp *ContactPlan) less(a, b occ) bool {
 	if a.t != b.t {
 		return a.t < b.t
 	}
-	ca, cb := h.plan.Contacts[a.c], h.plan.Contacts[b.c]
+	ca, cb := cp.Contacts[a.c], cp.Contacts[b.c]
 	aw, bw := ca.Window > 0, cb.Window > 0
 	if aw != bw {
 		return !aw // points (meetings) schedule before windows
@@ -82,27 +74,17 @@ func (h *occHeap) Less(i, j int) bool {
 	return a.c < b.c
 }
 
-func (h *occHeap) Swap(i, j int) { h.items[i], h.items[j] = h.items[j], h.items[i] }
-func (h *occHeap) Push(x any)    { h.items = append(h.items, x.(occ)) }
-func (h *occHeap) Pop() any {
-	old := h.items
-	n := len(old)
-	it := old[n-1]
-	h.items = old[:n-1]
-	return it
-}
-
 // Cursor returns a streaming iterator over the plan's occurrences.
 // mergeAbutting enables back-to-back window coalescing (see PlanCursor).
 func (cp *ContactPlan) Cursor(mergeAbutting bool) *PlanCursor {
 	pc := &PlanCursor{plan: cp, horizon: cp.Duration, merge: mergeAbutting}
-	pc.h.plan = cp
+	pc.h.Less = cp.less
 	for ci, c := range cp.Contacts {
 		if cp.occurs(c) {
-			pc.h.items = append(pc.h.items, occ{t: c.Start, c: ci})
+			pc.h.Items = append(pc.h.Items, occ{t: c.Start, c: ci})
 		}
 	}
-	heap.Init(&pc.h)
+	pc.h.Init()
 	return pc
 }
 
@@ -123,7 +105,7 @@ func (cp *ContactPlan) occurs(c PeriodicContact) bool {
 // false when the plan is exhausted within the horizon.
 func (pc *PlanCursor) Next() (Contact, bool) {
 	for pc.h.Len() > 0 {
-		o := heap.Pop(&pc.h).(occ)
+		o := pc.h.Pop()
 		c := pc.plan.Contacts[o.c]
 		out := Contact{A: c.A, B: c.B, Start: o.t}
 		if c.Window > 0 {
@@ -179,7 +161,7 @@ func (pc *PlanCursor) advance(o occ, c PeriodicContact) {
 	if t >= pc.horizon {
 		return
 	}
-	heap.Push(&pc.h, occ{t: t, c: o.c, i: i})
+	pc.h.Push(occ{t: t, c: o.c, i: i})
 }
 
 // Nodes returns the sorted set of node IDs of the contacts that occur

@@ -252,3 +252,30 @@ func TestCursorNodes(t *testing.T) {
 		t.Fatalf("Nodes() = %v, Expand().Nodes() = %v", got, exp)
 	}
 }
+
+// TestCursorDrainAllocs: once constructed, the cursor yields every
+// occurrence without allocating — its heap moves occurrences by value.
+func TestCursorDrainAllocs(t *testing.T) {
+	cp := &ContactPlan{Duration: 1000}
+	for k := 0; k < 40; k++ {
+		a, b := packet.NodeID(k%7), packet.NodeID(7+k%5)
+		if k%2 == 0 {
+			cp.AddWindow(a, b, float64(k), 3+float64(k%11), 1, 1e4)
+		} else {
+			cp.Add(a, b, float64(k)/2, 2+float64(k%13), 1<<10)
+		}
+	}
+	cur := cp.Cursor(false)
+	yielded := 0
+	allocs := testing.AllocsPerRun(2000, func() {
+		if _, ok := cur.Next(); ok {
+			yielded++
+		}
+	})
+	if yielded < 2001 {
+		t.Fatalf("plan yielded only %d occurrences; the measurement needs a longer plan", yielded)
+	}
+	if allocs != 0 {
+		t.Errorf("Next allocates %v per occurrence, want 0", allocs)
+	}
+}
