@@ -173,14 +173,41 @@ func BenchmarkQueueIndexBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkPlanReplication measures RAPID's replication plan at one
-// contact: a 4,000-entry own buffer over 20 destinations, a third of
-// its packets with a remote replica estimate, priced against a
-// 4,000-entry peer buffer that holds a quarter of them too, under the
-// average-delay metric. The peer's queue index is built on the first
-// op and reused after, as within one session, so each op is the pass
-// that prices every candidate plus the sort.
+// BenchmarkPlanReplication measures RAPID's slice replication plan at
+// one contact (planContact). The peer's queue index is built on the
+// first op and reused after, as within one session, so each op is the
+// pass that prices every candidate plus the sort.
 func BenchmarkPlanReplication(b *testing.B) {
+	own, peer := planContact()
+	b.ReportAllocs()
+	for b.Loop() {
+		own.Router.PlanReplication(peer, 2e4)
+	}
+}
+
+// BenchmarkPullReplication measures the plan a point session pulls at
+// the same contact: each op prices every candidate, heapifies them and
+// pulls until a 400 KB budget is spent — 400 of the 4,000 candidates,
+// about the tenth of its plan that a RAPID session sends on the
+// DieselNet trace.
+func BenchmarkPullReplication(b *testing.B) {
+	own, peer := planContact()
+	puller := own.Router.(routing.PlanPuller)
+	b.ReportAllocs()
+	for b.Loop() {
+		plan := puller.PullReplication(peer, 2e4)
+		budget := int64(400 << 10)
+		for e := plan.Next(budget); e != nil; e = plan.Next(budget) {
+			budget -= e.P.Size
+		}
+	}
+}
+
+// planContact builds the contact the plan benchmarks price: a
+// 4,000-entry own buffer over 20 destinations, a third of its packets
+// with a remote replica estimate, against a 4,000-entry peer buffer
+// that holds a quarter of them too, under the average-delay metric.
+func planContact() (own, peer *routing.Node) {
 	const entries, dsts = 4000, 20
 	ids := make([]packet.NodeID, dsts+2)
 	for i := range ids {
@@ -189,7 +216,7 @@ func BenchmarkPlanReplication(b *testing.B) {
 	net := routing.NewNetwork(sim.New(1), ids, core.New(core.AvgDelay),
 		routing.Config{Mode: routing.ControlInBand, MetaFraction: -1, DefaultTransferBytes: 64 << 10})
 	net.Horizon = 1e5
-	own, peer := net.Node(0), net.Node(1)
+	own, peer = net.Node(0), net.Node(1)
 	peerRow := map[packet.NodeID]float64{}
 	for d := packet.NodeID(2); d < dsts+2; d++ {
 		own.Ctl.Meet.ObserveMeeting(d, float64(100+10*d))
@@ -220,10 +247,7 @@ func BenchmarkPlanReplication(b *testing.B) {
 	for i := entries; peer.Store.Len() < entries; i++ {
 		peer.Store.Insert(&buffer.Entry{P: mk(i)}, nil)
 	}
-	b.ReportAllocs()
-	for b.Loop() {
-		own.Router.PlanReplication(peer, 2e4)
-	}
+	return own, peer
 }
 
 // BenchmarkSaturatedAccept measures buffer eviction: a RAPID avg-delay

@@ -206,10 +206,10 @@ type State struct {
 	// that cut exactly: it decides which records a peer is sent.
 	metaLog []float64
 	// ackScratch and invScratch are reused buffers for the ack delta
-	// (the acks a peer lacks) and the sorted receiver inventory (one
-	// exchange runs at a time per node). dstMark stamps, per
-	// destination node ID, the dstStamp of the inventory digest that
-	// last counted it.
+	// (the acks a peer lacks) and the changed records of the packets a
+	// peer carries (changedIDs); one exchange runs at a time per node.
+	// dstMark stamps, per destination node ID, the dstStamp of the
+	// inventory digest that last counted it.
 	ackScratch []packet.ID
 	invScratch []packet.ID
 	dstMark    []uint32
@@ -622,11 +622,8 @@ func Exchange(a, b *State, invA, invB []InventoryItem, now float64, opts Options
 			if k == len(dir.from.metaLog) {
 				continue // no record has an append past the cut
 			}
-			for _, id := range dir.to.sortedIDs(dir.toInv) {
+			for _, id := range dir.from.changedIDs(dir.toInv, k, dir.since) {
 				m := dir.from.meta.Get(id)
-				if m == nil || m.logAt <= k || m.Updated <= dir.since {
-					continue
-				}
 				for _, rep := range m.Replicas {
 					if rep.Holder == dir.from.self || rep.Holder == dir.to.self {
 						continue // covered by inventories
@@ -733,12 +730,18 @@ func (s *State) acksSince(since float64, to *State) []packet.ID {
 	return out
 }
 
-// sortedIDs returns the distinct packet IDs of inv in ascending order,
-// in a reused scratch valid until the next call.
-func (s *State) sortedIDs(inv []InventoryItem) []packet.ID {
+// changedIDs returns the distinct packet IDs of inv whose record at s
+// changed since the last exchange — it has an append past the log's
+// cut k and a latest change after since — in ascending order, in a
+// reused scratch valid until the next call. Only the survivors are
+// sorted. Filtering first is exact: the gossip loop that consumes the
+// IDs writes only the receiver's state, never s's records.
+func (s *State) changedIDs(inv []InventoryItem, k int, since float64) []packet.ID {
 	out := s.invScratch[:0]
 	for _, it := range inv {
-		out = append(out, it.ID)
+		if m := s.meta.Get(it.ID); m != nil && m.logAt > k && m.Updated > since {
+			out = append(out, it.ID)
+		}
 	}
 	slices.Sort(out)
 	out = slices.Compact(out)

@@ -20,11 +20,13 @@ import (
 // packets that precede i (Fig. 1 of the paper). Queues are ordered
 // oldest-first — "sorted in decreasing order of T(i) or time since
 // creation — the order in which they would be delivered directly"
-// (§4.1). RAPID builds one over the contact peer's buffer at planning
-// time: it is the snapshot that prices hypothetical replicas at the
-// peer for the rest of the session. A node's own b(i) needs no index;
-// Inventory, PlanReplication and eviction read it off one walk of the
-// store's destination queues.
+// (§4.1). RAPID's slice plan (PlanReplication) builds one over the
+// contact peer's buffer at planning time: it is the snapshot that
+// prices hypothetical replicas at the peer for the rest of the session
+// (EstimateReplicaDelay) or window (SnapshotReplicaDelays). Pricing
+// the plan itself needs no index: one walk of the node's destination
+// queues reads b(i) off running byte sums, here and at the peer
+// (queueCursor).
 type QueueIndex struct {
 	// byDst is indexed by the run's dense destination IDs; a packet's
 	// position is found by binary search in its destination's queue.
@@ -66,18 +68,13 @@ func (e qent) before(p *packet.Packet) bool {
 	return e.created < p.Created || (e.created == p.Created && e.id < p.ID)
 }
 
-// queue returns the indexed queue for dst (nil when none is indexed).
-func (q *QueueIndex) queue(dst packet.NodeID) []qent {
-	if dst < 0 || int(dst) >= len(q.byDst) {
-		return nil
-	}
-	return q.byDst[dst]
-}
-
 // position returns p's destination queue and the index of its first
 // entry not older than p. O(log q).
 func (q *QueueIndex) position(p *packet.Packet) ([]qent, int) {
-	ents := q.queue(p.Dst)
+	var ents []qent
+	if p.Dst >= 0 && int(p.Dst) < len(q.byDst) {
+		ents = q.byDst[p.Dst]
+	}
 	lo, hi := 0, len(ents)
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -106,15 +103,10 @@ func (q *QueueIndex) BytesAhead(p *packet.Packet) int64 {
 // that are older than p. Used when hypothesizing a replica at the
 // contact peer (the peer's queue as just announced).
 func (q *QueueIndex) HypoBytesAhead(p *packet.Packet) int64 {
+	// Everything before i is strictly older; if the packet itself sits
+	// at i, its own bytes are not ahead of it.
 	ents, i := q.position(p)
-	return hypoAt(ents, i, p.ID)
-}
-
-// hypoAt is HypoBytesAhead for packet id whose position in ents is i.
-// Everything before i is strictly older; if the packet itself sits at
-// i, its own bytes are not ahead of it.
-func hypoAt(ents []qent, i int, id packet.ID) int64 {
-	if i < len(ents) && ents[i].id == id {
+	if i < len(ents) && ents[i].id == p.ID {
 		return ents[i].cum
 	}
 	if i == 0 {
@@ -123,22 +115,30 @@ func hypoAt(ents []qent, i int, id packet.ID) int64 {
 	return ents[i-1].cum + ents[i-1].size
 }
 
-// queueCursor answers HypoBytesAhead for the packets of one
-// destination offered in delivery order: its position only moves
-// forward, so a whole queue costs one pass over the indexed queue
-// instead of a binary search per packet.
+// queueCursor answers HypoBytesAhead against one destination queue of
+// a live store, for packets offered in delivery order: it only moves
+// forward, summing the bytes of the entries it passes, so a whole queue
+// costs one pass over the peer's queue and no index.
 type queueCursor struct {
-	ents []qent
-	i    int
+	q     []*buffer.Entry
+	i     int
+	ahead int64
 }
 
-// hypoBytesAhead returns HypoBytesAhead(p). p must not precede the
-// packet of the previous call in delivery order.
-func (c *queueCursor) hypoBytesAhead(p *packet.Packet) int64 {
-	for c.i < len(c.ents) && c.ents[c.i].before(p) {
+// bytesAhead returns the bytes queued before p: the sizes of the
+// entries that precede it in delivery order, not counting p itself if
+// the store holds it. p must not precede the packet of the previous
+// call in delivery order.
+func (c *queueCursor) bytesAhead(p *packet.Packet) int64 {
+	for c.i < len(c.q) {
+		q := c.q[c.i].P
+		if q.Created > p.Created || (q.Created == p.Created && q.ID >= p.ID) {
+			break
+		}
+		c.ahead += q.Size
 		c.i++
 	}
-	return hypoAt(c.ents, c.i, p.ID)
+	return c.ahead
 }
 
 // Estimator implements Estimate-Delay (§4.1) from one node's local
@@ -147,8 +147,8 @@ func (c *queueCursor) hypoBytesAhead(p *packet.Packet) int64 {
 // on demand: each is a memoized meeting-matrix read and a walk over the
 // packet's replicas. The caller supplies queue positions as bytes
 // ahead: b(i) in the node's own queue, from a walk of the store's
-// destination queues, and the hypothetical b(i) at a peer, from the
-// peer's QueueIndex.
+// destination queues, and the hypothetical b(i) at a peer, from a
+// cursor over the peer's queue or the peer's QueueIndex.
 type Estimator struct {
 	node *routing.Node
 }
@@ -177,17 +177,47 @@ func meetingsNeeded(bytesAhead, size int64, avgTransfer float64) float64 {
 	return n
 }
 
+// dstTerms are the constants of a direct-delivery estimate at one
+// holder for one destination: E(M) from the holder to the destination
+// and the holder's average transfer size B. Both are fixed within one
+// walk of a destination queue, so the walks read them once per queue.
+type dstTerms struct {
+	em, b float64
+}
+
+// delay returns E(M) · n(i) for a packet of size bytes with ahead bytes
+// queued before it, or +Inf when the destination is unreachable within
+// the h-hop matrix.
+func (t dstTerms) delay(ahead, size int64) float64 {
+	if math.IsInf(t.em, 1) {
+		return math.Inf(1)
+	}
+	return t.em * meetingsNeeded(ahead, size, t.b)
+}
+
+// selfTerms returns the node's own terms for destination dst.
+func (est *Estimator) selfTerms(dst packet.NodeID) dstTerms {
+	return dstTerms{
+		em: est.node.Ctl.Meet.Expected(est.node.ID, dst),
+		b:  est.node.Ctl.AvgTransferBytes(est.node.Net.Cfg.DefaultTransferBytes),
+	}
+}
+
+// peerTerms returns peer's terms for destination dst as this node sees
+// them: the local matrix's E(M_YZ) and the peer's announced average.
+func (est *Estimator) peerTerms(peer *routing.Node, dst packet.NodeID) dstTerms {
+	return dstTerms{
+		em: est.node.Ctl.Meet.Expected(peer.ID, dst),
+		b:  est.node.Ctl.AvgTransferOf(peer.ID, est.node.Net.Cfg.DefaultTransferBytes),
+	}
+}
+
 // SelfDelay estimates the node's own direct-delivery time for packet p
 // with `ahead` bytes queued before it: E(M_XZ) · n_X(i) (the Eq. 9
 // terms). Returns +Inf when the destination is unreachable within the
 // h-hop matrix.
 func (est *Estimator) SelfDelay(p *packet.Packet, ahead int64) float64 {
-	em := est.node.Ctl.Meet.Expected(est.node.ID, p.Dst)
-	if math.IsInf(em, 1) {
-		return math.Inf(1)
-	}
-	b := est.node.Ctl.AvgTransferBytes(est.node.Net.Cfg.DefaultTransferBytes)
-	return em * meetingsNeeded(ahead, p.Size, b)
+	return est.selfTerms(p.Dst).delay(ahead, p.Size)
 }
 
 // PeerDelay hypothesizes the direct-delivery time of a replica of p
@@ -195,12 +225,7 @@ func (est *Estimator) SelfDelay(p *packet.Packet, ahead int64) float64 {
 // peer's just-announced buffer (its HypoBytesAhead), and the local
 // matrix's estimate of E(M_YZ).
 func (est *Estimator) PeerDelay(peer *routing.Node, ahead int64, p *packet.Packet) float64 {
-	em := est.node.Ctl.Meet.Expected(peer.ID, p.Dst)
-	if math.IsInf(em, 1) {
-		return math.Inf(1)
-	}
-	b := est.node.Ctl.AvgTransferOf(peer.ID, est.node.Net.Cfg.DefaultTransferBytes)
-	return em * meetingsNeeded(ahead, p.Size, b)
+	return est.peerTerms(peer, p.Dst).delay(ahead, p.Size)
 }
 
 // KnownDelays gathers the per-replica expected direct-delivery delays
@@ -229,7 +254,11 @@ func (est *Estimator) KnownDelays(p *packet.Packet, ahead int64) []float64 {
 // destination). This is the hot-path form of KnownDelays: it is
 // evaluated once per buffered packet per contact.
 func (est *Estimator) RateSum(p *packet.Packet, ahead int64) (rate float64, delivered bool) {
-	d := est.SelfDelay(p, ahead)
+	return est.rateSum(p, est.SelfDelay(p, ahead))
+}
+
+// rateSum is RateSum given the node's own delay estimate d for p.
+func (est *Estimator) rateSum(p *packet.Packet, d float64) (rate float64, delivered bool) {
 	if d == 0 {
 		return 0, true
 	}
@@ -253,7 +282,11 @@ func (est *Estimator) RateSum(p *packet.Packet, ahead int64) (rate float64, deli
 // RemainingDelay returns A(i) = E[a(i)], the expected remaining time to
 // deliver p by any replica (Eq. 6/8).
 func (est *Estimator) RemainingDelay(p *packet.Packet, ahead int64) float64 {
-	rate, delivered := est.RateSum(p, ahead)
+	return remainingDelay(est.RateSum(p, ahead))
+}
+
+// remainingDelay is A(i) for a combined delivery rate.
+func remainingDelay(rate float64, delivered bool) float64 {
 	if delivered {
 		return 0
 	}

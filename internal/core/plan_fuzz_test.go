@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -37,8 +38,9 @@ var (
 // refPlanWalk is the reference for Inventory and PlanReplication: it
 // iterates the store's entries in its internal order, takes b(i) from a
 // fresh index of the own store and the peer position from a fresh index
-// of the peer's store, and sorts with the plan order.
-func refPlanWalk(r *Router, peer *routing.Node, now float64) ([]control.InventoryItem, []*buffer.Entry) {
+// of the peer's store, prices each packet with the estimator's
+// per-packet methods (refCandidate), and sorts with the plan order.
+func refPlanWalk(r *Router, peer *routing.Node, now float64) ([]control.InventoryItem, []repCand) {
 	own, peerIdx := NewQueueIndex(r.node.Store), NewQueueIndex(peer.Store)
 	cap := delayCap(r.node.Net.Horizon)
 	var inv []control.InventoryItem
@@ -51,115 +53,176 @@ func refPlanWalk(r *Router, peer *routing.Node, now float64) ([]control.Inventor
 			Hops:  e.Hops,
 		})
 		if e.P.Dst != peer.ID {
-			cands = append(cands, r.candidate(peer, e, own.BytesAhead(e.P), peerIdx.HypoBytesAhead(e.P), now, cap))
+			cands = append(cands, refCandidate(r, peer, e, own.BytesAhead(e.P), peerIdx.HypoBytesAhead(e.P), now, cap))
 		}
 	}
 	slices.SortFunc(cands, planOrder)
-	plan := make([]*buffer.Entry, len(cands))
-	for i, c := range cands {
-		plan[i] = c.e
+	return inv, cands
+}
+
+// refCandidate prices replicating e to peer one packet at a time, every
+// estimate term read afresh, with b(i) = ahead here and peerAhead at
+// the peer.
+func refCandidate(r *Router, peer *routing.Node, e *buffer.Entry, ahead, peerAhead int64, now, cap float64) repCand {
+	dY := r.est.PeerDelay(peer, peerAhead, e.P)
+	var key float64
+	switch r.metric {
+	case MaxDelay:
+		if !math.IsInf(dY, 1) {
+			key = capDelay(r.est.ExpectedDelay(e.P, ahead, now), cap)
+		}
+	case Deadline:
+		rate, delivered := r.est.RateSum(e.P, ahead)
+		key = marginalDeadline(rate, delivered, dY, e.P, now) / float64(e.P.Size)
+	default:
+		rate, delivered := r.est.RateSum(e.P, ahead)
+		key = marginalAvgDelay(rate, delivered, dY, cap) / float64(e.P.Size)
 	}
-	return inv, plan
+	return repCand{e: e, key: key, tail: key <= 0, peerAhead: peerAhead}
+}
+
+// refPull applies a point session's skip rule to the sorted plan: it
+// walks the plan in order and takes each candidate that fits the
+// budget, which then drops by the candidate's size unless rejected
+// says the session found the k-th taken candidate no longer movable.
+func refPull(plan []repCand, budget int64, rejected func(k int) bool) []repCand {
+	var out []repCand
+	for _, c := range plan {
+		if c.e.P.Size > budget {
+			continue
+		}
+		if !rejected(len(out)) {
+			budget -= c.e.P.Size
+		}
+		out = append(out, c)
+	}
+	return out
+}
+
+// pullBudgets are the opening budgets the pulled plan is checked under:
+// none, below every size, between the sizes, and past the whole plan.
+// Walking a plan that mixes sizes, a budget that no longer fits one
+// candidate still takes a later, smaller one, and it runs out inside
+// runs of equal keys: tail candidates created at one instant, or
+// queue neighbours whose positions round to the same number of
+// meetings.
+var pullBudgets = []int64{0, 99, 100, 349, 400, 999, 1000, 1350, 2599, 5000, 1 << 40}
+
+// rejectPatterns say which taken candidates a session finds no longer
+// movable (their bytes are not charged): none, every third, all.
+var rejectPatterns = []func(k int) bool{
+	func(int) bool { return false },
+	func(k int) bool { return k%3 == 1 },
+	func(int) bool { return true },
 }
 
 // FuzzPlanWalk builds random own and peer buffers (creation-time ties,
 // mixed sizes, packets held by both stores, packets destined to the
-// peer, destinations past the end of the peer's index), random meeting
+// peer, destinations past the end of the peer's buffer), random meeting
 // tables, transfer averages, remote replica estimates and acks, under
-// each of the three metrics, and checks the single-walk Inventory and
-// PlanReplication against refPlanWalk after every change: the plan
-// entry by entry, the inventory as a map from packet ID to item with
-// delays compared by their bits.
+// each of the three metrics, and checks the single-walk Inventory,
+// PlanReplication and PullReplication against refPlanWalk after every
+// change: the plan entry by entry, the inventory as a map from packet
+// ID to item with delays compared by their bits, and the pulled plan
+// under every opening budget and reject pattern against refPull.
 func FuzzPlanWalk(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("\x01\x00\x02\x05\x00\x01\x03\x00\x02\x01\x00\x01\x02\x03\x01\x07\x05\x02\x01\x00\x06\x02\x03\x04\x01\x07"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		in := planStream(data)
-		metric := Metric(in.intn(3))
-		const nodes = 8 // node 0 plans, node 1 is the peer
-		ids := make([]packet.NodeID, nodes)
-		for i := range ids {
-			ids[i] = packet.NodeID(i)
-		}
-		net := routing.NewNetwork(sim.New(1), ids, New(metric), routing.Config{
-			Mode: routing.ControlInBand, MetaFraction: -1, DefaultTransferBytes: 1000,
-		})
-		net.Horizon = 5000
-		n0, peer := net.Node(0), net.Node(1)
-		r := n0.Router.(*Router)
-		// The peer's index covers destinations up to peerMax only, so
-		// own packets to higher destinations fall past its end.
-		peerMax := 1 + in.intn(nodes-1)
-		now := 60.0
-		var pkts []*packet.Packet
-		next := packet.ID(1)
-		fresh := func() *packet.Packet {
-			p := &packet.Packet{
-				ID: next, Src: 0, Dst: packet.NodeID(1 + in.intn(nodes-1)),
-				Size: planSizes[in.intn(len(planSizes))], Created: float64(5 * in.intn(6)),
-			}
-			if in.intn(2) == 0 {
-				p.Deadline = p.Created + float64(20*in.intn(8))
-			}
-			next++
-			pkts = append(pkts, p)
-			return p
-		}
-		for op := 0; op < 64 && len(in) > 0; op++ {
-			switch in.intn(9) {
-			case 0, 1: // a fresh packet at this node
-				n0.Store.Insert(&buffer.Entry{P: fresh(), Hops: in.intn(3)}, nil)
-			case 2: // a fresh packet at the peer, within its index range
-				p := fresh()
-				p.Dst = packet.NodeID(1 + in.intn(peerMax))
-				peer.Store.Insert(&buffer.Entry{P: p}, nil)
-			case 3: // a packet both stores hold
-				if len(pkts) > 0 {
-					p := pkts[in.intn(len(pkts))]
-					n0.Store.Insert(&buffer.Entry{P: p}, nil)
-					peer.Store.Insert(&buffer.Entry{P: p}, nil)
-				}
-			case 4: // drop a packet from one store
-				if len(pkts) > 0 {
-					id := pkts[in.intn(len(pkts))].ID
-					if in.intn(2) == 0 {
-						n0.Store.Remove(id)
-					} else {
-						peer.Store.Remove(id)
-					}
-				}
-			case 5: // a remote replica estimate or an ack
-				if len(pkts) > 0 {
-					p := pkts[in.intn(len(pkts))]
-					if in.intn(5) == 0 {
-						n0.Ctl.LearnAck(p.ID, now)
-						break
-					}
-					n0.Ctl.NoteReplica(control.InventoryItem{
-						ID: p.ID, Dst: p.Dst, Size: p.Size, Created: p.Created,
-						Deadline: p.Deadline, Delay: planDelays[in.intn(len(planDelays))],
-					}, packet.NodeID(2+in.intn(nodes-2)), now)
-				}
-			case 6: // meeting tables: this node's own row, or the peer's
-				d := packet.NodeID(1 + in.intn(nodes-1))
-				gap := float64(10 * (1 + in.intn(20)))
-				if in.intn(2) == 0 {
-					n0.Ctl.Meet.ObserveMeeting(d, gap)
-				} else if d != 1 {
-					n0.Ctl.Meet.MergeTable(1, map[packet.NodeID]float64{d: gap})
-				}
-			case 7: // transfer averages, own and announced by the peer
-				n0.Ctl.ObserveTransfer(int64(200 * (1 + in.intn(10))))
-				if in.intn(2) == 0 {
-					peer.Ctl.ObserveTransfer(int64(200 * (1 + in.intn(10))))
-					control.Exchange(n0.Ctl, peer.Ctl, nil, nil, now, control.Options{MaxBytes: -1})
-				}
-			case 8: // time passes
-				now += float64(5 * in.intn(8))
-			}
+		planWalk(data, func(op int, r *Router, peer *routing.Node, now float64) {
 			checkPlanWalk(t, op, r, peer, now)
-		}
+		})
 	})
+}
+
+// planWalk decodes data into a sequence of changes to a planning node
+// and its peer, calling check after each.
+func planWalk(data []byte, check func(op int, r *Router, peer *routing.Node, now float64)) {
+	in := planStream(data)
+	metric := Metric(in.intn(3))
+	const nodes = 8 // node 0 plans, node 1 is the peer
+	ids := make([]packet.NodeID, nodes)
+	for i := range ids {
+		ids[i] = packet.NodeID(i)
+	}
+	net := routing.NewNetwork(sim.New(1), ids, New(metric), routing.Config{
+		Mode: routing.ControlInBand, MetaFraction: -1, DefaultTransferBytes: 1000,
+	})
+	net.Horizon = 5000
+	n0, peer := net.Node(0), net.Node(1)
+	r := n0.Router.(*Router)
+	// The peer's index covers destinations up to peerMax only, so
+	// own packets to higher destinations fall past its end.
+	peerMax := 1 + in.intn(nodes-1)
+	now := 60.0
+	var pkts []*packet.Packet
+	next := packet.ID(1)
+	fresh := func() *packet.Packet {
+		p := &packet.Packet{
+			ID: next, Src: 0, Dst: packet.NodeID(1 + in.intn(nodes-1)),
+			Size: planSizes[in.intn(len(planSizes))], Created: float64(5 * in.intn(6)),
+		}
+		if in.intn(2) == 0 {
+			p.Deadline = p.Created + float64(20*in.intn(8))
+		}
+		next++
+		pkts = append(pkts, p)
+		return p
+	}
+	for op := 0; op < 64 && len(in) > 0; op++ {
+		switch in.intn(9) {
+		case 0, 1: // a fresh packet at this node
+			n0.Store.Insert(&buffer.Entry{P: fresh(), Hops: in.intn(3)}, nil)
+		case 2: // a fresh packet at the peer, within its index range
+			p := fresh()
+			p.Dst = packet.NodeID(1 + in.intn(peerMax))
+			peer.Store.Insert(&buffer.Entry{P: p}, nil)
+		case 3: // a packet both stores hold
+			if len(pkts) > 0 {
+				p := pkts[in.intn(len(pkts))]
+				n0.Store.Insert(&buffer.Entry{P: p}, nil)
+				peer.Store.Insert(&buffer.Entry{P: p}, nil)
+			}
+		case 4: // drop a packet from one store
+			if len(pkts) > 0 {
+				id := pkts[in.intn(len(pkts))].ID
+				if in.intn(2) == 0 {
+					n0.Store.Remove(id)
+				} else {
+					peer.Store.Remove(id)
+				}
+			}
+		case 5: // a remote replica estimate or an ack
+			if len(pkts) > 0 {
+				p := pkts[in.intn(len(pkts))]
+				if in.intn(5) == 0 {
+					n0.Ctl.LearnAck(p.ID, now)
+					break
+				}
+				n0.Ctl.NoteReplica(control.InventoryItem{
+					ID: p.ID, Dst: p.Dst, Size: p.Size, Created: p.Created,
+					Deadline: p.Deadline, Delay: planDelays[in.intn(len(planDelays))],
+				}, packet.NodeID(2+in.intn(nodes-2)), now)
+			}
+		case 6: // meeting tables: this node's own row, or the peer's
+			d := packet.NodeID(1 + in.intn(nodes-1))
+			gap := float64(10 * (1 + in.intn(20)))
+			if in.intn(2) == 0 {
+				n0.Ctl.Meet.ObserveMeeting(d, gap)
+			} else if d != 1 {
+				n0.Ctl.Meet.MergeTable(1, map[packet.NodeID]float64{d: gap})
+			}
+		case 7: // transfer averages, own and announced by the peer
+			n0.Ctl.ObserveTransfer(int64(200 * (1 + in.intn(10))))
+			if in.intn(2) == 0 {
+				peer.Ctl.ObserveTransfer(int64(200 * (1 + in.intn(10))))
+				control.Exchange(n0.Ctl, peer.Ctl, nil, nil, now, control.Options{MaxBytes: -1})
+			}
+		case 8: // time passes
+			now += float64(5 * in.intn(8))
+		}
+		check(op, r, peer, now)
+	}
 }
 
 // checkPlanWalk compares Inventory and PlanReplication with refPlanWalk.
@@ -191,8 +254,50 @@ func checkPlanWalk(t *testing.T, op int, r *Router, peer *routing.Node, now floa
 		t.Fatalf("op %d: plan of %d entries, reference %d", op, len(gotPlan), len(wantPlan))
 	}
 	for i := range wantPlan {
-		if gotPlan[i] != wantPlan[i] {
-			t.Fatalf("op %d: plan entry %d is packet %d, reference %d", op, i, gotPlan[i].P.ID, wantPlan[i].P.ID)
+		if gotPlan[i] != wantPlan[i].e {
+			t.Fatalf("op %d: plan entry %d is packet %d, reference %d", op, i, gotPlan[i].P.ID, wantPlan[i].e.P.ID)
+		}
+	}
+	for _, budget := range pullBudgets {
+		for pi, rejected := range rejectPatterns {
+			checkPull(t, fmt.Sprintf("op %d budget %d rejects %d", op, budget, pi), r, peer, now, wantPlan, budget, rejected)
+		}
+	}
+}
+
+// checkPull drains a pulled plan the way a point session does and
+// compares it with refPull: the same candidates in the same order, each
+// carrying the peer's HypoBytesAhead and pricing its replica as
+// EstimateReplicaDelay does, bit for bit.
+func checkPull(t *testing.T, at string, r *Router, peer *routing.Node, now float64, plan []repCand, budget int64, rejected func(k int) bool) {
+	t.Helper()
+	want := refPull(plan, budget, rejected)
+	peerIdx := NewQueueIndex(peer.Store)
+	p := r.PullReplication(peer, now)
+	for k := 0; ; k++ {
+		e := p.Next(budget)
+		if e == nil {
+			if k != len(want) {
+				t.Fatalf("%s: pulled %d candidates, reference %d", at, k, len(want))
+			}
+			return
+		}
+		if k >= len(want) {
+			t.Fatalf("%s: pull %d is packet %d, past the reference's %d", at, k, e.P.ID, len(want))
+		}
+		if e != want[k].e {
+			t.Fatalf("%s: pull %d is packet %d, reference %d", at, k, e.P.ID, want[k].e.P.ID)
+		}
+		carried := r.pulled.last.peerAhead
+		if hypo := peerIdx.HypoBytesAhead(e.P); carried != hypo {
+			t.Fatalf("%s: pull %d (packet %d) carries %d bytes ahead at the peer, index says %d", at, k, e.P.ID, carried, hypo)
+		}
+		got, ref := p.ReplicaDelay(e), r.est.PeerDelay(peer, peerIdx.HypoBytesAhead(e.P), e.P)
+		if math.Float64bits(got) != math.Float64bits(ref) {
+			t.Fatalf("%s: pull %d (packet %d) replica delay %v, reference %v", at, k, e.P.ID, got, ref)
+		}
+		if !rejected(k) {
+			budget -= e.P.Size
 		}
 	}
 }

@@ -7,13 +7,14 @@ import (
 
 	"rapid/internal/buffer"
 	"rapid/internal/control"
+	"rapid/internal/minheap"
 	"rapid/internal/packet"
 	"rapid/internal/routing"
 )
 
 // Router is the RAPID protocol (Protocol rapid, §3.4) bound to one
 // node. Construct via New. It keeps no index over its own buffer:
-// Inventory, PlanReplication and eviction each walk the store's
+// Inventory, the replication plans and eviction each walk the store's
 // destination queues once, summing b(i) as they go.
 type Router struct {
 	metric Metric
@@ -27,19 +28,22 @@ type Router struct {
 	// peer's store *version*, not the clock: two distinct contacts
 	// between the same pair at the same timestamp (duplicate trace
 	// rows, zero-period contact-plan entries) must not reuse the first
-	// contact's snapshot of the peer's buffer.
+	// contact's snapshot of the peer's buffer. A pulled plan carries
+	// its own planning-time prices and reads no index.
 	peerIdx    *QueueIndex
 	peerIdxID  packet.NodeID
 	peerIdxVer uint64
 
-	// Scratch buffers reused across contacts. The runtime consumes each
-	// returned slice before the node's next contact, so per-contact
-	// allocation of these (which dominated the allocation profile) is
-	// pooled away. They are per-router, never shared between nodes.
+	// Scratch reused across contacts. The runtime consumes each
+	// returned slice or plan before the node's next contact, so
+	// per-contact allocation of these (which dominated the allocation
+	// profile) is pooled away. They are per-router, never shared
+	// between nodes. pulled keeps its candidates in candScratch.
 	invScratch  []control.InventoryItem
 	dqScratch   []*buffer.Entry
 	candScratch []repCand
 	planScratch []*buffer.Entry
+	pulled      pulledPlan
 }
 
 // repCand is one replication candidate during plan ranking.
@@ -47,6 +51,10 @@ type repCand struct {
 	e    *buffer.Entry
 	key  float64
 	tail bool // no measurable marginal gain; fills leftover budget
+	// peerAhead is the candidate's b(i) at the peer at planning time
+	// (HypoBytesAhead over the peer's buffer), which prices the
+	// replica's delivery delay if it is sent.
+	peerAhead int64
 }
 
 // New returns a factory producing RAPID routers optimizing the given
@@ -112,13 +120,14 @@ func (r *Router) Generate(p *packet.Packet, now float64) {
 // running byte sum of its queue.
 func (r *Router) Inventory(now float64) []control.InventoryItem {
 	out := r.invScratch[:0]
-	r.node.Store.EachQueue(func(_ packet.NodeID, q []*buffer.Entry) {
+	r.node.Store.EachQueue(func(dst packet.NodeID, q []*buffer.Entry) {
+		self := r.est.selfTerms(dst)
 		var ahead int64
 		for _, e := range q {
 			out = append(out, control.InventoryItem{
 				ID: e.P.ID, Dst: e.P.Dst, Size: e.P.Size,
 				Created: e.P.Created, Deadline: e.P.Deadline,
-				Delay: r.est.SelfDelay(e.P, ahead),
+				Delay: self.delay(ahead, e.P.Size),
 				Hops:  e.Hops,
 			})
 			ahead += e.P.Size
@@ -187,28 +196,12 @@ func remaining(p *packet.Packet, now float64) (float64, bool) {
 // session thereafter, the recalculated order is exactly decreasing
 // D(i) — which is how it is produced here.
 //
-// One walk of the destination queues prices every candidate: b(i) at
-// this node is the queue's running byte sum, and the hypothetical b(i)
-// at the peer comes from a cursor over the peer's queue for the same
-// destination. The walk order is immaterial, because the candidates are
-// then sorted by a strict total order (every key tie falls to the
-// packet ID).
+// The slice is the whole plan, sorted; it also pins the peer's queue
+// index that EstimateReplicaDelay reads. A point session pulls the same
+// order from PullReplication instead.
 func (r *Router) PlanReplication(peer *routing.Node, now float64) []*buffer.Entry {
-	peerIdx := r.peerIndex(peer)
-	cap := delayCap(r.node.Net.Horizon)
-	cands := r.candScratch[:0]
-	r.node.Store.EachQueue(func(dst packet.NodeID, q []*buffer.Entry) {
-		if dst == peer.ID {
-			return // direct delivery, not replication
-		}
-		peerQ := queueCursor{ents: peerIdx.queue(dst)}
-		var ahead int64
-		for _, e := range q {
-			cands = append(cands, r.candidate(peer, e, ahead, peerQ.hypoBytesAhead(e.P), now, cap))
-			ahead += e.P.Size
-		}
-	})
-	r.candScratch = cands
+	r.peerIndex(peer)
+	cands, _ := r.candidates(peer, now)
 	slices.SortFunc(cands, planOrder)
 	out := r.planScratch[:0]
 	for _, c := range cands {
@@ -218,26 +211,94 @@ func (r *Router) PlanReplication(peer *routing.Node, now float64) []*buffer.Entr
 	return out
 }
 
-// candidate prices replicating e to peer, with b(i) = ahead bytes
+// PullReplication implements routing.PlanPuller: PlanReplication's
+// order, heapified in O(n) and popped while the session's budget lasts,
+// so a contact that carries k of n candidates costs O(n + k log n)
+// instead of a full sort. planOrder is a strict total order, so the
+// pops are exactly the sorted plan's prefix. The plan reads no queue
+// index: each candidate carries its planning-time bytes ahead at the
+// peer, which is what EstimateReplicaDelay would look up.
+func (r *Router) PullReplication(peer *routing.Node, now float64) routing.ReplicationPlan {
+	p := &r.pulled
+	p.est, p.peer = r.est, peer
+	p.heap.Items, p.minSize = r.candidates(peer, now)
+	p.heap.Less = candLess
+	p.heap.Init()
+	p.last = repCand{}
+	return p
+}
+
+// candidates prices every replication candidate for peer in one walk
+// of the destination queues, in walk order, and returns them with the
+// smallest candidate size. b(i) at this node is the queue's running
+// byte sum, and the hypothetical b(i) at the peer comes from a cursor
+// over the peer's live queue for the same destination. The walk order
+// is immaterial: the plans order candidates by planOrder, a strict
+// total order (every key tie falls to the packet ID).
+func (r *Router) candidates(peer *routing.Node, now float64) ([]repCand, int64) {
+	cap := delayCap(r.node.Net.Horizon)
+	cands := r.candScratch[:0]
+	minSize := int64(math.MaxInt64)
+	r.node.Store.EachQueue(func(dst packet.NodeID, q []*buffer.Entry) {
+		if dst == peer.ID {
+			return // direct delivery, not replication
+		}
+		terms := queueTerms{est: r.est, dst: dst, peer: r.est.peerTerms(peer, dst)}
+		peerQ := queueCursor{q: peer.Store.Queue(dst)}
+		var ahead int64
+		for _, e := range q {
+			cands = append(cands, r.candidate(e, &terms, ahead, peerQ.bytesAhead(e.P), now, cap))
+			ahead += e.P.Size
+			minSize = min(minSize, e.P.Size)
+		}
+	})
+	r.candScratch = cands
+	return cands, minSize
+}
+
+// queueTerms holds one destination queue's estimate terms during the
+// candidate walk. The node's own are read on first use: the max-delay
+// key skips them for a packet the peer cannot deliver, and reading them
+// anyway could run a shortest-path search (counted in Collector.Meet)
+// that the per-packet estimate never ran.
+type queueTerms struct {
+	est    *Estimator
+	dst    packet.NodeID
+	peer   dstTerms
+	self   dstTerms
+	selfOK bool
+}
+
+// selfDelay returns the node's own delay estimate for a packet of size
+// bytes with ahead bytes queued before it.
+func (t *queueTerms) selfDelay(ahead, size int64) float64 {
+	if !t.selfOK {
+		t.self, t.selfOK = t.est.selfTerms(t.dst), true
+	}
+	return t.self.delay(ahead, size)
+}
+
+// candidate prices replicating e to the peer, with b(i) = ahead bytes
 // queued before e here and peerAhead at the peer.
-func (r *Router) candidate(peer *routing.Node, e *buffer.Entry, ahead, peerAhead int64, now, cap float64) repCand {
-	dY := r.est.PeerDelay(peer, peerAhead, e.P)
+func (r *Router) candidate(e *buffer.Entry, terms *queueTerms, ahead, peerAhead int64, now, cap float64) repCand {
+	dY := terms.peer.delay(peerAhead, e.P.Size)
 	var key float64
 	switch r.metric {
 	case MaxDelay:
 		// Work-conserving order: decreasing expected delay among
 		// packets the peer could actually deliver.
 		if !math.IsInf(dY, 1) {
-			key = capDelay(r.est.ExpectedDelay(e.P, ahead, now), cap)
+			rem := remainingDelay(r.est.rateSum(e.P, terms.selfDelay(ahead, e.P.Size)))
+			key = capDelay(e.P.Age(now)+rem, cap)
 		}
 	case Deadline:
-		rate, delivered := r.est.RateSum(e.P, ahead)
+		rate, delivered := r.est.rateSum(e.P, terms.selfDelay(ahead, e.P.Size))
 		key = marginalDeadline(rate, delivered, dY, e.P, now) / float64(e.P.Size)
 	default: // AvgDelay
-		rate, delivered := r.est.RateSum(e.P, ahead)
+		rate, delivered := r.est.rateSum(e.P, terms.selfDelay(ahead, e.P.Size))
 		key = marginalAvgDelay(rate, delivered, dY, cap) / float64(e.P.Size)
 	}
-	return repCand{e: e, key: key, tail: key <= 0}
+	return repCand{e: e, key: key, tail: key <= 0, peerAhead: peerAhead}
 }
 
 // planOrder ranks replication candidates: intentional ones first in
@@ -260,6 +321,47 @@ func planOrder(ci, cj repCand) int {
 		return c // tail: oldest first (they have waited longest)
 	}
 	return cmp.Compare(ci.e.P.ID, cj.e.P.ID)
+}
+
+// candLess is planOrder as the pulled plan's heap order.
+func candLess(a, b repCand) bool { return planOrder(a, b) < 0 }
+
+// pulledPlan is the plan PullReplication hands out: the priced
+// candidates in a heap under planOrder.
+type pulledPlan struct {
+	est  *Estimator
+	peer *routing.Node
+	heap minheap.Heap[repCand]
+	// minSize is the smallest candidate's size: a budget below it fits
+	// nothing, so Next stops without popping the rest.
+	minSize int64
+	// last is the candidate Next returned last, whose replica
+	// ReplicaDelay prices.
+	last repCand
+}
+
+// Next implements routing.ReplicationPlan.
+func (p *pulledPlan) Next(budget int64) *buffer.Entry {
+	if budget < p.minSize {
+		return nil
+	}
+	for p.heap.Len() > 0 {
+		if c := p.heap.Pop(); c.e.P.Size <= budget {
+			p.last = c
+			return c.e
+		}
+	}
+	return nil
+}
+
+// ReplicaDelay implements routing.ReplicationPlan: PeerDelay at the
+// candidate's planning-time bytes ahead, the value EstimateReplicaDelay
+// reads off the planning-time queue index.
+func (p *pulledPlan) ReplicaDelay(e *buffer.Entry) float64 {
+	if e != p.last.e {
+		panic("core: ReplicaDelay of a candidate the plan did not return last")
+	}
+	return p.est.PeerDelay(p.peer, p.last.peerAhead, e.P)
 }
 
 // Accept implements routing.Router: store the replica under the

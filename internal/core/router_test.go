@@ -379,3 +379,65 @@ func TestSnapshotReplicaDelaysSurvivesInterleavedContacts(t *testing.T) {
 		t.Fatalf("pinned snapshot drifted under interleaved contacts: %v -> %v", d1, d2)
 	}
 }
+
+// TestPulledPlanPricesAtPlanningTime: a pulled plan prices each
+// replica against the peer's buffer as it stood when the plan was
+// built, as the slice plan's snapshot does, even after the peer's
+// store changes mid-session.
+func TestPulledPlanPricesAtPlanningTime(t *testing.T) {
+	_, n0, n1 := testNet(t, AvgDelay, 0)
+	now := 50.0
+	n0.Ctl.Meet.ObserveMeeting(1, 25)
+	n0.Ctl.Meet.MergeTable(1, map[packet.NodeID]float64{2: 100})
+	n0.Ctl.ObserveTransfer(1000)
+	n1.Store.Insert(&buffer.Entry{P: &packet.Packet{ID: 5, Src: 1, Dst: 2, Size: 300, Created: 0}}, nil)
+	n0.Router.Generate(&packet.Packet{ID: 1, Src: 0, Dst: 2, Size: 400, Created: 10}, 10)
+	r := n0.Router.(*Router)
+
+	r.PlanReplication(n1, now)
+	want := r.EstimateReplicaDelay(n0.Store.Get(1), n1, now)
+	plan := r.PullReplication(n1, now)
+	e := plan.Next(1 << 20)
+	if e == nil || e.P.ID != 1 {
+		t.Fatalf("pulled %v, want packet 1", e)
+	}
+	// Mid-session, the peer gains an older same-destination packet.
+	n1.Store.Insert(&buffer.Entry{P: &packet.Packet{ID: 7, Src: 3, Dst: 2, Size: 700, Created: 0}}, nil)
+	if got := plan.ReplicaDelay(e); got != want {
+		t.Fatalf("pulled replica delay %v, planning-time estimate %v", got, want)
+	}
+	if e := plan.Next(1 << 20); e != nil {
+		t.Fatalf("plan of one candidate pulled a second: packet %d", e.P.ID)
+	}
+}
+
+// TestPullReplicationAllocs: once the router's scratch has grown,
+// pulling a plan and draining it allocates nothing.
+func TestPullReplicationAllocs(t *testing.T) {
+	net, n0, n1 := testNet(t, AvgDelay, 0)
+	n2 := net.Node(2)
+	n0.Ctl.Meet.ObserveMeeting(1, 25)
+	n0.Ctl.Meet.ObserveMeeting(2, 40)
+	n0.Ctl.Meet.MergeTable(1, map[packet.NodeID]float64{2: 100})
+	n0.Ctl.ObserveTransfer(1000)
+	for i := range 200 {
+		p := &packet.Packet{ID: packet.ID(i + 1), Src: 0, Dst: n2.ID, Size: int64(100 * (1 + i%4)), Created: float64(i % 50)}
+		n0.Store.Insert(&buffer.Entry{P: p}, nil)
+		if i%3 == 0 {
+			n1.Store.Insert(&buffer.Entry{P: p}, nil)
+		}
+	}
+	r := n0.Router.(*Router)
+	pull := func() {
+		plan := r.PullReplication(n1, 60)
+		budget := int64(8000)
+		for e := plan.Next(budget); e != nil; e = plan.Next(budget) {
+			plan.ReplicaDelay(e)
+			budget -= e.P.Size
+		}
+	}
+	pull() // grow the scratch
+	if allocs := testing.AllocsPerRun(100, pull); allocs != 0 {
+		t.Fatalf("PullReplication and its pulls allocate %v per contact, want 0", allocs)
+	}
+}

@@ -288,6 +288,36 @@ type ReplicaDelaySnapshotter interface {
 	SnapshotReplicaDelays(holder *Node) ReplicaDelayFunc
 }
 
+// ReplicationPlan is a replication plan that a session pulls from one
+// candidate at a time, instead of reading it whole as a slice: Protocol
+// rapid's Step 3 replicates "in decreasing order of marginal utility
+// per byte until the transfer opportunity ends", and an opportunity
+// usually ends long before the plan does.
+type ReplicationPlan interface {
+	// Next returns the plan's next candidate, in the order
+	// PlanReplication would list it, whose size fits budget; nil once
+	// none is left that fits. Candidates passed over are dropped: the
+	// caller's budget must never grow between calls, which a session's
+	// does not. The sequence returned is exactly what walking
+	// PlanReplication's slice with the same budgets would take.
+	Next(budget int64) *buffer.Entry
+	// ReplicaDelay returns the hypothesized direct-delivery delay of a
+	// replica of e at the plan's peer (ReplicaDelayEstimator's value),
+	// priced against the peer's buffer as it stood when the plan was
+	// built. e must be the candidate Next returned last.
+	ReplicaDelay(e *buffer.Entry) float64
+}
+
+// PlanPuller is an optional Router extension that supplies Step 3's
+// plan as a ReplicationPlan. A point session pulls from it while its
+// budget lasts, so a router can order candidates lazily instead of
+// sorting them all. The plan is router scratch, valid until the
+// router's next PullReplication or PlanReplication. A windowed session
+// outlives that, so it still reads PlanReplication's slice.
+type PlanPuller interface {
+	PullReplication(peer *Node, now float64) ReplicationPlan
+}
+
 // RouterFactory builds a fresh Router per node.
 type RouterFactory func(id packet.NodeID) Router
 

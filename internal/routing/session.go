@@ -22,9 +22,10 @@ import (
 // of candidates. A point meeting and a contact window (window.go) run
 // the same control phase, the same selection (next) and the same
 // commit; they differ only in when the queues are read — a point
-// session reads each at the step that uses it, a window snapshots all
-// four when it opens — and in when a selected transfer commits: at
-// once, or at its completion event.
+// session reads each at the step that uses it, pulling a plan from a
+// PlanPuller instead of reading its slice, while a window snapshots
+// all four slices when it opens — and in when a selected transfer
+// commits: at once, or at its completion event.
 //
 // The byte budget is shared between directions and between control and
 // data, matching the merged connection events of the deployment (§5).
@@ -190,17 +191,24 @@ const (
 // transferLoop is the selection state of Steps 2–3: the four queues,
 // a cursor into each, and whose plan is next in the round-robin. A
 // queue whose cursor has reached its end stays exhausted, which is
-// what stops a direction for good.
+// what stops a direction for good. A point session pulls a plan from a
+// PlanPuller instead of reading its slice; the pulled plan then stands
+// in for that plan's queue and cursor.
 type transferLoop struct {
 	queues [4][]*buffer.Entry
-	at     [4]int
-	// filled counts the queues read so far (queues[:filled]).
-	filled int
-	// turn is 0 when X's plan is tried next, 1 for Y's.
-	turn int
 	// est pins each plan's replica-delay evaluator (X's, then Y's);
 	// nil selects the sender's live estimator.
 	est [2]ReplicaDelayFunc
+	// pulled holds each plan pulled from a PlanPuller (X's, then Y's).
+	pulled [2]ReplicationPlan
+	// at is the cursor into each queue. It and the two counters below
+	// are narrow because a window carries this loop for its whole life
+	// and never pulls: the narrow fields pay for the pulled slots.
+	at [4]int32
+	// filled counts the queues read so far (queues[:filled]).
+	filled uint8
+	// turn is 0 when X's plan is tried next, 1 for Y's.
+	turn uint8
 }
 
 // side returns the sender and receiver of queue q.
@@ -212,17 +220,29 @@ func (s *Session) side(q int) (from, to *Node) {
 }
 
 // fill reads the queues up to and including q from the routers, in
-// queue order, skipping those already read. Router slices are scratch
-// that the routers' next call overwrites.
+// queue order, skipping those already read. A plan is pulled when its
+// router can supply one that way. Router slices and pulled plans are
+// scratch that the routers' next call overwrites.
 func (s *Session) fill(l *transferLoop, q int) {
-	for ; l.filled <= q; l.filled++ {
-		from, to := s.side(l.filled)
-		if l.filled < planXY {
-			l.queues[l.filled] = from.Router.DirectQueue(to.ID, s.now)
-		} else {
-			l.queues[l.filled] = from.Router.PlanReplication(to, s.now)
+	for ; int(l.filled) <= q; l.filled++ {
+		if i := int(l.filled) - planXY; i >= 0 {
+			from, to := s.side(int(l.filled))
+			if p, ok := from.Router.(PlanPuller); ok {
+				l.pulled[i] = p.PullReplication(to, s.now)
+				continue
+			}
 		}
+		l.queues[l.filled] = s.queue(int(l.filled))
 	}
+}
+
+// queue reads queue q's slice from its router.
+func (s *Session) queue(q int) []*buffer.Entry {
+	from, to := s.side(q)
+	if q < planXY {
+		return from.Router.DirectQueue(to.ID, s.now)
+	}
+	return from.Router.PlanReplication(to, s.now)
 }
 
 // next selects the opportunity's next transfer: its queue and entry,
@@ -240,7 +260,7 @@ func (s *Session) next(l *transferLoop) (int, *buffer.Entry, bool) {
 	}
 	s.fill(l, planYX)
 	for range 2 {
-		q := planXY + l.turn
+		q := planXY + int(l.turn)
 		l.turn ^= 1
 		if e, ok := s.pick(l, q); ok {
 			return q, e, true
@@ -249,18 +269,36 @@ func (s *Session) next(l *transferLoop) (int, *buffer.Entry, bool) {
 	return 0, nil, false
 }
 
-// pick advances queue q's cursor past its next entry that fits the
-// remaining budget (a smaller one later in the queue may fit when a
-// larger one does not) and may still move, and returns it.
+// pick takes queue q's next entry that fits the remaining budget (a
+// smaller one later in the queue may fit when a larger one does not)
+// and may still move, and returns it.
 func (s *Session) pick(l *transferLoop, q int) (*buffer.Entry, bool) {
-	for l.at[q] < len(l.queues[q]) {
-		e := l.queues[q][l.at[q]]
-		l.at[q]++
-		if e.P.Size <= s.budget && s.movable(q, e) {
+	for {
+		e := l.take(q, s.budget)
+		if e == nil {
+			return nil, false
+		}
+		if s.movable(q, e) {
 			return e, true
 		}
 	}
-	return nil, false
+}
+
+// take advances queue q past its next entry that fits budget and
+// returns it, or nil once none is left that fits. Entries passed over
+// are dropped for good: a session's budget never grows.
+func (l *transferLoop) take(q int, budget int64) *buffer.Entry {
+	if q >= planXY && l.pulled[q-planXY] != nil {
+		return l.pulled[q-planXY].Next(budget)
+	}
+	for int(l.at[q]) < len(l.queues[q]) {
+		e := l.queues[q][l.at[q]]
+		l.at[q]++
+		if e.P.Size <= budget {
+			return e
+		}
+	}
+	return nil
 }
 
 // movable applies the per-candidate filters of queue q that can change
@@ -298,7 +336,7 @@ func (s *Session) commit(l *transferLoop, q int, e *buffer.Entry, now float64) {
 		return
 	}
 	if q >= planXY {
-		s.acceptReplica(from, to, e, now, l.est[q-planXY])
+		s.acceptReplica(from, to, e, now, l, q-planXY)
 	} else {
 		s.deliverDirect(from, to, e, now)
 	}
@@ -345,10 +383,12 @@ func replicableState(e *buffer.Entry, from, to *Node) bool {
 // replica notes at each end whose records have a reader
 // (keepsReplicas), primed with the sender's hypothesized delivery
 // estimate for the new replica (RAPID's d_Y; it refreshes at the
-// receiver's next exchange either way). delayOf pins a window's
-// planning-time snapshot; nil selects the live estimator, which is
-// exact for a point session.
-func (s *Session) acceptReplica(from, to *Node, e *buffer.Entry, now float64, delayOf ReplicaDelayFunc) bool {
+// receiver's next exchange either way). The estimate comes from the
+// side's pulled plan, which priced the candidate against the
+// receiver's buffer as it stood at planning time; else from a window's
+// pinned planning-time snapshot; else from the live estimator, which
+// is exact for a point session.
+func (s *Session) acceptReplica(from, to *Node, e *buffer.Entry, now float64, l *transferLoop, side int) bool {
 	copyEntry := &buffer.Entry{
 		P:          e.P,
 		ReceivedAt: now,
@@ -365,8 +405,10 @@ func (s *Session) acceptReplica(from, to *Node, e *buffer.Entry, now float64, de
 	s.stats.Replications++
 	delay := math.Inf(1)
 	switch {
-	case delayOf != nil:
-		delay = delayOf(e)
+	case l.pulled[side] != nil:
+		delay = l.pulled[side].ReplicaDelay(e)
+	case l.est[side] != nil:
+		delay = l.est[side](e)
 	default:
 		if est, ok := from.Router.(ReplicaDelayEstimator); ok {
 			delay = est.EstimateReplicaDelay(e, to, now)

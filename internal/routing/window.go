@@ -97,9 +97,11 @@ func openWindow(net *Network, c trace.Contact) *winContact {
 
 	w := &winContact{s: s, c: c}
 	l := &w.loop
+	// A window reads every plan as a slice and copies it, never pulls
+	// one: it outlives its opening event, and a later contact at either
+	// node would rebuild the router's one pulled plan under it.
 	for q := range l.queues {
-		s.fill(l, q)
-		l.queues[q] = slices.Clone(l.queues[q])
+		l.queues[q] = slices.Clone(s.queue(q))
 		if q >= planXY {
 			// Pin the planning-time replica-delay snapshot: a router's
 			// single-slot peer cache may be re-pointed at another peer
@@ -108,6 +110,7 @@ func openWindow(net *Network, c trace.Contact) *winContact {
 			l.est[q-planXY] = replicaDelayFn(net, from.Router, to)
 		}
 	}
+	l.filled = uint8(len(l.queues))
 
 	ws := net.windows()
 	ws.live = append(ws.live, w)
