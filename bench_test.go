@@ -155,28 +155,9 @@ func BenchmarkEngineScheduleRun(b *testing.B) {
 	}
 }
 
-func BenchmarkQueueIndexBuild(b *testing.B) {
-	store := buffer.New(0)
-	r := rand.New(rand.NewSource(1))
-	for i := 0; i < 2000; i++ {
-		store.Insert(&buffer.Entry{P: &packet.Packet{
-			ID: packet.ID(i), Dst: packet.NodeID(r.Intn(20)), Size: 1024,
-			Created: r.Float64() * 1000,
-		}}, nil)
-	}
-	probe := store.Get(1000).P
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		idx := core.NewQueueIndex(store)
-		_ = idx.BytesAhead(probe)
-	}
-}
-
 // BenchmarkPlanReplication measures RAPID's slice replication plan at
-// one contact (planContact). The peer's queue index is built on the
-// first op and reused after, as within one session, so each op is the
-// pass that prices every candidate plus the sort.
+// one contact (planContact): each op is the pass that prices every
+// candidate plus the sort.
 func BenchmarkPlanReplication(b *testing.B) {
 	own, peer := planContact()
 	b.ReportAllocs()

@@ -71,10 +71,6 @@ type Store struct {
 	// maintained incrementally so routers never re-scan or re-sort the
 	// whole buffer to answer per-destination questions.
 	queues [][]*Entry
-	// version counts mutations; consumers caching derived structures
-	// (RAPID's queue index and delay estimates) compare versions instead
-	// of rebuilding per contact.
-	version uint64
 	// scored is makeRoom's reusable scratch of eviction candidates.
 	scored []scoredEntry
 }
@@ -163,7 +159,6 @@ func (s *Store) Insert(e *Entry, util Utility) bool {
 	copy(q[i+1:], q[i:])
 	q[i] = e
 	s.queues[e.P.Dst] = q
-	s.version++
 	return true
 }
 
@@ -252,7 +247,6 @@ func (s *Store) Remove(id packet.ID) bool {
 	copy(q[qi:], q[qi+1:])
 	q[len(q)-1] = nil
 	s.queues[e.P.Dst] = q[:len(q)-1]
-	s.version++
 	return true
 }
 
@@ -263,9 +257,6 @@ func (s *Store) BytesFor(dst packet.NodeID) int64 {
 	}
 	return s.byDst[dst]
 }
-
-// Version counts mutations of the store's contents.
-func (s *Store) Version() uint64 { return s.version }
 
 // Queue returns the buffered entries destined to dst in delivery order
 // (oldest first). The returned slice is shared live state — callers

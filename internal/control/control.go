@@ -269,9 +269,6 @@ func NewState(self packet.NodeID, hops int, g *Global) *State {
 	return s
 }
 
-// Self returns the owning node ID.
-func (s *State) Self() packet.NodeID { return s.self }
-
 // Global reports whether this state runs over the instant global
 // channel.
 func (s *State) Global() bool { return s.global != nil }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"slices"
 	"testing"
 
@@ -123,8 +124,9 @@ var rejectPatterns = []func(k int) bool{
 // each of the three metrics, and checks the single-walk Inventory,
 // PlanReplication and PullReplication against refPlanWalk after every
 // change: the plan entry by entry, the inventory as a map from packet
-// ID to item with delays compared by their bits, and the pulled plan
-// under every opening budget and reject pattern against refPull.
+// ID to item with delays compared by their bits, the slice plan's
+// replica prices (checkSlicePricing), and the pulled plan under every
+// opening budget and reject pattern against refPull.
 func FuzzPlanWalk(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("\x01\x00\x02\x05\x00\x01\x03\x00\x02\x01\x00\x01\x02\x03\x01\x07\x05\x02\x01\x00\x06\x02\x03\x04\x01\x07"))
@@ -258,6 +260,7 @@ func checkPlanWalk(t *testing.T, op int, r *Router, peer *routing.Node, now floa
 			t.Fatalf("op %d: plan entry %d is packet %d, reference %d", op, i, gotPlan[i].P.ID, wantPlan[i].e.P.ID)
 		}
 	}
+	checkSlicePricing(t, op, r, peer, now, wantPlan)
 	for _, budget := range pullBudgets {
 		for pi, rejected := range rejectPatterns {
 			checkPull(t, fmt.Sprintf("op %d budget %d rejects %d", op, budget, pi), r, peer, now, wantPlan, budget, rejected)
@@ -265,10 +268,42 @@ func checkPlanWalk(t *testing.T, op int, r *Router, peer *routing.Node, now floa
 	}
 }
 
+// checkSlicePricing prices replicas off the slice plan PlanReplication
+// just built, as sessions and windows do, and compares each price with
+// PeerDelay at the peer's HypoBytesAhead, bit for bit. A session calls
+// EstimateReplicaDelay for a random subsequence of the plan, in plan
+// order. A window's SnapshotReplicaDelays closure, taken at planning
+// time, prices another subsequence after the node has planned for
+// another peer (node 2).
+func checkSlicePricing(t *testing.T, op int, r *Router, peer *routing.Node, now float64, plan []repCand) {
+	t.Helper()
+	peerIdx := NewQueueIndex(peer.Store)
+	rng := rand.New(rand.NewPCG(uint64(op), uint64(len(plan))))
+	check := func(how string, e *buffer.Entry, got float64) {
+		t.Helper()
+		ref := r.est.PeerDelay(peer, peerIdx.HypoBytesAhead(e.P), e.P)
+		if math.Float64bits(got) != math.Float64bits(ref) {
+			t.Fatalf("op %d: %s prices packet %d's replica at %v, reference %v", op, how, e.P.ID, got, ref)
+		}
+	}
+	snap := r.SnapshotReplicaDelays(peer)
+	for _, c := range plan {
+		if rng.IntN(2) == 0 {
+			check("EstimateReplicaDelay", c.e, r.EstimateReplicaDelay(c.e, peer, now))
+		}
+	}
+	r.PlanReplication(r.node.Net.Node(2), now)
+	for _, c := range plan {
+		if rng.IntN(2) == 0 {
+			check("a snapshot", c.e, snap(c.e))
+		}
+	}
+}
+
 // checkPull drains a pulled plan the way a point session does and
 // compares it with refPull: the same candidates in the same order, each
 // carrying the peer's HypoBytesAhead and pricing its replica as
-// EstimateReplicaDelay does, bit for bit.
+// PeerDelay does at that position, bit for bit.
 func checkPull(t *testing.T, at string, r *Router, peer *routing.Node, now float64, plan []repCand, budget int64, rejected func(k int) bool) {
 	t.Helper()
 	want := refPull(plan, budget, rejected)

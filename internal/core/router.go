@@ -21,28 +21,17 @@ type Router struct {
 	node   *routing.Node
 	est    *Estimator
 
-	// peerIdx caches the contact peer's queue index between
-	// PlanReplication and the per-send EstimateReplicaDelay calls of
-	// the same session (rebuilding it per send would reintroduce the
-	// O(|buffer|²) cost the index exists to avoid). It is keyed on the
-	// peer's store *version*, not the clock: two distinct contacts
-	// between the same pair at the same timestamp (duplicate trace
-	// rows, zero-period contact-plan entries) must not reuse the first
-	// contact's snapshot of the peer's buffer. A pulled plan carries
-	// its own planning-time prices and reads no index.
-	peerIdx    *QueueIndex
-	peerIdxID  packet.NodeID
-	peerIdxVer uint64
-
 	// Scratch reused across contacts. The runtime consumes each
 	// returned slice or plan before the node's next contact, so
 	// per-contact allocation of these (which dominated the allocation
 	// profile) is pooled away. They are per-router, never shared
-	// between nodes. pulled keeps its candidates in candScratch.
+	// between nodes. sliced and pulled keep their candidates in
+	// candScratch.
 	invScratch  []control.InventoryItem
 	dqScratch   []*buffer.Entry
 	candScratch []repCand
 	planScratch []*buffer.Entry
+	sliced      slicePlan
 	pulled      pulledPlan
 }
 
@@ -51,9 +40,8 @@ type repCand struct {
 	e    *buffer.Entry
 	key  float64
 	tail bool // no measurable marginal gain; fills leftover budget
-	// peerAhead is the candidate's b(i) at the peer at planning time
-	// (HypoBytesAhead over the peer's buffer), which prices the
-	// replica's delivery delay if it is sent.
+	// peerAhead is the candidate's b(i) at the peer at planning time,
+	// which prices the replica's delivery delay if it is sent.
 	peerAhead int64
 }
 
@@ -69,8 +57,8 @@ func New(metric Metric) routing.RouterFactory {
 func (r *Router) Name() string { return "rapid/" + r.metric.String() }
 
 // SessionConfined implements routing.SessionConfined: the scratch
-// slices, queue indexes and version counters are all per-node, and the
-// only run-wide state touched is the immutable config and horizon.
+// slices and plans are all per-node, and the only run-wide state
+// touched is the immutable config and horizon.
 func (r *Router) SessionConfined() {}
 
 // Metric returns the routing objective this router optimizes.
@@ -196,11 +184,11 @@ func remaining(p *packet.Packet, now float64) (float64, bool) {
 // session thereafter, the recalculated order is exactly decreasing
 // D(i) — which is how it is produced here.
 //
-// The slice is the whole plan, sorted; it also pins the peer's queue
-// index that EstimateReplicaDelay reads. A point session pulls the same
-// order from PullReplication instead.
+// The slice is the whole plan, sorted. The router keeps its priced
+// candidates, which EstimateReplicaDelay and SnapshotReplicaDelays
+// read. A point session pulls the same order from PullReplication
+// instead.
 func (r *Router) PlanReplication(peer *routing.Node, now float64) []*buffer.Entry {
-	r.peerIndex(peer)
 	cands, _ := r.candidates(peer, now)
 	slices.SortFunc(cands, planOrder)
 	out := r.planScratch[:0]
@@ -208,6 +196,7 @@ func (r *Router) PlanReplication(peer *routing.Node, now float64) []*buffer.Entr
 		out = append(out, c.e)
 	}
 	r.planScratch = out
+	r.sliced = slicePlan{est: r.est, peer: peer, cands: cands}
 	return out
 }
 
@@ -215,9 +204,8 @@ func (r *Router) PlanReplication(peer *routing.Node, now float64) []*buffer.Entr
 // order, heapified in O(n) and popped while the session's budget lasts,
 // so a contact that carries k of n candidates costs O(n + k log n)
 // instead of a full sort. planOrder is a strict total order, so the
-// pops are exactly the sorted plan's prefix. The plan reads no queue
-// index: each candidate carries its planning-time bytes ahead at the
-// peer, which is what EstimateReplicaDelay would look up.
+// pops are exactly the sorted plan's prefix. Each candidate carries
+// its planning-time bytes ahead at the peer, as in the slice plan.
 func (r *Router) PullReplication(peer *routing.Node, now float64) routing.ReplicationPlan {
 	p := &r.pulled
 	p.est, p.peer = r.est, peer
@@ -234,8 +222,10 @@ func (r *Router) PullReplication(peer *routing.Node, now float64) routing.Replic
 // byte sum, and the hypothetical b(i) at the peer comes from a cursor
 // over the peer's live queue for the same destination. The walk order
 // is immaterial: the plans order candidates by planOrder, a strict
-// total order (every key tie falls to the packet ID).
+// total order (every key tie falls to the packet ID). The walk reuses
+// candScratch, so it ends the last slice plan.
 func (r *Router) candidates(peer *routing.Node, now float64) ([]repCand, int64) {
+	r.sliced = slicePlan{}
 	cap := delayCap(r.node.Net.Horizon)
 	cands := r.candScratch[:0]
 	minSize := int64(math.MaxInt64)
@@ -355,8 +345,7 @@ func (p *pulledPlan) Next(budget int64) *buffer.Entry {
 }
 
 // ReplicaDelay implements routing.ReplicationPlan: PeerDelay at the
-// candidate's planning-time bytes ahead, the value EstimateReplicaDelay
-// reads off the planning-time queue index.
+// candidate's planning-time bytes ahead, as the slice plan prices it.
 func (p *pulledPlan) ReplicaDelay(e *buffer.Entry) float64 {
 	if e != p.last.e {
 		panic("core: ReplicaDelay of a candidate the plan did not return last")
@@ -370,54 +359,53 @@ func (r *Router) Accept(e *buffer.Entry, from packet.NodeID, now float64) bool {
 	return r.node.Store.Insert(e, r.bufferUtility(now))
 }
 
+// slicePlan is the plan PlanReplication returned last: its priced
+// candidates in plan order and the peer it was built for.
+type slicePlan struct {
+	est   *Estimator
+	peer  *routing.Node
+	cands []repCand
+	// at is where the next lookup starts: sessions price the replicas
+	// they send in plan order, so lookups only move forward.
+	at int
+}
+
+// replicaDelay prices the replica of candidate e at the plan's peer:
+// PeerDelay at the bytes ahead e carries from planning time.
+func (p *slicePlan) replicaDelay(e *buffer.Entry) float64 {
+	for ; p.at < len(p.cands); p.at++ {
+		if c := p.cands[p.at]; c.e == e {
+			return p.est.PeerDelay(p.peer, c.peerAhead, e.P)
+		}
+	}
+	panic("core: replica delay of an entry the plan does not hold at or after the last one priced")
+}
+
 // EstimateReplicaDelay implements routing.ReplicaDelayEstimator: the
-// hypothesized direct-delivery delay of the copy just pushed to holder.
-// It deliberately reads the snapshot taken at planning time (the peer's
-// just-announced state) rather than a live view: the per-send Accepts
-// of the running session bump the peer's store version, and re-indexing
-// after each one would both change the announced estimates and
-// reintroduce the O(|buffer|²) rebuild cost.
+// hypothesized direct-delivery delay of the copy of e just pushed to
+// holder, priced from the last plan, which must be PlanReplication's
+// for holder. It deliberately prices against the peer's buffer as it
+// stood at planning time (the peer's just-announced state), not
+// against a live view that the session's own Accepts keep changing.
 func (r *Router) EstimateReplicaDelay(e *buffer.Entry, holder *routing.Node, now float64) float64 {
-	return r.est.PeerDelay(holder, r.peerSnapshot(holder).HypoBytesAhead(e.P), e.P)
+	if holder != r.sliced.peer {
+		panic("core: EstimateReplicaDelay for a peer the last plan was not built for")
+	}
+	return r.sliced.replicaDelay(e)
 }
 
 // SnapshotReplicaDelays implements routing.ReplicaDelaySnapshotter:
-// the returned closure pins the holder's planning-time queue index, so
-// a windowed session's per-send estimates survive interleaved contacts
-// at this node (which re-point the single-slot peerIdx cache at other
-// peers mid-window) without rebuilding the index per send.
+// the returned closure prices from its own copy of the last plan,
+// which must be PlanReplication's for holder, so a windowed session's
+// per-send estimates survive interleaved contacts at this node that
+// plan for other peers mid-window.
 func (r *Router) SnapshotReplicaDelays(holder *routing.Node) routing.ReplicaDelayFunc {
-	idx := r.peerIndex(holder)
-	return func(e *buffer.Entry) float64 {
-		return r.est.PeerDelay(holder, idx.HypoBytesAhead(e.P), e.P)
+	if holder != r.sliced.peer {
+		panic("core: SnapshotReplicaDelays for a peer the last plan was not built for")
 	}
-}
-
-// peerIndex returns a fresh queue index over the peer's buffer as it
-// stands right now. It is never refilled in place:
-// SnapshotReplicaDelays pins it across a window. The cached build is
-// reused only while the peer's store is unchanged (the index is a pure
-// function of the store, so version equality makes reuse exact). Called
-// at planning time, it guarantees a second same-timestamp contact with
-// the same peer sees the peer's post-first-contact buffer, never a
-// stale snapshot.
-func (r *Router) peerIndex(peer *routing.Node) *QueueIndex {
-	if v := peer.Store.Version(); r.peerIdx == nil || r.peerIdxID != peer.ID || r.peerIdxVer != v {
-		r.peerIdx = NewQueueIndex(peer.Store)
-		r.peerIdxID = peer.ID
-		r.peerIdxVer = v
-	}
-	return r.peerIdx
-}
-
-// peerSnapshot returns the planning-time index for the peer without
-// freshness checks (see EstimateReplicaDelay). Falls back to a fresh
-// build if the cache belongs to a different peer.
-func (r *Router) peerSnapshot(peer *routing.Node) *QueueIndex {
-	if r.peerIdx == nil || r.peerIdxID != peer.ID {
-		return r.peerIndex(peer)
-	}
-	return r.peerIdx
+	p := r.sliced
+	p.cands = slices.Clone(p.cands)
+	return p.replicaDelay
 }
 
 // bufferUtility returns the eviction ranking for the current metric.

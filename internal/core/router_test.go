@@ -283,9 +283,8 @@ func TestNameIncludesMetric(t *testing.T) {
 // TestPeerIndexFreshAcrossSameTimeContacts: two distinct contacts
 // between the same pair at the same timestamp (duplicate trace rows,
 // zero-period contact-plan entries) must not reuse the first contact's
-// snapshot of the peer's buffer. The index cache is keyed on the peer
-// store's version, which moves exactly when the buffer changes — the
-// old (peer, clock) key could not tell the two contacts apart.
+// view of the peer's buffer: each plan prices its replicas from the
+// peer's buffer as it stands when that plan is built.
 func TestPeerIndexFreshAcrossSameTimeContacts(t *testing.T) {
 	_, n0, n1 := testNet(t, AvgDelay, 0)
 	now := 50.0
@@ -312,15 +311,15 @@ func TestPeerIndexFreshAcrossSameTimeContacts(t *testing.T) {
 	r.PlanReplication(n1, now) // second contact, same timestamp
 	d2 := r.EstimateReplicaDelay(n0.Store.Get(1), n1, now)
 	if !(d2 > d1) {
-		t.Fatalf("second same-time contact reused a stale peer index: delay %v -> %v (want increase)", d1, d2)
+		t.Fatalf("second same-time contact reused a stale view of the peer: delay %v -> %v (want increase)", d1, d2)
 	}
 }
 
 // TestPeerIndexSnapshotStableWithinSession: within one session the
-// per-send EstimateReplicaDelay calls keep reading the planning-time
-// snapshot even though each accepted replica bumps the peer's store
-// version — the announced estimates reflect the peer's just-announced
-// state, not a live view.
+// per-send EstimateReplicaDelay calls keep pricing from the plan even
+// though each accepted replica changes the peer's buffer — the
+// announced estimates reflect the peer's just-announced state, not a
+// live view.
 func TestPeerIndexSnapshotStableWithinSession(t *testing.T) {
 	_, n0, n1 := testNet(t, AvgDelay, 0)
 	now := 50.0
@@ -332,7 +331,7 @@ func TestPeerIndexSnapshotStableWithinSession(t *testing.T) {
 	n0.Router.Generate(p, 10)
 	r := n0.Router.(*Router)
 
-	r.PlanReplication(n1, now) // session start: snapshot taken here
+	r.PlanReplication(n1, now) // session start: replicas priced here
 	d1 := r.EstimateReplicaDelay(n0.Store.Get(1), n1, now)
 	// Mid-session accept at the peer (as the session's transfers do).
 	n1.Store.Insert(&buffer.Entry{P: &packet.Packet{
@@ -345,10 +344,10 @@ func TestPeerIndexSnapshotStableWithinSession(t *testing.T) {
 }
 
 // TestSnapshotReplicaDelaysSurvivesInterleavedContacts: a windowed
-// session's pinned snapshot keeps answering from the planning-time
-// index even after an interleaved contact with a different peer
-// re-points the router's single-slot peer cache, and after the
-// original peer's buffer changes mid-window.
+// session's pinned snapshot keeps answering from its own plan even
+// after an interleaved contact with a different peer replaces the
+// router's last plan, and after the original peer's buffer changes
+// mid-window.
 func TestSnapshotReplicaDelaysSurvivesInterleavedContacts(t *testing.T) {
 	net, n0, n1 := testNet(t, AvgDelay, 0)
 	n2 := net.Node(2)
@@ -382,8 +381,8 @@ func TestSnapshotReplicaDelaysSurvivesInterleavedContacts(t *testing.T) {
 
 // TestPulledPlanPricesAtPlanningTime: a pulled plan prices each
 // replica against the peer's buffer as it stood when the plan was
-// built, as the slice plan's snapshot does, even after the peer's
-// store changes mid-session.
+// built, as the slice plan does, even after the peer's store changes
+// mid-session.
 func TestPulledPlanPricesAtPlanningTime(t *testing.T) {
 	_, n0, n1 := testNet(t, AvgDelay, 0)
 	now := 50.0
@@ -440,4 +439,72 @@ func TestPullReplicationAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, pull); allocs != 0 {
 		t.Fatalf("PullReplication and its pulls allocate %v per contact, want 0", allocs)
 	}
+}
+
+// TestPlanReplicationAllocs: once the router's scratch has grown, a
+// slice plan and the pricing of the replicas it sends allocate
+// nothing, even though the peer's buffer changes between contacts.
+func TestPlanReplicationAllocs(t *testing.T) {
+	net, n0, n1 := testNet(t, AvgDelay, 0)
+	n2 := net.Node(2)
+	n0.Ctl.Meet.ObserveMeeting(1, 25)
+	n0.Ctl.Meet.ObserveMeeting(2, 40)
+	n0.Ctl.Meet.MergeTable(1, map[packet.NodeID]float64{2: 100})
+	n0.Ctl.ObserveTransfer(1000)
+	for i := range 200 {
+		p := &packet.Packet{ID: packet.ID(i + 1), Src: 0, Dst: n2.ID, Size: int64(100 * (1 + i%4)), Created: float64(i % 50)}
+		n0.Store.Insert(&buffer.Entry{P: p}, nil)
+		if i%3 == 0 {
+			n1.Store.Insert(&buffer.Entry{P: p}, nil)
+		}
+	}
+	r := n0.Router.(*Router)
+	extra := &buffer.Entry{P: &packet.Packet{ID: 500, Src: 1, Dst: n2.ID, Size: 300, Created: 7}}
+	contact := func() {
+		// The peer's buffer differs from the last contact's.
+		if !n1.Store.Remove(extra.P.ID) {
+			n1.Store.Insert(extra, nil)
+		}
+		for i, e := range r.PlanReplication(n1, 60) {
+			if i%3 != 1 {
+				r.EstimateReplicaDelay(e, n1, 60)
+			}
+		}
+	}
+	contact() // grow the scratch
+	contact()
+	if allocs := testing.AllocsPerRun(100, contact); allocs != 0 {
+		t.Fatalf("PlanReplication and EstimateReplicaDelay allocate %v per contact, want 0", allocs)
+	}
+}
+
+// TestReplicaDelayNeedsItsPlan: the slice plan prices only replicas of
+// its own candidates at its own peer, looked up in plan order; anything
+// else is a caller bug and panics rather than returning a price from
+// another plan.
+func TestReplicaDelayNeedsItsPlan(t *testing.T) {
+	net, n0, n1 := testNet(t, AvgDelay, 0)
+	n2 := net.Node(2)
+	now := 50.0
+	for id := packet.ID(1); id <= 2; id++ {
+		n0.Router.Generate(&packet.Packet{ID: id, Src: 0, Dst: 5, Size: 400, Created: float64(id)}, now)
+	}
+	r := n0.Router.(*Router)
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", what)
+			}
+		}()
+		f()
+	}
+	plan := r.PlanReplication(n1, now)
+	mustPanic("a peer the plan was not built for", func() { r.EstimateReplicaDelay(plan[0], n2, now) })
+	mustPanic("a snapshot for another peer", func() { r.SnapshotReplicaDelays(n2) })
+	r.EstimateReplicaDelay(plan[1], n1, now)
+	mustPanic("an entry before the last one priced", func() { r.EstimateReplicaDelay(plan[0], n1, now) })
+	r.PlanReplication(n1, now)
+	r.PullReplication(n1, now)
+	mustPanic("a plan replaced by a pulled one", func() { r.EstimateReplicaDelay(plan[0], n1, now) })
 }

@@ -256,9 +256,9 @@ func TestMergeTableFromAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() {
 		now += 10
 		src.ObserveMeeting(5, now)
-		before := dst.Version()
+		before := dst.version
 		dst.MergeTableFrom(src, 1)
-		if dst.Version() == before {
+		if dst.version == before {
 			t.Fatal("changed entry did not bump the version")
 		}
 	})

@@ -167,9 +167,6 @@ func New(self packet.NodeID, hops int) *Estimator {
 	return e
 }
 
-// Self returns the owning node's ID.
-func (e *Estimator) Self() packet.NodeID { return e.self }
-
 // Hops returns the transitive horizon.
 func (e *Estimator) Hops() int { return e.hops }
 
@@ -382,11 +379,6 @@ func (e *Estimator) mergeRow(owner packet.NodeID, incoming []halfEdge, shared bo
 	}
 	e.version++
 }
-
-// Version counts matrix mutations. Consumers caching derived values
-// (RAPID's delay-estimate cache) compare versions instead of
-// subscribing to events.
-func (e *Estimator) Version() uint64 { return e.version }
 
 // Expected returns E(M_from,to): the expected time for node `from` to
 // meet node `to` within at most h hops, computed as the minimum over

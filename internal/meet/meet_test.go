@@ -247,14 +247,14 @@ func TestMergeTableFromShares(t *testing.T) {
 		t.Errorf("snapshot cap %d, want its length %d", cap(snap), len(snap))
 	}
 	want := append([]halfEdge(nil), dst.rows[1]...)
-	ver := dst.Version()
+	ver := dst.version
 	src.ObserveMeeting(4, 500) // moves an entry in place
 	src.ObserveMeeting(9, 600) // inserts one
 	if !slices.Equal(dst.rows[1], want) || !slices.Equal(relay.rows[1], want) {
 		t.Errorf("receiver rows changed under a source meeting: %v, %v want %v", dst.rows[1], relay.rows[1], want)
 	}
-	if dst.Version() != ver {
-		t.Errorf("receiver version moved %d -> %d without a merge", ver, dst.Version())
+	if dst.version != ver {
+		t.Errorf("receiver version moved %d -> %d without a merge", ver, dst.version)
 	}
 	dst.MergeTableFrom(src, 1)
 	if got, _ := dst.RowLen(1); got != 6 || &dst.rows[1][0] != &src.published[0] {

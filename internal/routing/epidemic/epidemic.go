@@ -18,6 +18,8 @@ import (
 // Router floods packets epidemically.
 type Router struct {
 	node *routing.Node
+	// dq is DirectQueue's scratch, reused across contacts.
+	dq []*buffer.Entry
 }
 
 // New returns an epidemic router factory.
@@ -29,7 +31,7 @@ func New() routing.RouterFactory {
 func (r *Router) Name() string { return "epidemic" }
 
 // SessionConfined implements routing.SessionConfined: the router holds
-// no state beyond its node's buffer.
+// no state beyond its node's buffer and its own scratch.
 func (r *Router) SessionConfined() {}
 
 // Attach implements routing.Router.
@@ -57,14 +59,10 @@ func (r *Router) Inventory(now float64) []control.InventoryItem {
 
 // DirectQueue implements routing.Router: oldest packets first.
 func (r *Router) DirectQueue(peer packet.NodeID, now float64) []*buffer.Entry {
-	var out []*buffer.Entry
-	for _, e := range r.node.Store.Entries() {
-		if e.P.Dst == peer {
-			out = append(out, e)
-		}
-	}
-	sortOldestFirst(out)
-	return out
+	// The store keeps the queue in this order; copy it so the session
+	// can remove entries while iterating.
+	r.dq = append(r.dq[:0], r.node.Store.Queue(peer)...)
+	return r.dq
 }
 
 // PlanReplication implements routing.Router: everything, oldest first.

@@ -38,6 +38,7 @@ type Router struct {
 	par  Params
 	p    map[packet.NodeID]float64 // delivery predictability
 	aged float64                   // last aging time
+	dq   []*buffer.Entry           // DirectQueue's scratch
 }
 
 // New returns a PRoPHET factory.
@@ -57,7 +58,8 @@ func New(par Params) routing.RouterFactory {
 func (r *Router) Name() string { return "prophet" }
 
 // SessionConfined implements routing.SessionConfined: delivery
-// predictabilities are per-node maps, updated only for the session peer.
+// predictabilities are per-node maps, updated only for the session
+// peer, and the scratch is per-node.
 func (r *Router) SessionConfined() {}
 
 // Attach implements routing.Router.
@@ -118,14 +120,10 @@ func (r *Router) Inventory(now float64) []control.InventoryItem { return nil }
 
 // DirectQueue implements routing.Router: oldest first.
 func (r *Router) DirectQueue(peer packet.NodeID, now float64) []*buffer.Entry {
-	var out []*buffer.Entry
-	for _, e := range r.node.Store.Entries() {
-		if e.P.Dst == peer {
-			out = append(out, e)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return older(out[i], out[j]) })
-	return out
+	// The store keeps the queue in this order; copy it so the session
+	// can remove entries while iterating.
+	r.dq = append(r.dq[:0], r.node.Store.Queue(peer)...)
+	return r.dq
 }
 
 // PlanReplication implements routing.Router: replicate packets whose

@@ -250,6 +250,9 @@ type ReplicationObserver interface {
 // the expected direct-delivery delay of a replica just pushed to a peer
 // (RAPID's hypothesized d_Y for the new copy, used to prime the control
 // plane's metadata before the receiver's next exchange refreshes it).
+// e must be a candidate of the router's last PlanReplication, which
+// must have been for holder; a session prices its replicas in plan
+// order.
 type ReplicaDelayEstimator interface {
 	EstimateReplicaDelay(e *buffer.Entry, holder *Node, now float64) float64
 }
@@ -274,16 +277,18 @@ type DeliveryObserver interface {
 }
 
 // ReplicaDelayFunc evaluates the hypothesized delay of replicating an
-// entry to a fixed holder, against a fixed planning-time snapshot of
-// that holder's state.
+// entry to a fixed holder, against that holder's state when the plan
+// was built.
 type ReplicaDelayFunc func(e *buffer.Entry) float64
 
 // ReplicaDelaySnapshotter is an optional refinement of
 // ReplicaDelayEstimator for sessions that outlive their planning
-// instant (windowed contacts): the returned closure pins the holder
-// snapshot taken *now*, so later per-send evaluations stay consistent
-// even when interleaved contacts at the same node re-point the
-// router's internal caches at other peers.
+// instant (windowed contacts): the returned closure keeps the prices
+// of the router's last plan, which must have been PlanReplication's
+// for holder, so later per-send evaluations stay consistent even when
+// interleaved contacts at the same node plan for other peers. Its
+// arguments, like ReplicaDelayEstimator's, are candidates of that plan
+// in plan order.
 type ReplicaDelaySnapshotter interface {
 	SnapshotReplicaDelays(holder *Node) ReplicaDelayFunc
 }
@@ -312,8 +317,11 @@ type ReplicationPlan interface {
 // plan as a ReplicationPlan. A point session pulls from it while its
 // budget lasts, so a router can order candidates lazily instead of
 // sorting them all. The plan is router scratch, valid until the
-// router's next PullReplication or PlanReplication. A windowed session
-// outlives that, so it still reads PlanReplication's slice.
+// router's next PullReplication or PlanReplication, and it replaces
+// the router's last slice plan: ReplicaDelayEstimator and
+// ReplicaDelaySnapshotter do not price its replicas (its ReplicaDelay
+// does). A windowed session outlives the plan, so it still reads
+// PlanReplication's slice.
 type PlanPuller interface {
 	PullReplication(peer *Node, now float64) ReplicationPlan
 }
@@ -437,6 +445,18 @@ type Scenario struct {
 	Hooks *Hooks
 }
 
+// Horizon returns the run's end time: the schedule's duration, else the
+// plan's, else 0.
+func (sc Scenario) Horizon() float64 {
+	if sc.Schedule != nil {
+		return sc.Schedule.Duration
+	}
+	if sc.Plan != nil {
+		return sc.Plan.Duration
+	}
+	return 0
+}
+
 // Run replays the scenario and returns the collector. Packets whose
 // source or destination never appears in the schedule are still
 // injected (their node simply has no meetings).
@@ -455,13 +475,7 @@ type Scenario struct {
 // disruption families is that their plans can break.
 func Run(sc Scenario) *metrics.Collector {
 	engine := sim.New(sc.Seed)
-	sched := sc.Schedule
-	horizon := 0.0
-	if sched != nil {
-		horizon = sched.Duration
-	} else if sc.Plan != nil {
-		horizon = sc.Plan.Duration
-	}
+	sched, horizon := sc.Schedule, sc.Horizon()
 	ids := participantIDs(sc)
 	net := NewNetwork(engine, ids, sc.Factory, sc.Cfg)
 	net.Horizon = horizon

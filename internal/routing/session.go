@@ -386,8 +386,8 @@ func replicableState(e *buffer.Entry, from, to *Node) bool {
 // receiver's next exchange either way). The estimate comes from the
 // side's pulled plan, which priced the candidate against the
 // receiver's buffer as it stood at planning time; else from a window's
-// pinned planning-time snapshot; else from the live estimator, which
-// is exact for a point session.
+// pinned planning-time prices; else from the router's estimator, which
+// prices from the point session's slice plan.
 func (s *Session) acceptReplica(from, to *Node, e *buffer.Entry, now float64, l *transferLoop, side int) bool {
 	copyEntry := &buffer.Entry{
 		P:          e.P,

@@ -22,6 +22,8 @@ const DefaultL = 12
 type Router struct {
 	node *routing.Node
 	l    int
+	// dq is DirectQueue's scratch, reused across contacts.
+	dq []*buffer.Entry
 }
 
 // New returns a Spray-and-Wait factory with the given token budget
@@ -37,7 +39,8 @@ func New(l int) routing.RouterFactory {
 func (r *Router) Name() string { return "spray-and-wait" }
 
 // SessionConfined implements routing.SessionConfined: token state lives
-// in the entries of the two session endpoints.
+// in the entries of the two session endpoints, and the scratch is
+// per-node.
 func (r *Router) SessionConfined() {}
 
 // Attach implements routing.Router.
@@ -55,14 +58,10 @@ func (r *Router) Inventory(now float64) []control.InventoryItem { return nil }
 
 // DirectQueue implements routing.Router: oldest first.
 func (r *Router) DirectQueue(peer packet.NodeID, now float64) []*buffer.Entry {
-	var out []*buffer.Entry
-	for _, e := range r.node.Store.Entries() {
-		if e.P.Dst == peer {
-			out = append(out, e)
-		}
-	}
-	sortOldest(out)
-	return out
+	// The store keeps the queue in this order; copy it so the session
+	// can remove entries while iterating.
+	r.dq = append(r.dq[:0], r.node.Store.Queue(peer)...)
+	return r.dq
 }
 
 // PlanReplication implements routing.Router: spray-phase packets only

@@ -103,9 +103,9 @@ func openWindow(net *Network, c trace.Contact) *winContact {
 	for q := range l.queues {
 		l.queues[q] = slices.Clone(s.queue(q))
 		if q >= planXY {
-			// Pin the planning-time replica-delay snapshot: a router's
-			// single-slot peer cache may be re-pointed at another peer
-			// by an interleaved contact mid-window.
+			// Pin the plan's replica prices now, while it is the
+			// router's last plan: an interleaved contact at the same
+			// node may plan for another peer mid-window.
 			from, to := s.side(q)
 			l.est[q-planXY] = replicaDelayFn(net, from.Router, to)
 		}

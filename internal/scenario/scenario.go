@@ -566,21 +566,18 @@ func (s Scenario) Materialize() routing.Scenario {
 	factory, cfg := Arm(s.Protocol, s.Metric, s.baseConfig())
 	s.Config.Apply(&cfg)
 	rs := routing.Scenario{Factory: factory, Cfg: cfg, Seed: simSeed}
-	var horizon float64
 	if s.Schedule.lazyPlan() {
 		rs.Plan = s.Schedule.BuildPlan()
 		rs.MergePlanWindows = s.Schedule.MergeWindows
-		horizon = rs.Plan.Duration
 	} else {
 		rs.Schedule = s.Schedule.Build(schedSeed)
-		horizon = rs.Schedule.Duration
 	}
 	if s.Workload.Streaming {
-		rs.Source = s.Workload.BuildSource(horizon, wSeed)
+		rs.Source = s.Workload.BuildSource(rs.Horizon(), wSeed)
 	} else if rs.Schedule != nil {
 		rs.Workload = s.Workload.Build(rs.Schedule, wSeed)
 	} else {
-		rs.Workload = s.Workload.buildOver(rs.Plan.Nodes(), horizon, wSeed)
+		rs.Workload = s.Workload.buildOver(rs.Plan.Nodes(), rs.Horizon(), wSeed)
 	}
 	if d := s.Disrupt(); d.Enabled {
 		rs.Disrupt = d
@@ -593,13 +590,7 @@ func (s Scenario) Materialize() routing.Scenario {
 // collector and the run horizon.
 func (s Scenario) Execute() (*metrics.Collector, float64) {
 	rs := s.Materialize()
-	horizon := 0.0
-	if rs.Schedule != nil {
-		horizon = rs.Schedule.Duration
-	} else if rs.Plan != nil {
-		horizon = rs.Plan.Duration
-	}
-	return routing.Run(rs), horizon
+	return routing.Run(rs), rs.Horizon()
 }
 
 // Summary runs the scenario and reduces it to the reported metrics.

@@ -260,12 +260,6 @@ func (s *Server) runTelemetry(ctx context.Context, j *Job) ([]metrics.Summary, e
 // materialized run.
 func runHooked(sc scenario.Scenario, j *Job, idx int) (*metrics.Collector, float64) {
 	rs := sc.Materialize()
-	horizon := 0.0
-	if rs.Schedule != nil {
-		horizon = rs.Schedule.Duration
-	} else if rs.Plan != nil {
-		horizon = rs.Plan.Duration
-	}
 	rs.Hooks = &routing.Hooks{
 		OnGenerated: func(p *packet.Packet, now float64) {
 			j.append(Event{Type: "generated", Scenario: ptr(idx), T: ptr(now),
@@ -284,7 +278,7 @@ func runHooked(sc scenario.Scenario, j *Job, idx int) (*metrics.Collector, float
 				Src: ptr(int(a)), Dst: ptr(int(b)), Capacity: ptr(capacity), Spent: ptr(spent)})
 		},
 	}
-	return routing.Run(rs), horizon
+	return routing.Run(rs), rs.Horizon()
 }
 
 // ---------------------------------------------------------------------
