@@ -26,7 +26,6 @@ import (
 	"rapid/internal/routing/optimal"
 	"rapid/internal/scenario"
 	"rapid/internal/sim"
-	"rapid/internal/stat"
 	"rapid/internal/trace"
 )
 
@@ -99,27 +98,6 @@ func BenchmarkAblationWorkConserving(b *testing.B) {
 			b.ReportMetric(maxDelay, "maxDelay_s")
 		})
 	}
-}
-
-// BenchmarkAblationGammaVsExp measures the cost of the exact gamma CDF
-// against the exponential approximation Estimate-Delay actually uses
-// (§4.1.1's modelling shortcut).
-func BenchmarkAblationGammaVsExp(b *testing.B) {
-	b.Run("gamma-cdf", func(b *testing.B) {
-		g := 0.0
-		for i := 0; i < b.N; i++ {
-			v, _ := stat.GammaRegP(3, float64(i%100)/10)
-			g += v
-		}
-		_ = g
-	})
-	b.Run("exp-cdf", func(b *testing.B) {
-		g := 0.0
-		for i := 0; i < b.N; i++ {
-			g += control.DeliveryProb([]float64{30}, float64(i%100)/10)
-		}
-		_ = g
-	})
 }
 
 // BenchmarkAblationDAGDelay contrasts Estimate-Delay's closed form with

@@ -6,11 +6,7 @@
 // acknowledgment for the packet."
 package buffer
 
-import (
-	"math"
-
-	"rapid/internal/packet"
-)
+import "rapid/internal/packet"
 
 // Entry is a buffered replica of a packet plus the per-replica state the
 // routing protocols need.
@@ -96,14 +92,6 @@ func (s *Store) Capacity() int64 { return s.capacity }
 
 // Used returns the bytes currently stored.
 func (s *Store) Used() int64 { return s.used }
-
-// Free returns remaining capacity, or math.MaxInt64 when unlimited.
-func (s *Store) Free() int64 {
-	if s.capacity <= 0 {
-		return math.MaxInt64
-	}
-	return s.capacity - s.used
-}
 
 // Len returns the number of buffered packets.
 func (s *Store) Len() int { return len(s.order) }

@@ -63,8 +63,8 @@ func TestUnlimitedCapacity(t *testing.T) {
 			t.Fatal("unlimited store rejected insert")
 		}
 	}
-	if s.Free() <= 0 {
-		t.Error("unlimited store must report huge free space")
+	if s.Used() != 1000<<20 {
+		t.Errorf("unlimited store holds %d bytes, want %d", s.Used(), 1000<<20)
 	}
 }
 

@@ -781,45 +781,3 @@ func materialDelayChange(old, new float64) bool {
 	base := math.Max(math.Abs(old), 1e-9)
 	return math.Abs(new-old)/base > 0.25
 }
-
-// CombinedDelay applies Eq. 8/9: the expected remaining delay A(i) given
-// independent per-replica expected direct-delivery delays, under the
-// exponential approximation — the reciprocal of the summed rates.
-// Replicas with non-positive or infinite delay estimates contribute
-// nothing (unreachable holders). Returns +Inf when no replica can
-// deliver.
-func CombinedDelay(delays []float64) float64 {
-	rate := 0.0
-	for _, d := range delays {
-		if d > 0 && !math.IsInf(d, 1) {
-			rate += 1 / d
-		} else if d == 0 {
-			return 0 // a replica is already at the destination
-		}
-	}
-	if rate == 0 {
-		return math.Inf(1)
-	}
-	return 1 / rate
-}
-
-// DeliveryProb applies Eq. 7 to the deadline metric: the probability
-// that at least one replica delivers within t, with per-replica
-// exponential delays.
-func DeliveryProb(delays []float64, t float64) float64 {
-	if t <= 0 {
-		return 0
-	}
-	rate := 0.0
-	for _, d := range delays {
-		if d > 0 && !math.IsInf(d, 1) {
-			rate += 1 / d
-		} else if d == 0 {
-			return 1
-		}
-	}
-	if rate == 0 {
-		return 0
-	}
-	return -math.Expm1(-rate * t)
-}

@@ -260,49 +260,6 @@ func TestGlobalChannel(t *testing.T) {
 	}
 }
 
-func TestCombinedDelay(t *testing.T) {
-	if got := CombinedDelay(nil); !math.IsInf(got, 1) {
-		t.Errorf("no replicas: %v want +Inf", got)
-	}
-	if got := CombinedDelay([]float64{100}); got != 100 {
-		t.Errorf("single replica: %v want 100", got)
-	}
-	// Two replicas at 100 each halve the delay (Eq. 8 with k=2, n=1).
-	if got := CombinedDelay([]float64{100, 100}); got != 50 {
-		t.Errorf("two replicas: %v want 50", got)
-	}
-	// Unreachable replicas contribute nothing.
-	if got := CombinedDelay([]float64{100, math.Inf(1), 0.0 - 1}); got != 100 {
-		t.Errorf("degenerate replicas: %v want 100", got)
-	}
-	// Delay 0 means already delivered.
-	if got := CombinedDelay([]float64{0, 50}); got != 0 {
-		t.Errorf("zero delay: %v", got)
-	}
-}
-
-func TestDeliveryProb(t *testing.T) {
-	if got := DeliveryProb([]float64{100}, 0); got != 0 {
-		t.Errorf("t=0: %v", got)
-	}
-	want := 1 - math.Exp(-1)
-	if got := DeliveryProb([]float64{100}, 100); math.Abs(got-want) > 1e-12 {
-		t.Errorf("P=%v want %v", got, want)
-	}
-	if got := DeliveryProb(nil, 50); got != 0 {
-		t.Errorf("no replicas: %v", got)
-	}
-	if got := DeliveryProb([]float64{0}, 50); got != 1 {
-		t.Errorf("delivered replica: %v", got)
-	}
-	// More replicas raise the probability.
-	one := DeliveryProb([]float64{100}, 50)
-	two := DeliveryProb([]float64{100, 100}, 50)
-	if two <= one {
-		t.Errorf("monotonicity: %v !> %v", two, one)
-	}
-}
-
 func TestReplicaEstimateFreshness(t *testing.T) {
 	a, _ := twoStates()
 	item := InventoryItem{ID: 7, Dst: 5, Size: 1, Delay: 100}

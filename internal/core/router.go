@@ -61,9 +61,6 @@ func (r *Router) Name() string { return "rapid/" + r.metric.String() }
 // touched is the immutable config and horizon.
 func (r *Router) SessionConfined() {}
 
-// Metric returns the routing objective this router optimizes.
-func (r *Router) Metric() Metric { return r.metric }
-
 // Attach implements routing.Router.
 func (r *Router) Attach(n *routing.Node) {
 	r.node = n

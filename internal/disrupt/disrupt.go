@@ -141,9 +141,6 @@ func New(spec Spec, seed uint64) *Model {
 	return &Model{spec: spec, seed: seed}
 }
 
-// Spec returns the model's declaration.
-func (m *Model) Spec() Spec { return m.spec }
-
 // DeriveSeed maps a replication's simulation seed onto its disruption
 // stream seed. The salt keeps disruption draws decorrelated from every
 // other consumer of the simulation seed (engine streams, schedule and

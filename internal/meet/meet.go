@@ -167,9 +167,6 @@ func New(self packet.NodeID, hops int) *Estimator {
 	return e
 }
 
-// Hops returns the transitive horizon.
-func (e *Estimator) Hops() int { return e.hops }
-
 // ObserveMeeting records a meeting with peer at the given time,
 // updating the average inter-meeting gap.
 func (e *Estimator) ObserveMeeting(peer packet.NodeID, now float64) {
@@ -471,17 +468,4 @@ func (e *Estimator) shortestWithin(src packet.NodeID) []float64 {
 		cur = fresh
 	}
 	return cur
-}
-
-// Rate returns the meeting rate lambda = 1/E(M_from,to), or 0 when the
-// pair is unreachable — the form used directly in Eq. 9.
-func (e *Estimator) Rate(from, to packet.NodeID) float64 {
-	d := e.Expected(from, to)
-	if math.IsInf(d, 1) || d <= 0 {
-		if d == 0 {
-			return math.Inf(1)
-		}
-		return 0
-	}
-	return 1 / d
 }

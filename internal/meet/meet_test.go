@@ -33,9 +33,6 @@ func TestExpectedUnknownIsInf(t *testing.T) {
 	if got := e.Expected(0, 9); !math.IsInf(got, 1) {
 		t.Errorf("unknown peer: %v want +Inf", got)
 	}
-	if got := e.Rate(0, 9); got != 0 {
-		t.Errorf("unknown rate %v want 0", got)
-	}
 }
 
 func TestTransitiveEstimateTwoHops(t *testing.T) {
@@ -47,10 +44,6 @@ func TestTransitiveEstimateTwoHops(t *testing.T) {
 	e.MergeTable(1, Table{2: 50})
 	if got := e.Expected(0, 2); got != 150 {
 		t.Errorf("two-hop expected %v want 150", got)
-	}
-	// Rate is the reciprocal.
-	if got := e.Rate(0, 2); !almostEq(got, 1.0/150, 1e-12) {
-		t.Errorf("rate %v", got)
 	}
 }
 

@@ -2,9 +2,8 @@
 // accounting during a simulation run and reduces them to the quantities
 // the paper's evaluation reports: average delay, maximum delay, delivery
 // rate, fraction delivered within deadline, average delay including
-// undelivered packets (Fig. 13), per source-destination pair delays for
-// the paired t-test (§6.2.1), per-cohort Jain fairness (Fig. 15), and
-// metadata/bandwidth ratios (Table 3, Fig. 9).
+// undelivered packets (Fig. 13), per-cohort Jain fairness (Fig. 15),
+// and metadata/bandwidth ratios (Table 3, Fig. 9).
 package metrics
 
 import (
@@ -22,11 +21,6 @@ type Record struct {
 	Delivered   bool
 	DeliveredAt float64
 	Hops        int // path length of the first delivered copy
-}
-
-// PairKey identifies a source-destination flow.
-type PairKey struct {
-	Src, Dst packet.NodeID
 }
 
 // Delta is the channel-accounting portion of a Collector. Sessions of
@@ -235,30 +229,6 @@ func (c *Collector) Summarize(horizon float64) Summary {
 	return s
 }
 
-// PairDelays returns the average delivered-packet delay per
-// source-destination pair, the input to the paired t-test of §6.2.1.
-// Pairs with no delivered packets are omitted.
-func (c *Collector) PairDelays() map[PairKey]float64 {
-	acc := map[PairKey]*stat.Welford{}
-	for _, r := range c.order {
-		if !r.Delivered {
-			continue
-		}
-		k := PairKey{r.P.Src, r.P.Dst}
-		w := acc[k]
-		if w == nil {
-			w = &stat.Welford{}
-			acc[k] = w
-		}
-		w.Add(r.DeliveredAt - r.P.Created)
-	}
-	out := make(map[PairKey]float64, len(acc))
-	for k, w := range acc {
-		out[k] = w.Mean()
-	}
-	return out
-}
-
 // CohortFairness computes Jain's fairness index per parallel-packet
 // cohort (Fig. 15). Undelivered packets contribute their time in system
 // at the horizon. Cohort 0 (untagged packets) is skipped. The result is
@@ -283,23 +253,4 @@ func (c *Collector) CohortFairness(horizon float64) []float64 {
 	}
 	sort.Float64s(out)
 	return out
-}
-
-// Merge folds another collector's channel accounting and records into c
-// (used to aggregate multi-day trace experiments). Packet IDs must be
-// disjoint.
-func (c *Collector) Merge(o *Collector) {
-	for _, r := range o.order {
-		if c.byID.Get(r.P.ID) != nil {
-			panic("metrics: merging collectors with overlapping packet IDs")
-		}
-		c.byID.Set(r.P.ID, r)
-		c.order = append(c.order, r)
-	}
-	c.Delta.Add(&o.Delta)
-	c.EventsExecuted += o.EventsExecuted
-	c.Batches += o.Batches
-	c.BatchedEvents += o.BatchedEvents
-	c.CriticalPath += o.CriticalPath
-	c.Meet.Add(o.Meet)
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"rapid/internal/meet"
 	"rapid/internal/packet"
 )
 
@@ -104,27 +103,6 @@ func TestChannelAccounting(t *testing.T) {
 	}
 }
 
-func TestPairDelays(t *testing.T) {
-	c := New()
-	c.Generated(pkt(1, 0, 1, 0, 0))
-	c.Generated(pkt(2, 0, 1, 0, 0))
-	c.Generated(pkt(3, 2, 3, 0, 0))
-	c.Generated(pkt(4, 4, 5, 0, 0)) // undelivered
-	c.Delivered(1, 10, 1)
-	c.Delivered(2, 30, 1)
-	c.Delivered(3, 7, 1)
-	pd := c.PairDelays()
-	if len(pd) != 2 {
-		t.Fatalf("pairs %v", pd)
-	}
-	if got := pd[PairKey{0, 1}]; got != 20 {
-		t.Errorf("pair (0,1) %v want 20", got)
-	}
-	if got := pd[PairKey{2, 3}]; got != 7 {
-		t.Errorf("pair (2,3) %v want 7", got)
-	}
-}
-
 func TestCohortFairness(t *testing.T) {
 	c := New()
 	// Cohort 1: equal delays -> J = 1.
@@ -158,50 +136,6 @@ func TestCohortFairness(t *testing.T) {
 	if math.Abs(f[0]-want) > 1e-9 {
 		t.Errorf("unfair cohort J=%v want %v", f[0], want)
 	}
-}
-
-func TestMerge(t *testing.T) {
-	a := New()
-	a.Generated(pkt(1, 0, 1, 0, 0))
-	a.Delivered(1, 5, 1)
-	a.DataBytes = 100
-	a.Meetings = 1
-	b := New()
-	b.Generated(pkt(2, 0, 1, 0, 0))
-	b.MetaBytes = 7
-	b.Meetings = 2
-	a.EventsExecuted, a.Batches, a.BatchedEvents, a.CriticalPath = 10, 1, 8, 3
-	b.EventsExecuted, b.Batches, b.BatchedEvents, b.CriticalPath = 5, 2, 4, 2
-	a.Meet = meet.Stats{RowsMerged: 1, PairsPatched: 2, RowsPublished: 3, ShortestPaths: 4}
-	b.Meet = meet.Stats{RowsMerged: 10, PairsPatched: 20, RowsPublished: 30, ShortestPaths: 40}
-	a.Merge(b)
-	if want := (meet.Stats{RowsMerged: 11, PairsPatched: 22, RowsPublished: 33, ShortestPaths: 44}); a.Meet != want {
-		t.Errorf("merged meet counters %+v, want %+v", a.Meet, want)
-	}
-	if a.EventsExecuted != 15 || a.Batches != 3 || a.BatchedEvents != 12 || a.CriticalPath != 5 {
-		t.Errorf("merged engine counters %d/%d/%d/%d, want 15/3/12/5",
-			a.EventsExecuted, a.Batches, a.BatchedEvents, a.CriticalPath)
-	}
-	s := a.Summarize(10)
-	if s.Generated != 2 || s.Delivered != 1 || s.Meetings != 3 {
-		t.Fatalf("merge summary %+v", s)
-	}
-	if s.DataBytes != 100 || s.MetaBytes != 7 {
-		t.Error("channel accounting not merged")
-	}
-}
-
-func TestMergeOverlapPanics(t *testing.T) {
-	a := New()
-	a.Generated(pkt(1, 0, 1, 0, 0))
-	b := New()
-	b.Generated(pkt(1, 0, 1, 0, 0))
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	a.Merge(b)
 }
 
 func TestEmptySummary(t *testing.T) {

@@ -29,11 +29,15 @@ func (h *Heap[T]) Push(x T) {
 }
 
 // Pop removes and returns the least item. The heap must not be empty.
+// The vacated slot is zeroed, so the backing array keeps nothing a
+// popped item points to reachable.
 func (h *Heap[T]) Pop() T {
 	n := len(h.Items) - 1
 	h.Items[0], h.Items[n] = h.Items[n], h.Items[0]
 	h.down(0, n)
 	x := h.Items[n]
+	var zero T
+	h.Items[n] = zero
 	h.Items = h.Items[:n]
 	return x
 }

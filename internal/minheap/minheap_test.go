@@ -33,3 +33,19 @@ func TestPopsInOrder(t *testing.T) {
 		t.Fatalf("Len = %d, want %d", h.Len(), len(ref))
 	}
 }
+
+// TestPopZeroesSlot: Pop clears the slot it vacates, so a popped
+// pointer is not kept alive by the backing array.
+func TestPopZeroesSlot(t *testing.T) {
+	h := Heap[*int]{Less: func(a, b *int) bool { return *a < *b }}
+	for i := range 4 {
+		h.Push(&i)
+	}
+	for h.Len() > 0 {
+		n := h.Len() - 1
+		h.Pop()
+		if p := h.Items[:n+1][n]; p != nil {
+			t.Fatalf("slot %d still holds %d after Pop", n, *p)
+		}
+	}
+}

@@ -10,10 +10,12 @@ import (
 
 // ConstellationConfig parameterizes the orbital/ring contact-plan
 // generator: Planes orbital planes of SatsPerPlane satellites each,
-// plus GroundStations ground sites. Unlike the statistical mobility
-// models, connectivity here is a deterministic contact plan — the
-// satellite-DTN setting where orbits make every future contact window
-// computable in advance (contact-graph routing's premise).
+// plus GroundStations ground sites, which take node IDs
+// 0..GroundStations-1 (satellites follow, see Sat). Unlike the
+// statistical mobility models, connectivity here is a deterministic
+// contact plan — the satellite-DTN setting where orbits make every
+// future contact window computable in advance (contact-graph routing's
+// premise).
 type ConstellationConfig struct {
 	Planes         int
 	SatsPerPlane   int
@@ -59,12 +61,6 @@ func (c ConstellationConfig) Validate() error {
 		return errors.New("mobility: windowed constellation (PassWindow > 0) requires ISLWindow, ISLRateBps and GroundRateBps")
 	}
 	return nil
-}
-
-// Nodes returns the total population: ground stations occupy IDs
-// 0..GroundStations-1, satellites follow.
-func (c ConstellationConfig) Nodes() int {
-	return c.GroundStations + c.Planes*c.SatsPerPlane
 }
 
 // Sat returns the node ID of satellite m in plane p. Satellite IDs

@@ -41,7 +41,8 @@ func TestConstellationPlanValid(t *testing.T) {
 	if len(s.Meetings) == 0 {
 		t.Fatal("empty constellation schedule")
 	}
-	if got, want := len(s.Nodes()), m.Config.Nodes(); got != want {
+	c := m.Config
+	if got, want := len(s.Nodes()), c.GroundStations+c.Planes*c.SatsPerPlane; got != want {
 		t.Fatalf("schedule covers %d nodes, want %d", got, want)
 	}
 }

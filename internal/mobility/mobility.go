@@ -17,8 +17,6 @@ import (
 
 // Model produces meeting schedules for a node population over a horizon.
 type Model interface {
-	// Name identifies the model in reports.
-	Name() string
 	// Schedule draws a meeting schedule using r.
 	Schedule(r *rand.Rand) *trace.Schedule
 }
@@ -80,9 +78,6 @@ type Exponential struct {
 	Config
 }
 
-// Name implements Model.
-func (Exponential) Name() string { return "exponential" }
-
 // Schedule implements Model.
 func (m Exponential) Schedule(r *rand.Rand) *trace.Schedule {
 	s := &trace.Schedule{Duration: m.Duration}
@@ -114,9 +109,6 @@ type PowerLaw struct {
 	// redrawn per Schedule call. When nil, node i has rank i.
 	Ranks []int
 }
-
-// Name implements Model.
-func (PowerLaw) Name() string { return "powerlaw" }
 
 // RandomRanks returns a random popularity assignment for n nodes drawn
 // once per experiment ("we randomly set a popularity value of 1 to 20",

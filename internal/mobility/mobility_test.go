@@ -167,11 +167,19 @@ func TestSchedulesAreDeterministicPerSeed(t *testing.T) {
 }
 
 func TestModelNames(t *testing.T) {
-	if (Exponential{}).Name() != "exponential" || (PowerLaw{}).Name() != "powerlaw" {
-		t.Error("model names changed; reports depend on them")
+	if m, err := ByName("exponential", defaultCfg(), 0, nil); err != nil {
+		t.Error(err)
+	} else if _, ok := m.(Exponential); !ok {
+		t.Errorf("exponential names %T", m)
 	}
-	var _ Model = Exponential{}
-	var _ Model = PowerLaw{}
+	if m, err := ByName("powerlaw", defaultCfg(), 0, nil); err != nil {
+		t.Error(err)
+	} else if _, ok := m.(PowerLaw); !ok {
+		t.Errorf("powerlaw names %T", m)
+	}
+	if _, err := ByName("levy", defaultCfg(), 0, nil); err == nil {
+		t.Error("unknown model name accepted")
+	}
 }
 
 func TestPowerLawDefaultAlpha(t *testing.T) {

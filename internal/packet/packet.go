@@ -45,20 +45,6 @@ type Packet struct {
 // Age returns T(i): the time since creation at the given clock.
 func (p *Packet) Age(now float64) float64 { return now - p.Created }
 
-// Expired reports whether the packet's deadline (if any) has passed.
-func (p *Packet) Expired(now float64) bool {
-	return p.Deadline > 0 && now >= p.Deadline
-}
-
-// RemainingLife returns L(i) - T(i), the time left before the deadline,
-// or +Inf semantics via ok=false when the packet has no deadline.
-func (p *Packet) RemainingLife(now float64) (rem float64, ok bool) {
-	if p.Deadline == 0 {
-		return 0, false
-	}
-	return p.Deadline - now, true
-}
-
 // String implements fmt.Stringer for debugging output.
 func (p *Packet) String() string {
 	return fmt.Sprintf("pkt(%d %d→%d %dB t=%.1f)", p.ID, p.Src, p.Dst, p.Size, p.Created)

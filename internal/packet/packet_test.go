@@ -12,23 +12,6 @@ func TestPacketAgeAndDeadline(t *testing.T) {
 	if got := p.Age(150); got != 50 {
 		t.Errorf("Age=%v want 50", got)
 	}
-	if p.Expired(150) {
-		t.Error("not yet expired")
-	}
-	if !p.Expired(160) {
-		t.Error("expired at deadline")
-	}
-	rem, ok := p.RemainingLife(150)
-	if !ok || rem != 10 {
-		t.Errorf("RemainingLife=%v,%v want 10,true", rem, ok)
-	}
-	free := &Packet{ID: 2, Created: 0}
-	if free.Expired(1e9) {
-		t.Error("no-deadline packet never expires")
-	}
-	if _, ok := free.RemainingLife(5); ok {
-		t.Error("no-deadline packet has no remaining life")
-	}
 }
 
 func TestWorkloadSortStable(t *testing.T) {

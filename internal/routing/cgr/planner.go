@@ -4,6 +4,7 @@ import (
 	"math"
 	"sort"
 
+	"rapid/internal/minheap"
 	"rapid/internal/packet"
 	"rapid/internal/routing"
 	"rapid/internal/trace"
@@ -140,7 +141,7 @@ type Planner struct {
 	rank     []int
 	prev     []hop
 	done     []bool
-	frontier frontier
+	frontier minheap.Heap[pqItem]
 	winMark  []uint32
 	nodeMark []uint32
 	banGen   uint32
@@ -164,6 +165,7 @@ func newPlanner(pol Policy) *Planner {
 		routes:   make(map[packet.ID][]*route),
 		lastTry:  make(map[tryKey]float64),
 		finished: make(map[packet.ID]bool),
+		frontier: minheap.Heap[pqItem]{Less: frontierLess},
 	}
 	if pl.pol.AdmitFraction > 0 {
 		pl.admitted = make(map[packet.NodeID][]admEntry)
@@ -330,57 +332,20 @@ type pqItem struct {
 	rank int
 }
 
-// frontier is the Dijkstra priority queue, a binary min-heap ordered by
-// (arrival, rank, node) — rank breaks time ties because a lower-rank
-// label can use strictly more same-instant windows; the node tiebreak
-// keeps settling deterministic. The order is total over the entries a
-// search pushes (a node is re-pushed only with a strictly better
-// label), so the pop sequence does not depend on the heap's layout.
-type frontier []pqItem
-
-func (q frontier) less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+// frontierLess orders the Dijkstra frontier by (arrival, rank, node)
+// — rank breaks time ties because a lower-rank label can use strictly
+// more same-instant windows; the node tiebreak keeps settling
+// deterministic. The order is total over the entries a search pushes
+// (a node is re-pushed only with a strictly better label), so the pop
+// sequence does not depend on the heap's layout.
+func frontierLess(a, b pqItem) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	if q[i].rank != q[j].rank {
-		return q[i].rank < q[j].rank
+	if a.rank != b.rank {
+		return a.rank < b.rank
 	}
-	return q[i].node < q[j].node
-}
-
-func (q *frontier) push(it pqItem) {
-	*q = append(*q, it)
-	h := *q
-	for j := len(h) - 1; j > 0; {
-		i := (j - 1) / 2 // parent
-		if !h.less(j, i) {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		j = i
-	}
-}
-
-func (q *frontier) pop() pqItem {
-	h := *q
-	n := len(h) - 1
-	h[0], h[n] = h[n], h[0]
-	for i := 0; ; {
-		j := 2*i + 1
-		if j >= n {
-			break
-		}
-		if r := j + 1; r < n && h.less(r, j) {
-			j = r
-		}
-		if !h.less(j, i) {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		i = j
-	}
-	*q = h[:n]
-	return h[n]
+	return a.node < b.node
 }
 
 // sameInstant compares schedule times for equality within float noise.
@@ -445,10 +410,11 @@ func (pl *Planner) plan(p *packet.Packet, from packet.NodeID, now float64, r0 in
 	winMark, nodeMark := pl.winMark, pl.nodeMark
 	dist[from] = now
 	rank[from] = r0
-	q := pl.frontier[:0]
-	q.push(pqItem{node: from, at: now, rank: r0})
-	for len(q) > 0 {
-		u := q.pop().node
+	q := &pl.frontier
+	q.Items = q.Items[:0]
+	q.Push(pqItem{node: from, at: now, rank: r0})
+	for q.Len() > 0 {
+		u := q.Pop().node
 		if done[u] {
 			// A superseded entry: the node's better label popped first.
 			continue
@@ -496,11 +462,10 @@ func (pl *Planner) plan(p *packet.Packet, from packet.NodeID, now float64, r0 in
 				dist[v] = at
 				rank[v] = ar
 				prev[v] = hop{win: wi, from: u, to: v, depart: w.start, arrive: at}
-				q.push(pqItem{node: v, at: at, rank: ar})
+				q.Push(pqItem{node: v, at: at, rank: ar})
 			}
 		}
 	}
-	pl.frontier = q
 	if !done[p.Dst] {
 		return nil
 	}

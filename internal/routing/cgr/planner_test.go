@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 
+	"rapid/internal/minheap"
 	"rapid/internal/packet"
 	"rapid/internal/trace"
 )
@@ -324,19 +325,19 @@ func FuzzCGRPlan(f *testing.F) {
 	})
 }
 
-// TestFrontierOrder: the typed heap pops in (arrival, rank, node)
+// TestFrontierOrder: the frontier heap pops in (arrival, rank, node)
 // order whatever the push order.
 func TestFrontierOrder(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
-	var q frontier
+	q := minheap.Heap[pqItem]{Less: frontierLess}
 	var want pq
 	for i := 0; i < 500; i++ {
 		it := pqItem{node: packet.NodeID(r.Intn(50)), at: float64(r.Intn(20)), rank: r.Intn(10) - 1}
-		q.push(it)
+		q.Push(it)
 		want = append(want, it)
 		if r.Intn(3) == 0 { // interleave pops with pushes
 			sort.Sort(want)
-			if got := q.pop(); got != want[0] {
+			if got := q.Pop(); got != want[0] {
 				t.Fatalf("pop %d: got %+v, want %+v", i, got, want[0])
 			}
 			want = want[1:]
@@ -344,12 +345,12 @@ func TestFrontierOrder(t *testing.T) {
 	}
 	sort.Sort(want)
 	for i, w := range want {
-		if got := q.pop(); got != w {
+		if got := q.Pop(); got != w {
 			t.Fatalf("drain %d: got %+v, want %+v", i, got, w)
 		}
 	}
-	if len(q) != 0 {
-		t.Fatalf("%d items left after draining", len(q))
+	if q.Len() != 0 {
+		t.Fatalf("%d items left after draining", q.Len())
 	}
 }
 

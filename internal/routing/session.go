@@ -387,7 +387,7 @@ func replicableState(e *buffer.Entry, from, to *Node) bool {
 // side's pulled plan, which priced the candidate against the
 // receiver's buffer as it stood at planning time; else from a window's
 // pinned planning-time prices; else from the router's estimator, which
-// prices from the point session's slice plan.
+// prices from its last slice plan.
 func (s *Session) acceptReplica(from, to *Node, e *buffer.Entry, now float64, l *transferLoop, side int) bool {
 	copyEntry := &buffer.Entry{
 		P:          e.P,

@@ -107,7 +107,9 @@ func openWindow(net *Network, c trace.Contact) *winContact {
 			// router's last plan: an interleaved contact at the same
 			// node may plan for another peer mid-window.
 			from, to := s.side(q)
-			l.est[q-planXY] = replicaDelayFn(net, from.Router, to)
+			if snap, ok := from.Router.(ReplicaDelaySnapshotter); ok {
+				l.est[q-planXY] = snap.SnapshotReplicaDelays(to)
+			}
 		}
 	}
 	l.filled = uint8(len(l.queues))
@@ -234,20 +236,4 @@ func (n *Network) churnClose(id packet.NodeID) {
 	for _, w := range victims {
 		closeWindow(n, w)
 	}
-}
-
-// replicaDelayFn resolves the direction's replica-delay evaluator at
-// planning time: a pinned snapshot when the router can capture one, a
-// live fallback for plain estimators, nil when the protocol estimates
-// none.
-func replicaDelayFn(net *Network, r Router, holder *Node) ReplicaDelayFunc {
-	if snap, ok := r.(ReplicaDelaySnapshotter); ok {
-		return snap.SnapshotReplicaDelays(holder)
-	}
-	if est, ok := r.(ReplicaDelayEstimator); ok {
-		return func(e *buffer.Entry) float64 {
-			return est.EstimateReplicaDelay(e, holder, net.Now())
-		}
-	}
-	return nil
 }

@@ -2,19 +2,19 @@
 // every experiment in the RAPID reproduction.
 //
 // The engine is deliberately minimal: a binary-heap event queue keyed by
-// (time, sequence), a simulation clock, and named deterministic random
-// streams. Scheduling an event at a time earlier than the clock is a
+// (time, band, sequence), a simulation clock, and named deterministic
+// random streams. Scheduling an event at a time earlier than the clock is a
 // programming error and panics — DTN contact traces are processed in
 // strict time order, and silently reordering events would corrupt the
 // causality of metadata propagation.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"sync/atomic"
 
+	"rapid/internal/minheap"
 	"rapid/internal/shard"
 )
 
@@ -99,7 +99,6 @@ type item struct {
 	state atomic.Int32 // queued or dead; the parallel loop moves batch items on
 	seq   uint64       // tiebreaker: FIFO among same-time, same-band events
 	ev    Event
-	idx   int
 }
 
 // Item states. The serial loop leaves an executed item queued; only
@@ -114,36 +113,15 @@ const (
 	committed              // CommitShard started or done
 )
 
-// eventHeap implements heap.Interface ordered by (at, band, seq).
-type eventHeap []*item
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// itemLess orders the event queue by (at, band, seq).
+func itemLess(a, b *item) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	if h[i].band != h[j].band {
-		return h[i].band < h[j].band
+	if a.band != b.band {
+		return a.band < b.band
 	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx = i
-	h[j].idx = j
-}
-func (h *eventHeap) Push(x any) {
-	it := x.(*item)
-	it.idx = len(*h)
-	*h = append(*h, it)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return it
+	return a.seq < b.seq
 }
 
 // Handle identifies a scheduled event so it can be cancelled.
@@ -191,7 +169,7 @@ func (h Handle) Cancel() {
 // not usable; construct with New.
 type Engine struct {
 	now     float64
-	queue   eventHeap
+	queue   minheap.Heap[*item]
 	seq     uint64
 	seed    int64
 	streams map[string]*rand.Rand
@@ -223,14 +201,18 @@ type Engine struct {
 
 // New returns an engine whose named random streams derive from seed.
 func New(seed int64) *Engine {
-	return &Engine{seed: seed, streams: make(map[string]*rand.Rand)}
+	return &Engine{
+		queue:   minheap.Heap[*item]{Less: itemLess},
+		seed:    seed,
+		streams: make(map[string]*rand.Rand),
+	}
 }
 
 // Now returns the current simulation time in seconds.
 func (e *Engine) Now() float64 { return e.now }
 
 // Len returns the number of pending (possibly cancelled) events.
-func (e *Engine) Len() int { return len(e.queue) }
+func (e *Engine) Len() int { return e.queue.Len() }
 
 // Schedule enqueues ev to run at time at in the default band 0. It
 // panics if at precedes the current clock (events cannot be scheduled
@@ -254,7 +236,7 @@ func (e *Engine) ScheduleBand(at float64, band int32, ev Event) Handle {
 	}
 	it := &item{at: at, band: band, seq: e.seq, ev: ev}
 	e.seq++
-	heap.Push(&e.queue, it)
+	e.queue.Push(it)
 	return Handle{it: it}
 }
 
@@ -271,8 +253,8 @@ func (e *Engine) ScheduleBandFunc(at float64, band int32, f func(*Engine)) Handl
 // Step executes the next pending event, returning false when the queue
 // is empty. Cancelled events are skipped silently.
 func (e *Engine) Step() bool {
-	for len(e.queue) > 0 {
-		it := heap.Pop(&e.queue).(*item)
+	for e.queue.Len() > 0 {
+		it := e.queue.Pop()
 		if it.state.Load() == dead {
 			continue
 		}
@@ -304,11 +286,11 @@ func (e *Engine) RunUntil(deadline float64) {
 		e.runParallelUntil(deadline, true)
 		return
 	}
-	for len(e.queue) > 0 {
+	for e.queue.Len() > 0 {
 		// Peek.
-		next := e.queue[0]
+		next := e.queue.Items[0]
 		if next.state.Load() == dead {
-			heap.Pop(&e.queue)
+			e.queue.Pop()
 			continue
 		}
 		if next.at > deadline {
@@ -331,9 +313,6 @@ func (e *Engine) SetWorkers(n int) {
 	}
 	e.workers = n
 }
-
-// Workers reports the configured worker count (0 and 1 both mean serial).
-func (e *Engine) Workers() int { return e.workers }
 
 func (e *Engine) parallel() bool {
 	return e.workers > 1 && e.AfterEvent == nil
@@ -362,10 +341,10 @@ func (e *Engine) batchCap() int {
 // observable effects matches the serial engine exactly.
 func (e *Engine) runParallelUntil(deadline float64, bounded bool) {
 	limit := e.batchCap()
-	for len(e.queue) > 0 {
-		next := e.queue[0]
+	for e.queue.Len() > 0 {
+		next := e.queue.Items[0]
 		if next.state.Load() == dead {
-			heap.Pop(&e.queue)
+			e.queue.Pop()
 			continue
 		}
 		if bounded && next.at > deadline {
@@ -373,7 +352,7 @@ func (e *Engine) runParallelUntil(deadline float64, bounded bool) {
 		}
 		switch ev := next.ev.(type) {
 		case ShardEvent:
-			heap.Pop(&e.queue)
+			e.queue.Pop()
 			e.now = next.at
 			e.Executed++
 			next.state.Store(collected)
@@ -385,13 +364,13 @@ func (e *Engine) runParallelUntil(deadline float64, bounded bool) {
 				e.flushBatch()
 			}
 		case InlineEvent:
-			heap.Pop(&e.queue)
+			e.queue.Pop()
 			e.now = next.at
 			e.Executed++
 			ev.Execute(e)
 		default:
 			e.flushBatch()
-			heap.Pop(&e.queue)
+			e.queue.Pop()
 			e.now = next.at
 			e.Executed++
 			ev.Execute(e)

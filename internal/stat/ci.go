@@ -10,12 +10,6 @@ type CI struct {
 	N    int
 }
 
-// Lo returns the interval's lower bound.
-func (c CI) Lo() float64 { return c.Mean - c.Half }
-
-// Hi returns the interval's upper bound.
-func (c CI) Hi() float64 { return c.Mean + c.Half }
-
 // CI reduces the accumulator to a confidence interval at the given
 // level (e.g. 0.95). With fewer than two observations the half-width
 // is 0 — a single replication has a mean but no spread estimate.

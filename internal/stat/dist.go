@@ -1,134 +1,6 @@
 package stat
 
-import (
-	"math"
-	"math/rand"
-)
-
-// Dist is a one-dimensional continuous probability distribution. The
-// simulator draws meeting times and workload interarrivals through this
-// interface so mobility models remain pluggable.
-type Dist interface {
-	// Mean returns the distribution's expectation.
-	Mean() float64
-	// CDF returns P(X <= x).
-	CDF(x float64) float64
-	// Sample draws a variate using the supplied random source.
-	Sample(r *rand.Rand) float64
-}
-
-// Exponential is an exponential distribution with rate Lambda (> 0).
-// Inter-meeting times in the paper's synthetic mobility models, and the
-// approximation used by RAPID's Estimate-Delay algorithm (Eq. 7), are
-// exponential.
-type Exponential struct {
-	Lambda float64
-}
-
-// NewExponentialMean returns an exponential distribution with the given
-// mean (mean = 1/rate). It panics if mean <= 0.
-func NewExponentialMean(mean float64) Exponential {
-	if mean <= 0 {
-		panic("stat: exponential mean must be positive")
-	}
-	return Exponential{Lambda: 1 / mean}
-}
-
-// Mean returns 1/Lambda.
-func (e Exponential) Mean() float64 { return 1 / e.Lambda }
-
-// CDF returns 1 - exp(-Lambda*x) for x >= 0, 0 otherwise.
-func (e Exponential) CDF(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	return -math.Expm1(-e.Lambda * x)
-}
-
-// Sample draws an exponential variate by inversion.
-func (e Exponential) Sample(r *rand.Rand) float64 {
-	return r.ExpFloat64() / e.Lambda
-}
-
-// Gamma is a gamma distribution with shape K (> 0) and rate Lambda (> 0).
-// The time for a node to meet a destination n times, when single-meeting
-// waits are exponential, is Gamma(n, lambda) — the distribution named in
-// Step 2 of Estimate-Delay (§4.1.1).
-type Gamma struct {
-	K      float64 // shape
-	Lambda float64 // rate
-}
-
-// Mean returns K/Lambda.
-func (g Gamma) Mean() float64 { return g.K / g.Lambda }
-
-// CDF returns the regularized lower incomplete gamma P(K, Lambda*x).
-func (g Gamma) CDF(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	p, err := GammaRegP(g.K, g.Lambda*x)
-	if err != nil {
-		return math.NaN()
-	}
-	return p
-}
-
-// Sample draws a gamma variate with the Marsaglia–Tsang method for
-// shape >= 1 and the boosting transform for shape < 1.
-func (g Gamma) Sample(r *rand.Rand) float64 {
-	k := g.K
-	if k < 1 {
-		// Boost: X ~ Gamma(k+1) * U^(1/k).
-		u := r.Float64()
-		for u == 0 {
-			u = r.Float64()
-		}
-		return Gamma{K: k + 1, Lambda: g.Lambda}.Sample(r) * math.Pow(u, 1/k)
-	}
-	d := k - 1.0/3.0
-	c := 1 / math.Sqrt(9*d)
-	for {
-		x := r.NormFloat64()
-		v := 1 + c*x
-		if v <= 0 {
-			continue
-		}
-		v = v * v * v
-		u := r.Float64()
-		if u < 1-0.0331*x*x*x*x {
-			return d * v / g.Lambda
-		}
-		if u > 0 && math.Log(u) < 0.5*x*x+d*(1-v+math.Log(v)) {
-			return d * v / g.Lambda
-		}
-	}
-}
-
-// MinExponentialRate returns the rate of the minimum of independent
-// exponential variates with the given rates: the minimum of independent
-// exponentials is exponential with the sum of the rates. This identity
-// is the basis of Eq. (7): with k replicas each needing n_j meetings,
-// a(i) ~ Exp(sum_j lambda_j / n_j).
-func MinExponentialRate(rates ...float64) float64 {
-	sum := 0.0
-	for _, r := range rates {
-		if r > 0 && !math.IsInf(r, 1) {
-			sum += r
-		}
-	}
-	return sum
-}
-
-// ExpectedMinExponential returns the mean of the minimum of independent
-// exponentials with the given rates, or +Inf when every rate is zero.
-func ExpectedMinExponential(rates ...float64) float64 {
-	sum := MinExponentialRate(rates...)
-	if sum <= 0 {
-		return math.Inf(1)
-	}
-	return 1 / sum
-}
+import "math"
 
 // PowerLawWeights returns per-rank popularity weights for n entities
 // following a discrete power law (Zipf-like) with exponent alpha > 0:

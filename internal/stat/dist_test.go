@@ -1,126 +1,6 @@
 package stat
 
-import (
-	"math"
-	"math/rand"
-	"testing"
-	"testing/quick"
-)
-
-func TestExponentialBasics(t *testing.T) {
-	e := NewExponentialMean(10)
-	if !almostEqual(e.Mean(), 10, 1e-12) {
-		t.Fatalf("mean=%v want 10", e.Mean())
-	}
-	if e.CDF(-1) != 0 || e.CDF(0) != 0 {
-		t.Error("CDF must be 0 for x<=0")
-	}
-	if !almostEqual(e.CDF(10), 1-math.Exp(-1), 1e-12) {
-		t.Errorf("CDF(mean)=%v", e.CDF(10))
-	}
-}
-
-func TestNewExponentialMeanPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for non-positive mean")
-		}
-	}()
-	NewExponentialMean(0)
-}
-
-func TestExponentialSampleMean(t *testing.T) {
-	r := rand.New(rand.NewSource(1))
-	e := NewExponentialMean(5)
-	var w Welford
-	for i := 0; i < 200000; i++ {
-		w.Add(e.Sample(r))
-	}
-	if !almostEqual(w.Mean(), 5, 0.05) {
-		t.Errorf("sample mean %v want ~5", w.Mean())
-	}
-}
-
-func TestGammaCDFMatchesExponentialForShape1(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		lambda := 0.1 + 5*r.Float64()
-		x := 10 * r.Float64()
-		g := Gamma{K: 1, Lambda: lambda}
-		e := Exponential{Lambda: lambda}
-		return almostEqual(g.CDF(x), e.CDF(x), 1e-9) || (g.CDF(x) == 0 && e.CDF(x) == 0)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestGammaSampleMoments(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	for _, g := range []Gamma{{K: 0.5, Lambda: 2}, {K: 3, Lambda: 0.5}, {K: 12, Lambda: 4}} {
-		var w Welford
-		for i := 0; i < 100000; i++ {
-			w.Add(g.Sample(r))
-		}
-		wantMean := g.K / g.Lambda
-		wantVar := g.K / (g.Lambda * g.Lambda)
-		if !almostEqual(w.Mean(), wantMean, 0.03) {
-			t.Errorf("Gamma%+v sample mean %v want %v", g, w.Mean(), wantMean)
-		}
-		if !almostEqual(w.Variance(), wantVar, 0.08) {
-			t.Errorf("Gamma%+v sample var %v want %v", g, w.Variance(), wantVar)
-		}
-	}
-}
-
-func TestGammaSamplePositive(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	g := Gamma{K: 0.3, Lambda: 1}
-	for i := 0; i < 10000; i++ {
-		if v := g.Sample(r); v < 0 || math.IsNaN(v) {
-			t.Fatalf("negative or NaN gamma sample %v", v)
-		}
-	}
-}
-
-func TestMinExponential(t *testing.T) {
-	if got := MinExponentialRate(1, 2, 3); got != 6 {
-		t.Errorf("MinExponentialRate=%v want 6", got)
-	}
-	// Zero and infinite rates are ignored (unreachable replicas).
-	if got := MinExponentialRate(1, 0, math.Inf(1)); got != 1 {
-		t.Errorf("MinExponentialRate with degenerate rates=%v want 1", got)
-	}
-	if got := ExpectedMinExponential(); !math.IsInf(got, 1) {
-		t.Errorf("ExpectedMinExponential()=%v want +Inf", got)
-	}
-	if got := ExpectedMinExponential(0.5, 0.5); got != 1 {
-		t.Errorf("ExpectedMinExponential(0.5,0.5)=%v want 1", got)
-	}
-}
-
-// Property: min of k iid exponentials with rate lambda behaves like an
-// exponential with rate k*lambda (paper §4.1.1). Verified empirically.
-func TestMinOfExponentialsIdentity(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	lambda := 0.5
-	k := 4
-	e := Exponential{Lambda: lambda}
-	var w Welford
-	for i := 0; i < 100000; i++ {
-		m := math.Inf(1)
-		for j := 0; j < k; j++ {
-			if v := e.Sample(r); v < m {
-				m = v
-			}
-		}
-		w.Add(m)
-	}
-	want := 1 / (float64(k) * lambda)
-	if !almostEqual(w.Mean(), want, 0.03) {
-		t.Errorf("empirical mean of min %v want %v", w.Mean(), want)
-	}
-}
+import "testing"
 
 func TestPowerLawWeights(t *testing.T) {
 	w := PowerLawWeights(5, 1)
@@ -138,9 +18,4 @@ func TestPowerLawWeights(t *testing.T) {
 	if !almostEqual(w[1], 0.5, 1e-12) {
 		t.Errorf("w[1]=%v want 0.5 for alpha=1", w[1])
 	}
-}
-
-func TestDistInterfaceCompliance(t *testing.T) {
-	var _ Dist = Exponential{Lambda: 1}
-	var _ Dist = Gamma{K: 2, Lambda: 1}
 }

@@ -1,14 +1,13 @@
-// Package stat provides the statistical substrate used throughout the
-// RAPID reproduction: probability distributions (exponential, gamma),
-// streaming estimators (Welford variance, moving averages, EWMA),
-// hypothesis tests (paired Student t-test), confidence intervals, CDFs,
-// and Jain's fairness index.
+// Package stat provides the statistics the experiments report with:
+// streaming estimators (Welford mean and variance, moving averages),
+// Student-t confidence intervals, empirical CDFs, Jain's fairness index
+// and the power-law popularity weights of the synthetic mobility model.
 //
 // Everything here is implemented from scratch on top of the standard
-// library so the module has no external dependencies. The special
-// functions (regularized incomplete gamma and beta) follow the classical
-// series/continued-fraction evaluations and are accurate to roughly 1e-10
-// over the parameter ranges exercised by the simulator.
+// library so the module has no external dependencies. The regularized
+// incomplete beta function behind the Student-t CDF follows the
+// classical continued-fraction evaluation and is accurate to roughly
+// 1e-10 over the parameter ranges the experiments exercise.
 package stat
 
 import (
@@ -16,13 +15,12 @@ import (
 	"math"
 )
 
-// ErrDomain is returned (or caused panics in Must* helpers) when a
-// special function is evaluated outside its mathematical domain.
+// ErrDomain is returned when a special function is evaluated outside
+// its mathematical domain.
 var ErrDomain = errors.New("stat: argument outside function domain")
 
 const (
-	// maxIter bounds the series/continued-fraction iterations of the
-	// special functions below.
+	// maxIter bounds the continued-fraction iterations of BetaReg.
 	maxIter = 500
 	// convEps is the relative convergence tolerance.
 	convEps = 3e-14
@@ -30,96 +28,11 @@ const (
 	tinyFloat = 1e-300
 )
 
-// GammaRegP computes the regularized lower incomplete gamma function
-// P(a, x) = γ(a, x) / Γ(a) for a > 0, x >= 0.
-//
-// P(a, x) is the CDF of a Gamma(shape=a, rate=1) random variable
-// evaluated at x. The implementation uses the power series for
-// x < a+1 and the continued fraction for x >= a+1 (Numerical Recipes
-// style), which keeps both branches rapidly convergent.
-func GammaRegP(a, x float64) (float64, error) {
-	switch {
-	case a <= 0 || math.IsNaN(a) || math.IsNaN(x):
-		return math.NaN(), ErrDomain
-	case x < 0:
-		return math.NaN(), ErrDomain
-	case x == 0:
-		return 0, nil
-	case math.IsInf(x, 1):
-		return 1, nil
-	}
-	if x < a+1 {
-		p, err := gammaSeriesP(a, x)
-		return p, err
-	}
-	q, err := gammaContinuedQ(a, x)
-	if err != nil {
-		return math.NaN(), err
-	}
-	return 1 - q, nil
-}
-
-// GammaRegQ computes the regularized upper incomplete gamma function
-// Q(a, x) = 1 - P(a, x).
-func GammaRegQ(a, x float64) (float64, error) {
-	p, err := GammaRegP(a, x)
-	if err != nil {
-		return math.NaN(), err
-	}
-	return 1 - p, nil
-}
-
-// gammaSeriesP evaluates P(a,x) by its power series representation.
-func gammaSeriesP(a, x float64) (float64, error) {
-	lg, _ := math.Lgamma(a)
-	ap := a
-	sum := 1.0 / a
-	del := sum
-	for i := 0; i < maxIter; i++ {
-		ap++
-		del *= x / ap
-		sum += del
-		if math.Abs(del) < math.Abs(sum)*convEps {
-			return sum * math.Exp(-x+a*math.Log(x)-lg), nil
-		}
-	}
-	return math.NaN(), errors.New("stat: incomplete gamma series did not converge")
-}
-
-// gammaContinuedQ evaluates Q(a,x) by its continued fraction
-// representation using the modified Lentz algorithm.
-func gammaContinuedQ(a, x float64) (float64, error) {
-	lg, _ := math.Lgamma(a)
-	b := x + 1 - a
-	c := 1 / tinyFloat
-	d := 1 / b
-	h := d
-	for i := 1; i <= maxIter; i++ {
-		an := -float64(i) * (float64(i) - a)
-		b += 2
-		d = an*d + b
-		if math.Abs(d) < tinyFloat {
-			d = tinyFloat
-		}
-		c = b + an/c
-		if math.Abs(c) < tinyFloat {
-			c = tinyFloat
-		}
-		d = 1 / d
-		del := d * c
-		h *= del
-		if math.Abs(del-1) < convEps {
-			return math.Exp(-x+a*math.Log(x)-lg) * h, nil
-		}
-	}
-	return math.NaN(), errors.New("stat: incomplete gamma continued fraction did not converge")
-}
-
 // BetaReg computes the regularized incomplete beta function
 // I_x(a, b) for a, b > 0 and x in [0, 1].
 //
 // I_x(a, b) is the CDF of a Beta(a, b) random variable; it underlies the
-// Student-t CDF used by the paired t-test in this package.
+// Student-t CDF behind this package's confidence intervals.
 func BetaReg(a, b, x float64) (float64, error) {
 	switch {
 	case a <= 0 || b <= 0 || math.IsNaN(x):

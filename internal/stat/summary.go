@@ -46,23 +46,6 @@ func (w *Welford) StdErr() float64 {
 	return w.StdDev() / math.Sqrt(float64(w.n))
 }
 
-// Merge folds another accumulator into w (parallel Welford merge).
-func (w *Welford) Merge(o Welford) {
-	if o.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = o
-		return
-	}
-	n1, n2 := float64(w.n), float64(o.n)
-	d := o.mean - w.mean
-	tot := n1 + n2
-	w.mean += d * n2 / tot
-	w.m2 += o.m2 + d*d*n1*n2/tot
-	w.n += o.n
-}
-
 // MovingAverage is a simple cumulative average, as used by DieselNet
 // nodes to track the expected transfer-opportunity size and the average
 // inter-meeting time with each peer (§4.1.2: "calculated as the average
@@ -90,61 +73,6 @@ func (m *MovingAverage) Value() float64 {
 
 // N returns the number of samples observed.
 func (m *MovingAverage) N() int { return m.n }
-
-// EWMA is an exponentially weighted moving average with smoothing factor
-// Alpha in (0, 1]: larger Alpha weights recent samples more. The zero
-// value with Alpha unset behaves like a plain assignment of the first
-// observation followed by alpha=0.5 updates (a safe default).
-type EWMA struct {
-	Alpha float64
-	set   bool
-	v     float64
-}
-
-// Observe folds in a sample.
-func (e *EWMA) Observe(x float64) {
-	a := e.Alpha
-	if a <= 0 || a > 1 {
-		a = 0.5
-	}
-	if !e.set {
-		e.v = x
-		e.set = true
-		return
-	}
-	e.v = a*x + (1-a)*e.v
-}
-
-// Value returns the smoothed value (0 before any observation).
-func (e *EWMA) Value() float64 { return e.v }
-
-// Set reports whether at least one observation has been folded in.
-func (e *EWMA) Set() bool { return e.set }
-
-// Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
-// interpolation between order statistics. It returns NaN for empty input.
-// The input slice is not modified.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 || math.IsNaN(q) {
-		return math.NaN()
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	pos := q * float64(len(s)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return s[lo]
-	}
-	frac := pos - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
-}
 
 // ECDF is an empirical cumulative distribution function over a fixed
 // sample, supporting evaluation and extraction of plot-ready points.

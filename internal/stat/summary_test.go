@@ -34,32 +34,6 @@ func TestWelfordAgainstDirect(t *testing.T) {
 	}
 }
 
-func TestWelfordMergeEqualsSequential(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n1 := 1 + r.Intn(50)
-		n2 := 1 + r.Intn(50)
-		var a, b, all Welford
-		for i := 0; i < n1; i++ {
-			x := r.NormFloat64() * 10
-			a.Add(x)
-			all.Add(x)
-		}
-		for i := 0; i < n2; i++ {
-			x := r.NormFloat64()*3 + 5
-			b.Add(x)
-			all.Add(x)
-		}
-		a.Merge(b)
-		return a.N() == all.N() &&
-			almostEqual(a.Mean(), all.Mean(), 1e-9) &&
-			almostEqual(a.Variance(), all.Variance(), 1e-9)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestWelfordEmptyAndSingle(t *testing.T) {
 	var w Welford
 	if w.Mean() != 0 || w.Variance() != 0 || w.StdErr() != 0 {
@@ -68,16 +42,6 @@ func TestWelfordEmptyAndSingle(t *testing.T) {
 	w.Add(42)
 	if w.Mean() != 42 || w.Variance() != 0 {
 		t.Error("single-sample Welford")
-	}
-	var empty Welford
-	w2 := w
-	w2.Merge(empty)
-	if w2.Mean() != 42 || w2.N() != 1 {
-		t.Error("merge with empty changed state")
-	}
-	empty.Merge(w)
-	if empty.Mean() != 42 || empty.N() != 1 {
-		t.Error("merge into empty lost state")
 	}
 }
 
@@ -94,57 +58,6 @@ func TestMovingAverage(t *testing.T) {
 	}
 	if m.N() != 3 {
 		t.Errorf("n=%d", m.N())
-	}
-}
-
-func TestEWMA(t *testing.T) {
-	e := EWMA{Alpha: 0.5}
-	if e.Set() {
-		t.Error("zero EWMA claims to be set")
-	}
-	e.Observe(10)
-	if e.Value() != 10 {
-		t.Errorf("first observation must assign: %v", e.Value())
-	}
-	e.Observe(20)
-	if !almostEqual(e.Value(), 15, 1e-12) {
-		t.Errorf("ewma %v want 15", e.Value())
-	}
-	// Invalid alpha falls back to 0.5.
-	bad := EWMA{Alpha: 7}
-	bad.Observe(0)
-	bad.Observe(10)
-	if !almostEqual(bad.Value(), 5, 1e-12) {
-		t.Errorf("fallback alpha: %v", bad.Value())
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	if got := Quantile(xs, 0); got != 1 {
-		t.Errorf("q0=%v", got)
-	}
-	if got := Quantile(xs, 1); got != 5 {
-		t.Errorf("q1=%v", got)
-	}
-	if got := Quantile(xs, 0.5); got != 3 {
-		t.Errorf("median=%v", got)
-	}
-	if got := Quantile(xs, 0.25); got != 2 {
-		t.Errorf("q25=%v", got)
-	}
-	if !math.IsNaN(Quantile(nil, 0.5)) {
-		t.Error("empty quantile must be NaN")
-	}
-	// Out-of-range q clamps.
-	if got := Quantile(xs, -3); got != 1 {
-		t.Errorf("clamped q=-3: %v", got)
-	}
-	// Input not modified.
-	ys := []float64{3, 1, 2}
-	Quantile(ys, 0.5)
-	if ys[0] != 3 || ys[1] != 1 || ys[2] != 2 {
-		t.Error("Quantile modified its input")
 	}
 }
 

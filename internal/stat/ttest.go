@@ -50,54 +50,6 @@ func StudentTQuantile(conf, nu float64) (float64, error) {
 	return (lo + hi) / 2, nil
 }
 
-// TTestResult reports the outcome of a paired two-sided t-test.
-type TTestResult struct {
-	N        int     // number of pairs
-	MeanDiff float64 // mean of (x_i - y_i)
-	T        float64 // t statistic
-	DF       float64 // degrees of freedom (N-1)
-	P        float64 // two-sided p-value
-}
-
-// PairedTTest performs a paired two-sided Student t-test on equal-length
-// samples x and y (H0: mean difference is zero). The paper uses this to
-// compare per source-destination pair delays of RAPID vs MaxProp
-// (§6.2.1, p < 0.0005).
-func PairedTTest(x, y []float64) (TTestResult, error) {
-	if len(x) != len(y) {
-		return TTestResult{}, errors.New("stat: paired t-test requires equal-length samples")
-	}
-	if len(x) < 2 {
-		return TTestResult{}, errors.New("stat: paired t-test requires at least 2 pairs")
-	}
-	var w Welford
-	for i := range x {
-		w.Add(x[i] - y[i])
-	}
-	res := TTestResult{N: w.N(), MeanDiff: w.Mean(), DF: float64(w.N() - 1)}
-	se := w.StdErr()
-	if se == 0 {
-		// All differences identical: p is 0 unless the mean is also 0.
-		if res.MeanDiff == 0 {
-			res.P = 1
-		} else {
-			res.P = 0
-			res.T = math.Inf(sign(res.MeanDiff))
-		}
-		return res, nil
-	}
-	res.T = res.MeanDiff / se
-	cdf, err := StudentTCDF(math.Abs(res.T), res.DF)
-	if err != nil {
-		return res, err
-	}
-	res.P = 2 * (1 - cdf)
-	if res.P < 0 {
-		res.P = 0
-	}
-	return res, nil
-}
-
 // MeanCI returns the sample mean and the half-width of its two-sided
 // confidence interval at the given confidence level (e.g. 0.95), using
 // the Student-t critical value. The paper reports 95% confidence
@@ -118,11 +70,4 @@ func MeanCI(xs []float64, conf float64) (mean, halfWidth float64, err error) {
 		return math.NaN(), math.NaN(), err
 	}
 	return w.Mean(), tcrit * w.StdErr(), nil
-}
-
-func sign(x float64) int {
-	if x < 0 {
-		return -1
-	}
-	return 1
 }

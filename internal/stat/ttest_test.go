@@ -79,75 +79,6 @@ func TestStudentTDomainErrors(t *testing.T) {
 	}
 }
 
-func TestPairedTTestDetectsDifference(t *testing.T) {
-	r := rand.New(rand.NewSource(42))
-	n := 100
-	x := make([]float64, n)
-	y := make([]float64, n)
-	for i := 0; i < n; i++ {
-		base := r.NormFloat64() * 10
-		x[i] = base + 2 + r.NormFloat64()*0.5 // x consistently ~2 above y
-		y[i] = base
-	}
-	res, err := PairedTTest(x, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.P > 1e-6 {
-		t.Errorf("p=%v; expected strong significance", res.P)
-	}
-	if res.MeanDiff < 1.5 || res.MeanDiff > 2.5 {
-		t.Errorf("mean diff %v want ~2", res.MeanDiff)
-	}
-}
-
-func TestPairedTTestNullHypothesis(t *testing.T) {
-	r := rand.New(rand.NewSource(9))
-	n := 200
-	x := make([]float64, n)
-	y := make([]float64, n)
-	for i := 0; i < n; i++ {
-		base := r.NormFloat64() * 10
-		x[i] = base + r.NormFloat64()
-		y[i] = base + r.NormFloat64()
-	}
-	res, err := PairedTTest(x, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.P < 0.001 {
-		t.Errorf("p=%v; identical populations should rarely be this significant", res.P)
-	}
-}
-
-func TestPairedTTestErrors(t *testing.T) {
-	if _, err := PairedTTest([]float64{1, 2}, []float64{1}); err == nil {
-		t.Error("length mismatch must error")
-	}
-	if _, err := PairedTTest([]float64{1}, []float64{1}); err == nil {
-		t.Error("n<2 must error")
-	}
-}
-
-func TestPairedTTestDegenerate(t *testing.T) {
-	// Identical constant differences, nonzero: p=0.
-	res, err := PairedTTest([]float64{3, 4, 5}, []float64{1, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.P != 0 {
-		t.Errorf("constant nonzero diff: p=%v want 0", res.P)
-	}
-	// Identical samples: p=1.
-	res, err = PairedTTest([]float64{1, 2, 3}, []float64{1, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.P != 1 {
-		t.Errorf("identical samples: p=%v want 1", res.P)
-	}
-}
-
 func TestMeanCI(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	xs := make([]float64, 30)

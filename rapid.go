@@ -194,8 +194,8 @@ func CGR() Protocol {
 // analysis.
 type Result struct {
 	Summary Summary
-	// Collector exposes per-packet delivery records, per-pair delays
-	// (for paired t-tests) and cohort fairness.
+	// Collector exposes per-packet delivery records and cohort
+	// fairness.
 	Collector *metrics.Collector
 }
 
