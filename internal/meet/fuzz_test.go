@@ -51,29 +51,54 @@ func (r *refMatrix) observe(peer packet.NodeID, now float64) {
 // weights is the symmetric optimistic-min matrix over the fuzz node
 // universe.
 func (r *refMatrix) weights() [][]float64 {
-	w := make([][]float64, fuzzNodes)
-	for i := range w {
-		w[i] = make([]float64, fuzzNodes)
-		for j := range w[i] {
-			w[i][j] = math.Inf(1)
-		}
-	}
+	w := infMatrix(fuzzNodes)
 	for owner, t := range r.tables {
 		for peer, d := range t {
-			if owner != peer && d < w[owner][peer] {
-				w[owner][peer] = d
-				w[peer][owner] = d
-			}
+			addEntry(w, int(owner), int(peer), d)
 		}
 	}
 	return w
 }
 
+// infMatrix returns an n×n matrix with no edges.
+func infMatrix(n int) [][]float64 {
+	w := make([][]float64, n)
+	for i := range w {
+		w[i] = make([]float64, n)
+		for j := range w[i] {
+			w[i][j] = math.Inf(1)
+		}
+	}
+	return w
+}
+
+// addEntry folds owner's table entry d for peer into the symmetric
+// matrix w: the edge between two nodes is the minimum of the weights
+// their two tables give each other, where a NaN or +Inf weight gives no
+// arc and a self or negative peer no edge at all.
+func addEntry(w [][]float64, owner, peer int, d float64) {
+	if owner == peer || peer < 0 || math.IsNaN(d) || math.IsInf(d, 1) {
+		return
+	}
+	if d < w[owner][peer] {
+		w[owner][peer] = d
+		w[peer][owner] = d
+	}
+}
+
 // check compares e with the reference bit for bit on RowLen for every
 // owner and on Expected for every pair, against the brute-force h-hop
-// shortest path over the reference's weights.
+// shortest path over the reference's weights, and e's entry count with
+// its rows.
 func (r *refMatrix) check(t *testing.T, e *Estimator, hops int, what string) {
 	t.Helper()
+	entries := 0
+	for _, row := range e.rows {
+		entries += len(row)
+	}
+	if e.entries != entries {
+		t.Fatalf("%s: entries %d, rows hold %d", what, e.entries, entries)
+	}
 	for id := packet.NodeID(-1); id <= fuzzNodes; id++ {
 		n, known := e.RowLen(id)
 		want, wantKnown := r.tables[id]
@@ -108,14 +133,48 @@ func (o *fuzzOps) next() byte {
 	return b
 }
 
-func (o *fuzzOps) weight() float64 { return 1 + float64(o.next())/7 }
+// weight decodes one edge weight: bytes below 0xf0 give finite positive
+// weights, the top sixteen NaN, +Inf and 0 in turn, so merged tables
+// carry weights that make no arc and arcs that cost nothing.
+func (o *fuzzOps) weight() float64 {
+	b := o.next()
+	if b < 0xf0 {
+		return 1 + float64(b)/7
+	}
+	switch (b - 0xf0) % 3 {
+	case 0:
+		return math.NaN()
+	case 1:
+		return math.Inf(1)
+	}
+	return 0
+}
+
+// table decodes a whole table: one weight for every fuzz node whose
+// mask bit is set (the owner's own bit gives it a self peer) and, with
+// bit 6, one for the negative peer -1.
+func (o *fuzzOps) table() Table {
+	tbl := Table{}
+	mask := o.next()
+	for p := 0; p < fuzzNodes; p++ {
+		if mask&(1<<p) != 0 {
+			tbl[packet.NodeID(p)] = o.weight()
+		}
+	}
+	if mask&(1<<fuzzNodes) != 0 {
+		tbl[-1] = o.weight()
+	}
+	return tbl
+}
 
 // FuzzMeetMerge drives random ObserveMeeting / MergeTable /
 // MergeTableFrom sequences through two estimators — one fed map tables,
 // one fed another estimator's rows — with rows that grow, shrink, turn
 // empty, come from owners the source does not know, and try to
-// overwrite the estimator's own table. After every operation both must
-// match the reference bit for bit on every Expected pair and on RowLen.
+// overwrite the estimator's own table, with NaN, +Inf and 0 weights,
+// self and negative peers, and two endpoint rows that disagree on their
+// pair. After every operation both must match the reference bit for
+// bit on every Expected pair and on RowLen.
 func FuzzMeetMerge(f *testing.F) {
 	f.Add([]byte{2, 0, 1, 10, 1, 1, 0x3e, 20, 30, 40, 50, 60, 1, 2, 0x05, 7, 9})
 	f.Add([]byte{0, 1, 2, 0x3f, 1, 2, 3, 4, 5, 6, 2, 2, 3, 9, 2, 2, 3, 9, 3, 2})
@@ -137,13 +196,7 @@ func FuzzMeetMerge(f *testing.F) {
 				byRow.ObserveMeeting(owner, now)
 				ref.observe(owner, now)
 			case 1: // a whole new table
-				tbl = Table{}
-				mask := ops.next()
-				for p := 0; p < fuzzNodes; p++ {
-					if mask&(1<<p) != 0 {
-						tbl[packet.NodeID(p)] = ops.weight()
-					}
-				}
+				tbl = ops.table()
 			case 2: // the stored table with one entry added, moved or removed
 				tbl = Table{}
 				for p, d := range ref.tables[owner] {
@@ -225,13 +278,7 @@ func FuzzSharedRows(f *testing.F) {
 				}
 			case 2: // a map merge into i
 				owner := packet.NodeID(ops.next() % fuzzNodes)
-				tbl := Table{}
-				mask := ops.next()
-				for p := 0; p < fuzzNodes; p++ {
-					if mask&(1<<p) != 0 {
-						tbl[packet.NodeID(p)] = ops.weight()
-					}
-				}
+				tbl := ops.table()
 				ests[i].MergeTable(owner, tbl)
 				if owner != packet.NodeID(i) {
 					refs[i].tables[owner] = tbl
@@ -288,20 +335,112 @@ func TestExpectedRecyclesMemo(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("warmed Expected after a version bump allocates %v times per run, want 0", allocs)
 	}
-	// The recycled rows must hold fresh distances, not stale ones.
-	w := make([][]float64, e.n)
-	for u := range w {
-		w[u] = make([]float64, e.n)
-		for v := range w[u] {
-			w[u][v] = math.Inf(1)
-		}
-		for _, ed := range e.adj[u] {
-			w[u][ed.to] = ed.w
-		}
-	}
+	// The recycled rows must hold fresh distances, not stale ones,
+	// checked against the matrix rebuilt from the rows alone.
+	w := rowMatrix(e)
 	for from := 0; from < 8; from++ {
 		if got, want := e.Expected(packet.NodeID(from), 7), bruteShortest(w, from, 7, 3); got != want {
 			t.Errorf("Expected(%d,7)=%v want %v", from, got, want)
 		}
 	}
+}
+
+// rowMatrix rebuilds e's symmetric optimistic-min matrix from its rows
+// alone.
+func rowMatrix(e *Estimator) [][]float64 {
+	w := infMatrix(e.n)
+	for u, row := range e.rows {
+		for _, ed := range row {
+			addEntry(w, u, int(ed.to), ed.w)
+		}
+	}
+	return w
+}
+
+// TestMovedPairsBounded: an estimator that merges gossip for many
+// exchanges without being asked for an estimate keeps its queue of
+// moved pairs bounded, drops it once it overflows, and then merges
+// without allocating; the next estimate re-derives every reverse arc.
+func TestMovedPairsBounded(t *testing.T) {
+	const peers = 40
+	src := make([]*Estimator, 4)
+	for i := range src {
+		src[i] = New(packet.NodeID(1+i), 3)
+	}
+	dst := New(0, 3)
+	now := 0.0
+	exchange := func() {
+		for i, s := range src {
+			now += 3
+			// Each source meets a different peer, so both endpoint rows
+			// of a pair disagree until the second one is merged.
+			s.ObserveMeeting(packet.NodeID(5+(int(now)+i)%peers), now)
+			dst.MergeTableFrom(s, s.self)
+		}
+	}
+	check := func(what string) {
+		t.Helper()
+		w := rowMatrix(dst)
+		for from := 0; from < dst.n; from++ {
+			for to := 0; to < dst.n; to++ {
+				got := dst.Expected(packet.NodeID(from), packet.NodeID(to))
+				want := bruteShortest(w, from, to, 3)
+				if from == to {
+					want = 0
+				}
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s: Expected(%d,%d)=%v want %v", what, from, to, got, want)
+				}
+			}
+		}
+	}
+	for range 10 {
+		exchange()
+	}
+	if len(dst.moved) != 0 || !dst.stale {
+		t.Fatalf("before the first estimate: %d pairs queued, stale %v; want none queued and stale", len(dst.moved), dst.stale)
+	}
+	check("first estimate")
+	// Sources' rows only grow here, so the bound never falls, and a
+	// queue that overflows in an exchange held at least the bound before
+	// it less one pair per source.
+	overflowed := false
+	for range 2000 {
+		queued, limit := len(dst.moved), dst.movedMax()
+		exchange()
+		switch {
+		case dst.stale && !overflowed:
+			overflowed = true
+			if queued+len(src) < limit {
+				t.Fatalf("queue dropped at %d pairs (+%d at most), below its bound %d", queued, len(src), limit)
+			}
+		case !dst.stale && len(dst.moved) > dst.movedMax():
+			t.Fatalf("queue holds %d pairs, above its bound %d", len(dst.moved), dst.movedMax())
+		}
+	}
+	if !overflowed || cap(dst.moved) != 0 {
+		t.Fatalf("after 2000 exchanges: overflowed %v, queue cap %d; want an overflow that dropped the queue", overflowed, cap(dst.moved))
+	}
+	// Relays hand out eight successive snapshots of node 1's row by
+	// reference, so only the stale estimator's merges are measured.
+	relays := make([]*Estimator, 8)
+	for k := range relays {
+		now += 3
+		src[0].ObserveMeeting(packet.NodeID(5+k), now)
+		relays[k] = New(packet.NodeID(100+k), 3)
+		relays[k].MergeTableFrom(src[0], 1)
+	}
+	k := 0
+	if allocs := testing.AllocsPerRun(100, func() {
+		k++
+		dst.MergeTableFrom(relays[k%len(relays)], 1)
+	}); allocs != 0 {
+		t.Errorf("merges into a stale estimator allocate %v times per run, want 0", allocs)
+	}
+	check("after the overflow")
+	exchange()
+	if len(dst.moved) == 0 || dst.stale {
+		t.Errorf("after an estimate: %d pairs queued, stale %v; want pairs queued again", len(dst.moved), dst.stale)
+	}
+	check("queued again")
 }

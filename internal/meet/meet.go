@@ -10,6 +10,7 @@ package meet
 import (
 	"cmp"
 	"math"
+	"math/bits"
 	"slices"
 
 	"rapid/internal/packet"
@@ -72,21 +73,44 @@ type Estimator struct {
 	// version invalidates the shortest-path memo on any mutation.
 	version uint64
 
-	// adj is the merged matrix flattened into slice-indexed adjacency
-	// lists, maintained incrementally as pairs change: estimating over
-	// it is O(h·(V+E)) instead of O(h·V²). Each adj[u] is kept sorted by
-	// target ID so membership is a binary search.
-	n   int // node universe size: max known ID + 1
-	adj [][]halfEdge
+	// n is the node universe size: max known ID + 1.
+	n int
+	// The matrix's edge between u and v weighs the optimistic minimum
+	// of rows[u]'s entry for v and rows[v]'s entry for u; a NaN or +Inf
+	// entry makes no arc, and neither does a self or negative peer.
+	// shortestWithin relaxes each node over its own row plus rev, so
+	// only the arcs the row does not already give at that weight are
+	// stored: rev[u] holds the arc u→v, weighing rows[v]'s entry for u,
+	// exactly when that entry makes an arc and rows[u] has no equal or
+	// cheaper entry for v. It is sorted by target ID, and revArcs
+	// counts its arcs.
+	//
+	// Reverse arcs are settled lazily, before the next shortest-path
+	// run, when both endpoint rows of an exchange have arrived (settling
+	// each merge at once mostly inserts arcs the second row then
+	// deletes). moved queues the pairs whose entries changed since, to
+	// be re-derived one by one. While stale is set the queue is unused
+	// and every reverse arc is derived afresh from the rows instead:
+	// from New until the first estimate, so an estimator nobody asks
+	// (the CGR arms') does no reverse-arc work at all, and after the
+	// queue outgrew movedMax, so it stays bounded. entries counts the
+	// row entries, for movedMax.
+	rev     [][]halfEdge
+	revArcs int
+	moved   []pair
+	stale   bool
+	entries int
 
 	// memoDist caches per-source distance slices over the current
-	// adjacency. When the version moves its slices go to spare, which
+	// matrix. When the version moves its slices go to spare, which
 	// shortestWithin draws from before allocating; distScratch is the
-	// relaxation double-buffer.
+	// relaxation double-buffer's partner, front and fell its bitsets of
+	// nodes whose distance fell.
 	memoVer     uint64
 	memoDist    [][]float64
 	spare       [][]float64
 	distScratch []float64
+	front, fell []uint64
 
 	stats Stats
 }
@@ -98,29 +122,47 @@ type Stats struct {
 	// RowsMerged counts rows installed by a merge because they differed
 	// from the stored one (an equal row is not counted).
 	RowsMerged uint64
-	// PairsPatched counts adjacency pairs re-derived, by merges and by
-	// ObserveMeeting.
-	PairsPatched uint64
+	// PairsMoved counts the pairs whose row entry moved, by merges and
+	// by ObserveMeeting; each is queued for one re-derivation of its
+	// reverse arcs.
+	PairsMoved uint64
 	// RowsPublished counts snapshots taken of the own row.
 	RowsPublished uint64
 	// ShortestPaths counts h-hop shortest-path runs (memo misses).
 	ShortestPaths uint64
+	// ReverseArcs is not a count of work but the number of reverse arcs
+	// held when Stats was called (see Estimator.rev).
+	ReverseArcs uint64
 }
 
 // Add folds o into s.
 func (s *Stats) Add(o Stats) {
 	s.RowsMerged += o.RowsMerged
-	s.PairsPatched += o.PairsPatched
+	s.PairsMoved += o.PairsMoved
 	s.RowsPublished += o.RowsPublished
 	s.ShortestPaths += o.ShortestPaths
+	s.ReverseArcs += o.ReverseArcs
 }
 
-// halfEdge is one directed arc of the flattened meeting matrix, or one
-// entry of a sorted row.
+// movedMax bounds the queue of moved pairs awaiting re-derivation at
+// what re-deriving every arc costs instead: rederive clears n reverse
+// lists and looks up each row entry once, settle looks up two entries
+// and updates two lists per queued pair. Past half of n plus the
+// entries, one rederive is the cheaper way to settle, and the queue
+// takes at most 4 bytes per node and per row entry.
+func (e *Estimator) movedMax() int {
+	return (e.n + e.entries) / 2
+}
+
+// halfEdge is one entry of a sorted row, or one reverse arc.
 type halfEdge struct {
 	to packet.NodeID
 	w  float64
 }
+
+// pair is a node pair whose reverse arcs await settling, held in 32
+// bits a side: both IDs index the estimator's dense arrays.
+type pair struct{ u, v int32 }
 
 // search returns the position peer occupies, or would occupy, in a
 // slice sorted by target ID.
@@ -162,7 +204,7 @@ func New(self packet.NodeID, hops int) *Estimator {
 	if hops <= 0 {
 		hops = DefaultHops
 	}
-	e := &Estimator{self: self, hops: hops}
+	e := &Estimator{self: self, hops: hops, stale: true}
 	e.ensureNode(self)
 	return e
 }
@@ -182,14 +224,20 @@ func (e *Estimator) ObserveMeeting(peer packet.NodeID, now float64) {
 	ma.Observe(now - e.lastSeen[peer]) // lastSeen defaults to 0 = epoch start
 	e.lastSeen[peer] = now
 	e.known[e.self] = true
+	before := len(e.rows[e.self])
 	e.rows[e.self] = upsert(e.rows[e.self], peer, ma.Value())
+	e.entries += len(e.rows[e.self]) - before
 	e.unpublished = true
-	e.patchPair(e.self, peer, ma.Value())
+	e.touch(e.self, peer)
 	e.version++
 }
 
 // Stats returns the work counters.
-func (e *Estimator) Stats() Stats { return e.stats }
+func (e *Estimator) Stats() Stats {
+	s := e.stats
+	s.ReverseArcs = uint64(e.revArcs)
+	return s
+}
 
 // ensureNode grows the dense per-node arrays to cover id.
 func (e *Estimator) ensureNode(id packet.NodeID) {
@@ -197,8 +245,7 @@ func (e *Estimator) ensureNode(id packet.NodeID) {
 		return
 	}
 	e.n = int(id) + 1
-	for len(e.adj) < e.n {
-		e.adj = append(e.adj, nil)
+	for len(e.rows) < e.n {
 		e.direct = append(e.direct, nil)
 		e.lastSeen = append(e.lastSeen, 0)
 		e.rows = append(e.rows, nil)
@@ -206,40 +253,87 @@ func (e *Estimator) ensureNode(id packet.NodeID) {
 	}
 }
 
-// patchPair re-derives the (u, v) edge weight from u's row entry for
-// v, passed in as w (+Inf when u's row has none), and v's row entry for
-// u, and patches the adjacency lists in place. The edge is the
-// optimistic minimum of the two.
-func (e *Estimator) patchPair(u, v packet.NodeID, w float64) {
+// touch queues the pair {u, v} for re-deriving its reverse arcs once
+// one of its row entries moved. Self and negative peers make no arc.
+func (e *Estimator) touch(u, v packet.NodeID) {
 	if u == v || v < 0 {
 		return
 	}
-	e.ensureNode(v)
-	e.stats.PairsPatched++
-	best := math.Inf(1)
-	if w < best { // a NaN weight makes no arc
-		best = w
+	e.stats.PairsMoved++
+	switch {
+	case e.stale: // the next settle derives every arc afresh
+	case len(e.moved) >= e.movedMax():
+		e.stale = true
+		e.moved = nil
+	default:
+		e.moved = append(e.moved, pair{int32(u), int32(v)})
 	}
-	if d, ok := lookup(e.rows[v], u); ok && d < best {
-		best = d
-	}
-	if math.IsInf(best, 1) {
-		e.removeArc(u, v)
-		e.removeArc(v, u)
-		return
-	}
-	e.adj[u] = upsert(e.adj[u], v, best)
-	e.adj[v] = upsert(e.adj[v], u, best)
 }
 
-// removeArc drops the directed arc u→v if present.
-func (e *Estimator) removeArc(u, v packet.NodeID) {
-	lst := e.adj[u]
-	i := search(lst, v)
-	if i >= len(lst) || lst[i].to != v {
+// settle brings the reverse arcs up to date with the rows: the queued
+// pairs one by one, or all of them afresh when stale.
+func (e *Estimator) settle() {
+	for len(e.rev) < e.n {
+		e.rev = append(e.rev, nil)
+	}
+	if e.stale {
+		e.rederive()
+		e.stale = false
 		return
 	}
-	e.adj[u] = append(lst[:i], lst[i+1:]...)
+	inf := math.Inf(1)
+	for _, p := range e.moved {
+		u, v := packet.NodeID(p.u), packet.NodeID(p.v)
+		a, okA := lookup(e.rows[u], v)
+		b, okB := lookup(e.rows[v], u)
+		e.setReverse(u, v, b, okB && b < inf && !(okA && a <= b))
+		e.setReverse(v, u, a, okA && a < inf && !(okB && b <= a))
+	}
+	e.moved = e.moved[:0]
+}
+
+// rederive rebuilds every reverse arc from the rows: row u's entry for
+// v gives the arc v→u unless it makes no arc or rows[v] gives an equal
+// or cheaper one. Rows are walked in owner order, so each rev list is
+// appended to in target order.
+func (e *Estimator) rederive() {
+	for u := range e.rev {
+		e.rev[u] = e.rev[u][:0]
+	}
+	e.revArcs = 0
+	inf := math.Inf(1)
+	for u, row := range e.rows {
+		owner := packet.NodeID(u)
+		for _, ed := range row {
+			v := ed.to
+			if v == owner || v < 0 || !(ed.w < inf) {
+				continue
+			}
+			if a, ok := lookup(e.rows[v], owner); ok && a <= ed.w {
+				continue
+			}
+			e.rev[v] = append(e.rev[v], halfEdge{to: owner, w: ed.w})
+			e.revArcs++
+		}
+	}
+}
+
+// setReverse holds the reverse arc u→v at weight w when keep is set
+// and drops it otherwise.
+func (e *Estimator) setReverse(u, v packet.NodeID, w float64, keep bool) {
+	lst := e.rev[u]
+	i := search(lst, v)
+	has := i < len(lst) && lst[i].to == v
+	switch {
+	case keep && has:
+		lst[i].w = w
+	case keep:
+		e.rev[u] = slices.Insert(lst, i, halfEdge{to: v, w: w})
+		e.revArcs++
+	case has:
+		e.rev[u] = slices.Delete(lst, i, i+1)
+		e.revArcs--
+	}
 }
 
 // DirectTable returns a snapshot of this node's own averages, the
@@ -354,21 +448,24 @@ func (e *Estimator) mergeRow(owner packet.NodeID, incoming []halfEdge, shared bo
 		incoming = e.carve(incoming)
 	}
 	e.rows[owner] = incoming
+	e.entries += len(incoming) - len(old)
 	e.stats.RowsMerged++
 	now := incoming
-	inf := math.Inf(1)
+	if len(now) > 0 {
+		e.ensureNode(now[len(now)-1].to) // the row's largest peer
+	}
 	i, j := 0, 0
 	for i < len(old) || j < len(now) {
 		switch {
 		case j == len(now) || (i < len(old) && old[i].to < now[j].to): // removed entry
-			e.patchPair(owner, old[i].to, inf)
+			e.touch(owner, old[i].to)
 			i++
 		case i == len(old) || now[j].to < old[i].to: // new entry
-			e.patchPair(owner, now[j].to, now[j].w)
+			e.touch(owner, now[j].to)
 			j++
 		default:
 			if old[i].w != now[j].w {
-				e.patchPair(owner, now[j].to, now[j].w)
+				e.touch(owner, now[j].to)
 			}
 			i++
 			j++
@@ -388,6 +485,7 @@ func (e *Estimator) Expected(from, to packet.NodeID) float64 {
 		return 0
 	}
 	if e.memoVer != e.version || len(e.memoDist) < e.n {
+		e.settle()
 		for _, d := range e.memoDist {
 			if d != nil {
 				e.spare = append(e.spare, d)
@@ -417,11 +515,23 @@ func (e *Estimator) Expected(from, to packet.NodeID) float64 {
 }
 
 // shortestWithin runs h level-synchronous rounds of Bellman-Ford
-// relaxation from src over the adjacency lists, yielding min-cost paths
-// with at most h edges. Each round reads the previous round's
-// distances, so a path can never accumulate more than h hops. The
-// returned slice comes from the spare list when one is large enough (the
-// memo retains it); the double-buffer partner is reused across calls.
+// relaxation from src, yielding min-cost paths with at most h edges.
+// Each round reads the previous round's distances (cur) and lowers the
+// next ones, so a path can never accumulate more than h hops.
+//
+//   - A node relaxes the arcs of its row and its reverse arcs. A pair
+//     with two arcs of weights a and b yields du+a and du+b, whose
+//     minimum is du+min(a, b) bit for bit because rounding is monotone,
+//     so the distances are those over the min-merged matrix.
+//   - Only the nodes whose distance fell in the previous round relax,
+//     in ID order (the front bitset): a node whose distance stayed put
+//     already offered every arc at that distance, so it could lower
+//     nothing. The two buffers agree between rounds, and only the
+//     entries that fell are copied.
+//
+// The returned slice comes from the spare list when one is large
+// enough (the memo retains it); the scratch buffers are reused across
+// calls.
 func (e *Estimator) shortestWithin(src packet.NodeID) []float64 {
 	inf := math.Inf(1)
 	var cur []float64
@@ -436,36 +546,57 @@ func (e *Estimator) shortestWithin(src packet.NodeID) []float64 {
 		e.distScratch = make([]float64, e.n)
 	}
 	next := e.distScratch[:e.n]
-	fresh := cur
 	for i := range cur {
 		cur[i] = inf
 	}
 	cur[src] = 0
+	copy(next, cur)
+	words := (e.n + 63) / 64
+	if cap(e.front) < words {
+		e.front, e.fell = make([]uint64, words), make([]uint64, words)
+	}
+	front, fell := e.front[:words], e.fell[:words]
+	clear(front)
+	clear(fell)
+	front[src/64] = 1 << (src % 64)
 	for hop := 0; hop < e.hops; hop++ {
-		copy(next, cur)
-		improved := false
-		for u, du := range cur {
-			if math.IsInf(du, 1) {
-				continue
-			}
-			for _, ed := range e.adj[u] {
-				if d := du + ed.w; d < next[ed.to] {
-					next[ed.to] = d
-					improved = true
+		for w, word := range front {
+			for ; word != 0; word &= word - 1 {
+				u := w<<6 | bits.TrailingZeros64(word)
+				du := cur[u]
+				for _, ed := range e.rows[u] {
+					v := int(ed.to)
+					if uint(v) >= uint(len(next)) || v == u {
+						continue // a negative or self peer makes no arc
+					}
+					if d := du + ed.w; d < next[v] { // a NaN or +Inf weight never passes
+						next[v] = d
+						fell[v>>6] |= 1 << (v & 63)
+					}
+				}
+				for _, ed := range e.rev[u] {
+					v := int(ed.to)
+					if d := du + ed.w; d < next[v] {
+						next[v] = d
+						fell[v>>6] |= 1 << (v & 63)
+					}
 				}
 			}
 		}
-		cur, next = next, cur
-		if !improved {
+		changed := false
+		for w, word := range fell {
+			changed = changed || word != 0
+			for ; word != 0; word &= word - 1 {
+				v := w<<6 | bits.TrailingZeros64(word)
+				cur[v] = next[v]
+			}
+		}
+		if !changed {
 			break
 		}
+		front, fell = fell, front
+		clear(fell)
 	}
 	cur[src] = 0
-	// An odd number of swaps leaves `cur` pointing at the scratch
-	// buffer; copy back so the memoized row survives the next query.
-	if &cur[0] != &fresh[0] {
-		copy(fresh, cur)
-		cur = fresh
-	}
 	return cur
 }

@@ -297,14 +297,16 @@ func TestStatsCount(t *testing.T) {
 	_ = e.Expected(0, 3)
 	_ = e.Expected(0, 4) // memo hit
 	_ = e.Expected(1, 4)
-	want := Stats{RowsMerged: 2, PairsPatched: 6, ShortestPaths: 2}
+	// Reverse arcs: 0→1 at 5 (our 10 is dearer), and 3→2, 4→2 (nodes 3
+	// and 4 have no rows); 1–2 agree at 7 and need none.
+	want := Stats{RowsMerged: 2, PairsMoved: 6, ShortestPaths: 2, ReverseArcs: 3}
 	if got := e.Stats(); got != want {
 		t.Errorf("Stats()=%+v want %+v", got, want)
 	}
 	var sum Stats
 	sum.Add(want)
-	sum.Add(Stats{RowsPublished: 1})
-	if sum.RowsPublished != 1 || sum.PairsPatched != 6 {
+	sum.Add(Stats{RowsPublished: 1, ReverseArcs: 2})
+	if sum.RowsPublished != 1 || sum.PairsMoved != 6 || sum.ReverseArcs != 5 {
 		t.Errorf("Add: %+v", sum)
 	}
 }

@@ -222,8 +222,9 @@ func TestParallelBatchCounters(t *testing.T) {
 }
 
 // TestMeetCountersWorkerInvariant: the summed meeting-estimator work
-// counters are the same at every worker count, and a RAPID run does
-// each kind of work.
+// counters, and the reverse arcs the estimators hold at the end, are
+// the same at every worker count, and a RAPID run does each kind of
+// work and holds some reverse arcs.
 func TestMeetCountersWorkerInvariant(t *testing.T) {
 	p := metamorphicParams()
 	p.Tag = "meet-counters"
@@ -239,7 +240,7 @@ func TestMeetCountersWorkerInvariant(t *testing.T) {
 		return col.Meet
 	}
 	serial := counters(1)
-	if serial.RowsMerged == 0 || serial.PairsPatched == 0 || serial.RowsPublished == 0 || serial.ShortestPaths == 0 {
+	if serial.RowsMerged == 0 || serial.PairsMoved == 0 || serial.RowsPublished == 0 || serial.ShortestPaths == 0 || serial.ReverseArcs == 0 {
 		t.Fatalf("serial run: meet counters %+v, want every one positive", serial)
 	}
 	for _, w := range []int{2, 8} {
