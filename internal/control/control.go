@@ -215,10 +215,16 @@ type State struct {
 	dstMark    []uint32
 	dstStamp   uint32
 
-	// lastExchange is the time of the previous exchange per peer (dense
-	// by node ID; the zero value is the epoch default the delta encoding
-	// expects).
-	lastExchange []float64
+	// lastExchange is the time of the previous exchange with each peer
+	// exchanged with, sorted by peer (a peer never exchanged with reads
+	// as the epoch default 0 the delta encoding expects).
+	lastExchange []peerTime
+}
+
+// peerTime is the time of the previous exchange with one peer.
+type peerTime struct {
+	peer packet.NodeID
+	at   float64
 }
 
 // growFloat extends a dense per-node float slice to cover id, filling
@@ -690,24 +696,40 @@ func (s *State) raiseTableAsOf(owner packet.NodeID, asOf float64) {
 	s.tableOwners = slices.Insert(s.tableOwners, i, owner)
 }
 
+// lastExchangeAt returns the position peer occupies, or would occupy,
+// in lastExchange and whether it is there.
+func (s *State) lastExchangeAt(peer packet.NodeID) (int, bool) {
+	return slices.BinarySearchFunc(s.lastExchange, peer, func(p peerTime, id packet.NodeID) int { return cmp.Compare(p.peer, id) })
+}
+
 // lastExchangeWith returns the time of the previous exchange with peer
 // (0 = never, the epoch default).
 func (s *State) lastExchangeWith(peer packet.NodeID) float64 {
-	if peer < 0 || int(peer) >= len(s.lastExchange) {
-		return 0
+	if i, ok := s.lastExchangeAt(peer); ok {
+		return s.lastExchange[i].at
 	}
-	return s.lastExchange[peer]
+	return 0
 }
 
-// finishExchange stamps the per-peer exchange times.
+// setLastExchange stamps the exchange with peer at now.
+func (s *State) setLastExchange(peer packet.NodeID, now float64) {
+	i, ok := s.lastExchangeAt(peer)
+	if !ok {
+		s.lastExchange = slices.Insert(s.lastExchange, i, peerTime{peer: peer})
+	}
+	s.lastExchange[i].at = now
+}
+
+// finishExchange stamps the per-peer exchange times and settles both
+// estimators, now that every row of the exchange is in.
 func finishExchange(a, b *State, now float64, res Result) Result {
-	a.lastExchange = growFloat(a.lastExchange, b.self, 0)
-	b.lastExchange = growFloat(b.lastExchange, a.self, 0)
-	a.lastExchange[b.self] = now
-	b.lastExchange[a.self] = now
+	a.setLastExchange(b.self, now)
+	b.setLastExchange(a.self, now)
 	// Record the freshness of each other's own tables.
 	a.raiseTableAsOf(b.self, now)
 	b.raiseTableAsOf(a.self, now)
+	a.Meet.Settle()
+	b.Meet.Settle()
 	return res
 }
 

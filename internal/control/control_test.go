@@ -356,3 +356,29 @@ func TestExchangeAllocs(t *testing.T) {
 		t.Errorf("allocs per exchange grow with the inventory: %v at 100 items, %v at 1,000", small, large)
 	}
 }
+
+// TestLastExchangeByPeersMet: exchange times are held per peer
+// exchanged with, sorted by peer, not per node ID of the run.
+func TestLastExchangeByPeersMet(t *testing.T) {
+	s := NewState(0, 3, nil)
+	for _, ex := range []struct {
+		peer packet.NodeID
+		at   float64
+	}{{900, 10}, {5, 20}, {300, 30}, {5, 40}} {
+		Exchange(s, NewState(ex.peer, 3, nil), nil, nil, ex.at, unlimited())
+	}
+	want := []peerTime{{5, 40}, {300, 30}, {900, 10}}
+	if len(s.lastExchange) != len(want) {
+		t.Fatalf("lastExchange %v, want %v", s.lastExchange, want)
+	}
+	for i, w := range want {
+		if s.lastExchange[i] != w {
+			t.Errorf("lastExchange[%d] = %v, want %v", i, s.lastExchange[i], w)
+		}
+	}
+	for _, w := range append(want, peerTime{7, 0}, peerTime{1000, 0}) {
+		if got := s.lastExchangeWith(w.peer); got != w.at {
+			t.Errorf("lastExchangeWith(%d) = %v, want %v", w.peer, got, w.at)
+		}
+	}
+}

@@ -229,11 +229,27 @@ func FuzzMeetMerge(f *testing.F) {
 	})
 }
 
+// relay copies src's table of owner into r, as a merge from src's
+// estimator does; r keeps its own table and src relays nothing to
+// itself.
+func (r *refMatrix) relay(src *refMatrix, owner packet.NodeID) {
+	if r == src || owner == r.self {
+		return
+	}
+	tbl := map[packet.NodeID]float64{}
+	for p, d := range src.tables[owner] {
+		tbl[p] = d
+	}
+	r.tables[owner] = tbl
+}
+
 // FuzzSharedRows drives 3–6 estimators that gossip rows among
 // themselves through MergeTableFrom — multi-hop, and back toward the
 // owner — while owners keep meeting after their row has been shared,
 // mixed with map merges that carve private copies next to the shared
-// snapshots. After every operation each estimator must match its own
+// snapshots. A gossip whose op byte has the top bit set is answered
+// with the receiver's own row and ends like an exchange, settling both
+// estimators with two merges queued. After every operation each estimator must match its own
 // map reference bit for bit on every Expected pair and on RowLen: a
 // snapshot that changes under a receiver, or an own row a merge writes
 // through, shows up as a mismatch.
@@ -253,7 +269,8 @@ func FuzzSharedRows(f *testing.F) {
 		}
 		now := 0.0
 		for step := 0; step < 64 && ops.pos < len(data); step++ {
-			kind := ops.next() % 3
+			op := ops.next()
+			kind := op % 3
 			i := int(ops.next()) % n
 			switch kind {
 			case 0: // i meets a peer (possibly after sharing its row)
@@ -269,12 +286,12 @@ func FuzzSharedRows(f *testing.F) {
 					owner = packet.NodeID(i)
 				}
 				ests[j].MergeTableFrom(ests[i], owner)
-				if i != j && owner != packet.NodeID(j) {
-					tbl := map[packet.NodeID]float64{}
-					for p, d := range refs[i].tables[owner] {
-						tbl[p] = d
-					}
-					refs[j].tables[owner] = tbl
+				refs[j].relay(refs[i], owner)
+				if op&0x80 != 0 { // j answers with its own row, and the exchange ends
+					ests[i].MergeTableFrom(ests[j], packet.NodeID(j))
+					refs[i].relay(refs[j], packet.NodeID(j))
+					ests[i].Settle()
+					ests[j].Settle()
 				}
 			case 2: // a map merge into i
 				owner := packet.NodeID(ops.next() % fuzzNodes)
@@ -397,8 +414,8 @@ func TestMovedPairsBounded(t *testing.T) {
 	for range 10 {
 		exchange()
 	}
-	if len(dst.moved) != 0 || !dst.stale {
-		t.Fatalf("before the first estimate: %d pairs queued, stale %v; want none queued and stale", len(dst.moved), dst.stale)
+	if dst.moved != nil || !dst.stale {
+		t.Fatalf("before the first estimate: %d pairs queued, stale %v; want none queued and stale", dst.queued(), dst.stale)
 	}
 	check("first estimate")
 	// Sources' rows only grow here, so the bound never falls, and a
@@ -406,7 +423,7 @@ func TestMovedPairsBounded(t *testing.T) {
 	// it less one pair per source.
 	overflowed := false
 	for range 2000 {
-		queued, limit := len(dst.moved), dst.movedMax()
+		queued, limit := dst.queued(), dst.movedMax()
 		exchange()
 		switch {
 		case dst.stale && !overflowed:
@@ -414,12 +431,12 @@ func TestMovedPairsBounded(t *testing.T) {
 			if queued+len(src) < limit {
 				t.Fatalf("queue dropped at %d pairs (+%d at most), below its bound %d", queued, len(src), limit)
 			}
-		case !dst.stale && len(dst.moved) > dst.movedMax():
-			t.Fatalf("queue holds %d pairs, above its bound %d", len(dst.moved), dst.movedMax())
+		case !dst.stale && dst.queued() > dst.movedMax():
+			t.Fatalf("queue holds %d pairs, above its bound %d", dst.queued(), dst.movedMax())
 		}
 	}
-	if !overflowed || cap(dst.moved) != 0 {
-		t.Fatalf("after 2000 exchanges: overflowed %v, queue cap %d; want an overflow that dropped the queue", overflowed, cap(dst.moved))
+	if !overflowed || dst.moved != nil {
+		t.Fatalf("after 2000 exchanges: overflowed %v, queue held %v; want an overflow that handed the queue back", overflowed, dst.moved != nil)
 	}
 	// Relays hand out eight successive snapshots of node 1's row by
 	// reference, so only the stale estimator's merges are measured.
@@ -439,8 +456,8 @@ func TestMovedPairsBounded(t *testing.T) {
 	}
 	check("after the overflow")
 	exchange()
-	if len(dst.moved) == 0 || dst.stale {
-		t.Errorf("after an estimate: %d pairs queued, stale %v; want pairs queued again", len(dst.moved), dst.stale)
+	if dst.queued() == 0 || dst.stale {
+		t.Errorf("after an estimate: %d pairs queued, stale %v; want pairs queued again", dst.queued(), dst.stale)
 	}
 	check("queued again")
 }

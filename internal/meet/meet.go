@@ -12,6 +12,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"sync"
 
 	"rapid/internal/packet"
 	"rapid/internal/stat"
@@ -29,37 +30,31 @@ type Table map[packet.NodeID]float64
 // Estimator is one node's view of the network's meeting behaviour. It is
 // not safe for concurrent use.
 //
-// All per-node state is laid out struct-of-arrays style, indexed by the
-// dense node ID space of a run (scenario generators hand out IDs
-// 0..N-1): at mega-constellation populations a map-keyed layout spends
-// most of the hot path hashing NodeIDs and chasing map buckets.
+// Two things are indexed by the dense node ID space of a run (scenario
+// generators hand out IDs 0..N-1): the merged matrix, one slice header
+// per owner, and the memoized distances, n floats per source asked.
+// Everything else an estimator holds grows with what its node met, not
+// with n, so a run does not hold n² of it.
 type Estimator struct {
 	self packet.NodeID
 	hops int
 
-	// direct accumulates locally observed inter-meeting gaps per peer,
-	// indexed by peer ID (nil = never met).
-	direct []*stat.MovingAverage
-	// lastSeen is the time of the previous meeting per peer, to turn
-	// meeting instants into gaps. A virtual meeting at time 0 (epoch
-	// start) bootstraps the first gap — exactly the semantics of the
-	// slice's zero value — so a single observed meeting already yields a
-	// finite, if rough, estimate that later observations refine.
-	lastSeen []float64
+	// met is the node's own meeting history, one entry per peer met,
+	// sorted by peer.
+	met []peerLog
 
 	// rows is the merged matrix: every node's direct table as learned
 	// via the control channel, indexed by owner ID and sorted by peer
-	// ID; rows[self] holds the averages in direct. A row only holds the
-	// owner's direct peers, so the matrix stays sparse. known marks the
-	// owners whose table has been installed: an owner known with an
-	// empty row is not an unknown owner to the control channel.
+	// ID; rows[self] holds the averages in met. A row only holds the
+	// owner's direct peers, so the matrix stays sparse. A nil row is an
+	// unknown owner; an owner known with an empty table holds a non-nil
+	// empty row, which is not an unknown owner to the control channel.
 	//
 	// rows[self] is private and upserted in place. Every other row is an
 	// immutable snapshot, shared by reference with the estimators it
 	// came from and went to: nothing ever writes through one, a merge
 	// only swaps the slice header.
-	rows  [][]halfEdge
-	known []bool
+	rows [][]halfEdge
 	// published is the last snapshot of rows[self] handed out by
 	// publish; unpublished is set when rows[self] has changed since.
 	published   []halfEdge
@@ -78,41 +73,63 @@ type Estimator struct {
 	// The matrix's edge between u and v weighs the optimistic minimum
 	// of rows[u]'s entry for v and rows[v]'s entry for u; a NaN or +Inf
 	// entry makes no arc, and neither does a self or negative peer.
-	// shortestWithin relaxes each node over its own row plus rev, so
-	// only the arcs the row does not already give at that weight are
-	// stored: rev[u] holds the arc u→v, weighing rows[v]'s entry for u,
+	// shortestWithin relaxes each node over its own row plus the reverse
+	// arcs, so only the arcs the rows do not already give at that weight
+	// are stored: rev holds the arc u→v, weighing rows[v]'s entry for u,
 	// exactly when that entry makes an arc and rows[u] has no equal or
-	// cheaper entry for v. It is sorted by target ID, and revArcs
-	// counts its arcs.
+	// cheaper entry for v. It is one flat list sorted by (u, v), so a
+	// node without reverse arcs holds no slot in it.
 	//
-	// Reverse arcs are settled lazily, before the next shortest-path
-	// run, when both endpoint rows of an exchange have arrived (settling
-	// each merge at once mostly inserts arcs the second row then
-	// deletes). moved queues the pairs whose entries changed since, to
-	// be re-derived one by one. While stale is set the queue is unused
-	// and every reverse arc is derived afresh from the rows instead:
-	// from New until the first estimate, so an estimator nobody asks
-	// (the CGR arms') does no reverse-arc work at all, and after the
-	// queue outgrew movedMax, so it stays bounded. entries counts the
+	// Reverse arcs are settled once both endpoint rows of an exchange
+	// have arrived (settling each merge at once mostly inserts arcs the
+	// second row then deletes): Settle at the end of the exchange, or
+	// the next Expected for callers that merge without settling. moved
+	// queues the pairs whose entries changed since, to be re-derived one
+	// by one; it is borrowed from queues at the first moved pair and
+	// handed back by the settle that drains it. While stale is set
+	// nothing is queued and every reverse arc is derived afresh from the
+	// rows at the next Expected instead: from New until the first
+	// estimate, so an estimator nobody asks (the CGR arms') does no
+	// reverse-arc work at all, and once the pairs queued since the last
+	// estimate (sinceEstimate, settled or not) reach movedMax, so an
+	// estimator that merges for many exchanges between two estimates
+	// does at most one rederive's worth of settling. entries counts the
 	// row entries, for movedMax.
-	rev     [][]halfEdge
-	revArcs int
-	moved   []pair
-	stale   bool
-	entries int
+	rev           []arc
+	moved         *settleQueue
+	stale         bool
+	sinceEstimate int
+	entries       int
+	// estArcs is len(rev) as of the latest Expected that found the
+	// matrix moved, which Stats reports.
+	estArcs int
 
-	// memoDist caches per-source distance slices over the current
-	// matrix. When the version moves its slices go to spare, which
-	// shortestWithin draws from before allocating; distScratch is the
-	// relaxation double-buffer's partner, front and fell its bitsets of
-	// nodes whose distance fell.
-	memoVer     uint64
-	memoDist    [][]float64
-	spare       [][]float64
-	distScratch []float64
-	front, fell []uint64
+	// memo caches per-source distance slices over the matrix as of
+	// (memoVer, memoN). When either moves its slices go to spare, which
+	// shortestWithin draws from before allocating.
+	memoVer uint64
+	memoN   int
+	memo    []memoEntry
+	spare   [][]float64
 
 	stats Stats
+}
+
+// peerLog is the history of the node's meetings with one peer. A
+// virtual meeting at time 0 (epoch start) bootstraps the first gap —
+// exactly the semantics of lastSeen's zero value — so a single observed
+// meeting already yields a finite, if rough, estimate that later
+// observations refine.
+type peerLog struct {
+	peer     packet.NodeID
+	lastSeen float64
+	gaps     stat.MovingAverage
+}
+
+// memoEntry is one memoized source's distances.
+type memoEntry struct {
+	src  packet.NodeID
+	dist []float64
 }
 
 // Stats counts an estimator's work. The counters depend only on the
@@ -131,7 +148,8 @@ type Stats struct {
 	// ShortestPaths counts h-hop shortest-path runs (memo misses).
 	ShortestPaths uint64
 	// ReverseArcs is not a count of work but the number of reverse arcs
-	// held when Stats was called (see Estimator.rev).
+	// the matrix held at the estimator's latest estimate (see
+	// Estimator.rev); an estimator never asked reports 0.
 	ReverseArcs uint64
 }
 
@@ -144,25 +162,138 @@ func (s *Stats) Add(o Stats) {
 	s.ReverseArcs += o.ReverseArcs
 }
 
-// movedMax bounds the queue of moved pairs awaiting re-derivation at
-// what re-deriving every arc costs instead: rederive clears n reverse
-// lists and looks up each row entry once, settle looks up two entries
-// and updates two lists per queued pair. Past half of n plus the
-// entries, one rederive is the cheaper way to settle, and the queue
-// takes at most 4 bytes per node and per row entry.
+// movedMax bounds the moved pairs re-derived one by one between two
+// estimates at what re-deriving every arc costs instead: rederive looks
+// up each row entry once, settle looks up two entries and updates two
+// arcs per queued pair. Past half of n plus the entries, one rederive
+// is the cheaper way to settle, and the queue takes at most 4 bytes per
+// node and per row entry.
 func (e *Estimator) movedMax() int {
 	return (e.n + e.entries) / 2
 }
 
-// halfEdge is one entry of a sorted row, or one reverse arc.
+// halfEdge is one entry of a sorted row.
 type halfEdge struct {
 	to packet.NodeID
 	w  float64
 }
 
+// arc is one reverse arc u→v at weight w, keyed by u in the high and v
+// in the low 32 bits so the list sorts by (u, v).
+type arc struct {
+	key uint64
+	w   float64
+}
+
+// arcKey returns the key of the arc u→v.
+func arcKey(u, v packet.NodeID) uint64 {
+	return uint64(uint32(u))<<32 | uint64(uint32(v))
+}
+
 // pair is a node pair whose reverse arcs await settling, held in 32
-// bits a side: both IDs index the estimator's dense arrays.
+// bits a side: both IDs index the estimator's rows.
 type pair struct{ u, v int32 }
+
+// settleQueue is the moved pairs awaiting a settle, plus the settle's
+// own scratch: the arcs it adds, folded into rev once it has walked
+// every pair, and a one-hash Bloom filter over the keys in rev (16 bits
+// an arc, so about 6 % false positives), which spares the search for
+// most arcs that are not there.
+type settleQueue struct {
+	pairs  []pair
+	added  []arc
+	filter []uint64
+	shift  uint
+}
+
+// hashArc is Fibonacci hashing of an arc key.
+func hashArc(k uint64) uint64 { return k * 0x9e3779b97f4a7c15 }
+
+// index fills the filter with the keys of rev.
+func (q *settleQueue) index(rev []arc) {
+	words := 1
+	for words*64 < 16*len(rev) {
+		words *= 2
+	}
+	q.shift = 64 - uint(bits.TrailingZeros(uint(words*64)))
+	if cap(q.filter) < words {
+		q.filter = make([]uint64, words)
+	}
+	q.filter = q.filter[:words]
+	clear(q.filter)
+	for _, r := range rev {
+		h := hashArc(r.key) >> q.shift
+		q.filter[h>>6] |= 1 << (h & 63)
+	}
+}
+
+// mayHold reports whether the indexed rev may hold key k; false means
+// it certainly does not.
+func (q *settleQueue) mayHold(k uint64) bool {
+	h := hashArc(k) >> q.shift
+	return q.filter[h>>6]&(1<<(h&63)) != 0
+}
+
+// pathScratch is shortestWithin's working state: the relaxation
+// double-buffer's partner and the bitsets of nodes whose distance fell.
+type pathScratch struct {
+	next        []float64
+	front, fell []uint64
+}
+
+// queues and paths lend the moved-pair queues and the relaxation
+// scratch: a queue lives from the first moved pair of an exchange to
+// the settle that drains it, and the scratch for one shortest-path
+// search, so a run holds about one of each per worker instead of one
+// per estimator. Their contents never outlive the borrow, so which
+// object a borrower gets cannot change a result.
+var (
+	queues freeList[settleQueue]
+	paths  freeList[pathScratch]
+)
+
+// freeMax is the most idle objects a freeList keeps. A point-session
+// run borrows at most two queues (one exchange's endpoints) and one
+// scratch per engine worker at once (measured on constel-par and
+// mega-stream at 1 and 2 workers), so 64 covers 32 workers, summed over
+// the runs a process holds at once. The global channel, whose
+// estimators merge without settling, held up to 240 queues at once on
+// a 300-node constellation-ground run but handed back no more than 41
+// idle at a time.
+const freeMax = 64
+
+// freeList lends scratch objects to every estimator in the process.
+// Unlike a sync.Pool it drops no idle object, at a GC or under the race
+// detector, so a warmed estimator borrows without allocating; beyond
+// freeMax idle objects, what a burst of borrowers returns is left to
+// the GC.
+type freeList[T any] struct {
+	mu   sync.Mutex
+	idle []*T
+}
+
+// get lends an idle object, or a new one.
+func (l *freeList[T]) get() *T {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	k := len(l.idle)
+	if k == 0 {
+		return new(T)
+	}
+	x := l.idle[k-1]
+	l.idle[k-1] = nil
+	l.idle = l.idle[:k-1]
+	return x
+}
+
+// put takes x back.
+func (l *freeList[T]) put(x *T) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if len(l.idle) < freeMax {
+		l.idle = append(l.idle, x)
+	}
+}
 
 // search returns the position peer occupies, or would occupy, in a
 // slice sorted by target ID.
@@ -198,6 +329,38 @@ func upsert(lst []halfEdge, to packet.NodeID, w float64) []halfEdge {
 	return slices.Insert(lst, i, halfEdge{to: to, w: w})
 }
 
+// searchArcFrom returns the position the arc with key k occupies, or
+// would occupy, in a list sorted by key, starting from a guess: when
+// the key before hint is below k the search gallops forward from hint,
+// so a run of ascending keys costs about the log of each step between
+// them; otherwise it bisects the list below hint.
+func searchArcFrom(lst []arc, k uint64, hint int) int {
+	lo, hi := 0, len(lst)
+	if 0 < hint && hint <= len(lst) {
+		if lst[hint-1].key < k {
+			lo = hint
+			for step := 1; lo+step-1 < hi; step *= 2 {
+				if i := lo + step - 1; lst[i].key >= k {
+					hi = i
+				} else {
+					lo = i + 1
+				}
+			}
+		} else {
+			hi = hint - 1
+		}
+	}
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if lst[mid].key < k {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
 // New returns an estimator for node self using an h-hop horizon
 // (h <= 0 selects DefaultHops).
 func New(self packet.NodeID, hops int) *Estimator {
@@ -216,16 +379,15 @@ func (e *Estimator) ObserveMeeting(peer packet.NodeID, now float64) {
 		return
 	}
 	e.ensureNode(peer)
-	ma := e.direct[peer]
-	if ma == nil {
-		ma = &stat.MovingAverage{}
-		e.direct[peer] = ma
+	i, ok := slices.BinarySearchFunc(e.met, peer, func(l peerLog, p packet.NodeID) int { return cmp.Compare(l.peer, p) })
+	if !ok {
+		e.met = slices.Insert(e.met, i, peerLog{peer: peer})
 	}
-	ma.Observe(now - e.lastSeen[peer]) // lastSeen defaults to 0 = epoch start
-	e.lastSeen[peer] = now
-	e.known[e.self] = true
+	l := &e.met[i]
+	l.gaps.Observe(now - l.lastSeen)
+	l.lastSeen = now
 	before := len(e.rows[e.self])
-	e.rows[e.self] = upsert(e.rows[e.self], peer, ma.Value())
+	e.rows[e.self] = upsert(e.rows[e.self], peer, l.gaps.Value())
 	e.entries += len(e.rows[e.self]) - before
 	e.unpublished = true
 	e.touch(e.self, peer)
@@ -235,21 +397,18 @@ func (e *Estimator) ObserveMeeting(peer packet.NodeID, now float64) {
 // Stats returns the work counters.
 func (e *Estimator) Stats() Stats {
 	s := e.stats
-	s.ReverseArcs = uint64(e.revArcs)
+	s.ReverseArcs = uint64(e.estArcs)
 	return s
 }
 
-// ensureNode grows the dense per-node arrays to cover id.
+// ensureNode grows the matrix to cover id.
 func (e *Estimator) ensureNode(id packet.NodeID) {
 	if id < 0 || int(id) < e.n {
 		return
 	}
 	e.n = int(id) + 1
 	for len(e.rows) < e.n {
-		e.direct = append(e.direct, nil)
-		e.lastSeen = append(e.lastSeen, 0)
 		e.rows = append(e.rows, nil)
-		e.known = append(e.known, false)
 	}
 }
 
@@ -262,45 +421,140 @@ func (e *Estimator) touch(u, v packet.NodeID) {
 	e.stats.PairsMoved++
 	switch {
 	case e.stale: // the next settle derives every arc afresh
-	case len(e.moved) >= e.movedMax():
+	case e.sinceEstimate >= e.movedMax():
 		e.stale = true
-		e.moved = nil
+		e.release()
 	default:
-		e.moved = append(e.moved, pair{int32(u), int32(v)})
+		e.sinceEstimate++
+		if e.moved == nil {
+			e.moved = queues.get()
+		}
+		e.moved.pairs = append(e.moved.pairs, pair{int32(u), int32(v)})
+	}
+}
+
+// queued returns the number of pairs awaiting settling.
+func (e *Estimator) queued() int {
+	if e.moved == nil {
+		return 0
+	}
+	return len(e.moved.pairs)
+}
+
+// release hands the moved-pair queue back, emptied.
+func (e *Estimator) release() {
+	if q := e.moved; q != nil {
+		q.pairs, q.added = q.pairs[:0], q.added[:0]
+		queues.put(q)
+		e.moved = nil
+	}
+}
+
+// Settle brings the reverse arcs up to date with the rows merged so
+// far and hands back the queue of moved pairs. The control channel
+// calls it once all rows of an exchange are in, so no queue outlives
+// an exchange. A stale estimator is left as it is: its next Expected
+// derives every arc afresh, and one nobody asks does no reverse-arc
+// work at all.
+func (e *Estimator) Settle() {
+	if !e.stale {
+		e.settle()
 	}
 }
 
 // settle brings the reverse arcs up to date with the rows: the queued
 // pairs one by one, or all of them afresh when stale.
+//
+// Every pair is re-derived from the rows as they stand now, so an arc's
+// new state does not depend on which of its pairs' entries comes first,
+// and rev can stay put while the pairs are walked: an arc to drop is
+// marked with a NaN weight (no arc ever holds one), a new arc is set
+// aside, and at the end the dropped arcs are compacted out from the
+// first of them on and the new ones merged in from the back. A merge
+// queues its pairs in ascending peer order, so the arcs of both
+// directions are looked up in ascending key order, each search
+// galloping on from where the last one of its direction ended.
 func (e *Estimator) settle() {
-	for len(e.rev) < e.n {
-		e.rev = append(e.rev, nil)
-	}
 	if e.stale {
 		e.rederive()
 		e.stale = false
 		return
 	}
+	q := e.moved
+	if q == nil {
+		return
+	}
+	q.index(e.rev)
 	inf := math.Inf(1)
-	for _, p := range e.moved {
+	drop := len(e.rev) // the first arc marked dropped
+	var atUV, atVU int
+	for _, p := range q.pairs {
 		u, v := packet.NodeID(p.u), packet.NodeID(p.v)
 		a, okA := lookup(e.rows[u], v)
 		b, okB := lookup(e.rows[v], u)
-		e.setReverse(u, v, b, okB && b < inf && !(okA && a <= b))
-		e.setReverse(v, u, a, okA && a < inf && !(okB && b <= a))
+		atUV = e.setReverse(q, arcKey(u, v), b, okB && b < inf && !(okA && a <= b), atUV, &drop)
+		atVU = e.setReverse(q, arcKey(v, u), a, okA && a < inf && !(okB && b <= a), atVU, &drop)
 	}
-	e.moved = e.moved[:0]
+	if drop < len(e.rev) {
+		kept := slices.DeleteFunc(e.rev[drop:], func(r arc) bool { return math.IsNaN(r.w) })
+		e.rev = e.rev[:drop+len(kept)]
+	}
+	if len(q.added) > 0 {
+		e.addArcs(q.added)
+	}
+	e.release()
+}
+
+// setReverse holds the reverse arc with key k at weight w when keep is
+// set and drops it otherwise: an arc already in rev is updated in place
+// or marked dropped (lowering *drop to its position if below), a new
+// one goes to q.added. hint is where the search starts; the position k
+// occupies, or would, in rev is returned.
+func (e *Estimator) setReverse(q *settleQueue, k uint64, w float64, keep bool, hint int, drop *int) int {
+	if !q.mayHold(k) {
+		if keep {
+			q.added = append(q.added, arc{key: k, w: w})
+		}
+		return hint
+	}
+	i := searchArcFrom(e.rev, k, hint)
+	has := i < len(e.rev) && e.rev[i].key == k
+	switch {
+	case keep && has:
+		e.rev[i].w = w
+	case keep:
+		q.added = append(q.added, arc{key: k, w: w})
+	case has:
+		e.rev[i].w = math.NaN()
+		*drop = min(*drop, i)
+	}
+	return i
+}
+
+// addArcs merges added (in any order, possibly with repeats, each
+// repeat at the same weight) into rev, from the back so nothing moves
+// twice.
+func (e *Estimator) addArcs(added []arc) {
+	slices.SortFunc(added, func(a, b arc) int { return cmp.Compare(a.key, b.key) })
+	added = slices.CompactFunc(added, func(a, b arc) bool { return a.key == b.key })
+	i, j := len(e.rev)-1, len(added)-1
+	e.rev = slices.Grow(e.rev, len(added))[:len(e.rev)+len(added)]
+	for k := len(e.rev) - 1; j >= 0; k-- {
+		if i >= 0 && e.rev[i].key > added[j].key {
+			e.rev[k] = e.rev[i]
+			i--
+		} else {
+			e.rev[k] = added[j]
+			j--
+		}
+	}
 }
 
 // rederive rebuilds every reverse arc from the rows: row u's entry for
 // v gives the arc v→u unless it makes no arc or rows[v] gives an equal
-// or cheaper one. Rows are walked in owner order, so each rev list is
-// appended to in target order.
+// or cheaper one.
 func (e *Estimator) rederive() {
-	for u := range e.rev {
-		e.rev[u] = e.rev[u][:0]
-	}
-	e.revArcs = 0
+	e.rev = e.rev[:0]
 	inf := math.Inf(1)
 	for u, row := range e.rows {
 		owner := packet.NodeID(u)
@@ -312,28 +566,10 @@ func (e *Estimator) rederive() {
 			if a, ok := lookup(e.rows[v], owner); ok && a <= ed.w {
 				continue
 			}
-			e.rev[v] = append(e.rev[v], halfEdge{to: owner, w: ed.w})
-			e.revArcs++
+			e.rev = append(e.rev, arc{key: arcKey(v, owner), w: ed.w})
 		}
 	}
-}
-
-// setReverse holds the reverse arc u→v at weight w when keep is set
-// and drops it otherwise.
-func (e *Estimator) setReverse(u, v packet.NodeID, w float64, keep bool) {
-	lst := e.rev[u]
-	i := search(lst, v)
-	has := i < len(lst) && lst[i].to == v
-	switch {
-	case keep && has:
-		lst[i].w = w
-	case keep:
-		e.rev[u] = slices.Insert(lst, i, halfEdge{to: v, w: w})
-		e.revArcs++
-	case has:
-		e.rev[u] = slices.Delete(lst, i, i+1)
-		e.revArcs--
-	}
+	slices.SortFunc(e.rev, func(a, b arc) int { return cmp.Compare(a.key, b.key) })
 }
 
 // DirectTable returns a snapshot of this node's own averages, the
@@ -356,7 +592,7 @@ func (e *Estimator) RowLen(owner packet.NodeID) (n int, known bool) {
 	if owner < 0 || int(owner) >= e.n {
 		return 0, false
 	}
-	return len(e.rows[owner]), e.known[owner]
+	return len(e.rows[owner]), e.rows[owner] != nil
 }
 
 // MergeTable installs owner's direct table as learned from a metadata
@@ -439,13 +675,18 @@ func (e *Estimator) carve(row []halfEdge) []halfEdge {
 // against the old one, re-deriving only the pairs that moved.
 func (e *Estimator) mergeRow(owner packet.NodeID, incoming []halfEdge, shared bool) {
 	e.ensureNode(owner)
-	e.known[owner] = true
 	old := e.rows[owner]
 	if slices.Equal(old, incoming) {
+		if old == nil {
+			e.rows[owner] = []halfEdge{} // known from now on, with an empty table
+		}
 		return
 	}
 	if !shared {
 		incoming = e.carve(incoming)
+	}
+	if incoming == nil {
+		incoming = []halfEdge{}
 	}
 	e.rows[owner] = incoming
 	e.entries += len(incoming) - len(old)
@@ -484,29 +725,30 @@ func (e *Estimator) Expected(from, to packet.NodeID) float64 {
 	if from == to {
 		return 0
 	}
-	if e.memoVer != e.version || len(e.memoDist) < e.n {
+	if e.memoVer != e.version || e.memoN != e.n {
 		e.settle()
-		for _, d := range e.memoDist {
-			if d != nil {
-				e.spare = append(e.spare, d)
-			}
+		e.estArcs, e.sinceEstimate = len(e.rev), 0
+		for _, m := range e.memo {
+			e.spare = append(e.spare, m.dist)
 		}
-		if cap(e.memoDist) < e.n {
-			e.memoDist = make([][]float64, e.n)
-		} else {
-			e.memoDist = e.memoDist[:e.n]
-			clear(e.memoDist)
-		}
-		e.memoVer = e.version
+		clear(e.memo)
+		e.memo = e.memo[:0]
+		e.memoVer, e.memoN = e.version, e.n
 	}
 	if int(from) < 0 || int(from) >= e.n {
 		return math.Inf(1)
 	}
-	dist := e.memoDist[from]
+	var dist []float64
+	for _, m := range e.memo {
+		if m.src == from {
+			dist = m.dist
+			break
+		}
+	}
 	if dist == nil {
 		e.stats.ShortestPaths++
 		dist = e.shortestWithin(from)
-		e.memoDist[from] = dist
+		e.memo = append(e.memo, memoEntry{src: from, dist: dist})
 	}
 	if int(to) < 0 || int(to) >= len(dist) {
 		return math.Inf(1)
@@ -522,16 +764,21 @@ func (e *Estimator) Expected(from, to packet.NodeID) float64 {
 //   - A node relaxes the arcs of its row and its reverse arcs. A pair
 //     with two arcs of weights a and b yields du+a and du+b, whose
 //     minimum is du+min(a, b) bit for bit because rounding is monotone,
-//     so the distances are those over the min-merged matrix.
-//   - Only the nodes whose distance fell in the previous round relax,
-//     in ID order (the front bitset): a node whose distance stayed put
-//     already offered every arc at that distance, so it could lower
-//     nothing. The two buffers agree between rounds, and only the
-//     entries that fell are copied.
+//     so the distances are those over the min-merged matrix. Nor does
+//     the order of relaxation matter: a strict < keeps the same minimum
+//     whichever arc comes first.
+//   - Only the nodes whose distance fell in the previous round relax
+//     (the front bitset): a node whose distance stayed put already
+//     offered every arc at that distance, so it could lower nothing.
+//     They relax in ID order, so the search for a front node's run of
+//     reverse arcs gallops on from where the last run ended, and is
+//     skipped when the list already stands at the node's run (or past
+//     it, when the node has none). The two buffers agree between
+//     rounds, and only the entries that fell are copied.
 //
 // The returned slice comes from the spare list when one is large
-// enough (the memo retains it); the scratch buffers are reused across
-// calls.
+// enough (the memo retains it); the scratch is borrowed from paths for
+// the call.
 func (e *Estimator) shortestWithin(src packet.NodeID) []float64 {
 	inf := math.Inf(1)
 	var cur []float64
@@ -542,29 +789,32 @@ func (e *Estimator) shortestWithin(src packet.NodeID) []float64 {
 		cur = make([]float64, e.n)
 	}
 	cur = cur[:e.n]
-	if cap(e.distScratch) < e.n {
-		e.distScratch = make([]float64, e.n)
+	sc := paths.get()
+	if cap(sc.next) < e.n {
+		sc.next = make([]float64, e.n)
 	}
-	next := e.distScratch[:e.n]
+	next := sc.next[:e.n]
 	for i := range cur {
 		cur[i] = inf
 	}
 	cur[src] = 0
 	copy(next, cur)
 	words := (e.n + 63) / 64
-	if cap(e.front) < words {
-		e.front, e.fell = make([]uint64, words), make([]uint64, words)
+	if cap(sc.front) < words {
+		sc.front, sc.fell = make([]uint64, words), make([]uint64, words)
 	}
-	front, fell := e.front[:words], e.fell[:words]
+	front, fell := sc.front[:words], sc.fell[:words]
 	clear(front)
 	clear(fell)
 	front[src/64] = 1 << (src % 64)
+	rows, rev := e.rows, e.rev
 	for hop := 0; hop < e.hops; hop++ {
+		i := 0 // where the search for the next front node's reverse arcs starts
 		for w, word := range front {
 			for ; word != 0; word &= word - 1 {
 				u := w<<6 | bits.TrailingZeros64(word)
 				du := cur[u]
-				for _, ed := range e.rows[u] {
+				for _, ed := range rows[u] {
 					v := int(ed.to)
 					if uint(v) >= uint(len(next)) || v == u {
 						continue // a negative or self peer makes no arc
@@ -574,29 +824,33 @@ func (e *Estimator) shortestWithin(src packet.NodeID) []float64 {
 						fell[v>>6] |= 1 << (v & 63)
 					}
 				}
-				for _, ed := range e.rev[u] {
-					v := int(ed.to)
-					if d := du + ed.w; d < next[v] {
+				if i < len(rev) && rev[i].key>>32 < uint64(u) {
+					i = searchArcFrom(rev, uint64(u)<<32, i+1)
+				}
+				for ; i < len(rev) && rev[i].key>>32 == uint64(u); i++ {
+					v := int(uint32(rev[i].key))
+					if d := du + rev[i].w; d < next[v] {
 						next[v] = d
 						fell[v>>6] |= 1 << (v & 63)
 					}
 				}
 			}
 		}
-		changed := false
+		moved := false
 		for w, word := range fell {
-			changed = changed || word != 0
+			moved = moved || word != 0
 			for ; word != 0; word &= word - 1 {
 				v := w<<6 | bits.TrailingZeros64(word)
 				cur[v] = next[v]
 			}
 		}
-		if !changed {
+		if !moved {
 			break
 		}
 		front, fell = fell, front
 		clear(fell)
 	}
+	paths.put(sc)
 	cur[src] = 0
 	return cur
 }

@@ -1,9 +1,11 @@
 package meet
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -308,5 +310,144 @@ func TestStatsCount(t *testing.T) {
 	sum.Add(Stats{RowsPublished: 1, ReverseArcs: 2})
 	if sum.RowsPublished != 1 || sum.PairsMoved != 6 || sum.ReverseArcs != 5 {
 		t.Errorf("Add: %+v", sum)
+	}
+}
+
+// TestStateSizedByWhatWasMet: an estimator that knows 4,096 owners'
+// rows but met only 3 peers holds 3 meeting logs, reverse arcs only
+// where the rows disagree, one memo entry per source asked, and no
+// queue of moved pairs once an exchange-end settle ran. Before its
+// first estimate a settle does no reverse-arc work.
+func TestStateSizedByWhatWasMet(t *testing.T) {
+	const owners = 4096
+	e := New(0, 3)
+	for p := packet.NodeID(1); p <= 3; p++ {
+		e.ObserveMeeting(p, float64(10*p))
+	}
+	// A ring over owners 1..4096 whose neighbours agree on their pair,
+	// so the ring needs no reverse arc; only the three met peers' rows
+	// give node 0 a cheaper weight than its own.
+	for k := 1; k <= owners; k++ {
+		tbl := Table{packet.NodeID(k%owners + 1): 7, packet.NodeID((k+owners-2)%owners + 1): 7}
+		if k <= 3 {
+			tbl[0] = 1
+		}
+		e.MergeTable(packet.NodeID(k), tbl)
+	}
+	if len(e.met) != 3 {
+		t.Errorf("%d per-peer entries, want 3", len(e.met))
+	}
+	e.Settle() // never asked for an estimate: no reverse-arc work
+	if !e.stale || len(e.rev) != 0 || e.moved != nil {
+		t.Errorf("a settle before the first estimate left stale %v, %d reverse arcs, queue held %v", e.stale, len(e.rev), e.moved != nil)
+	}
+	for _, q := range []struct {
+		from, to packet.NodeID
+		want     float64
+	}{
+		{0, 4, 8}, {0, 5, 15}, {0, 6, math.Inf(1)}, {0, owners, 8},
+		{1, owners, 7}, {2, 3, 2}, {1, 2, 2}, {2, owners - 1, 21},
+	} {
+		if got := e.Expected(q.from, q.to); got != q.want {
+			t.Errorf("Expected(%d,%d)=%v want %v", q.from, q.to, got, q.want)
+		}
+	}
+	if len(e.rev) != 3 || cap(e.rev) >= owners {
+		t.Errorf("%d reverse arcs in a list of capacity %d, want 3 and no slot per node", len(e.rev), cap(e.rev))
+	}
+	for _, a := range e.rev {
+		if u := a.key >> 32; u != 0 || a.w != 1 {
+			t.Errorf("reverse arc %d→%d at %v, want only node 0's arcs at weight 1", u, uint32(a.key), a.w)
+		}
+	}
+	if st := e.Stats(); len(e.memo) != 3 || st.ShortestPaths != 3 || st.ReverseArcs != 3 {
+		t.Errorf("memo holds %d sources after %d searches and %d reverse arcs, want 3, 3 and 3", len(e.memo), st.ShortestPaths, st.ReverseArcs)
+	}
+
+	// One exchange: a meeting with peer 1 and a merge of peer 2's row,
+	// which now prices node 0 dearer than node 0 prices it.
+	e.ObserveMeeting(1, 100)
+	e.MergeTable(2, Table{1: 7, 3: 7, 0: 50})
+	if e.queued() == 0 {
+		t.Fatal("the exchange queued no moved pair")
+	}
+	e.Settle()
+	if e.moved != nil {
+		t.Fatalf("%d pairs still queued after the exchange-end settle", e.queued())
+	}
+	settled := slices.Clone(e.rev)
+	e.rederive()
+	if !slices.Equal(settled, e.rev) {
+		t.Errorf("settled reverse arcs %v, re-derived %v", settled, e.rev)
+	}
+	if i := searchArcFrom(e.rev, arcKey(2, 0), 0); i == len(e.rev) || e.rev[i] != (arc{arcKey(2, 0), 20}) {
+		t.Errorf("no reverse arc 2→0 at node 0's own weight 20 in %v", e.rev)
+	}
+	if got := e.Expected(2, 0); got != 8 {
+		t.Errorf("Expected(2,0)=%v want 8 (through node 3)", got)
+	}
+	if len(e.memo) != 1 {
+		t.Errorf("memo holds %d sources after a version move and one estimate, want 1", len(e.memo))
+	}
+}
+
+// TestSearchArcFromAnyHint: whatever the hint, the galloping search
+// lands where a plain bisection does.
+func TestSearchArcFromAnyHint(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		lst := make([]arc, r.Intn(40))
+		for i := range lst {
+			lst[i].key = uint64(r.Intn(64))
+		}
+		slices.SortFunc(lst, func(a, b arc) int { return cmp.Compare(a.key, b.key) })
+		lst = slices.CompactFunc(lst, func(a, b arc) bool { return a.key == b.key })
+		for k := uint64(0); k <= 64; k++ {
+			want, _ := slices.BinarySearchFunc(lst, k, func(a arc, k uint64) int { return cmp.Compare(a.key, k) })
+			for hint := -1; hint <= len(lst)+1; hint++ {
+				if got := searchArcFrom(lst, k, hint); got != want {
+					t.Fatalf("searchArcFrom(%v, %d, hint %d) = %d, want %d", lst, k, hint, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestEstimatorsShareScratchConcurrently: estimators on several
+// goroutines borrow the process-wide queues and relaxation scratch at
+// once and still compute what one estimator alone does.
+func TestEstimatorsShareScratchConcurrently(t *testing.T) {
+	run := func(seed int64) []float64 {
+		r := rand.New(rand.NewSource(seed))
+		e := New(0, 3)
+		var got []float64
+		for step := 0; step < 200; step++ {
+			owner := packet.NodeID(1 + r.Intn(30))
+			e.ObserveMeeting(owner, float64(step+1))
+			e.MergeTable(owner, Table{packet.NodeID(r.Intn(40)): 1 + r.Float64()*50, packet.NodeID(r.Intn(40)): 1 + r.Float64()*50})
+			e.Settle()
+			got = append(got, e.Expected(0, packet.NodeID(r.Intn(40))), e.Expected(owner, packet.NodeID(r.Intn(40))))
+		}
+		return got
+	}
+	const goroutines = 4
+	want := make([][]float64, goroutines)
+	for g := range want {
+		want[g] = run(int64(g))
+	}
+	var wg sync.WaitGroup
+	got := make([][]float64, goroutines)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g] = run(int64(g))
+		}()
+	}
+	wg.Wait()
+	for g := range want {
+		if !slices.Equal(got[g], want[g]) {
+			t.Errorf("goroutine %d: estimates differ from the lone run", g)
+		}
 	}
 }

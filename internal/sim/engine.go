@@ -197,6 +197,9 @@ type Engine struct {
 	workers int
 	chains  shard.Scheduler
 	batch   []*item
+	// batchLimit, when positive, replaces batchCap as the flush size, so
+	// tests can draw batch boundaries; the engine never sets it.
+	batchLimit int
 }
 
 // New returns an engine whose named random streams derive from seed.
@@ -341,6 +344,9 @@ func (e *Engine) batchCap() int {
 // observable effects matches the serial engine exactly.
 func (e *Engine) runParallelUntil(deadline float64, bounded bool) {
 	limit := e.batchCap()
+	if e.batchLimit > 0 {
+		limit = e.batchLimit
+	}
 	for e.queue.Len() > 0 {
 		next := e.queue.Items[0]
 		if next.state.Load() == dead {

@@ -411,12 +411,13 @@ func TestParallelCounters(t *testing.T) {
 
 // runBytes replays a mix decoded from fuzz input, four bytes an event:
 // a kind, a time, two cells and an increment/spin byte.
-func runBytes(workers int, data []byte) ([]int, []string, uint64) {
+func runBytes(workers, batch int, data []byte) ([]int, []string, uint64) {
 	const nCells = 16
 	cells := make([]int, nCells)
 	var audit []string
 	e := New(1)
 	e.SetWorkers(workers)
+	e.batchLimit = batch
 	for n := 0; len(data) >= 4 && n < 256; n++ {
 		op, at, ab, x := data[0], float64(data[1]%32), data[2], data[3]
 		data = data[4:]
@@ -441,12 +442,13 @@ func runBytes(workers int, data []byte) ([]int, []string, uint64) {
 // FuzzParallelMix replays random mixes of shard, barrier and inline
 // events, with per-event busy work to vary interleavings, and compares
 // the parallel engine at 2, 4 and 8 workers with the serial loop cell
-// for cell and audit line for audit line.
+// for cell and audit line for audit line. batch draws the flush size
+// (0 keeps the engine's batchCap), so batches end at drawn points.
 func FuzzParallelMix(f *testing.F) {
-	f.Fuzz(func(t *testing.T, data []byte) {
-		wantCells, wantAudit, wantExec := runBytes(1, data)
+	f.Fuzz(func(t *testing.T, data []byte, batch uint8) {
+		wantCells, wantAudit, wantExec := runBytes(1, 0, data)
 		for _, workers := range []int{2, 4, 8} {
-			gotCells, gotAudit, gotExec := runBytes(workers, data)
+			gotCells, gotAudit, gotExec := runBytes(workers, int(batch), data)
 			if fmt.Sprint(gotCells) != fmt.Sprint(wantCells) {
 				t.Fatalf("workers %d: cells %v, want %v", workers, gotCells, wantCells)
 			}
