@@ -19,7 +19,7 @@ func TestAckSetMatchesMap(t *testing.T) {
 			r := rand.New(rand.NewSource(seed))
 			var g *Global
 			if global {
-				g = NewGlobal()
+				g = NewGlobal(3)
 			}
 			s := NewState(0, 3, g)
 			ref := map[packet.ID]bool{}
@@ -64,7 +64,7 @@ func TestAckSetMatchesMap(t *testing.T) {
 // TestIsAckedAllocs checks that IsAcked never allocates and never grows
 // the ack set, for an ID inside it and for one past its end.
 func TestIsAckedAllocs(t *testing.T) {
-	for _, g := range []*Global{nil, NewGlobal()} {
+	for _, g := range []*Global{nil, NewGlobal(3)} {
 		s := NewState(0, 3, g)
 		for id := packet.ID(1); id <= 100; id += 3 {
 			s.LearnAck(id, 1)

@@ -169,9 +169,6 @@ type State struct {
 	global *Global // non-nil in instant-global mode
 
 	avgTransfer stat.MovingAverage
-	// peerTransfer holds the last announced average transfer size per
-	// peer, indexed by the run's dense node IDs (NaN = never heard).
-	peerTransfer []float64
 
 	// acked is the node's set of known-delivered packets; meta holds
 	// its replica records in a paged packet-ID table, which costs 16
@@ -183,13 +180,11 @@ type State struct {
 	// for the node's own copy (NoteReplica).
 	acked ackSet
 	meta  packet.Table[PacketMeta]
-	// tableAsOf is the freshness of merged meet tables, indexed by
-	// owner; tableKnown marks owners actually present.
-	tableAsOf  []float64
-	tableKnown []bool
-	// tableOwners mirrors the known owners in sorted order, so the
-	// per-contact gossip loop does not re-sort the owner set.
-	tableOwners []packet.NodeID
+	// tableAsOf is the freshness of each owner's meet table, indexed by
+	// owner (0 = unknown, the delta baseline). It is raised for every
+	// table merged and for each exchange peer, whose table may never
+	// have arrived if the exchange was truncated.
+	tableAsOf []float64
 
 	// ackLog holds the times at which the acks in ackIDs were learned,
 	// in learning order, so delta exchanges scan only the acks learned
@@ -215,25 +210,22 @@ type State struct {
 	dstMark    []uint32
 	dstStamp   uint32
 
-	// lastExchange is the time of the previous exchange with each peer
-	// exchanged with, sorted by peer (a peer never exchanged with reads
-	// as the epoch default 0 the delta encoding expects).
-	lastExchange []peerTime
+	// peers holds what the node keeps about each peer it exchanged
+	// with, sorted by peer. A peer never exchanged with has no entry.
+	peers []peerEntry
 }
 
-// peerTime is the time of the previous exchange with one peer.
-type peerTime struct {
+// peerEntry is what a node keeps about one peer it exchanged with.
+type peerEntry struct {
 	peer packet.NodeID
-	at   float64
-}
-
-// growFloat extends a dense per-node float slice to cover id, filling
-// new slots with fill.
-func growFloat(s []float64, id packet.NodeID, fill float64) []float64 {
-	for len(s) <= int(id) {
-		s = append(s, fill)
-	}
-	return s
+	// at is the time of the previous exchange with the peer. An entry
+	// the current exchange created reads 0 until finishExchange stamps
+	// it, the epoch default the delta encoding expects of a peer never
+	// exchanged with.
+	at float64
+	// transfer is the peer's last announced average transfer size (NaN
+	// = never heard).
+	transfer float64
 }
 
 // logCut bisects a changelog for the first entry with t > since. On a
@@ -257,27 +249,30 @@ func logCut(log []float64, since float64) int {
 // NewState returns an empty control state for node self with an h-hop
 // meeting estimator. If g is non-nil the node participates in the
 // instant global channel: all queries read and all updates write the
-// shared snapshot.
+// shared snapshot, and the node's estimator holds only its own row.
 func NewState(self packet.NodeID, hops int, g *Global) *State {
-	s := &State{
+	return &State{
 		self:   self,
 		Meet:   meet.New(self, hops),
 		global: g,
 	}
-	if g != nil {
-		i, found := slices.BinarySearchFunc(g.states, self, func(o *State, id packet.NodeID) int { return cmp.Compare(o.self, id) })
-		if found {
-			g.states[i] = s
-		} else {
-			g.states = slices.Insert(g.states, i, s)
-		}
-	}
-	return s
 }
 
 // Global reports whether this state runs over the instant global
 // channel.
 func (s *State) Global() bool { return s.global != nil }
+
+// Expected returns the expected time for node from to meet node to
+// within the estimator's hop horizon, as this node knows it: from the
+// shared matrix on the global channel, from the node's own estimator
+// in-band.
+func (s *State) Expected(from, to packet.NodeID) float64 {
+	m := s.Meet
+	if s.global != nil {
+		m = s.global.Meet
+	}
+	return m.Expected(from, to)
+}
 
 // ObserveTransfer folds a transfer-opportunity size into the node's
 // moving average ("the average size of past transfers").
@@ -309,21 +304,10 @@ func (s *State) AvgTransferOf(node packet.NodeID, def float64) float64 {
 		}
 		return def
 	}
-	if int(node) < len(s.peerTransfer) && node >= 0 {
-		if v := s.peerTransfer[node]; !math.IsNaN(v) {
-			return v
-		}
+	if i, ok := s.peerAt(node); ok && !math.IsNaN(s.peers[i].transfer) {
+		return s.peers[i].transfer
 	}
 	return def
-}
-
-// setPeerTransfer records a peer's announced average transfer size.
-func (s *State) setPeerTransfer(node packet.NodeID, v float64) {
-	if node < 0 {
-		return
-	}
-	s.peerTransfer = growFloat(s.peerTransfer, node, math.NaN())
-	s.peerTransfer[node] = v
 }
 
 // LearnAck records that a packet has been delivered. Metadata for
@@ -435,18 +419,23 @@ func (s *State) Meta(id packet.ID) *PacketMeta {
 }
 
 // Global is the instant global control channel: one shared snapshot of
-// acks, replica sets, delay estimates, and transfer averages. "In our
-// experiments, we assumed that the global channel is instant" (§6.2.3).
+// acks, replica sets, delay estimates, transfer averages and the
+// meeting matrix. "In our experiments, we assumed that the global
+// channel is instant" (§6.2.3).
 type Global struct {
 	acked       ackSet
 	meta        packet.Table[PacketMeta]
 	avgTransfer map[packet.NodeID]float64
-	states      []*State // sorted by node ID
+	// Meet is the shared meeting matrix every node reads: an estimator
+	// with no own row, into which each exchange merges its two
+	// endpoints' rows.
+	Meet *meet.Estimator
 }
 
-// NewGlobal returns an empty global snapshot.
-func NewGlobal() *Global {
-	return &Global{avgTransfer: make(map[packet.NodeID]float64)}
+// NewGlobal returns an empty global snapshot whose meeting matrix has
+// an h-hop horizon.
+func NewGlobal(hops int) *Global {
+	return &Global{avgTransfer: make(map[packet.NodeID]float64), Meet: meet.New(-1, hops)}
 }
 
 func (g *Global) note(item InventoryItem, holder packet.NodeID, now float64) {
@@ -459,16 +448,13 @@ func (g *Global) note(item InventoryItem, holder packet.NodeID, now float64) {
 	m.Updated = now
 }
 
-// SyncMeetingTables mirrors the direct meeting tables of a meeting's
-// two endpoints to every other node, in node-ID order — with an instant
-// channel the matrix is globally current. A node's own table changes
-// only when it meets someone, so every other row is already current
-// everywhere.
+// SyncMeetingTables merges the direct meeting tables of a meeting's two
+// endpoints into the shared matrix — with an instant channel the
+// matrix is globally current. A node's own table changes only when it
+// meets someone, so every other row is already current.
 func (g *Global) SyncMeetingTables(a, b *State) {
-	for _, s := range g.states {
-		s.Meet.MergeTableFrom(a.Meet, a.self)
-		s.Meet.MergeTableFrom(b.Meet, b.self)
-	}
+	g.Meet.MergeTableFrom(a.Meet, a.self)
+	g.Meet.MergeTableFrom(b.Meet, b.self)
 }
 
 // Exchange performs the bidirectional metadata exchange between nodes a
@@ -585,11 +571,14 @@ func Exchange(a, b *State, invA, invB []InventoryItem, now float64, opts Options
 		if !spendTable(dir.from, dir.to, dir.from.self, own, now, spend, &res) {
 			return finishExchange(a, b, now, res)
 		}
-		for _, owner := range dir.from.tableOwners {
+		// Owners go out in ID order. Every row known here came through
+		// spendTable, which raised its owner's freshness; an owner
+		// whose freshness is still 0 never beats the receiver's.
+		for i, asOf := range dir.from.tableAsOf {
+			owner := packet.NodeID(i)
 			if owner == dir.to.self || owner == dir.from.self {
 				continue
 			}
-			asOf := dir.from.tableAsOfFor(owner)
 			if asOf <= dir.to.tableAsOfFor(owner) {
 				continue
 			}
@@ -674,57 +663,54 @@ func (s *State) tableAsOfFor(owner packet.NodeID) float64 {
 	return s.tableAsOf[owner]
 }
 
-// raiseTableAsOf records table freshness, keeping the sorted owner
-// mirror in sync (freshness only ever advances).
+// raiseTableAsOf records table freshness (freshness only ever
+// advances).
 func (s *State) raiseTableAsOf(owner packet.NodeID, asOf float64) {
 	if owner < 0 {
 		return
 	}
 	for len(s.tableAsOf) <= int(owner) {
 		s.tableAsOf = append(s.tableAsOf, 0)
-		s.tableKnown = append(s.tableKnown, false)
 	}
-	if s.tableKnown[owner] {
-		if asOf > s.tableAsOf[owner] {
-			s.tableAsOf[owner] = asOf
-		}
-		return
+	if asOf > s.tableAsOf[owner] {
+		s.tableAsOf[owner] = asOf
 	}
-	s.tableAsOf[owner] = asOf
-	s.tableKnown[owner] = true
-	i, _ := slices.BinarySearch(s.tableOwners, owner)
-	s.tableOwners = slices.Insert(s.tableOwners, i, owner)
 }
 
-// lastExchangeAt returns the position peer occupies, or would occupy,
-// in lastExchange and whether it is there.
-func (s *State) lastExchangeAt(peer packet.NodeID) (int, bool) {
-	return slices.BinarySearchFunc(s.lastExchange, peer, func(p peerTime, id packet.NodeID) int { return cmp.Compare(p.peer, id) })
+// peerAt returns the position peer occupies, or would occupy, in peers
+// and whether it is there.
+func (s *State) peerAt(peer packet.NodeID) (int, bool) {
+	return slices.BinarySearchFunc(s.peers, peer, func(p peerEntry, id packet.NodeID) int { return cmp.Compare(p.peer, id) })
+}
+
+// entryFor returns peer's entry, inserting an empty one if absent.
+func (s *State) entryFor(peer packet.NodeID) *peerEntry {
+	i, ok := s.peerAt(peer)
+	if !ok {
+		s.peers = slices.Insert(s.peers, i, peerEntry{peer: peer, transfer: math.NaN()})
+	}
+	return &s.peers[i]
 }
 
 // lastExchangeWith returns the time of the previous exchange with peer
 // (0 = never, the epoch default).
 func (s *State) lastExchangeWith(peer packet.NodeID) float64 {
-	if i, ok := s.lastExchangeAt(peer); ok {
-		return s.lastExchange[i].at
+	if i, ok := s.peerAt(peer); ok {
+		return s.peers[i].at
 	}
 	return 0
 }
 
-// setLastExchange stamps the exchange with peer at now.
-func (s *State) setLastExchange(peer packet.NodeID, now float64) {
-	i, ok := s.lastExchangeAt(peer)
-	if !ok {
-		s.lastExchange = slices.Insert(s.lastExchange, i, peerTime{peer: peer})
-	}
-	s.lastExchange[i].at = now
+// setPeerTransfer records a peer's announced average transfer size.
+func (s *State) setPeerTransfer(peer packet.NodeID, v float64) {
+	s.entryFor(peer).transfer = v
 }
 
 // finishExchange stamps the per-peer exchange times and settles both
 // estimators, now that every row of the exchange is in.
 func finishExchange(a, b *State, now float64, res Result) Result {
-	a.setLastExchange(b.self, now)
-	b.setLastExchange(a.self, now)
+	a.entryFor(b.self).at = now
+	b.entryFor(a.self).at = now
 	// Record the freshness of each other's own tables.
 	a.raiseTableAsOf(b.self, now)
 	b.raiseTableAsOf(a.self, now)

@@ -2,6 +2,7 @@ package control
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
 
 	"rapid/internal/meet"
@@ -227,7 +228,7 @@ func TestAvgTransferPropagation(t *testing.T) {
 }
 
 func TestGlobalChannel(t *testing.T) {
-	g := NewGlobal()
+	g := NewGlobal(3)
 	a := NewState(0, 3, g)
 	b := NewState(1, 3, g)
 	c := NewState(2, 3, g)
@@ -252,11 +253,58 @@ func TestGlobalChannel(t *testing.T) {
 		t.Errorf("global exchange cost %d bytes", res.Bytes)
 	}
 	// Meeting tables synced globally after exchange.
-	if got := c.Meet.Expected(0, 1); math.IsInf(got, 1) {
+	if got := c.Expected(0, 1); math.IsInf(got, 1) {
 		t.Error("global meeting tables not synced")
 	}
 	if !a.Global() {
 		t.Error("Global() must report true")
+	}
+}
+
+// TestGlobalMatrixMatchesMirrors: on the global channel every node
+// answers Expected from the one shared matrix. After every exchange the
+// answer must equal, bit for bit, that of a per-node reference
+// estimator that observes the node's own meetings and merges every
+// other node's direct table: the mirror each node would keep if the
+// channel copied every table to every node.
+func TestGlobalMatrixMatchesMirrors(t *testing.T) {
+	for seed := uint64(1); seed <= 7; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 17))
+		nodes := 2 + int(seed)%7 // 2..8
+		g := NewGlobal(3)
+		states := make([]*State, nodes)
+		refs := make([]*meet.Estimator, nodes)
+		for i := range states {
+			states[i] = NewState(packet.NodeID(i), 3, g)
+			refs[i] = meet.New(packet.NodeID(i), 3)
+		}
+		now := 0.0
+		for step := 0; step < 40; step++ {
+			now += float64(1 + rng.IntN(60))
+			u := rng.IntN(nodes)
+			v := (u + 1 + rng.IntN(nodes-1)) % nodes
+			Exchange(states[u], states[v], nil, nil, now, unlimited())
+			refs[u].ObserveMeeting(packet.NodeID(v), now)
+			refs[v].ObserveMeeting(packet.NodeID(u), now)
+			for i, ref := range refs {
+				for j, s := range states {
+					if j != i {
+						ref.MergeTable(packet.NodeID(j), s.Meet.DirectTable())
+					}
+				}
+			}
+			for i, s := range states {
+				for from := packet.NodeID(0); from < packet.NodeID(nodes); from++ {
+					for to := packet.NodeID(0); to < packet.NodeID(nodes); to++ {
+						got, want := s.Expected(from, to), refs[i].Expected(from, to)
+						if math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("seed %d step %d: node %d Expected(%d, %d) = %v, mirror %v",
+								seed, step, i, from, to, got, want)
+						}
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -299,6 +347,47 @@ func TestTruncatedExchangeOwnerSkippedInGossip(t *testing.T) {
 	}
 	if _, known := b.Meet.RowLen(2); known {
 		t.Error("b learned a table for owner 2 that a never had")
+	}
+}
+
+// TestTruncatedOwnerHoldsBackOlderTable: an owner registered by a
+// truncated exchange (freshness raised, table never merged) is not
+// gossiped onward, and its freshness still keeps an older copy of its
+// table, held by a third node, from being sent.
+func TestTruncatedOwnerHoldsBackOlderTable(t *testing.T) {
+	a, b := twoStates()
+	c, d := NewState(2, 3, nil), NewState(3, 3, nil)
+	// d learns c's table as of 10.
+	c.Meet.ObserveMeeting(4, 5)
+	Exchange(c, d, nil, nil, 10, unlimited())
+	if n, known := d.Meet.RowLen(2); n != 2 || !known {
+		t.Fatalf("d's RowLen(2)=(%d,%v) want (2,true)", n, known)
+	}
+	// a meets c at 20 under a zero budget: c is registered at a as of
+	// 20, but its table never arrives.
+	if res := Exchange(a, c, nil, nil, 20, Options{MaxBytes: 0}); !res.Truncated || res.Tables != 0 {
+		t.Fatalf("zero-budget exchange %+v", res)
+	}
+	if got := a.tableAsOfFor(2); got != 20 {
+		t.Fatalf("a's freshness for owner 2 = %v, want 20", got)
+	}
+	// a gossips its own table to b and b its own to a; nothing for
+	// owner 2.
+	if res := Exchange(a, b, nil, nil, 30, unlimited()); res.Tables != 2 {
+		t.Errorf("a-b exchange sent %d tables, want 2", res.Tables)
+	}
+	if _, known := b.Meet.RowLen(2); known {
+		t.Error("b learned a table for owner 2 that a never had")
+	}
+	// d's copy of c's table (as of 10) is older than a's freshness for
+	// c (20), so d does not send it: a's and d's own tables, and b's
+	// (as of 30, newer than d's nothing) go a to d.
+	res := Exchange(a, d, nil, nil, 40, unlimited())
+	if _, known := a.Meet.RowLen(2); known {
+		t.Error("d sent a its older copy of owner 2's table")
+	}
+	if res.Tables != 3 {
+		t.Errorf("a-d exchange sent %d tables, want 3 (a's, b's, d's)", res.Tables)
 	}
 }
 
@@ -357,28 +446,43 @@ func TestExchangeAllocs(t *testing.T) {
 	}
 }
 
-// TestLastExchangeByPeersMet: exchange times are held per peer
-// exchanged with, sorted by peer, not per node ID of the run.
+// TestLastExchangeByPeersMet: exchange times and announced transfer
+// averages are held per peer exchanged with, sorted by peer, not per
+// node ID of the run.
 func TestLastExchangeByPeersMet(t *testing.T) {
 	s := NewState(0, 3, nil)
 	for _, ex := range []struct {
-		peer packet.NodeID
-		at   float64
-	}{{900, 10}, {5, 20}, {300, 30}, {5, 40}} {
-		Exchange(s, NewState(ex.peer, 3, nil), nil, nil, ex.at, unlimited())
+		peer     packet.NodeID
+		at       float64
+		transfer int64
+	}{{900, 10, 0}, {5, 20, 700}, {300, 30, 0}, {5, 40, 0}} {
+		peer := NewState(ex.peer, 3, nil)
+		if ex.transfer > 0 {
+			peer.ObserveTransfer(ex.transfer)
+		}
+		Exchange(s, peer, nil, nil, ex.at, unlimited())
 	}
-	want := []peerTime{{5, 40}, {300, 30}, {900, 10}}
-	if len(s.lastExchange) != len(want) {
-		t.Fatalf("lastExchange %v, want %v", s.lastExchange, want)
+	want := []struct {
+		peer         packet.NodeID
+		at, transfer float64
+	}{{5, 40, 700}, {300, 30, -1}, {900, 10, -1}}
+	if len(s.peers) != len(want) {
+		t.Fatalf("peers %v, want %v", s.peers, want)
 	}
 	for i, w := range want {
-		if s.lastExchange[i] != w {
-			t.Errorf("lastExchange[%d] = %v, want %v", i, s.lastExchange[i], w)
+		if p := s.peers[i]; p.peer != w.peer || p.at != w.at {
+			t.Errorf("peers[%d] = %v, want peer %d at %v", i, p, w.peer, w.at)
 		}
-	}
-	for _, w := range append(want, peerTime{7, 0}, peerTime{1000, 0}) {
 		if got := s.lastExchangeWith(w.peer); got != w.at {
 			t.Errorf("lastExchangeWith(%d) = %v, want %v", w.peer, got, w.at)
+		}
+		if got := s.AvgTransferOf(w.peer, -1); got != w.transfer {
+			t.Errorf("AvgTransferOf(%d) = %v, want %v", w.peer, got, w.transfer)
+		}
+	}
+	for _, peer := range []packet.NodeID{7, 1000} {
+		if got := s.lastExchangeWith(peer); got != 0 {
+			t.Errorf("lastExchangeWith(%d) = %v, want 0", peer, got)
 		}
 	}
 }

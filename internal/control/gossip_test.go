@@ -14,12 +14,16 @@ import (
 // shadowed by (time, packet ID) logs, over which the reference
 // selection runs: scan the sender's changelog past the cut, dedup and
 // sort it (refMetaChangedSince), then keep what the receiver carries
-// (refInventoryIDs). Acks and replica records still live in the
-// embedded State; only the logs and the selection are the reference's.
+// (refInventoryIDs). The reference also keeps its own sorted record of
+// the meet-table owners it heard of, which its table gossip walks.
+// Acks, replica records, meet tables and their freshness still live in
+// the embedded State; only the logs, the owner record and the
+// selections are the reference's.
 type refState struct {
 	*State
 	ackLog      []refEvent
 	metaLog     []refEvent
+	owners      []packet.NodeID
 	ackScratch  []packet.ID
 	metaScratch []*PacketMeta
 	seenEpoch   uint64
@@ -57,6 +61,13 @@ func (r *refState) dropReplica(id packet.ID, holder packet.NodeID, now float64) 
 	r.DropReplica(id, holder, now)
 	if len(r.State.metaLog) > n {
 		r.metaLog = append(r.metaLog, refEvent{t: now, id: id})
+	}
+}
+
+// hear records that r learned the freshness of owner's meet table.
+func (r *refState) hear(owner packet.NodeID) {
+	if i, ok := slices.BinarySearch(r.owners, owner); !ok {
+		r.owners = slices.Insert(r.owners, i, owner)
 	}
 }
 
@@ -136,7 +147,11 @@ func refExchange(a, b *refState, invA, invB []InventoryItem, now float64, opts O
 		res.Bytes += n
 		return true
 	}
-	finish := func() Result { return finishExchange(a.State, b.State, now, res) }
+	finish := func() Result {
+		a.hear(b.self)
+		b.hear(a.self)
+		return finishExchange(a.State, b.State, now, res)
+	}
 
 	sinceA := a.lastExchangeWith(b.self)
 	sinceB := b.lastExchangeWith(a.self)
@@ -197,12 +212,13 @@ func refExchange(a, b *refState, invA, invB []InventoryItem, now float64, opts O
 		}
 	}
 
-	for _, dir := range []struct{ from, to *State }{{a.State, b.State}, {b.State, a.State}} {
+	for _, dir := range []struct{ from, to *refState }{{a, b}, {b, a}} {
 		own, _ := dir.from.Meet.RowLen(dir.from.self)
-		if !spendTable(dir.from, dir.to, dir.from.self, own, now, spend, &res) {
+		if !spendTable(dir.from.State, dir.to.State, dir.from.self, own, now, spend, &res) {
 			return finish()
 		}
-		for _, owner := range dir.from.tableOwners {
+		dir.to.hear(dir.from.self)
+		for _, owner := range dir.from.owners {
 			if owner == dir.to.self || owner == dir.from.self {
 				continue
 			}
@@ -214,9 +230,10 @@ func refExchange(a, b *refState, invA, invB []InventoryItem, now float64, opts O
 			if !known {
 				continue
 			}
-			if !spendTable(dir.from, dir.to, owner, entries, asOf, spend, &res) {
+			if !spendTable(dir.from.State, dir.to.State, owner, entries, asOf, spend, &res) {
 				return finish()
 			}
+			dir.to.hear(owner)
 		}
 	}
 
@@ -349,7 +366,7 @@ func FuzzReplicaGossip(f *testing.F) {
 					t.Fatalf("op %d: exchange %d→%d at %v (%+v): got %+v, reference %+v", op, v, w, now, opts, got, want)
 				}
 				for i := range states {
-					compareGossipState(t, op, states[i], refs[i], packets)
+					compareGossipState(t, op, states[i], refs[i], n, packets)
 				}
 			}
 		}
@@ -357,9 +374,18 @@ func FuzzReplicaGossip(f *testing.F) {
 }
 
 // compareGossipState fails t unless s and r hold the same acks, ack
-// changelog, replica records and replica changelog times.
-func compareGossipState(t *testing.T, op int, s *State, r *refState, packets int) {
+// changelog, replica records, replica changelog times, and meet tables
+// and their freshness for every owner among the nodes.
+func compareGossipState(t *testing.T, op int, s *State, r *refState, nodes, packets int) {
 	t.Helper()
+	for owner := packet.NodeID(0); owner < packet.NodeID(nodes); owner++ {
+		n, known := s.Meet.RowLen(owner)
+		rn, rknown := r.Meet.RowLen(owner)
+		if n != rn || known != rknown || s.tableAsOfFor(owner) != r.tableAsOfFor(owner) {
+			t.Fatalf("op %d node %d: owner %d table (%d entries, known %v, as of %v), reference (%d, %v, %v)",
+				op, s.self, owner, n, known, s.tableAsOfFor(owner), rn, rknown, r.tableAsOfFor(owner))
+		}
+	}
 	if len(s.ackLog) != len(r.ackLog) {
 		t.Fatalf("op %d node %d: %d acks logged, reference %d", op, s.self, len(s.ackLog), len(r.ackLog))
 	}

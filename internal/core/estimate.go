@@ -100,7 +100,7 @@ func (t dstTerms) delay(ahead, size int64) float64 {
 // selfTerms returns the node's own terms for destination dst.
 func (est *Estimator) selfTerms(dst packet.NodeID) dstTerms {
 	return dstTerms{
-		em: est.node.Ctl.Meet.Expected(est.node.ID, dst),
+		em: est.node.Ctl.Expected(est.node.ID, dst),
 		b:  est.node.Ctl.AvgTransferBytes(est.node.Net.Cfg.DefaultTransferBytes),
 	}
 }
@@ -109,7 +109,7 @@ func (est *Estimator) selfTerms(dst packet.NodeID) dstTerms {
 // them: the local matrix's E(M_YZ) and the peer's announced average.
 func (est *Estimator) peerTerms(peer *routing.Node, dst packet.NodeID) dstTerms {
 	return dstTerms{
-		em: est.node.Ctl.Meet.Expected(peer.ID, dst),
+		em: est.node.Ctl.Expected(peer.ID, dst),
 		b:  est.node.Ctl.AvgTransferOf(peer.ID, est.node.Net.Cfg.DefaultTransferBytes),
 	}
 }

@@ -87,7 +87,7 @@ func (r *Router) Generate(p *packet.Packet, now float64) {
 		return
 	}
 	delay := math.Inf(1)
-	if em := r.node.Ctl.Meet.Expected(r.node.ID, p.Dst); !math.IsInf(em, 1) {
+	if em := r.node.Ctl.Expected(r.node.ID, p.Dst); !math.IsInf(em, 1) {
 		b := r.node.Ctl.AvgTransferBytes(r.node.Net.Cfg.DefaultTransferBytes)
 		delay = em * meetingsNeeded(ahead, p.Size, b)
 	}

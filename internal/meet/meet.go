@@ -256,10 +256,8 @@ var (
 // run borrows at most two queues (one exchange's endpoints) and one
 // scratch per engine worker at once (measured on constel-par and
 // mega-stream at 1 and 2 workers), so 64 covers 32 workers, summed over
-// the runs a process holds at once. The global channel, whose
-// estimators merge without settling, held up to 240 queues at once on
-// a 300-node constellation-ground run but handed back no more than 41
-// idle at a time.
+// the runs a process holds at once. On the global channel only the
+// shared matrix merges, so at most its one queue is out.
 const freeMax = 64
 
 // freeList lends scratch objects to every estimator in the process.
@@ -362,7 +360,10 @@ func searchArcFrom(lst []arc, k uint64, hint int) int {
 }
 
 // New returns an estimator for node self using an h-hop horizon
-// (h <= 0 selects DefaultHops).
+// (h <= 0 selects DefaultHops). A negative self makes a shared matrix:
+// an estimator with no own row, which only merges the rows of others
+// (the instant global channel's one matrix) and must not observe
+// meetings.
 func New(self packet.NodeID, hops int) *Estimator {
 	if hops <= 0 {
 		hops = DefaultHops

@@ -80,9 +80,9 @@ type Collector struct {
 	BatchedEvents uint64
 	CriticalPath  uint64
 
-	// Meet sums every node's meeting-estimator work counters (rows
-	// merged, pairs patched, rows published, shortest-path runs) for
-	// the run. Each estimator sees the same calls in the same order at
+	// Meet sums the work counters of every node's meeting estimator,
+	// and of the shared matrix on the global channel (rows merged,
+	// pairs patched, rows published, shortest-path runs), for the run. Each estimator sees the same calls in the same order at
 	// every worker count, so the sums are deterministic; they are still
 	// engine-side work, not outcomes, and stay off Summary and the
 	// fingerprints.

@@ -376,7 +376,7 @@ func NewNetwork(engine *sim.Engine, ids []packet.NodeID, f RouterFactory, cfg Co
 		Cfg:       cfg,
 	}
 	if cfg.Mode == ControlGlobal {
-		net.Global = control.NewGlobal()
+		net.Global = control.NewGlobal(cfg.Hops)
 	}
 	for _, id := range ids {
 		n := &Node{
@@ -567,6 +567,9 @@ func Run(sc Scenario) *metrics.Collector {
 	net.Collector.CriticalPath = engine.CriticalPath
 	for _, id := range ids {
 		net.Collector.Meet.Add(net.Nodes[id].Ctl.Meet.Stats())
+	}
+	if net.Global != nil {
+		net.Collector.Meet.Add(net.Global.Meet.Stats())
 	}
 	return net.Collector
 }

@@ -221,6 +221,26 @@ func TestParallelBatchCounters(t *testing.T) {
 	}
 }
 
+// TestGlobalChannelMergesTwoRowsAMeeting: on the instant global
+// channel each meeting merges at most its two endpoints' rows, into the
+// one shared matrix, not into every node's estimator.
+func TestGlobalChannelMergesTwoRowsAMeeting(t *testing.T) {
+	p := metamorphicParams()
+	p.Tag = "global-merges"
+	p.Protocols = []scenario.Proto{scenario.ProtoRapidGlobal}
+	scs, err := scenario.Expand("constellation-ground", p)
+	if err != nil || len(scs) == 0 {
+		t.Fatalf("expand: %v (%d scenarios)", err, len(scs))
+	}
+	col, _ := scs[0].Execute()
+	if col.Meetings == 0 || col.Meet.RowsMerged == 0 {
+		t.Fatalf("%d meetings, %d rows merged: want both positive", col.Meetings, col.Meet.RowsMerged)
+	}
+	if col.Meet.RowsMerged > 2*uint64(col.Meetings) {
+		t.Errorf("%d rows merged over %d meetings, want at most 2 a meeting", col.Meet.RowsMerged, col.Meetings)
+	}
+}
+
 // TestMeetCountersWorkerInvariant: the summed meeting-estimator work
 // counters, and the reverse arcs the estimators hold at the end, are
 // the same at every worker count, and a RAPID run does each kind of
