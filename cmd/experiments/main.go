@@ -93,16 +93,9 @@ func main() {
 	exp.SetWorkers(*workers)
 	exp.DefaultEngine().SetRunWorkers(*runWork)
 
-	var sc exp.Scale
-	switch *scale {
-	case "tiny":
-		sc = exp.TinyScale()
-	case "default":
-		sc = exp.DefaultScale()
-	case "full":
-		sc = exp.FullScale()
-	default:
-		fmt.Fprintf(os.Stderr, "unknown scale %q\n", *scale)
+	sc, err := exp.ScaleByName(*scale)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 

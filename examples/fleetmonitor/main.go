@@ -51,7 +51,7 @@ func main() {
 	fmt.Printf("metadata / bandwidth       %.3f%%\n", 100*s.MetaOverBandwidth)
 
 	opt := rapid.Optimal(sched, w)
-	fmt.Printf("\nofflne optimal bound       %.1f%% delivery, %.1f min avg delay incl. undelivered\n",
+	fmt.Printf("\noffline optimal bound       %.1f%% delivery, %.1f min avg delay incl. undelivered\n",
 		100*opt.DeliveryRate(), opt.AvgDelayAll()/60)
 	fmt.Printf("RAPID vs optimal           %.1f min vs %.1f min (incl. undelivered)\n",
 		s.AvgDelayAll/60, opt.AvgDelayAll()/60)

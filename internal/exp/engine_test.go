@@ -206,3 +206,21 @@ func TestCacheSustainedEviction(t *testing.T) {
 		t.Errorf("fifo backing array grew to %d for a limit-4 cache", cap(e.fifo))
 	}
 }
+
+// TestFigureSharesFamilyCache: a figure runs its family's own
+// scenarios, so after Fig. 4 the trace-comparison family at the same
+// scale is served from the engine's cache without a single run.
+func TestFigureSharesFamilyCache(t *testing.T) {
+	sc := TinyScale()
+	Fig4(sc)
+	hits, misses := defaultEngine.CacheStats()
+	scs, err := scenario.Expand("trace-comparison", FamilyParams("trace-comparison", sc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defaultEngine.Summaries(scs)
+	h, m := defaultEngine.CacheStats()
+	if m != misses || h-hits != uint64(len(scs)) {
+		t.Fatalf("family after Fig. 4: %d hits, %d misses over %d scenarios; want all hits", h-hits, m-misses, len(scs))
+	}
+}

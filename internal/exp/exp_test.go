@@ -222,7 +222,7 @@ func TestProtocolArmsResolve(t *testing.T) {
 		scenario.ProtoMaxProp, scenario.ProtoSprayWait, scenario.ProtoProphet,
 		scenario.ProtoRandom, scenario.ProtoRandomAcks,
 	} {
-		rs := traceScenario(TinyScale(), 0, 0, 4, p, core.AvgDelay, scenario.Overrides{}).Materialize()
+		rs := pointGrid(traceFamily, TinyScale(), 4, p, core.AvgDelay, scenario.Overrides{})[0].Materialize()
 		if rs.Factory == nil {
 			t.Errorf("%s: nil factory", p)
 			continue
@@ -241,7 +241,7 @@ func TestUnknownProtoPanics(t *testing.T) {
 			t.Error("unknown proto must panic")
 		}
 	}()
-	traceScenario(TinyScale(), 0, 0, 4, scenario.Proto("bogus"), core.AvgDelay, scenario.Overrides{}).Materialize()
+	pointGrid(traceFamily, TinyScale(), 4, scenario.Proto("bogus"), core.AvgDelay, scenario.Overrides{})[0].Materialize()
 }
 
 // TestScalesWellFormed validates the three presets.
@@ -257,8 +257,8 @@ func TestScalesWellFormed(t *testing.T) {
 
 // TestFigureGridsMatchFamilies: the AvgDelay comparison figures run
 // exactly the registry families' grids, element by element, so a
-// figure and `experiments -family` at the same scale share every run.
-// Family (and so the cache key) is the only field allowed to differ.
+// figure and `experiments -family` at the same scale share every run
+// and every cache entry.
 func TestFigureGridsMatchFamilies(t *testing.T) {
 	for _, c := range []struct {
 		sc         Scale
@@ -272,8 +272,8 @@ func TestFigureGridsMatchFamilies(t *testing.T) {
 			sw          *sweep
 		}{
 			{"fig4", "trace-comparison", traceComparison(c.sc, core.AvgDelay, avgDelayMin, "fig4", "", "")},
-			{"fig16", "synth-powerlaw", synthComparison(c.sc, "powerlaw", core.AvgDelay, avgDelaySec, "fig16", "", "")},
-			{"fig22", "synth-exponential", synthComparison(c.sc, "exponential", core.AvgDelay, avgDelaySec, "fig22", "", "")},
+			{"fig16", "synth-powerlaw", synthComparison(c.sc, "synth-powerlaw", core.AvgDelay, avgDelaySec, "fig16", "", "")},
+			{"fig22", "synth-exponential", synthComparison(c.sc, "synth-exponential", core.AvgDelay, avgDelaySec, "fig22", "", "")},
 		} {
 			got := g.sw.scenarios()
 			want, err := scenario.Expand(g.family, FamilyParams(g.family, c.sc))
@@ -285,12 +285,9 @@ func TestFigureGridsMatchFamilies(t *testing.T) {
 					g.fig, g.family, c.sc.Name, len(got), len(want), c.wantCounts[i])
 			}
 			for j := range got {
-				a, b := got[j], want[j]
-				a.Family, b.Family = "", ""
-				a.Tag, b.Tag = "", ""
-				if a != b {
+				if got[j] != want[j] {
 					t.Fatalf("%s/%s at %s: scenario %d differs:\n figure %+v\n family %+v",
-						g.fig, g.family, c.sc.Name, j, a, b)
+						g.fig, g.family, c.sc.Name, j, got[j], want[j])
 				}
 			}
 		}

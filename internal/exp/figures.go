@@ -78,7 +78,7 @@ func traceComparison(sc Scale, metric core.Metric, value func(metrics.Summary) f
 	for _, proto := range scenario.ComparisonSet() {
 		for _, load := range sc.TraceLoads {
 			sw.point(string(proto), load, value,
-				traceGrid(sc, load, proto, metric, scenario.Overrides{}))
+				pointGrid(traceFamily, sc, load, proto, metric, scenario.Overrides{}))
 		}
 	}
 	return sw
@@ -133,7 +133,7 @@ func Fig8(sc Scale) Output {
 			}
 			ov := scenario.Overrides{MetaFraction: frac, MetaFractionSet: true}
 			sw.point(label, x, avgDelayMin,
-				traceGrid(sc, load, scenario.ProtoRapid, core.AvgDelay, ov))
+				pointGrid(traceFamily, sc, load, scenario.ProtoRapid, core.AvgDelay, ov))
 		}
 	}
 	fig := sw.run(defaultEngine)
@@ -154,7 +154,7 @@ func Fig9(sc Scale) Output {
 	sw := newSweep("fig9", "Channel utilization (trace)",
 		"packets generated per hour per destination", "fraction")
 	for _, load := range loads {
-		grid := traceGrid(sc, load, scenario.ProtoRapid, core.AvgDelay, scenario.Overrides{})
+		grid := pointGrid(traceFamily, sc, load, scenario.ProtoRapid, core.AvgDelay, scenario.Overrides{})
 		sw.point("Meta information/RAPID data", load, metaOverData, grid)
 		sw.point("% channel utilization", load, channelUtilization, grid)
 		sw.point("Delivery rate", load, deliveryRate, grid)
@@ -172,7 +172,7 @@ func globalVsInBand(sc Scale, metric core.Metric, value func(metrics.Summary) fl
 		}
 		for _, load := range sc.TraceLoads {
 			sw.point(label, load, value,
-				traceGrid(sc, load, proto, metric, scenario.Overrides{}))
+				pointGrid(traceFamily, sc, load, proto, metric, scenario.Overrides{}))
 		}
 	}
 	return sw.output()
@@ -220,7 +220,7 @@ func Fig13(sc Scale) Output {
 	// days and runs every arm averages over — fanned across the pool.
 	var jobs []scenario.Scenario
 	for _, load := range sc.OptimalLoads {
-		jobs = append(jobs, traceGrid(sc, load, scenario.ProtoRapid, core.AvgDelay, scenario.Overrides{})...)
+		jobs = append(jobs, pointGrid(traceFamily, sc, load, scenario.ProtoRapid, core.AvgDelay, scenario.Overrides{})...)
 	}
 	delays := make([]float64, len(jobs))
 	defaultEngine.parallel(len(jobs), func(i int) {
@@ -244,7 +244,7 @@ func Fig13(sc Scale) Output {
 	for _, a := range arms {
 		for _, load := range sc.OptimalLoads {
 			sw.point(a.label, load, avgDelayAllMin,
-				traceGrid(sc, load, a.proto, core.AvgDelay, scenario.Overrides{}))
+				pointGrid(traceFamily, sc, load, a.proto, core.AvgDelay, scenario.Overrides{}))
 		}
 	}
 	fig := sw.run(defaultEngine)
@@ -262,7 +262,7 @@ func Fig14(sc Scale) Output {
 	for _, proto := range []scenario.Proto{scenario.ProtoRapid, scenario.ProtoRapidLocal, scenario.ProtoRandomAcks, scenario.ProtoRandom} {
 		for _, load := range sc.TraceLoads {
 			sw.point(string(proto), load, avgDelayMin,
-				traceGrid(sc, load, proto, core.AvgDelay, scenario.Overrides{}))
+				pointGrid(traceFamily, sc, load, proto, core.AvgDelay, scenario.Overrides{}))
 		}
 	}
 	return sw.output()
@@ -276,12 +276,8 @@ func Fig15(sc Scale) Output {
 		XLabel: "fairness index", YLabel: "CDF of cohorts",
 	}
 	for _, parallel := range []int{20, 30} {
-		scs := make([]scenario.Scenario, sc.Days)
-		for day := range scs {
-			scs[day] = fairnessScenario(sc, day, parallel)
-		}
 		var indices []float64
-		for _, r := range defaultEngine.Runs(scs) {
+		for _, r := range defaultEngine.Runs(fairnessGrid(sc, parallel)) {
 			indices = append(indices, r.Col.CohortFairness(r.Horizon)...)
 		}
 		sort.Float64s(indices)
@@ -298,14 +294,14 @@ func Fig15(sc Scale) Output {
 // ---------------------------------------------------------------------
 // Synthetic mobility (Figs. 16–24)
 
-// synthComparison sweeps the load axis under a mobility model (the
-// synth-<model> family's grid at the figure's metric).
-func synthComparison(sc Scale, model string, metric core.Metric, value func(metrics.Summary) float64, id, title, ylabel string) *sweep {
+// synthComparison sweeps the load axis of a synthetic-mobility family
+// (synth-powerlaw or synth-exponential) at the figure's metric.
+func synthComparison(sc Scale, family string, metric core.Metric, value func(metrics.Summary) float64, id, title, ylabel string) *sweep {
 	sw := newSweep(id, title, "packets generated per 50 s per destination", ylabel)
 	for _, proto := range scenario.ComparisonSet() {
 		for _, load := range sc.SynthLoads {
 			sw.point(string(proto), load, value,
-				synthGrid(sc, model, load, proto, metric, scenario.Overrides{}))
+				pointGrid(family, sc, load, proto, metric, scenario.Overrides{}))
 		}
 	}
 	return sw
@@ -313,19 +309,19 @@ func synthComparison(sc Scale, model string, metric core.Metric, value func(metr
 
 // Fig16 reproduces Figure 16 (power-law average delay).
 func Fig16(sc Scale) Output {
-	return synthComparison(sc, "powerlaw", core.AvgDelay, avgDelaySec,
+	return synthComparison(sc, "synth-powerlaw", core.AvgDelay, avgDelaySec,
 		"fig16", "Average delay vs load (power law)", "avg delay (s)").output()
 }
 
 // Fig17 reproduces Figure 17 (power-law max delay).
 func Fig17(sc Scale) Output {
-	return synthComparison(sc, "powerlaw", core.MaxDelay, maxDelaySec,
+	return synthComparison(sc, "synth-powerlaw", core.MaxDelay, maxDelaySec,
 		"fig17", "Max delay vs load (power law)", "max delay (s)").output()
 }
 
 // Fig18 reproduces Figure 18 (power-law within-deadline).
 func Fig18(sc Scale) Output {
-	return synthComparison(sc, "powerlaw", core.Deadline, withinDeadline,
+	return synthComparison(sc, "synth-powerlaw", core.Deadline, withinDeadline,
 		"fig18", "Delivered within deadline vs load (power law)", "fraction within deadline").output()
 }
 
@@ -338,7 +334,7 @@ func synthBufferSweep(sc Scale, metric core.Metric, value func(metrics.Summary) 
 		for _, buf := range sc.Buffers {
 			ov := scenario.Overrides{BufferBytes: buf, BufferBytesSet: true}
 			sw.point(string(proto), float64(buf>>10), value,
-				synthGrid(sc, "powerlaw", load, proto, metric, ov))
+				pointGrid("synth-powerlaw", sc, load, proto, metric, ov))
 		}
 	}
 	return sw.output()
@@ -364,19 +360,19 @@ func Fig21(sc Scale) Output {
 
 // Fig22 reproduces Figure 22 (exponential average delay).
 func Fig22(sc Scale) Output {
-	return synthComparison(sc, "exponential", core.AvgDelay, avgDelaySec,
+	return synthComparison(sc, "synth-exponential", core.AvgDelay, avgDelaySec,
 		"fig22", "Average delay vs load (exponential)", "avg delay (s)").output()
 }
 
 // Fig23 reproduces Figure 23 (exponential max delay).
 func Fig23(sc Scale) Output {
-	return synthComparison(sc, "exponential", core.MaxDelay, maxDelaySec,
+	return synthComparison(sc, "synth-exponential", core.MaxDelay, maxDelaySec,
 		"fig23", "Max delay vs load (exponential)", "max delay (s)").output()
 }
 
 // Fig24 reproduces Figure 24 (exponential within-deadline).
 func Fig24(sc Scale) Output {
-	return synthComparison(sc, "exponential", core.Deadline, withinDeadline,
+	return synthComparison(sc, "synth-exponential", core.Deadline, withinDeadline,
 		"fig24", "Delivered within deadline vs load (exponential)", "fraction within deadline").output()
 }
 

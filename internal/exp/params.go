@@ -7,6 +7,8 @@
 // mapping each figure to the modules and parameters used here.
 package exp
 
+import "fmt"
+
 // Scale trades fidelity for wall-clock time. The paper's full scale
 // (58 days × 10 averaging runs) takes CPU-hours; the default scale
 // preserves every qualitative claim at a fraction of the cost, and the
@@ -112,4 +114,17 @@ func FullScale() Scale {
 		MegaPlanes: 40, MegaSats: 50, MegaGround: 50,
 		MegaPeriod: 5400, MegaLoads: []float64{1, 2},
 	}
+}
+
+// ScaleByName returns the preset named tiny, default or full.
+func ScaleByName(name string) (Scale, error) {
+	switch name {
+	case "tiny":
+		return TinyScale(), nil
+	case "default":
+		return DefaultScale(), nil
+	case "full":
+		return FullScale(), nil
+	}
+	return Scale{}, fmt.Errorf("unknown scale %q (want tiny, default or full)", name)
 }

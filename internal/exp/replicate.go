@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"strings"
 
 	"rapid/internal/report"
 	"rapid/internal/scenario"
@@ -19,9 +18,11 @@ import (
 // ciConfidence is the reported confidence level.
 const ciConfidence = 0.95
 
-// FamilyParams maps a family name and scale onto grid parameters — the
+// FamilyParams maps a family and scale onto grid parameters — the
 // single rule shared by cmd/experiments' family runner, the replication
-// engine, and the CI smoke jobs.
+// engine, the figures and simd. The family's Population picks which of
+// the scale's populations and load axes it runs; an unknown name gets
+// the synthetic one.
 func FamilyParams(name string, sc Scale) scenario.Params {
 	p := scenario.Params{
 		Tag: sc.Name, Days: sc.Days, Runs: sc.Runs, DayHours: sc.DayHours,
@@ -29,25 +30,21 @@ func FamilyParams(name string, sc Scale) scenario.Params {
 		Planes: sc.ConstelPlanes, SatsPerPlane: sc.ConstelSats,
 		Ground: sc.ConstelGround, OrbitPeriod: sc.ConstelPeriod,
 	}
-	switch {
-	case strings.HasPrefix(name, "trace"), name == "deployment":
+	f, _ := scenario.Lookup(name)
+	switch f.Population {
+	case scenario.PopTrace:
 		p.Loads = sc.TraceLoads
-	case name == "mega-constellation":
-		// The scale arm has its own (much larger) population, checked
-		// before the generic constellation case its name also matches.
+	case scenario.PopConstellation:
+		p.Loads = sc.ConstelLoads
+	case scenario.PopMega:
 		p.Planes, p.SatsPerPlane = sc.MegaPlanes, sc.MegaSats
 		p.Ground, p.OrbitPeriod = sc.MegaGround, sc.MegaPeriod
 		p.Loads = sc.MegaLoads
-		if p.OrbitPeriod > p.Duration {
-			p.Duration = p.OrbitPeriod
-		}
-	case strings.Contains(name, "constellation"), strings.HasPrefix(name, "cgr"), name == "asym-uplink":
-		p.Loads = sc.ConstelLoads
-		if p.OrbitPeriod > p.Duration {
-			// A horizon shorter than one orbit would leave most of the
-			// plan unexpanded; run at least one full period.
-			p.Duration = p.OrbitPeriod
-		}
+	}
+	if f.Population == scenario.PopConstellation || f.Population == scenario.PopMega {
+		// A horizon shorter than one orbit would leave most of the
+		// plan unexpanded; run at least one full period.
+		p.Duration = max(p.Duration, p.OrbitPeriod)
 	}
 	return p
 }

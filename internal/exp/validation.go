@@ -13,10 +13,7 @@ import (
 // RAPID at the default load (4 packets/hour/destination) over the
 // scale's days, on the deployment-emulated (perturbed) schedules.
 func Table3(sc Scale) Output {
-	scs := make([]scenario.Scenario, sc.Days)
-	for day := range scs {
-		scs[day] = deployScenario(sc, day)
-	}
+	scs := expand("deployment", FamilyParams("deployment", sc))
 	sums := defaultEngine.Summaries(scs)
 
 	var buses, bytesDay, meetings stat.Welford
@@ -60,16 +57,9 @@ func Table3(sc Scale) Output {
 func Fig3(sc Scale) Output {
 
 	// Both arms submitted as one flat batch: days × (1 real + Runs sim).
-	realScs := make([]scenario.Scenario, sc.Days)
-	var simScs []scenario.Scenario
-	for day := 0; day < sc.Days; day++ {
-		realScs[day] = deployScenario(sc, day)
-		for run := 0; run < sc.Runs; run++ {
-			simScs = append(simScs, traceScenario(sc, day, run,
-				scenario.DefaultTraceLoad, scenario.ProtoRapid, core.AvgDelay, scenario.Overrides{}))
-		}
-	}
-	sums := defaultEngine.Summaries(append(append([]scenario.Scenario{}, realScs...), simScs...))
+	realScs := expand("deployment", FamilyParams("deployment", sc))
+	simScs := pointGrid(traceFamily, sc, scenario.DefaultTraceLoad, scenario.ProtoRapid, core.AvgDelay, scenario.Overrides{})
+	sums := defaultEngine.Summaries(append(realScs, simScs...))
 	realSums, simSums := sums[:sc.Days], sums[sc.Days:]
 
 	fig := &report.Figure{

@@ -22,7 +22,11 @@ import (
 //     subsequent sort.*/slices.Sort* call on that slice later in the
 //     same function (the slice escapes carrying a random order);
 //  3. performing I/O (fmt/log printing, io.Writer writes), which
-//     emits output in a random order.
+//     emits output in a random order;
+//  4. leaving the loop early — a return, or a break that ends the map
+//     range — so which entry the loop stops at, and what it leaves
+//     behind, depends on the order (a break of an inner loop or switch,
+//     and a return inside a function literal, do not leave it).
 //
 // Per-key writes (m2[k] = …, totals[k] += v where k is the range key)
 // are order-independent and never flagged, and neither is integer
@@ -34,9 +38,10 @@ var MapOrder = &analysis.Analyzer{
 	Doc: `flag map-range loops whose bodies depend on iteration order
 
 Reports float accumulation across iterations, appends to escaping
-slices that are never sorted afterwards, and I/O performed inside
-"for range m" bodies. All three make output depend on Go's randomized
-map iteration order.`,
+slices that are never sorted afterwards, I/O performed inside
+"for range m" bodies, and returns or breaks that leave the range
+early. All four make output depend on Go's randomized map iteration
+order.`,
 	Run: runMapOrder,
 }
 
@@ -105,6 +110,57 @@ func checkMapRangeBody(pass *analysis.Pass, sup *suppressor, fnBody *ast.BlockSt
 		}
 		return true
 	})
+	checkEarlyExit(pass, sup, rs)
+}
+
+// checkEarlyExit flags a return, or a break that ends the map range,
+// anywhere in rs's body. Function literals are skipped (their returns
+// leave only the literal), and so are nested map ranges (they get their
+// own check, which reports any exit through them).
+func checkEarlyExit(pass *analysis.Pass, sup *suppressor, rs *ast.RangeStmt) {
+	var visit func(body ast.Node, inner bool)
+	visit = func(body ast.Node, inner bool) {
+		ast.Inspect(body, func(n ast.Node) bool {
+			switch s := n.(type) {
+			case *ast.FuncLit:
+				return false
+			case *ast.ReturnStmt:
+				sup.reportf(s.Pos(), "return inside a map-range body stops at whichever entry the randomized iteration order reaches first: iterate keys in sorted order")
+			case *ast.BranchStmt:
+				if s.Tok != token.BREAK {
+					break
+				}
+				if (s.Label == nil && !inner) || (s.Label != nil && !labelWithin(pass.TypesInfo, s.Label, rs.Body)) {
+					sup.reportf(s.Pos(), "break ends a map range at whichever entry the randomized iteration order reaches first: iterate keys in sorted order")
+				}
+			case *ast.RangeStmt:
+				if s == body {
+					return true
+				}
+				if t := pass.TypesInfo.TypeOf(s.X); t != nil {
+					if _, isMap := t.Underlying().(*types.Map); isMap {
+						return false
+					}
+				}
+				visit(s, true)
+				return false
+			case *ast.ForStmt, *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt:
+				if n != body {
+					visit(n, true)
+					return false
+				}
+			}
+			return true
+		})
+	}
+	visit(rs.Body, false)
+}
+
+// labelWithin reports whether a branch label names a statement inside
+// body.
+func labelWithin(info *types.Info, label *ast.Ident, body *ast.BlockStmt) bool {
+	obj := info.Uses[label]
+	return obj != nil && obj.Pos() >= body.Pos() && obj.Pos() < body.End()
 }
 
 // rangeVarObj resolves the object of a range variable expression

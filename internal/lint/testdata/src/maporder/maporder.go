@@ -1,8 +1,9 @@
 // Package maporder exercises the maporder analyzer: map-range bodies
-// that accumulate floats, leak append order, or perform I/O are
-// positives; per-key writes, integer counting, and slices sorted
-// afterwards (directly, through an alias, or through a range value)
-// are negatives.
+// that accumulate floats, leak append order, perform I/O, or leave the
+// range early are positives; per-key writes, integer counting, slices
+// sorted afterwards (directly, through an alias, or through a range
+// value), breaks of inner loops and switches, and returns inside
+// function literals are negatives.
 package maporder
 
 import (
@@ -103,4 +104,75 @@ func allowed(m map[string]float64) float64 {
 		total += v //rapidlint:allow maporder — fixture: tolerance-checked aggregate, order error below epsilon
 	}
 	return total
+}
+
+// firstHelpful is the eviction-sweep shape: the candidates sit in a
+// set and the loop stops at the first one that helps, so which one is
+// kept depends on the iteration order.
+func firstHelpful(candidates map[int]bool, helps func(int) bool) int {
+	kept := -1
+	for c := range candidates {
+		if helps(c) {
+			kept = c
+			break // want `break ends a map range`
+		}
+	}
+	return kept
+}
+
+func firstMatch(m map[string]int, v int) string {
+	for k, x := range m {
+		if x == v {
+			return k // want `return inside a map-range body`
+		}
+	}
+	return ""
+}
+
+func labeledOuter(m map[string][]int) int {
+	n := 0
+outer:
+	for _, xs := range m {
+		for _, x := range xs {
+			if x < 0 {
+				break outer // want `break ends a map range`
+			}
+			n += x
+		}
+	}
+	return n
+}
+
+func innerBreaks(m map[string][]int) int {
+	n := 0
+	for _, xs := range m {
+		for _, x := range xs {
+			if x < 0 {
+				break // ends the inner slice loop only
+			}
+			n += x
+		}
+		switch len(xs) {
+		case 0:
+			break // ends the switch only
+		default:
+			n++
+		}
+	inner:
+		for i := 0; i < len(xs); i++ {
+			if xs[i] == 0 {
+				break inner // the label names a loop inside the body
+			}
+		}
+	}
+	return n
+}
+
+func literalReturn(m map[string]int) int {
+	n := 0
+	for _, v := range m {
+		double := func() int { return 2 * v } // leaves the literal only
+		n += double()
+	}
+	return n
 }

@@ -144,6 +144,7 @@ func methodDecl(idx funcIndex, named *types.Named, name string) *ast.FuncDecl {
 			continue
 		}
 		if namedType(sig.Recv().Type()) == namedType(named) {
+			//rapidlint:allow maporder — a type declares a method name at most once, so at most one entry matches
 			return decl
 		}
 	}

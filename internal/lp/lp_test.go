@@ -134,6 +134,15 @@ func TestValidation(t *testing.T) {
 			t.Errorf("case %d: expected validation error", i)
 		}
 	}
+	// Several bad variables: the error names the smallest, every time.
+	p := &Problem{NumVars: 1, Objective: []float64{1}, Constraints: []Constraint{
+		{Coeffs: map[int]float64{0: 1, 9: 1, 4: 1, -3: 1, 7: 1}, Sense: LE, RHS: 1},
+	}}
+	for range 20 {
+		if err := p.Validate(); err == nil || err.Error() != "lp: constraint 0 references variable -3" {
+			t.Fatalf("error %v, want the smallest bad variable -3", err)
+		}
+	}
 }
 
 // Property: the simplex solution satisfies every constraint and is

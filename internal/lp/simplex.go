@@ -111,10 +111,15 @@ func (p *Problem) Validate() error {
 		return fmt.Errorf("lp: integer flags length %d != %d", len(p.Integer), p.NumVars)
 	}
 	for i, c := range p.Constraints {
+		// Name the smallest bad variable, whatever the map's order.
+		bad, found := 0, false
 		for j := range c.Coeffs {
-			if j < 0 || j >= p.NumVars {
-				return fmt.Errorf("lp: constraint %d references variable %d", i, j)
+			if (j < 0 || j >= p.NumVars) && (!found || j < bad) {
+				bad, found = j, true
 			}
+		}
+		if found {
+			return fmt.Errorf("lp: constraint %d references variable %d", i, bad)
 		}
 	}
 	return nil

@@ -185,14 +185,17 @@ func Solve(sched *trace.Schedule, w packet.Workload, opts Options) *Result {
 		for i, m := range meetings {
 			fullCap[i] = m.Bytes
 		}
+		blockers := make([]bool, len(ordered))
 		for i2 := range ordered {
 			ideal, idealAt := earliestPath(meetings, fullCap, ordered[i2])
 			if ideal == nil || idealAt >= arrivals[i2] {
 				continue // already optimal for itself
 			}
 			// Blockers: packets holding capacity on the ideal path's
-			// saturated meetings.
-			blockers := map[int]bool{}
+			// saturated meetings, tried in packet order so the first
+			// helpful eviction, and with it the result, is the same
+			// on every call.
+			clear(blockers)
 			for _, mi := range ideal {
 				if residual[mi] < ordered[i2].Size {
 					for i1 := range ordered {
@@ -207,7 +210,10 @@ func Solve(sched *trace.Schedule, w packet.Workload, opts Options) *Result {
 					}
 				}
 			}
-			for i1 := range blockers {
+			for i1, blocks := range blockers {
+				if !blocks {
+					continue
+				}
 				before := contribution(i1) + contribution(i2)
 				old1, old1At := paths[i1], arrivals[i1]
 				old2, old2At := paths[i2], arrivals[i2]

@@ -2,6 +2,7 @@ package optimal
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"rapid/internal/packet"
@@ -177,5 +178,27 @@ func TestILPTooLarge(t *testing.T) {
 	}
 	if _, err := SolveILP(sched, w, 0); err != ErrTooLarge {
 		t.Errorf("expected ErrTooLarge, got %v", err)
+	}
+}
+
+// TestSolveRepeatable: solving one instance again yields the same
+// deliveries. The instance is a 6-hour DieselNet day at a trace load,
+// dense enough that the eviction sweep finds several blockers of one
+// victim; trying them in an unspecified order made the oracle return a
+// different answer from call to call.
+func TestSolveRepeatable(t *testing.T) {
+	cfg := trace.DefaultDieselNet()
+	cfg.DayHours = 6
+	sched := trace.NewDieselNet(cfg).Day(0)
+	w := packet.Generate(packet.GenConfig{
+		Nodes: sched.Nodes(), PacketsPerHourPerDest: 2, LoadWindow: 3600,
+		Duration: sched.Duration, PacketSize: 1 << 10, Deadline: 2.7 * 3600,
+		FirstID: 1,
+	}, rand.New(rand.NewSource(1)))
+	want := Solve(sched, w, Options{}).Deliveries
+	for i := range 4 {
+		if got := Solve(sched, w, Options{}).Deliveries; !reflect.DeepEqual(got, want) {
+			t.Fatalf("solve %d returned different deliveries than the first", i+2)
+		}
 	}
 }

@@ -65,7 +65,7 @@ func TestPlanSpecMatchesExpanded(t *testing.T) {
 	p := megaParams()
 	s := Scenario{
 		Family: "plan-equiv", Tag: "plan-equiv",
-		Schedule: ConstellationSchedule(p),
+		Schedule: constellationSchedule(p),
 		Workload: constellationWorkload(2, p.Ground, p.OrbitPeriod),
 		Protocol: ProtoRapid, Metric: NormalizeMetric(ProtoRapid, core.AvgDelay),
 		Config: constellationOverrides(),
@@ -92,7 +92,7 @@ func TestPlanSpecMatchesExpanded(t *testing.T) {
 // longer a pure plan, so it materializes its (perturbed) schedule.
 func TestLazyFallsBackToMaterialized(t *testing.T) {
 	p := megaParams()
-	ss := ConstellationSchedule(p)
+	ss := constellationSchedule(p)
 	ss.Perturb = true
 	ss.PerturbCfg = trace.DefaultPerturb()
 	s := Scenario{

@@ -2,7 +2,10 @@ package scenario
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+
+	"rapid/internal/core"
+	"rapid/internal/disrupt"
 )
 
 // Params scales a family's grid. Families ignore fields they do not
@@ -52,49 +55,86 @@ func DefaultParams() Params {
 	}
 }
 
+// Population names the population of a scale that sizes a family's
+// grid: exp.FamilyParams fills Params from it.
+type Population int
+
+const (
+	// PopSynthetic is Table 4's synthetic population on the synthetic
+	// load axis.
+	PopSynthetic Population = iota
+	// PopTrace is the scale's DieselNet days on the trace load axis.
+	PopTrace
+	// PopConstellation is the scale's orbital constellation on its own
+	// load axis, run for at least one orbit.
+	PopConstellation
+	// PopMega is the mega-constellation scale arm's population.
+	PopMega
+)
+
 // Family is a named, documented scenario generator in the registry.
 type Family struct {
 	Name string
 	// Doc is a one-line description shown by `experiments -families`.
 	Doc string
+	// Population sizes the family's grid at a given scale.
+	Population Population
 	// Gen expands the family into its scenario grid.
 	Gen func(p Params) []Scenario
 }
 
-var (
-	registry     = map[string]Family{}
-	registryName []string
-)
-
-// Register adds a family to the registry. Registering a duplicate name
-// panics: families are package-level declarations, so a collision is a
-// programming error.
-func Register(f Family) {
-	if f.Name == "" || f.Gen == nil {
-		panic("scenario: family must have a name and a generator")
+// grid declares a family whose scenarios cross, outermost first, the
+// disruption axis (nil: pristine only), the protocol arms (arms unless
+// Params names its own; nil: ComparisonSet), the loads, the DieselNet
+// days (PopTrace only) and the runs. point fills in the schedule,
+// workload and storage of one (day, load) coordinate.
+func grid(name string, pop Population, doc string, arms []Proto, disruptions func(Params) []disrupt.Spec, point func(p Params, day int, load float64) Scenario) Family {
+	if arms == nil {
+		arms = ComparisonSet()
 	}
-	if _, dup := registry[f.Name]; dup {
-		panic(fmt.Sprintf("scenario: duplicate family %q", f.Name))
-	}
-	registry[f.Name] = f
-	registryName = append(registryName, f.Name)
+	return Family{Name: name, Doc: doc, Population: pop, Gen: func(p Params) []Scenario {
+		protos := arms
+		if len(p.Protocols) > 0 {
+			protos = p.Protocols
+		}
+		axis := []disrupt.Spec{{}}
+		if disruptions != nil {
+			axis = disruptions(p)
+		}
+		days := 1
+		if pop == PopTrace {
+			days = max(p.Days, 1)
+		}
+		var out []Scenario
+		for _, d := range axis {
+			for _, proto := range protos {
+				for _, load := range p.Loads {
+					for day := range days {
+						s := point(p, day, load)
+						s.Family, s.Tag, s.Disruption = name, p.Tag, d
+						s.Protocol, s.Metric = proto, core.AvgDelay
+						for run := range p.Runs {
+							s.Run = run
+							out = append(out, s)
+						}
+					}
+				}
+			}
+		}
+		return out
+	}}
 }
 
-// Families returns every registered family sorted by name.
-func Families() []Family {
-	names := append([]string(nil), registryName...)
-	sort.Strings(names)
-	out := make([]Family, 0, len(names))
-	for _, n := range names {
-		out = append(out, registry[n])
-	}
-	return out
-}
+// Families returns every family, sorted by name.
+func Families() []Family { return slices.Clone(families) }
 
 // Lookup finds a family by name.
 func Lookup(name string) (Family, bool) {
-	f, ok := registry[name]
-	return f, ok
+	i := slices.IndexFunc(families, func(f Family) bool { return f.Name == name })
+	if i < 0 {
+		return Family{}, false
+	}
+	return families[i], true
 }
 
 // Expand generates the named family's grid or errors on an unknown

@@ -223,12 +223,21 @@ func TestHeteroBuffersMaterialize(t *testing.T) {
 	}
 }
 
-// TestRegistryFamilies: every registered family expands to a non-empty,
+// TestRegistryFamilies: the registry's names are unique and sorted, and
+// every family has a generator and expands to a non-empty,
 // duplicate-free scenario set carrying its own name.
 func TestRegistryFamilies(t *testing.T) {
 	fams := Families()
 	if len(fams) < 6 {
 		t.Fatalf("registry has %d families, want >= 6", len(fams))
+	}
+	for i, f := range fams {
+		if f.Name == "" || f.Gen == nil {
+			t.Errorf("family %d (%q) lacks a name or a generator", i, f.Name)
+		}
+		if i > 0 && fams[i-1].Name >= f.Name {
+			t.Errorf("families %q and %q are duplicated or out of name order", fams[i-1].Name, f.Name)
+		}
 	}
 	p := DefaultParams()
 	p.Loads = []float64{4}

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"sync"
@@ -304,7 +305,8 @@ func expandSpec(spec JobSpec) ([]scenario.Scenario, error) {
 	if spec.Reps < 0 {
 		return nil, fmt.Errorf("reps %d is negative", spec.Reps)
 	}
-	sc, err := scaleByName(spec.Scale)
+	// A service opts in to heavy grids explicitly: no scale is tiny.
+	sc, err := exp.ScaleByName(cmp.Or(spec.Scale, "tiny"))
 	if err != nil {
 		return nil, err
 	}
@@ -367,20 +369,6 @@ func checkJobSize(family string, p scenario.Params) error {
 		return fmt.Errorf("family %q at %d runs expands to more than %d scenarios", family, p.Runs, maxScenariosPerJob)
 	}
 	return nil
-}
-
-// scaleByName maps the wire scale names onto exp scales, defaulting to
-// tiny — a service should opt in to heavy grids explicitly.
-func scaleByName(name string) (exp.Scale, error) {
-	switch name {
-	case "", "tiny":
-		return exp.TinyScale(), nil
-	case "default":
-		return exp.DefaultScale(), nil
-	case "full":
-		return exp.FullScale(), nil
-	}
-	return exp.Scale{}, fmt.Errorf("unknown scale %q (want tiny, default or full)", name)
 }
 
 // validateProto rejects protocol names without a registered arm before

@@ -805,3 +805,22 @@ func TestMetricsExposition(t *testing.T) {
 		t.Errorf("+Inf bucket %v != count", prev)
 	}
 }
+
+// TestJobScaleNames: a family job naming no scale runs at tiny, and an
+// unknown scale is rejected.
+func TestJobScaleNames(t *testing.T) {
+	implicit, err := expandSpec(JobSpec{Family: "synth-exponential"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tiny, err := expandSpec(JobSpec{Family: "synth-exponential", Scale: "tiny"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(implicit, tiny) {
+		t.Error("a job with no scale does not run the tiny grid")
+	}
+	if _, err := expandSpec(JobSpec{Family: "synth-exponential", Scale: "huge"}); err == nil {
+		t.Error("unknown scale accepted")
+	}
+}

@@ -33,13 +33,9 @@ import (
 	"rapid/internal/mobility"
 	"rapid/internal/packet"
 	"rapid/internal/routing"
-	"rapid/internal/routing/cgr"
-	"rapid/internal/routing/epidemic"
-	"rapid/internal/routing/maxprop"
 	"rapid/internal/routing/optimal"
-	"rapid/internal/routing/prophet"
-	"rapid/internal/routing/randomw"
 	"rapid/internal/routing/spraywait"
+	"rapid/internal/scenario"
 	"rapid/internal/trace"
 )
 
@@ -129,16 +125,15 @@ type Config struct {
 	Seed int64
 }
 
-// Protocol is an opaque routing-protocol selection.
+// Protocol is an opaque routing-protocol selection: a protocol arm of
+// the experiment harness and the metric RAPID optimizes.
 type Protocol struct {
-	name    string
-	factory routing.RouterFactory
-	// newFactory, when set, derives a fresh factory per Run — required
-	// by protocols whose routers share per-run planner state (CGR), so
-	// a Protocol value stays safely reusable across runs.
-	newFactory func() routing.RouterFactory
-	acks       bool // protocol expects ack flooding (MaxProp)
-	noCtl      bool // protocol uses no control channel at all
+	name   string
+	arm    scenario.Proto
+	metric Metric
+	// sprayL, when positive, replaces Spray and Wait's default token
+	// budget.
+	sprayL int
 }
 
 // Name returns the protocol's display name.
@@ -146,49 +141,39 @@ func (p Protocol) Name() string { return p.name }
 
 // RAPID returns the paper's protocol optimizing the given metric.
 func RAPID(m Metric) Protocol {
-	return Protocol{name: "rapid/" + m.String(), factory: core.New(m)}
+	return Protocol{name: "rapid/" + m.String(), arm: scenario.ProtoRapid, metric: m}
 }
 
 // MaxProp returns the MaxProp baseline [Burgess et al. 2006].
-func MaxProp() Protocol {
-	return Protocol{name: "maxprop", factory: maxprop.New(), acks: true}
-}
+func MaxProp() Protocol { return Protocol{name: "maxprop", arm: scenario.ProtoMaxProp} }
 
 // SprayAndWait returns binary Spray and Wait with token budget l
 // (l <= 0 selects the paper's L = 12).
 func SprayAndWait(l int) Protocol {
-	return Protocol{name: "spray-and-wait", factory: spraywait.New(l), noCtl: true}
+	return Protocol{name: "spray-and-wait", arm: scenario.ProtoSprayWait, sprayL: l}
 }
 
 // PRoPHET returns the PRoPHET baseline with the paper's parameters.
-func PRoPHET() Protocol {
-	return Protocol{name: "prophet", factory: prophet.New(prophet.DefaultParams()), noCtl: true}
-}
+func PRoPHET() Protocol { return Protocol{name: "prophet", arm: scenario.ProtoProphet} }
 
 // Random returns the random-replication baseline.
-func Random() Protocol {
-	return Protocol{name: "random", factory: randomw.New(), noCtl: true}
-}
+func Random() Protocol { return Protocol{name: "random", arm: scenario.ProtoRandom} }
 
 // RandomWithAcks returns Random plus acknowledgment flooding (the
 // Fig. 14 component arm).
 func RandomWithAcks() Protocol {
-	return Protocol{name: "random+acks", factory: randomw.New(), acks: true}
+	return Protocol{name: "random+acks", arm: scenario.ProtoRandomAcks}
 }
 
 // Epidemic returns classic epidemic flooding.
-func Epidemic() Protocol {
-	return Protocol{name: "epidemic", factory: epidemic.New()}
-}
+func Epidemic() Protocol { return Protocol{name: "epidemic", arm: scenario.ProtoEpidemic} }
 
 // CGR returns contact-graph routing: single-copy earliest-arrival
 // planning over the full schedule, with per-window capacity and relay
 // buffer reservations, re-planning when a window is missed or cut off.
 // It treats the schedule passed to Run as a contact plan known a
 // priori (the satellite-DTN setting), so it needs no control channel.
-func CGR() Protocol {
-	return Protocol{name: "cgr", newFactory: cgr.New, noCtl: true}
-}
+func CGR() Protocol { return Protocol{name: "cgr", arm: scenario.ProtoCGR} }
 
 // Result couples the run summary with per-packet records for deeper
 // analysis.
@@ -215,14 +200,12 @@ func Run(sched *Schedule, w Workload, p Protocol, cfg Config) Result {
 		MetaFraction:  -1,
 		Hops:          cfg.Hops,
 		LocalOnlyMeta: cfg.LocalMetaOnly,
-		AcksOnly:      cfg.AcksOnly || p.acks,
+		AcksOnly:      cfg.AcksOnly,
 	}
-	switch {
-	case p.noCtl:
-		rcfg.Mode = routing.ControlNone
-	case cfg.Control == InstantGlobal:
+	switch cfg.Control {
+	case InstantGlobal:
 		rcfg.Mode = routing.ControlGlobal
-	case cfg.Control == NoControl:
+	case NoControl:
 		rcfg.Mode = routing.ControlNone
 	default:
 		rcfg.Mode = routing.ControlInBand
@@ -232,9 +215,12 @@ func Run(sched *Schedule, w Workload, p Protocol, cfg Config) Result {
 	} else if cfg.MetaFraction < 0 {
 		rcfg.MetaFraction = 0
 	}
-	factory := p.factory
-	if p.newFactory != nil {
-		factory = p.newFactory()
+	// The arm builds a fresh factory on every call (CGR's routers share
+	// per-run planner state) and sets the acks and control channel the
+	// protocol needs.
+	factory, rcfg := scenario.Arm(p.arm, p.metric, rcfg)
+	if p.sprayL > 0 {
+		factory = spraywait.New(p.sprayL)
 	}
 	col := routing.Run(routing.Scenario{
 		Schedule: sched,
