@@ -126,9 +126,11 @@ func (r *Router) PlanReplication(peer *routing.Node, now float64) []*buffer.Entr
 	matches := r.matchScratch[:0]
 	// The custody rank of this event: the live window itself, so a
 	// re-plan may depart through the very contact being executed or any
-	// same-instant window still pending.
+	// same-instant window still pending. Windowed contacts consult
+	// routers only at open, so the live window starts now; a contact
+	// from outside the primed schedule has none.
 	r0 := rankStreamed
-	if cur := r.pl.liveWindow(r.node.ID, peer.ID, now); cur >= 0 {
+	if cur := r.pl.g.Live(r.node.ID, peer.ID, now, timeEps); cur >= 0 {
 		r0 = cur - 1
 	}
 	for _, e := range r.node.Store.Entries() {
@@ -139,8 +141,8 @@ func (r *Router) PlanReplication(peer *routing.Node, now float64) []*buffer.Entr
 		var bestAt float64
 		for _, rt := range r.pl.executable(e.P, r.node.ID, now, r0) {
 			h := rt.hops[rt.next]
-			w := &r.pl.windows[h.win]
-			if h.to != peer.ID || now < w.start-timeEps || now > w.end+timeEps {
+			w := &r.pl.g.Edges[h.win]
+			if h.to != peer.ID || now < w.Start-timeEps || now > w.End+timeEps {
 				continue // planned through a different contact
 			}
 			if !matched || rt.arriveAt() < bestAt {

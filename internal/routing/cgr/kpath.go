@@ -52,7 +52,7 @@ func (pl *Planner) kAlternates(p *packet.Packet, from packet.NodeID, now float64
 				// how the prefix would really arrive there: a point
 				// meeting stamps its window index, a streamed window
 				// completes after every pre-scheduled same-instant event.
-				if pl.windows[h.win].rate == 0 {
+				if pl.g.Edges[h.win].Rate == 0 {
 					spurRank = h.win
 				} else {
 					spurRank = rankStreamed
@@ -163,7 +163,7 @@ func (pl *Planner) selectRoute(cands []*route, now float64) *route {
 func (pl *Planner) width(r *route) int64 {
 	w := int64(math.MaxInt64)
 	for _, h := range r.hops {
-		if res := pl.windows[h.win].residual; res < w {
+		if res := pl.residual[h.win]; res < w {
 			w = res
 		}
 	}

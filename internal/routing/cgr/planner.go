@@ -2,7 +2,7 @@ package cgr
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"rapid/internal/minheap"
 	"rapid/internal/packet"
@@ -17,24 +17,12 @@ import (
 // desynchronizing the plan.
 const timeEps = 1e-9
 
-// window is one concrete transfer opportunity of the contact graph —
-// an expanded occurrence, not a periodic rule. Point meetings carry
-// rate == 0 and end == start.
+// A window is one edge of the run's trace.ContactGraph, and its edge
+// index doubles as its execution rank: among same-instant events, a
+// lower index runs first. The planner exploits this to chain
+// same-instant hops exactly when the event order realizes them,
+// instead of guessing.
 //
-// A window's index in Planner.windows doubles as its execution rank:
-// the runtime schedules the workload first, then every meeting in
-// schedule order, then every contact span — so among same-instant
-// events, a lower index runs first. The planner exploits this to chain
-// same-instant hops exactly when the event order realizes them, instead
-// of guessing.
-type window struct {
-	a, b       packet.NodeID
-	start, end float64
-	rate       float64 // bytes/s; 0 for a point meeting
-	cap0       int64   // nominal capacity (serialization baseline)
-	residual   int64   // capacity not yet reserved by planned routes
-}
-
 // Custody ranks bracketing the window indices: rankGenerated orders
 // packet-creation events before every same-instant window (the runtime
 // schedules the workload first); rankStreamed orders a windowed
@@ -100,8 +88,8 @@ type banSet struct {
 	nodes  []packet.NodeID
 }
 
-// Planner is the shared contact-graph state of one run: the expanded
-// windows, per-window residual capacity, per-node planned buffer
+// Planner is the shared planning state of one run over its contact
+// graph: per-window residual capacity, per-node planned buffer
 // reservations, and every packet's live routes and custodians. All of
 // a run's CGR routers share one Planner; the simulator is
 // single-threaded, so no locking.
@@ -110,11 +98,11 @@ type banSet struct {
 // (DESIGN.md §11; trace validation bounds them by trace.MaxNodeID),
 // and index sizes every per-node slice once, at prime.
 type Planner struct {
-	pol     Policy
-	windows []window
-	byNode  [][]int // window indices touching the node, start-sorted
-	nodes   map[packet.NodeID]*routing.Node
-	capOf   []int64 // per-node buffer capacity; <= 0: unlimited
+	pol      Policy
+	g        *trace.ContactGraph
+	residual []int64 // per window: capacity not yet reserved by routes
+	nodes    map[packet.NodeID]*routing.Node
+	capOf    []int64 // per-node buffer capacity; <= 0: unlimited
 	// routes holds each packet's live replica routes, creation-ordered;
 	// at most pol.Copies entries per packet.
 	routes map[packet.ID][]*route
@@ -175,74 +163,31 @@ func newPlanner(pol Policy) *Planner {
 	return pl
 }
 
-// prime builds the contact graph from the expanded schedule: one window
-// per meeting occurrence and per duration-aware contact. Idempotent —
-// every router of the run delegates here, the first call wins.
+// prime builds the run's contact graph from the expanded schedule.
+// Idempotent — every router of the run delegates here, the first call
+// wins.
 func (pl *Planner) prime(s *trace.Schedule, net *routing.Network) {
 	if pl.primed {
 		return
 	}
 	pl.primed = true
-	for _, m := range s.Meetings {
-		pl.windows = append(pl.windows, window{
-			a: m.A, b: m.B, start: m.Time, end: m.Time,
-			cap0: m.Bytes, residual: m.Bytes,
-		})
-	}
-	for _, c := range s.Contacts {
-		w := window{a: c.A, b: c.B, start: c.Start, end: c.Start, cap0: c.Bytes, residual: c.Bytes}
-		if c.Windowed() {
-			// Capacity must be the runtime's own budget figure
-			// (Contact.Capacity — recomputing RateBps·(end−start) can
-			// round one byte above it and plan a transfer the session
-			// budget then refuses forever), shrunk when the horizon
-			// clips the window (Contact.EndWithin, the same rule the
-			// runtime closes by): only the in-horizon share can move.
-			end := c.EndWithin(s.Duration)
-			w.cap0 = c.Capacity()
-			if end < c.End() {
-				if clipped := int64(c.RateBps * (end - c.Start)); clipped < w.cap0 {
-					w.cap0 = clipped
-				}
-			}
-			w.end = end
-			w.rate = c.RateBps
-			w.residual = w.cap0
-		}
-		pl.windows = append(pl.windows, w)
-	}
 	n := 0
 	for id := range net.Nodes {
 		n = max(n, int(id)+1)
 	}
-	pl.index(n, net.Cfg.CapacityFor)
+	pl.index(trace.NewContactGraph(s), n, net.Cfg.CapacityFor)
 }
 
-// index sizes the per-node state over pl.windows — for node IDs
-// 0..n-1, where n covers minNodes and every window endpoint — and
-// builds the per-node window lists. capFor resolves each node's buffer
-// capacity once.
-func (pl *Planner) index(minNodes int, capFor func(packet.NodeID) int64) {
-	n := minNodes
-	for _, w := range pl.windows {
-		n = max(n, int(w.a)+1, int(w.b)+1)
+// index adopts the contact graph and sizes the per-node state for node
+// IDs 0..n-1, where n covers minNodes and every node of the graph.
+// capFor resolves each node's buffer capacity once.
+func (pl *Planner) index(g *trace.ContactGraph, minNodes int, capFor func(packet.NodeID) int64) {
+	pl.g = g
+	pl.residual = make([]int64, len(g.Edges))
+	for i := range g.Edges {
+		pl.residual[i] = g.Edges[i].Cap
 	}
-	pl.byNode = make([][]int, n)
-	for i, w := range pl.windows {
-		pl.byNode[w.a] = append(pl.byNode[w.a], i)
-		pl.byNode[w.b] = append(pl.byNode[w.b], i)
-	}
-	// Start-sorted per-node lists let the live-contact lookup and the
-	// search binary-search by time; ties keep execution-rank order.
-	for _, list := range pl.byNode {
-		sort.Slice(list, func(i, j int) bool {
-			wi, wj := &pl.windows[list[i]], &pl.windows[list[j]]
-			if wi.start != wj.start {
-				return wi.start < wj.start
-			}
-			return list[i] < list[j]
-		})
-	}
+	n := max(minNodes, g.NumNodes())
 	pl.capOf = make([]int64, n)
 	for v := range pl.capOf {
 		pl.capOf[v] = capFor(packet.NodeID(v))
@@ -253,48 +198,19 @@ func (pl *Planner) index(minNodes int, capFor func(packet.NodeID) int64) {
 	pl.prev = make([]hop, n)
 	pl.done = make([]bool, n)
 	pl.nodeMark = make([]uint32, n)
-	pl.winMark = make([]uint32, len(pl.windows))
-}
-
-// startingFrom returns the position of the first window in the
-// start-sorted list that starts at or after t.
-func (pl *Planner) startingFrom(list []int, t float64) int {
-	lo, hi := 0, len(list)
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if pl.windows[list[m]].start < t {
-			lo = m + 1
-		} else {
-			hi = m
-		}
-	}
-	return lo
-}
-
-// liveWindow locates the window being executed between two nodes at the
-// current instant — the session or window-open event calling into the
-// router — by binary search over the node's start-sorted windows.
-// Returns -1 when none matches (the contact came from outside the
-// primed schedule).
-func (pl *Planner) liveWindow(a, b packet.NodeID, now float64) int {
-	list := pl.byNode[a]
-	// Windowed contacts consult routers only at open, so start == now
-	// for every live window; search the equal-start run.
-	for i := pl.startingFrom(list, now-timeEps); i < len(list); i++ {
-		w := &pl.windows[list[i]]
-		if w.start > now+timeEps {
-			break
-		}
-		if (w.a == a && w.b == b) || (w.a == b && w.b == a) {
-			return list[i]
-		}
-	}
-	return -1
+	pl.winMark = make([]uint32, len(g.Edges))
 }
 
 // register records a node at attach time so custody transfers can drop
 // the sender's copy.
 func (pl *Planner) register(n *routing.Node) { pl.nodes[n.ID] = n }
+
+// drop removes the packet from the node's store, if the node is known.
+func (pl *Planner) drop(node packet.NodeID, id packet.ID) {
+	if n := pl.nodes[node]; n != nil {
+		n.Store.Remove(id)
+	}
+}
 
 // occupied sums planned buffer reservations at node covering instant t,
 // excluding packet id's own reservations.
@@ -424,17 +340,16 @@ func (pl *Planner) plan(p *packet.Packet, from packet.NodeID, now float64, r0 in
 			break
 		}
 		t, tr := dist[u], rank[u]
-		list := pl.byNode[u]
-		for _, wi := range list[pl.startingFrom(list, t-timeEps):] {
+		for _, wi := range pl.g.IncidentFrom(u, t-timeEps) {
 			if winMark[wi] == gen {
 				continue
 			}
-			w := &pl.windows[wi]
-			v := w.b
+			w := &pl.g.Edges[wi]
+			v := w.B
 			if v == u {
-				v = w.a
+				v = w.A
 			}
-			if done[v] || w.residual < p.Size {
+			if done[v] || pl.residual[wi] < p.Size {
 				continue
 			}
 			if v != p.Dst && nodeMark[v] == gen {
@@ -444,13 +359,13 @@ func (pl *Planner) plan(p *packet.Packet, from packet.NodeID, now float64, r0 in
 			// same-instant one with a rank not above the custody rank
 			// has already run (a meeting) or snapshotted its queues
 			// without the packet (a window open).
-			if sameInstant(w.start, t) && wi <= tr {
+			if sameInstant(w.Start, t) && wi <= tr {
 				continue
 			}
-			at, ar := w.start, wi
-			if w.rate != 0 {
-				at = w.start + float64(w.cap0-w.residual+p.Size)/w.rate
-				if at >= w.end-timeEps {
+			at, ar := w.Start, wi
+			if w.Rate != 0 {
+				at = w.Start + float64(w.Cap-pl.residual[wi]+p.Size)/w.Rate
+				if at >= w.End-timeEps {
 					// Strictly before close: the close event is
 					// pre-scheduled (lower sequence), so a completion
 					// landing exactly at the close instant is cut off.
@@ -461,7 +376,7 @@ func (pl *Planner) plan(p *packet.Packet, from packet.NodeID, now float64, r0 in
 			if (at < dist[v] || (at == dist[v] && ar < rank[v])) && pl.fitsBuffer(v, at, p) {
 				dist[v] = at
 				rank[v] = ar
-				prev[v] = hop{win: wi, from: u, to: v, depart: w.start, arrive: at}
+				prev[v] = hop{win: wi, from: u, to: v, depart: w.Start, arrive: at}
 				q.Push(pqItem{node: v, at: at, rank: ar})
 			}
 		}
@@ -512,7 +427,7 @@ func (pl *Planner) commit(p *packet.Packet, r *route, holder packet.NodeID) {
 	r.size = p.Size
 	r.holder = holder
 	for i, h := range r.hops {
-		pl.windows[h.win].residual -= p.Size
+		pl.residual[h.win] -= p.Size
 		if i+1 < len(r.hops) {
 			pl.resv[h.to] = append(pl.resv[h.to], reservation{
 				id: p.ID, rt: r, from: h.arrive, to: r.hops[i+1].arrive, bytes: p.Size,
@@ -527,29 +442,16 @@ func (pl *Planner) commit(p *packet.Packet, r *route, holder packet.NodeID) {
 // reservation it took — and forgets it.
 func (pl *Planner) releaseRoute(id packet.ID, r *route) {
 	for i := r.next; i < len(r.hops); i++ {
-		pl.windows[r.hops[i].win].residual += r.size
+		pl.residual[r.hops[i].win] += r.size
 	}
 	// Reservations live only at the route's own hop receivers — scan
 	// those nodes, not the whole network (release runs on every
-	// re-plan and delivery).
+	// re-plan and delivery). DeleteFunc zeroes the vacated tail,
+	// dropping the released route's pointers.
 	for _, h := range r.hops {
-		list := pl.resv[h.to]
-		out := list[:0]
-		for _, rv := range list {
-			if rv.rt != r {
-				out = append(out, rv)
-			}
-		}
-		clear(list[len(out):]) // drop the released routes' pointers
-		pl.resv[h.to] = out
+		pl.resv[h.to] = slices.DeleteFunc(pl.resv[h.to], func(rv reservation) bool { return rv.rt == r })
 	}
-	list := pl.routes[id]
-	out := list[:0]
-	for _, o := range list {
-		if o != r {
-			out = append(out, o)
-		}
-	}
+	out := slices.DeleteFunc(pl.routes[id], func(o *route) bool { return o == r })
 	if len(out) == 0 {
 		delete(pl.routes, id)
 	} else {
@@ -574,13 +476,13 @@ func (pl *Planner) fresh(r *route, node packet.NodeID, now float64) bool {
 		return false
 	}
 	h := r.hops[r.next]
-	return h.from == node && pl.windows[h.win].end >= now-timeEps
+	return h.from == node && pl.g.Edges[h.win].End >= now-timeEps
 }
 
 // executable returns the currently-executable routes of the packet's
 // replica held at node, re-planning stale ones (and giving a routeless
 // replica one route, copy budget permitting). r0 is the custody rank of
-// the calling event (rankGenerated at creation; liveWindow-1 during a
+// the calling event (rankGenerated at creation; the live window - 1 during a
 // contact). Returns a scratch slice valid until the next call; empty
 // when no feasible route exists at this instant — retries are throttled
 // to once per simulation time per custodian. With Copies == 1 and
@@ -668,12 +570,8 @@ func (pl *Planner) transferred(id packet.ID, from, to packet.NodeID) {
 	if pl.finished[id] {
 		// A replica of an already-delivered packet was in flight when
 		// delivery happened elsewhere: drop both ends.
-		if n := pl.nodes[from]; n != nil {
-			n.Store.Remove(id)
-		}
-		if n := pl.nodes[to]; n != nil {
-			n.Store.Remove(id)
-		}
+		pl.drop(from, id)
+		pl.drop(to, id)
 		return
 	}
 	matched := false
@@ -696,9 +594,7 @@ func (pl *Planner) transferred(id packet.ID, from, to packet.NodeID) {
 		}
 	}
 	if !still {
-		if n := pl.nodes[from]; n != nil {
-			n.Store.Remove(id)
-		}
+		pl.drop(from, id)
 	}
 }
 
@@ -710,9 +606,7 @@ func (pl *Planner) transferred(id packet.ID, from, to packet.NodeID) {
 // both session ends).
 func (pl *Planner) delivered(id packet.ID) {
 	for _, r := range pl.routes[id] {
-		if n := pl.nodes[r.holder]; n != nil {
-			n.Store.Remove(id)
-		}
+		pl.drop(r.holder, id)
 	}
 	pl.release(id)
 	pl.finished[id] = true
@@ -734,9 +628,9 @@ func (pl *Planner) admitAllowed(p *packet.Packet, now float64) bool {
 	}
 	pl.pruneAdmitted(p.Dst, now)
 	var capacity int64
-	for _, wi := range pl.byNode[p.Dst] {
-		if w := &pl.windows[wi]; w.end >= now-timeEps {
-			capacity += w.residual
+	for _, wi := range pl.g.Incident(p.Dst) {
+		if pl.g.Edges[wi].End >= now-timeEps {
+			capacity += pl.residual[wi]
 		}
 	}
 	budget := int64(pl.pol.AdmitFraction * float64(capacity))
@@ -757,41 +651,25 @@ func (pl *Planner) admit(p *packet.Packet) {
 // passed — they will never be delivered, and holding their claim would
 // choke the destination's quota forever.
 func (pl *Planner) pruneAdmitted(dst packet.NodeID, now float64) {
-	list, ok := pl.admitted[dst]
-	if !ok {
-		return
-	}
-	out := list[:0]
-	for _, e := range list {
-		if e.deadline > 0 && now >= e.deadline {
-			pl.admBytes[dst] -= e.bytes
-			delete(pl.admDst, e.id)
-			continue
-		}
-		out = append(out, e)
-	}
-	if len(out) == 0 {
-		delete(pl.admitted, dst)
-	} else {
-		pl.admitted[dst] = out
-	}
+	pl.forget(dst, func(e admEntry) bool { return e.deadline > 0 && now >= e.deadline })
 }
 
 // settleAdmitted clears a delivered packet's ledger claim.
 func (pl *Planner) settleAdmitted(id packet.ID) {
-	if pl.admDst == nil {
-		return
+	if dst, ok := pl.admDst[id]; ok {
+		pl.forget(dst, func(e admEntry) bool { return e.id == id })
 	}
-	dst, ok := pl.admDst[id]
-	if !ok {
-		return
-	}
-	delete(pl.admDst, id)
+}
+
+// forget drops the ledger claims toward dst that gone selects and
+// refunds their bytes.
+func (pl *Planner) forget(dst packet.NodeID, gone func(admEntry) bool) {
 	list := pl.admitted[dst]
 	out := list[:0]
 	for _, e := range list {
-		if e.id == id {
+		if gone(e) {
 			pl.admBytes[dst] -= e.bytes
+			delete(pl.admDst, e.id)
 			continue
 		}
 		out = append(out, e)

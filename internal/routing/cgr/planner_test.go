@@ -15,7 +15,9 @@ import (
 // The reference planner below is the original map-based search —
 // plan, its ban set and its frontier, kept verbatim apart from the
 // receiver and type names — used as the differential oracle for the
-// slice-based planner.
+// slice-based planner. It also keeps the original flattening of a
+// schedule into windows and its own map index of them, so the oracle
+// checks trace.ContactGraph as well as the search.
 
 type refBanSet struct {
 	parent *refBanSet
@@ -57,8 +59,47 @@ func (q pq) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
 func (q *pq) Push(x any)   { *q = append(*q, x.(pqItem)) }
 func (q *pq) Pop() any     { old := *q; n := len(old); it := old[n-1]; *q = old[:n-1]; return it }
 
+// refWindow is one transfer opportunity as the reference flattens it.
+type refWindow struct {
+	a, b       packet.NodeID
+	start, end float64
+	rate       float64 // bytes/s; 0 for a point meeting
+	cap0       int64   // nominal capacity (serialization baseline)
+	residual   int64   // capacity not yet reserved by planned routes
+}
+
+// refWindows flattens a schedule in execution rank: one window per
+// meeting, in schedule order, then one per contact, each window's
+// capacity shrunk to its in-horizon share.
+func refWindows(s *trace.Schedule) []refWindow {
+	var out []refWindow
+	for _, m := range s.Meetings {
+		out = append(out, refWindow{
+			a: m.A, b: m.B, start: m.Time, end: m.Time,
+			cap0: m.Bytes, residual: m.Bytes,
+		})
+	}
+	for _, c := range s.Contacts {
+		w := refWindow{a: c.A, b: c.B, start: c.Start, end: c.Start, cap0: c.Bytes, residual: c.Bytes}
+		if c.Windowed() {
+			end := c.EndWithin(s.Duration)
+			w.cap0 = c.Capacity()
+			if end < c.End() {
+				if clipped := int64(c.RateBps * (end - c.Start)); clipped < w.cap0 {
+					w.cap0 = clipped
+				}
+			}
+			w.end = end
+			w.rate = c.RateBps
+			w.residual = w.cap0
+		}
+		out = append(out, w)
+	}
+	return out
+}
+
 type refPlanner struct {
-	windows []window
+	windows []refWindow
 	byNode  map[packet.NodeID][]int
 	capFor  func(packet.NodeID) int64
 	resv    map[packet.NodeID][]reservation
@@ -69,9 +110,9 @@ type refPlanner struct {
 	done map[packet.NodeID]bool
 }
 
-func newRefPlanner(windows []window, capFor func(packet.NodeID) int64) *refPlanner {
+func newRefPlanner(s *trace.Schedule, capFor func(packet.NodeID) int64) *refPlanner {
 	pl := &refPlanner{
-		windows: windows, byNode: map[packet.NodeID][]int{}, capFor: capFor,
+		windows: refWindows(s), byNode: map[packet.NodeID][]int{}, capFor: capFor,
 		resv: map[packet.NodeID][]reservation{},
 		dist: map[packet.NodeID]float64{}, rank: map[packet.NodeID]int{},
 		prev: map[packet.NodeID]hop{}, done: map[packet.NodeID]bool{},
@@ -90,6 +131,21 @@ func newRefPlanner(windows []window, capFor func(packet.NodeID) int64) *refPlann
 		})
 	}
 	return pl
+}
+
+// live returns the first window between a and b, in a's start order,
+// that starts at now (within timeEps); -1 when none does.
+func (pl *refPlanner) live(a, b packet.NodeID, now float64) int {
+	for _, wi := range pl.byNode[a] {
+		w := &pl.windows[wi]
+		if !sameInstant(w.start, now) {
+			continue
+		}
+		if (w.a == a && w.b == b) || (w.a == b && w.b == a) {
+			return wi
+		}
+	}
+	return -1
 }
 
 func (pl *refPlanner) occupied(node packet.NodeID, t float64, id packet.ID) int64 {
@@ -208,15 +264,18 @@ func (s *byteStream) intn(n int) int {
 	return int(b) % n
 }
 
-// FuzzCGRPlan checks the slice-based planner against the reference
-// map-based search on random small contact graphs: point meetings and
-// streamed windows sharing start instants, partially consumed
-// residuals, finite buffers holding earlier reservations, chained ban
-// sets, and custody ranks before, between and after same-instant
-// windows. Several searches run back to back on one planner so stale
-// labels or ban stamps from an earlier search would surface. Both must
-// return the same hops, with bit-identical depart and arrive times, or
-// both nil.
+// FuzzCGRPlan checks the slice-based planner, primed through
+// trace.ContactGraph, against the reference map-based search over its
+// own flattening, on random small schedules: point meetings,
+// zero-duration contacts and streamed windows sharing start instants,
+// windows running past the horizon, partially consumed residuals,
+// finite buffers holding earlier reservations, chained ban sets, and
+// custody ranks before, between and after same-instant windows.
+// Several searches run back to back on one planner so stale labels or
+// ban stamps from an earlier search would surface. Every edge must
+// match the reference window, the live-window lookup must agree, and
+// both searches must return the same hops, with bit-identical depart
+// and arrive times, or both nil.
 func FuzzCGRPlan(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("\x06\x10\x00\x01\x02\x03\x04\x05\x06\x07\x08\x09\x0a\x0b\x0c\x0d\x0e\x0f"))
@@ -224,21 +283,28 @@ func FuzzCGRPlan(f *testing.F) {
 		in := byteStream(data)
 		nodes := 2 + in.intn(7)
 		nWins := 1 + in.intn(24)
-		var windows []window
+		// Starts fall in [0, 55] and windows close by 70, so a horizon
+		// of 60 or 65 clips the late ones.
+		sched := &trace.Schedule{Duration: 60 + 5*float64(in.intn(3))}
 		for i := 0; i < nWins; i++ {
 			a := packet.NodeID(in.intn(nodes))
 			b := packet.NodeID((int(a) + 1 + in.intn(nodes-1)) % nodes)
 			start := 5 * float64(in.intn(12))
-			w := window{a: a, b: b, start: start, end: start}
-			if in.intn(2) == 0 {
-				w.cap0 = 1024 * int64(1+in.intn(4))
-			} else {
-				w.rate = 256 * float64(1+in.intn(4))
-				w.end = start + 5*float64(1+in.intn(3))
-				w.cap0 = int64(w.rate * (w.end - w.start))
+			switch in.intn(3) {
+			case 0:
+				sched.Meetings = append(sched.Meetings, trace.Meeting{
+					A: a, B: b, Time: start, Bytes: 1024 * int64(1+in.intn(4)),
+				})
+			case 1:
+				sched.Contacts = append(sched.Contacts, trace.Contact{
+					A: a, B: b, Start: start, Bytes: 1024 * int64(1+in.intn(4)),
+				})
+			default:
+				sched.Contacts = append(sched.Contacts, trace.Contact{
+					A: a, B: b, Start: start,
+					Duration: 5 * float64(1+in.intn(3)), RateBps: 256 * float64(1+in.intn(4)),
+				})
 			}
-			w.residual = max(0, w.cap0-512*int64(in.intn(4)))
-			windows = append(windows, w)
 		}
 		caps := make([]int64, nodes) // 0: unlimited
 		for v := range caps {
@@ -249,9 +315,20 @@ func FuzzCGRPlan(f *testing.F) {
 		capFor := func(v packet.NodeID) int64 { return caps[v] }
 
 		pl := newPlanner(DefaultPolicy())
-		pl.windows = append([]window(nil), windows...)
-		pl.index(nodes, capFor)
-		ref := newRefPlanner(append([]window(nil), windows...), capFor)
+		pl.index(trace.NewContactGraph(sched), nodes, capFor)
+		ref := newRefPlanner(sched, capFor)
+		if len(pl.g.Edges) != len(ref.windows) {
+			t.Fatalf("graph has %d edges, reference %d windows", len(pl.g.Edges), len(ref.windows))
+		}
+		for i := range ref.windows {
+			e, w := pl.g.Edges[i], &ref.windows[i]
+			if e.A != w.a || e.B != w.b || e.Start != w.start || e.End != w.end || e.Rate != w.rate || e.Cap != w.cap0 {
+				t.Fatalf("edge %d is %+v, reference window %+v", i, e, *w)
+			}
+			used := 512 * int64(in.intn(4))
+			pl.residual[i] = max(0, e.Cap-used)
+			w.residual = max(0, w.cap0-used)
+		}
 		for k := in.intn(16); k > 0; k-- {
 			v := packet.NodeID(in.intn(nodes))
 			from := 5 * float64(in.intn(12))
@@ -281,7 +358,7 @@ func FuzzCGRPlan(f *testing.F) {
 				// custody a point meeting or a spur deviation hands on.
 				r0 = in.intn(nWins)
 				if in.intn(2) == 0 {
-					now = windows[r0].start
+					now = ref.windows[r0].start
 				}
 			}
 			var ban *banSet
@@ -299,6 +376,9 @@ func FuzzCGRPlan(f *testing.F) {
 					ban.nodes = append(ban.nodes, v)
 					refBan.nodes[v] = true
 				}
+			}
+			if got, want := pl.g.Live(from, p.Dst, now, timeEps), ref.live(from, p.Dst, now); got != want {
+				t.Fatalf("query %d: live window %d↔%d at %v is %d, reference %d", query, from, p.Dst, now, got, want)
 			}
 			got := pl.plan(p, from, now, r0, ban)
 			want := ref.plan(p, from, now, r0, refBan)
@@ -359,14 +439,17 @@ func TestFrontierOrder(t *testing.T) {
 // point meetings and streamed windows — allocates only the returned
 // route and its hop slice.
 func TestPlanAllocs(t *testing.T) {
-	var meetings []trace.Meeting
+	sched := &trace.Schedule{Duration: 100}
 	for i := 0; i < 40; i++ {
-		meetings = append(meetings,
+		sched.Meetings = append(sched.Meetings,
 			trace.Meeting{A: packet.NodeID(i % 20), B: packet.NodeID((i + 1) % 20), Time: float64(i), Bytes: 8 << 10},
 			trace.Meeting{A: packet.NodeID(i % 20), B: packet.NodeID((i + 7) % 20), Time: float64(i) + 0.5, Bytes: 8 << 10})
 	}
-	pl := handPlanner(DefaultPolicy(), meetings)
-	pl.windows[3].rate, pl.windows[3].end = 4096, pl.windows[3].start+4
+	// One streamed window among the meetings.
+	sched.Meetings = append(sched.Meetings[:3], sched.Meetings[4:]...)
+	sched.Contacts = []trace.Contact{{A: 1, B: 8, Start: 1.5, Duration: 4, RateBps: 4096}}
+	pl := newPlanner(DefaultPolicy())
+	pl.index(trace.NewContactGraph(sched), 0, func(packet.NodeID) int64 { return 0 })
 	p := &packet.Packet{ID: 1, Src: 0, Dst: 13, Size: 1024}
 	ban := &banSet{parent: &banSet{wins: []int{5}}, nodes: []packet.NodeID{7}}
 	if pl.plan(p, 0, 0, rankGenerated, ban) == nil {

@@ -27,7 +27,7 @@ func plannerOf(f routing.RouterFactory) *Planner {
 // committed size.
 func auditPlanner(t *testing.T, pl *Planner) {
 	t.Helper()
-	demand := make([]int64, len(pl.windows))
+	demand := make([]int64, len(pl.residual))
 	live := map[*route]packet.ID{}
 	for id, rs := range pl.routes {
 		if len(rs) > pl.pol.Copies {
@@ -59,14 +59,14 @@ func auditPlanner(t *testing.T, pl *Planner) {
 			}
 		}
 	}
-	for i := range pl.windows {
-		w := &pl.windows[i]
-		if w.residual < 0 || w.residual > w.cap0 {
-			t.Errorf("window %d residual %d outside [0, %d]", i, w.residual, w.cap0)
+	for i, res := range pl.residual {
+		c := pl.g.Edges[i].Cap
+		if res < 0 || res > c {
+			t.Errorf("window %d residual %d outside [0, %d]", i, res, c)
 		}
-		if demand[i] > w.cap0-w.residual {
+		if demand[i] > c-res {
 			t.Errorf("window %d: %d bytes of live untraversed demand exceed the %d bytes reserved",
-				i, demand[i], w.cap0-w.residual)
+				i, demand[i], c-res)
 		}
 	}
 	for node, list := range pl.resv {
@@ -86,19 +86,13 @@ func auditPlanner(t *testing.T, pl *Planner) {
 	}
 }
 
-// handPlanner builds a primed planner over explicit point meetings
-// with unlimited buffers, bypassing the runtime (pure planner unit
-// tests).
+// handPlanner builds a primed planner over the contact graph of
+// explicit point meetings with unlimited buffers, bypassing the runtime
+// (pure planner unit tests).
 func handPlanner(pol Policy, meetings []trace.Meeting) *Planner {
 	pl := newPlanner(pol)
 	pl.primed = true
-	for _, m := range meetings {
-		pl.windows = append(pl.windows, window{
-			a: m.A, b: m.B, start: m.Time, end: m.Time,
-			cap0: m.Bytes, residual: m.Bytes,
-		})
-	}
-	pl.index(0, func(packet.NodeID) int64 { return 0 })
+	pl.index(trace.NewContactGraph(&trace.Schedule{Meetings: meetings}), 0, func(packet.NodeID) int64 { return 0 })
 	return pl
 }
 
@@ -130,9 +124,9 @@ func TestReservationConservation(t *testing.T) {
 		t.Fatalf("plan: got %+v, want a 2-hop route", r)
 	}
 	pl.commit(p, r, 0)
-	if pl.windows[0].residual != 3096 || pl.windows[1].residual != 3096 {
+	if pl.residual[0] != 3096 || pl.residual[1] != 3096 {
 		t.Fatalf("residuals after commit: %d, %d, want 3096, 3096",
-			pl.windows[0].residual, pl.windows[1].residual)
+			pl.residual[0], pl.residual[1])
 	}
 	if len(pl.resv[1]) != 1 {
 		t.Fatalf("relay 1 reservations: %d, want 1", len(pl.resv[1]))
@@ -140,9 +134,9 @@ func TestReservationConservation(t *testing.T) {
 	auditPlanner(t, pl)
 
 	pl.release(p.ID)
-	if pl.windows[0].residual != 4096 || pl.windows[1].residual != 4096 {
+	if pl.residual[0] != 4096 || pl.residual[1] != 4096 {
 		t.Fatalf("release must refund both hops exactly: %d, %d",
-			pl.windows[0].residual, pl.windows[1].residual)
+			pl.residual[0], pl.residual[1])
 	}
 	if reservedNodes(pl) != 0 || len(pl.routes) != 0 {
 		t.Fatalf("release leaked state: %d resv nodes, %d routed packets", reservedNodes(pl), len(pl.routes))
@@ -158,11 +152,11 @@ func TestReservationConservation(t *testing.T) {
 	}
 	auditPlanner(t, pl)
 	pl.release(p.ID)
-	if pl.windows[0].residual != 3096 {
-		t.Fatalf("window 0 residual %d, want 3096 (executed hop is spent for good)", pl.windows[0].residual)
+	if pl.residual[0] != 3096 {
+		t.Fatalf("window 0 residual %d, want 3096 (executed hop is spent for good)", pl.residual[0])
 	}
-	if pl.windows[1].residual != 4096 {
-		t.Fatalf("window 1 residual %d, want 4096 (untraversed hop refunded)", pl.windows[1].residual)
+	if pl.residual[1] != 4096 {
+		t.Fatalf("window 1 residual %d, want 4096 (untraversed hop refunded)", pl.residual[1])
 	}
 }
 

@@ -20,7 +20,12 @@ package routing_test
 //   5. under disruption: a transfer the loss model killed never
 //      results in a delivery, and no opportunity completes — nor any
 //      packet arrives — through a node strictly inside one of its
-//      churn down intervals.
+//      churn down intervals;
+//   6. no packet is first delivered before its capacity-free earliest
+//      arrival over the schedule the run replays (earliestArrivals).
+//      Loss, contact failure and churn only remove opportunities, so
+//      the bound holds for every arm under them; jitter can move a
+//      contact earlier, so jittered grid points skip this check.
 //
 // The grid sweeps each disruption model (loss + contact failure,
 // churn, window jitter, loss over streamed windows) as its own rows,
@@ -35,6 +40,7 @@ import (
 	"rapid/internal/packet"
 	"rapid/internal/routing"
 	"rapid/internal/scenario"
+	"rapid/internal/trace"
 )
 
 // invariantGrid is the scenario matrix: statistical mobility with
@@ -261,10 +267,60 @@ func checkInvariants(t *testing.T, s scenario.Scenario) {
 		}
 	}
 
+	// Invariant 6: the capacity-free earliest arrival is a lower bound
+	// on every first delivery. A jittered contact may open before its
+	// nominal start, which the bound does not model.
+	if s.Disruption.JitterSec <= 0 {
+		sched := rs.Schedule
+		if sched == nil {
+			sched = rs.Plan.Expand()
+		}
+		lower := earliestArrivals(sched, rs.Workload)
+		for i, p := range rs.Workload {
+			if at, ok := firstDelivery[p.ID]; ok && at < lower[i] {
+				t.Errorf("packet %d delivered at %v, before its capacity-free earliest arrival %v", p.ID, at, lower[i])
+			}
+		}
+	}
+
 	// Aggregate conservation: total moved bytes cannot exceed total
 	// offered opportunity.
 	if sum.DataBytes+sum.MetaBytes > sum.OpportunityBytes {
 		t.Errorf("moved %d data + %d meta bytes over the %d bytes of total opportunity",
 			sum.DataBytes, sum.MetaBytes, sum.OpportunityBytes)
 	}
+}
+
+// earliestArrivals returns each packet's capacity-free earliest
+// arrival at its destination (+Inf when unreachable): a scan of the
+// schedule's contact graph in start order, each window folded to its
+// start. Folding only moves arrivals earlier and ignoring capacity
+// only adds paths, so no run of the schedule can deliver earlier.
+func earliestArrivals(sched *trace.Schedule, w packet.Workload) []float64 {
+	g := trace.NewContactGraph(sched)
+	order := g.ByStart()
+	n := g.NumNodes()
+	for _, p := range w {
+		n = max(n, int(p.Src)+1, int(p.Dst)+1)
+	}
+	arrive := make([]float64, n)
+	out := make([]float64, len(w))
+	for i, p := range w {
+		for v := range arrive {
+			arrive[v] = math.Inf(1)
+		}
+		arrive[p.Src] = p.Created
+		for _, ei := range order {
+			e := &g.Edges[ei]
+			ta, tb := arrive[e.A], arrive[e.B]
+			if ta <= e.Start {
+				arrive[e.B] = min(arrive[e.B], e.Start)
+			}
+			if tb <= e.Start {
+				arrive[e.A] = min(arrive[e.A], e.Start)
+			}
+		}
+		out[i] = arrive[p.Dst]
+	}
+	return out
 }

@@ -10,7 +10,10 @@ import (
 
 // SolveILP encodes the Appendix-D integer linear program for the given
 // instance and solves it exactly with internal/lp. The formulation
-// discretizes time into the meeting sequence:
+// discretizes time into the contact graph's edges in start order, each
+// window folded to a meeting at its start carrying the edge's capacity
+// (the relaxation Solve makes), so point meetings, zero-duration
+// contacts and windows all become meetings k:
 //
 //   - H(p,n,k) ∈ {0,1}: node n holds packet p before meeting k
 //     (k ∈ [0, E]; the conservation constraint Σ_n H(p,n,k) = 1
@@ -30,18 +33,16 @@ import (
 // limited to only 6 packets per hour per destination"); ErrTooLarge
 // guards the dense solver.
 func SolveILP(sched *trace.Schedule, w packet.Workload, maxNodes int) (*Result, error) {
-	E := len(sched.Meetings)
+	g := trace.NewContactGraph(sched)
+	order := g.ByStart()
+	meeting := func(k int) *trace.Edge { return &g.Edges[order[k]] }
+	E := len(order)
 	P := len(w)
-	nodes := participantNodes(sched, w)
-	N := len(nodes)
+	nodeIdx := nodeIndex(g, w)
+	N := len(nodeIdx)
 	if P*N*(E+1) > 6000 {
 		return nil, ErrTooLarge
 	}
-	nodeIdx := make(map[packet.NodeID]int, N)
-	for i, n := range nodes {
-		nodeIdx[n] = i
-	}
-	meetings := append([]trace.Meeting(nil), sched.Meetings...)
 
 	// Variable layout:
 	//   H(p,n,k) at hBase + p*N*(E+1) + n*(E+1) + k
@@ -77,9 +78,9 @@ func SolveILP(sched *trace.Schedule, w packet.Workload, maxNodes int) (*Result, 
 		for k := 0; k < E; k++ {
 			segEnd := sched.Duration
 			if k+1 < E {
-				segEnd = meetings[k+1].Time
+				segEnd = meeting(k + 1).Start
 			}
-			seg := segEnd - meetings[k].Time
+			seg := segEnd - meeting(k).Start
 			if seg <= 0 {
 				continue
 			}
@@ -107,10 +108,11 @@ func SolveILP(sched *trace.Schedule, w packet.Workload, maxNodes int) (*Result, 
 			}
 			addEq(map[int]float64{hVar(pi, n, 0): 1}, want)
 		}
-		for k, m := range meetings {
+		for k := range E {
+			m := meeting(k)
 			ai, bi := nodeIdx[m.A], nodeIdx[m.B]
 			// Creation-time and destination-stickiness restrictions.
-			if m.Time < p.Created {
+			if m.Start < p.Created {
 				addEq(map[int]float64{xVar(pi, k, 0): 1}, 0)
 				addEq(map[int]float64{xVar(pi, k, 1): 1}, 0)
 			} else {
@@ -149,13 +151,13 @@ func SolveILP(sched *trace.Schedule, w packet.Workload, maxNodes int) (*Result, 
 		}
 	}
 	// Bandwidth constraints per meeting.
-	for k, m := range meetings {
+	for k := range E {
 		c := map[int]float64{}
 		for pi, p := range w {
 			c[xVar(pi, k, 0)] = float64(p.Size)
 			c[xVar(pi, k, 1)] = float64(p.Size)
 		}
-		addLE(c, float64(m.Bytes))
+		addLE(c, float64(meeting(k).Cap))
 	}
 
 	sol, err := lp.SolveILP(prob, lp.BnBOptions{MaxNodes: maxNodes})
@@ -173,7 +175,7 @@ func SolveILP(sched *trace.Schedule, w packet.Workload, maxNodes int) (*Result, 
 		for k := 1; k <= E; k++ {
 			if sol.X[hVar(pi, dn, k)] > 0.5 {
 				d.Delivered = true
-				d.DeliveredAt = meetings[k-1].Time
+				d.DeliveredAt = meeting(k - 1).Start
 				break
 			}
 		}
@@ -193,24 +195,25 @@ func SolveILP(sched *trace.Schedule, w packet.Workload, maxNodes int) (*Result, 
 // size; use Solve (the oracle) instead.
 var ErrTooLarge = errors.New("optimal: instance too large for the exact ILP — use the oracle")
 
-// participantNodes unions schedule and workload endpoints.
-func participantNodes(sched *trace.Schedule, w packet.Workload) []packet.NodeID {
-	seen := map[packet.NodeID]bool{}
-	var out []packet.NodeID
+// nodeIndex numbers the graph's nodes in ID order, then the workload's
+// other endpoints in order of appearance.
+func nodeIndex(g *trace.ContactGraph, w packet.Workload) map[packet.NodeID]int {
+	idx := map[packet.NodeID]int{}
 	add := func(id packet.NodeID) {
-		if !seen[id] {
-			seen[id] = true
-			out = append(out, id)
+		if _, ok := idx[id]; !ok {
+			idx[id] = len(idx)
 		}
 	}
-	for _, id := range sched.Nodes() {
-		add(id)
+	for v := range g.NumNodes() {
+		if id := packet.NodeID(v); len(g.Incident(id)) > 0 {
+			add(id)
+		}
 	}
 	for _, p := range w {
 		add(p.Src)
 		add(p.Dst)
 	}
-	return out
+	return idx
 }
 
 // TotalDelay sums the Fig. 13 objective over a result (exposed for the

@@ -3,10 +3,12 @@
 // and the packet workload, providing an upper bound on the performance
 // of any online protocol (Fig. 13).
 //
-// Two solvers are provided:
+// Two solvers are provided, and both read the schedule as its
+// trace.ContactGraph: its edges in start order, each window folded to
+// a point meeting at its start carrying the edge's capacity.
 //
 //   - Solve: an earliest-arrival oracle that routes each packet along
-//     its earliest-delivery time-respecting path, reserving per-meeting
+//     its earliest-delivery time-respecting path, reserving per-edge
 //     capacity, followed by local-search improvement passes. It scales
 //     to full experiment instances.
 //
@@ -23,7 +25,7 @@ package optimal
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"rapid/internal/packet"
 	"rapid/internal/trace"
@@ -50,15 +52,7 @@ func (r *Result) AvgDelayAll() float64 {
 	if len(r.Deliveries) == 0 {
 		return 0
 	}
-	var sum float64
-	for _, d := range r.Deliveries {
-		if d.Delivered {
-			sum += d.DeliveredAt - d.P.Created
-		} else {
-			sum += r.Horizon - d.P.Created
-		}
-	}
-	return sum / float64(len(r.Deliveries))
+	return r.TotalDelay() / float64(len(r.Deliveries))
 }
 
 // DeliveryRate returns the fraction delivered.
@@ -89,47 +83,43 @@ func Solve(sched *trace.Schedule, w packet.Workload, opts Options) *Result {
 	} else if opts.ImprovePasses == 0 {
 		opts.ImprovePasses = 2
 	}
-	meetings := append([]trace.Meeting(nil), sched.Meetings...)
-	// Duration-aware contacts fold in as point meetings at their start
-	// carrying the full-window capacity. This is a relaxation — the
-	// oracle may move a window's last byte at its first instant — so the
-	// result stays a valid upper bound on any online protocol running
-	// the real windowed schedule (every realizable transfer within a
-	// window maps to a no-later transfer at the relaxed meeting, with
-	// identical per-opportunity capacity).
-	for _, c := range sched.Contacts {
-		meetings = append(meetings, trace.Meeting{
-			A: c.A, B: c.B, Time: c.Start, Bytes: c.Capacity(),
-		})
+	// Windows fold in as point meetings at their start carrying the
+	// edge's capacity, the bytes the runtime can move through them.
+	// This is a relaxation — the oracle may move a window's last byte at
+	// its first instant — so the result stays a valid upper bound on any
+	// online protocol running the real windowed schedule (every
+	// realizable transfer within a window maps to a no-later transfer at
+	// the relaxed meeting, with identical per-opportunity capacity).
+	g := trace.NewContactGraph(sched)
+	fullCap := make([]int64, len(g.Edges))
+	for i, e := range g.Edges {
+		fullCap[i] = e.Cap
 	}
-	sort.SliceStable(meetings, func(i, j int) bool { return meetings[i].Time < meetings[j].Time })
-	residual := make([]int64, len(meetings))
-	for i, m := range meetings {
-		residual[i] = m.Bytes
-	}
+	residual := slices.Clone(fullCap)
 
-	// paths[i] holds the meeting indices used by packet i.
+	// paths[i] holds the edge indices used by packet i.
 	ordered := append(packet.Workload{}, w...)
 	ordered.Sort()
+	sc := newScan(g, ordered)
 	paths := make([][]int, len(ordered))
 	arrivals := make([]float64, len(ordered))
 	for i := range arrivals {
 		arrivals[i] = math.Inf(1)
 	}
 
-	route := func(i int) {
-		p := ordered[i]
-		path, at := earliestPath(meetings, residual, p)
-		if path != nil {
-			for _, mi := range path {
-				residual[mi] -= p.Size
-			}
-			paths[i] = path
-			arrivals[i] = at
-		} else {
-			paths[i] = nil
-			arrivals[i] = math.Inf(1)
+	restore := func(i int, path []int, at float64) {
+		paths[i] = path
+		arrivals[i] = at
+		for _, mi := range path {
+			residual[mi] -= ordered[i].Size
 		}
+	}
+	route := func(i int) {
+		path, at := sc.earliestPath(residual, ordered[i])
+		if path == nil {
+			at = math.Inf(1)
+		}
+		restore(i, path, at)
 	}
 	release := func(i int) {
 		for _, mi := range paths[i] {
@@ -149,13 +139,6 @@ func Solve(sched *trace.Schedule, w packet.Workload, opts Options) *Result {
 			return sched.Duration - ordered[i].Created
 		}
 		return arrivals[i] - ordered[i].Created
-	}
-	restore := func(i int, path []int, at float64) {
-		paths[i] = path
-		arrivals[i] = at
-		for _, mi := range path {
-			residual[mi] -= ordered[i].Size
-		}
 	}
 
 	for pass := 0; pass < opts.ImprovePasses; pass++ {
@@ -181,31 +164,22 @@ func Solve(sched *trace.Schedule, w packet.Workload, opts Options) *Result {
 		// first may lower the combined objective (the case greedy
 		// construction cannot fix: an early packet camping on a later
 		// packet's only path).
-		fullCap := make([]int64, len(meetings))
-		for i, m := range meetings {
-			fullCap[i] = m.Bytes
-		}
 		blockers := make([]bool, len(ordered))
 		for i2 := range ordered {
-			ideal, idealAt := earliestPath(meetings, fullCap, ordered[i2])
+			ideal, idealAt := sc.earliestPath(fullCap, ordered[i2])
 			if ideal == nil || idealAt >= arrivals[i2] {
 				continue // already optimal for itself
 			}
 			// Blockers: packets holding capacity on the ideal path's
-			// saturated meetings, tried in packet order so the first
+			// saturated edges, tried in packet order so the first
 			// helpful eviction, and with it the result, is the same
 			// on every call.
 			clear(blockers)
 			for _, mi := range ideal {
 				if residual[mi] < ordered[i2].Size {
 					for i1 := range ordered {
-						if i1 == i2 {
-							continue
-						}
-						for _, pm := range paths[i1] {
-							if pm == mi {
-								blockers[i1] = true
-							}
+						if i1 != i2 && slices.Contains(paths[i1], mi) {
+							blockers[i1] = true
 						}
 					}
 				}
@@ -250,65 +224,71 @@ func Solve(sched *trace.Schedule, w packet.Workload, opts Options) *Result {
 	return res
 }
 
+// scan is the oracle's earliest-arrival search: one pass over the
+// contact graph's edges in start order, each window folded to its
+// start. Its per-node labels are dense slices, sized for the graph's
+// nodes and the workload's endpoints and reused across calls.
+type scan struct {
+	g      *trace.ContactGraph
+	order  []int
+	arrive []float64 // +Inf: not reached
+	via    []int     // the edge that first reached the node
+}
+
+func newScan(g *trace.ContactGraph, w packet.Workload) *scan {
+	n := g.NumNodes()
+	for _, p := range w {
+		n = max(n, int(p.Src)+1, int(p.Dst)+1)
+	}
+	return &scan{g: g, order: g.ByStart(), arrive: make([]float64, n), via: make([]int, n)}
+}
+
 // earliestPath computes the earliest-arrival time-respecting path for p
-// over meetings with sufficient residual capacity, returning the
-// meeting indices used and the arrival time (nil if unreachable).
-func earliestPath(meetings []trace.Meeting, residual []int64, p *packet.Packet) ([]int, float64) {
-	arrive := map[packet.NodeID]float64{p.Src: p.Created}
-	via := map[packet.NodeID]int{} // meeting index that first reached the node
-	for i, m := range meetings {
-		if m.Time < p.Created {
-			continue
-		}
-		if residual[i] < p.Size {
+// over edges with sufficient residual capacity, returning the edge
+// indices used and the arrival time (nil if unreachable).
+func (s *scan) earliestPath(residual []int64, p *packet.Packet) ([]int, float64) {
+	arrive, via := s.arrive, s.via
+	for i := range arrive {
+		arrive[i] = math.Inf(1)
+	}
+	arrive[p.Src] = p.Created
+	for _, i := range s.order {
+		m := &s.g.Edges[i]
+		if m.Start < p.Created || residual[i] < p.Size {
 			continue
 		}
 		// Snapshot both endpoints before relaxing so the packet cannot
 		// bounce A→B→A within the same meeting.
-		ta, aok := arrive[m.A]
-		tb, bok := arrive[m.B]
-		if aok && ta <= m.Time {
-			if cur, ok := arrive[m.B]; !ok || m.Time < cur {
-				arrive[m.B] = m.Time
-				via[m.B] = i
-			}
+		ta, tb := arrive[m.A], arrive[m.B]
+		if ta <= m.Start && m.Start < arrive[m.B] {
+			arrive[m.B] = m.Start
+			via[m.B] = i
 		}
-		if bok && tb <= m.Time {
-			if cur, ok := arrive[m.A]; !ok || m.Time < cur {
-				arrive[m.A] = m.Time
-				via[m.A] = i
-			}
+		if tb <= m.Start && m.Start < arrive[m.A] {
+			arrive[m.A] = m.Start
+			via[m.A] = i
 		}
-		if at, ok := arrive[p.Dst]; ok && at <= m.Time {
+		if arrive[p.Dst] <= m.Start {
 			break // destination reached; later meetings cannot improve
 		}
 	}
-	at, ok := arrive[p.Dst]
-	if !ok {
-		return nil, math.Inf(1)
+	at := arrive[p.Dst]
+	if math.IsInf(at, 1) {
+		return nil, at
 	}
-	// Reconstruct the meeting chain.
+	// Walk the via chain back to the source. Every node on it was
+	// reached in this call by an edge met earlier in the scan, so its
+	// entry is fresh and the chain ends.
 	var path []int
-	node := p.Dst
-	for node != p.Src {
-		mi, ok := via[node]
-		if !ok {
-			return nil, math.Inf(1)
-		}
+	for node := p.Dst; node != p.Src; {
+		mi := via[node]
 		path = append(path, mi)
-		m := meetings[mi]
-		if m.A == node {
+		if m := &s.g.Edges[mi]; m.A == node {
 			node = m.B
 		} else {
 			node = m.A
 		}
-		if len(path) > len(meetings) {
-			return nil, math.Inf(1) // defensive: corrupted via chain
-		}
 	}
-	// Reverse into source→destination order.
-	for l, r := 0, len(path)-1; l < r; l, r = l+1, r-1 {
-		path[l], path[r] = path[r], path[l]
-	}
+	slices.Reverse(path)
 	return path, at
 }

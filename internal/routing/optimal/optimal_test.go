@@ -202,3 +202,28 @@ func TestSolveRepeatable(t *testing.T) {
 		}
 	}
 }
+
+// TestILPSeesContacts: the only path runs through a zero-duration
+// contact (0→1 at 10) and then a window (1→2, open over [20, 30)). Both
+// solvers read the schedule's contact graph, each window folded to its
+// start, so both deliver at 20 and agree on the objective.
+func TestILPSeesContacts(t *testing.T) {
+	sched := &trace.Schedule{Duration: 100, Contacts: []trace.Contact{
+		{A: 0, B: 1, Start: 10, Bytes: 1000},
+		{A: 1, B: 2, Start: 20, Duration: 10, RateBps: 100},
+	}}
+	w := packet.Workload{{ID: 1, Src: 0, Dst: 2, Size: 100, Created: 0}}
+	oracle := Solve(sched, w, Options{})
+	ilp, err := SolveILP(sched, w, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []Delivery{oracle.Deliveries[0], ilp.Deliveries[0]} {
+		if !d.Delivered || d.DeliveredAt != 20 || d.Hops != 2 {
+			t.Errorf("delivery %+v, want delivered at 20 over 2 hops", d)
+		}
+	}
+	if ilp.TotalDelay() != oracle.TotalDelay() {
+		t.Errorf("ILP delay %v, oracle %v", ilp.TotalDelay(), oracle.TotalDelay())
+	}
+}
