@@ -17,11 +17,11 @@ func TestAckSetMatchesMap(t *testing.T) {
 	for _, global := range []bool{false, true} {
 		for seed := int64(1); seed <= 20; seed++ {
 			r := rand.New(rand.NewSource(seed))
-			var g *Global
+			var hub *State
 			if global {
-				g = NewGlobal(3)
+				hub = NewHub(3)
 			}
-			s := NewState(0, 3, g)
+			s := NewState(0, 3, hub)
 			ref := map[packet.ID]bool{}
 			var order []packet.ID
 			pick := func() packet.ID {
@@ -64,23 +64,20 @@ func TestAckSetMatchesMap(t *testing.T) {
 // TestIsAckedAllocs checks that IsAcked never allocates and never grows
 // the ack set, for an ID inside it and for one past its end.
 func TestIsAckedAllocs(t *testing.T) {
-	for _, g := range []*Global{nil, NewGlobal(3)} {
-		s := NewState(0, 3, g)
+	for _, hub := range []*State{nil, NewHub(3)} {
+		s := NewState(0, 3, hub)
 		for id := packet.ID(1); id <= 100; id += 3 {
 			s.LearnAck(id, 1)
 		}
-		set := &s.acked
-		if g != nil {
-			set = &g.acked
-		}
+		set := &s.knows().acked
 		n := len(*set)
 		for _, id := range []packet.ID{7, 8, 1 << 20} {
 			if allocs := testing.AllocsPerRun(100, func() { s.IsAcked(id) }); allocs != 0 {
-				t.Errorf("global=%v: IsAcked(%d) makes %v allocs, want 0", g != nil, id, allocs)
+				t.Errorf("global=%v: IsAcked(%d) makes %v allocs, want 0", hub != nil, id, allocs)
 			}
 		}
 		if len(*set) != n {
-			t.Errorf("global=%v: IsAcked grew the ack set from %d to %d words", g != nil, n, len(*set))
+			t.Errorf("global=%v: IsAcked grew the ack set from %d to %d words", hub != nil, n, len(*set))
 		}
 	}
 }

@@ -6,7 +6,7 @@
 // information changed since the last exchange"). It also provides the
 // instant global channel used by the hybrid-DTN experiments
 // (Figs. 10–13), in which all metadata is shared through a zero-cost
-// global snapshot.
+// hub: one State of no node that every node reads and writes.
 package control
 
 import (
@@ -166,7 +166,10 @@ type State struct {
 	// Meet is the meeting-time estimator fed by this control plane.
 	Meet *meet.Estimator
 
-	global *Global // non-nil in instant-global mode
+	// hub is the instant global channel's shared state (NewHub), nil
+	// in-band. A node on the global channel keeps its acks, records and
+	// peers' transfer averages there, not in its own fields (knows).
+	hub *State
 
 	avgTransfer stat.MovingAverage
 
@@ -175,9 +178,10 @@ type State struct {
 	// bytes of directory per 1024 IDs up to the highest ID recorded,
 	// plus 8 bytes per record on a sparse page or 8 KiB per dense one
 	// (packet.Table). Only protocols that read or gossip records write
-	// them (routing's acceptReplica), so the others pay nothing. The
-	// records list only other holders: nothing in-band reads an entry
-	// for the node's own copy (NoteReplica).
+	// them (routing's acceptReplica), so the others pay nothing. A
+	// node's records list only other holders: nothing in-band reads an
+	// entry for the node's own copy (NoteReplica). The hub, a state of
+	// no node, lists every holder.
 	acked ackSet
 	meta  packet.Table[PacketMeta]
 	// tableAsOf is the freshness of each owner's meet table, indexed by
@@ -190,7 +194,8 @@ type State struct {
 	// in learning order, so delta exchanges scan only the acks learned
 	// since the last exchange with a peer, not the whole ack set (which
 	// grows with every packet ever delivered). Acks are learned at the
-	// current time, so ackLog is time-ordered.
+	// current time, so ackLog is time-ordered. The hub gossips with no
+	// one, so it keeps neither changelog (logs).
 	ackLog []float64
 	ackIDs []packet.ID
 	// metaLog holds the time of every replica-record changelog append;
@@ -212,6 +217,7 @@ type State struct {
 
 	// peers holds what the node keeps about each peer it exchanged
 	// with, sorted by peer. A peer never exchanged with has no entry.
+	// The hub keeps one entry per node that observed a transfer.
 	peers []peerEntry
 }
 
@@ -247,39 +253,59 @@ func logCut(log []float64, since float64) int {
 }
 
 // NewState returns an empty control state for node self with an h-hop
-// meeting estimator. If g is non-nil the node participates in the
+// meeting estimator. If hub is non-nil the node participates in the
 // instant global channel: all queries read and all updates write the
-// shared snapshot, and the node's estimator holds only its own row.
-func NewState(self packet.NodeID, hops int, g *Global) *State {
+// hub, and the node's estimator holds only its own row.
+func NewState(self packet.NodeID, hops int, hub *State) *State {
 	return &State{
-		self:   self,
-		Meet:   meet.New(self, hops),
-		global: g,
+		self: self,
+		Meet: meet.New(self, hops),
+		hub:  hub,
 	}
+}
+
+// NewHub returns the empty shared state of an instant global channel
+// whose meeting matrix has an h-hop horizon: a state of no node
+// ("In our experiments, we assumed that the global channel is
+// instant", §6.2.3). Its Meet is an estimator with no own row, into
+// which each exchange merges its two endpoints' rows.
+func NewHub(hops int) *State {
+	return NewState(-1, hops, nil)
 }
 
 // Global reports whether this state runs over the instant global
 // channel.
-func (s *State) Global() bool { return s.global != nil }
+func (s *State) Global() bool { return s.hub != nil }
+
+// knows returns the state that holds this node's acks, replica records,
+// peers' transfer averages and meeting matrix: the hub on the global
+// channel, the node itself in-band.
+func (s *State) knows() *State {
+	if s.hub != nil {
+		return s.hub
+	}
+	return s
+}
+
+// logs reports whether s keeps changelogs for delta gossip. The hub
+// gossips with no one, so it keeps none.
+func (s *State) logs() bool { return s.self >= 0 }
 
 // Expected returns the expected time for node from to meet node to
 // within the estimator's hop horizon, as this node knows it: from the
 // shared matrix on the global channel, from the node's own estimator
 // in-band.
 func (s *State) Expected(from, to packet.NodeID) float64 {
-	m := s.Meet
-	if s.global != nil {
-		m = s.global.Meet
-	}
-	return m.Expected(from, to)
+	return s.knows().Meet.Expected(from, to)
 }
 
 // ObserveTransfer folds a transfer-opportunity size into the node's
-// moving average ("the average size of past transfers").
+// moving average ("the average size of past transfers"). On the global
+// channel the new average is published to the hub at once.
 func (s *State) ObserveTransfer(bytes int64) {
 	s.avgTransfer.Observe(float64(bytes))
-	if s.global != nil {
-		s.global.avgTransfer[s.self] = s.avgTransfer.Value()
+	if s.hub != nil {
+		s.hub.setPeerTransfer(s.self, s.avgTransfer.Value())
 	}
 }
 
@@ -298,14 +324,9 @@ func (s *State) AvgTransferOf(node packet.NodeID, def float64) float64 {
 	if node == s.self {
 		return s.AvgTransferBytes(def)
 	}
-	if s.global != nil {
-		if v, ok := s.global.avgTransfer[node]; ok {
-			return v
-		}
-		return def
-	}
-	if i, ok := s.peerAt(node); ok && !math.IsNaN(s.peers[i].transfer) {
-		return s.peers[i].transfer
+	k := s.knows()
+	if i, ok := k.peerAt(node); ok && !math.IsNaN(k.peers[i].transfer) {
+		return k.peers[i].transfer
 	}
 	return def
 }
@@ -313,51 +334,41 @@ func (s *State) AvgTransferOf(node packet.NodeID, def float64) float64 {
 // LearnAck records that a packet has been delivered. Metadata for
 // delivered packets is deleted (§4.2).
 func (s *State) LearnAck(id packet.ID, now float64) {
-	if s.global != nil {
-		s.global.acked.add(id)
+	k := s.knows()
+	if !k.acked.add(id) {
 		return
 	}
-	if s.acked.add(id) {
-		s.ackLog = append(s.ackLog, now)
-		s.ackIDs = append(s.ackIDs, id)
-		s.meta.Delete(id)
+	if k.logs() {
+		k.ackLog = append(k.ackLog, now)
+		k.ackIDs = append(k.ackIDs, id)
 	}
+	k.meta.Delete(id)
 }
 
 // IsAcked reports whether the packet is known to be delivered.
 func (s *State) IsAcked(id packet.ID) bool {
-	if s.global != nil {
-		return s.global.acked.has(id)
-	}
-	return s.acked.has(id)
+	return s.knows().acked.has(id)
 }
 
 // NoteReplica records (or refreshes) knowledge that `holder` carries a
-// replica with the given delivery-delay estimate. On an in-band state a
-// note of the node's own copy is dropped: the node's estimators price
-// their own copy afresh, its inventories announce that estimate, and
-// replica gossip skips it, so nothing would read the entry. On the
-// global channel it is kept, because other nodes read the shared
-// snapshot.
+// replica with the given delivery-delay estimate. A node drops a note
+// of its own copy: its estimators price their own copy afresh, its
+// inventories announce that estimate, and replica gossip skips it, so
+// nothing would read the entry. The hub is no node's, so it keeps every
+// holder's entry for the other nodes to read.
 func (s *State) NoteReplica(item InventoryItem, holder packet.NodeID, now float64) {
-	if s.global == nil && holder == s.self {
+	k := s.knows()
+	if holder == k.self || k.acked.has(item.ID) {
 		return
 	}
-	if s.IsAcked(item.ID) {
-		return
-	}
-	if s.global != nil {
-		s.global.note(item, holder, now)
-		return
-	}
-	m := s.meta.Get(item.ID)
+	m := k.meta.Get(item.ID)
 	if m == nil {
 		m = newMeta(item)
-		s.meta.Set(item.ID, m)
+		k.meta.Set(item.ID, m)
 	}
 	// Immaterial delay wiggles are not worth re-flooding.
 	if m.upsertReplica(holder, item.Delay, now) {
-		s.logMeta(m, now)
+		k.logMeta(m, now)
 	}
 }
 
@@ -365,8 +376,10 @@ func (s *State) NoteReplica(item InventoryItem, holder packet.NodeID, now float6
 // changelog and stamps m with the append's position.
 func (s *State) logMeta(m *PacketMeta, t float64) {
 	m.Updated = t
-	s.metaLog = append(s.metaLog, t)
-	m.logAt = len(s.metaLog)
+	if s.logs() {
+		s.metaLog = append(s.metaLog, t)
+		m.logAt = len(s.metaLog)
+	}
 }
 
 // DropReplica forgets that holder carries the packet. No simulation
@@ -374,16 +387,10 @@ func (s *State) logMeta(m *PacketMeta, t float64) {
 // the evicted holder stays in every record that lists it until the
 // packet is acked.
 func (s *State) DropReplica(id packet.ID, holder packet.NodeID, now float64) {
-	if s.global != nil {
-		if m := s.global.meta.Get(id); m != nil {
-			m.removeReplica(holder)
-			m.Updated = now
-		}
-		return
-	}
-	if m := s.meta.Get(id); m != nil {
+	k := s.knows()
+	if m := k.meta.Get(id); m != nil {
 		m.removeReplica(holder)
-		s.logMeta(m, now)
+		k.logMeta(m, now)
 	}
 }
 
@@ -412,49 +419,7 @@ func (s *State) ReplicaCount(id packet.ID) int {
 
 // Meta returns the stored metadata for a packet (nil if unknown).
 func (s *State) Meta(id packet.ID) *PacketMeta {
-	if s.global != nil {
-		return s.global.meta.Get(id)
-	}
-	return s.meta.Get(id)
-}
-
-// Global is the instant global control channel: one shared snapshot of
-// acks, replica sets, delay estimates, transfer averages and the
-// meeting matrix. "In our experiments, we assumed that the global
-// channel is instant" (§6.2.3).
-type Global struct {
-	acked       ackSet
-	meta        packet.Table[PacketMeta]
-	avgTransfer map[packet.NodeID]float64
-	// Meet is the shared meeting matrix every node reads: an estimator
-	// with no own row, into which each exchange merges its two
-	// endpoints' rows.
-	Meet *meet.Estimator
-}
-
-// NewGlobal returns an empty global snapshot whose meeting matrix has
-// an h-hop horizon.
-func NewGlobal(hops int) *Global {
-	return &Global{avgTransfer: make(map[packet.NodeID]float64), Meet: meet.New(-1, hops)}
-}
-
-func (g *Global) note(item InventoryItem, holder packet.NodeID, now float64) {
-	m := g.meta.Get(item.ID)
-	if m == nil {
-		m = newMeta(item)
-		g.meta.Set(item.ID, m)
-	}
-	m.upsertReplica(holder, item.Delay, now)
-	m.Updated = now
-}
-
-// SyncMeetingTables merges the direct meeting tables of a meeting's two
-// endpoints into the shared matrix — with an instant channel the
-// matrix is globally current. A node's own table changes only when it
-// meets someone, so every other row is already current.
-func (g *Global) SyncMeetingTables(a, b *State) {
-	g.Meet.MergeTableFrom(a.Meet, a.self)
-	g.Meet.MergeTableFrom(b.Meet, b.self)
+	return s.knows().meta.Get(id)
 }
 
 // Exchange performs the bidirectional metadata exchange between nodes a
@@ -473,17 +438,20 @@ func Exchange(a, b *State, invA, invB []InventoryItem, now float64, opts Options
 	a.Meet.ObserveMeeting(b.self, now)
 	b.Meet.ObserveMeeting(a.self, now)
 
-	if a.global != nil && b.global != nil {
+	if a.hub != nil && b.hub != nil {
 		// Instant global channel: everything is already shared; the
 		// in-band exchange carries nothing. Inventories still update
-		// the snapshot (they carry fresh delay estimates).
+		// the hub (they carry fresh delay estimates), and the two
+		// endpoints' own rows, the only ones a meeting changes, are
+		// merged into the shared matrix, which stays globally current.
 		for _, it := range invA {
 			a.NoteReplica(it, a.self, now)
 		}
 		for _, it := range invB {
 			b.NoteReplica(it, b.self, now)
 		}
-		a.global.SyncMeetingTables(a, b)
+		a.hub.Meet.MergeTableFrom(a.Meet, a.self)
+		a.hub.Meet.MergeTableFrom(b.Meet, b.self)
 		return res
 	}
 

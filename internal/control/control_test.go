@@ -228,10 +228,10 @@ func TestAvgTransferPropagation(t *testing.T) {
 }
 
 func TestGlobalChannel(t *testing.T) {
-	g := NewGlobal(3)
-	a := NewState(0, 3, g)
-	b := NewState(1, 3, g)
-	c := NewState(2, 3, g)
+	hub := NewHub(3)
+	a := NewState(0, 3, hub)
+	b := NewState(1, 3, hub)
+	c := NewState(2, 3, hub)
 	// An ack by a is instantly visible everywhere.
 	a.LearnAck(5, 1)
 	if !b.IsAcked(5) || !c.IsAcked(5) {
@@ -259,6 +259,22 @@ func TestGlobalChannel(t *testing.T) {
 	if !a.Global() {
 		t.Error("Global() must report true")
 	}
+	// An ack deletes the packet's shared record (§4.2), for every node.
+	a.NoteReplica(InventoryItem{ID: 9, Dst: 2, Size: 1, Delay: 50}, 1, 11)
+	if got := c.ReplicaCount(9); got != 2 {
+		t.Fatalf("global replicas of 9 before its ack = %d, want 2", got)
+	}
+	b.LearnAck(9, 12)
+	for _, s := range []*State{a, b, c, hub} {
+		if m := s.Meta(9); m != nil {
+			t.Errorf("node %d: record of acked packet 9 survives: %+v", s.self, m)
+		}
+	}
+	// A note arriving after the ack writes nothing.
+	c.NoteReplica(InventoryItem{ID: 9, Dst: 2, Size: 1, Delay: 40}, 2, 13)
+	if got := a.ReplicaCount(9); got != 0 {
+		t.Errorf("note after ack recorded %d replicas", got)
+	}
 }
 
 // TestGlobalMatrixMatchesMirrors: on the global channel every node
@@ -271,11 +287,11 @@ func TestGlobalMatrixMatchesMirrors(t *testing.T) {
 	for seed := uint64(1); seed <= 7; seed++ {
 		rng := rand.New(rand.NewPCG(seed, 17))
 		nodes := 2 + int(seed)%7 // 2..8
-		g := NewGlobal(3)
+		hub := NewHub(3)
 		states := make([]*State, nodes)
 		refs := make([]*meet.Estimator, nodes)
 		for i := range states {
-			states[i] = NewState(packet.NodeID(i), 3, g)
+			states[i] = NewState(packet.NodeID(i), 3, hub)
 			refs[i] = meet.New(packet.NodeID(i), 3)
 		}
 		now := 0.0

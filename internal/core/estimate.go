@@ -139,7 +139,7 @@ func (est *Estimator) KnownDelays(p *packet.Packet, ahead int64) []float64 {
 	for _, rep := range est.node.Ctl.Replicas(p.ID) {
 		if rep.Holder == est.node.ID {
 			// Fresh local estimate already included (only the global
-			// channel's shared snapshot lists the node itself).
+			// channel's hub lists the node itself).
 			continue
 		}
 		if rep.Holder == p.Dst {

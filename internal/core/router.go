@@ -69,12 +69,11 @@ func (r *Router) Attach(n *routing.Node) {
 
 // Generate implements routing.Router: store the new packet as the
 // protected source copy and, on the global channel, announce the
-// replica to the shared snapshot. In-band, nothing reads a node's
-// record of its own copy (its inventories carry that estimate), so
-// none is written. The fresh packet is younger than everything
-// buffered, so its queue position is the per-destination byte total —
-// no index build needed (packet generation is the highest-frequency
-// event in the simulator).
+// replica to the hub. In-band, nothing reads a node's record of its
+// own copy (its inventories carry that estimate), so none is written.
+// The fresh packet is younger than everything buffered, so its queue
+// position is the per-destination byte total — no index build needed
+// (packet generation is the highest-frequency event in the simulator).
 func (r *Router) Generate(p *packet.Packet, now float64) {
 	// Compute the position before inserting so the packet's own bytes
 	// are not counted ahead of itself.

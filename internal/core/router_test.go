@@ -39,8 +39,9 @@ func TestGenerateStoresOwnProtectedCopy(t *testing.T) {
 
 // TestNoSelfHeldRecordsInBand: throughout an in-band RAPID run no
 // node's record of any workload packet lists the node itself, while
-// records of other holders exist. On the global channel the shared
-// snapshot still lists every generated packet's source.
+// records of other holders exist. On the global channel the hub lists
+// the source of every generated packet not yet acked, and keeps no
+// record of an acked one.
 func TestNoSelfHeldRecordsInBand(t *testing.T) {
 	model := mobility.Exponential{Config: mobility.Config{
 		Nodes: 8, Duration: 600, MeanMeeting: 60, TransferBytes: 20 << 10,
@@ -93,12 +94,27 @@ func TestNoSelfHeldRecordsInBand(t *testing.T) {
 	}
 	t.Logf("%d packets, %d other-holder entries seen", len(w), others)
 
-	net, c := run(routing.ControlGlobal, nil)
-	for _, r := range c.Records() {
-		reps := net.Node(r.P.Src).Ctl.Replicas(r.P.ID)
-		if !slices.ContainsFunc(reps, func(rep control.ReplicaEstimate) bool { return rep.Holder == r.P.Src }) {
-			t.Fatalf("global snapshot of packet %d does not list its source %d: %+v", r.P.ID, r.P.Src, reps)
+	// Throughout a global run, check every packet generated so far.
+	var acked, open int
+	run(routing.ControlGlobal, func(net *routing.Network) {
+		for _, r := range net.Collector.Records() {
+			if net.Global.IsAcked(r.P.ID) {
+				// Metadata for delivered packets is deleted (§4.2).
+				if m := net.Global.Meta(r.P.ID); m != nil {
+					t.Fatalf("hub keeps a record of acked packet %d: %+v", r.P.ID, m)
+				}
+				acked++
+				continue
+			}
+			reps := net.Node(r.P.Src).Ctl.Replicas(r.P.ID)
+			if !slices.ContainsFunc(reps, func(rep control.ReplicaEstimate) bool { return rep.Holder == r.P.Src }) {
+				t.Fatalf("hub record of packet %d does not list its source %d: %+v", r.P.ID, r.P.Src, reps)
+			}
+			open++
 		}
+	})
+	if acked == 0 || open == 0 {
+		t.Fatalf("global run saw %d acked and %d unacked packet states; both checks need some", acked, open)
 	}
 }
 

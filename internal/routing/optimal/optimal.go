@@ -165,6 +165,7 @@ func Solve(sched *trace.Schedule, w packet.Workload, opts Options) *Result {
 		// construction cannot fix: an early packet camping on a later
 		// packet's only path).
 		blockers := make([]bool, len(ordered))
+		saturated := make([]bool, len(residual))
 		for i2 := range ordered {
 			ideal, idealAt := sc.earliestPath(fullCap, ordered[i2])
 			if ideal == nil || idealAt >= arrivals[i2] {
@@ -173,16 +174,22 @@ func Solve(sched *trace.Schedule, w packet.Workload, opts Options) *Result {
 			// Blockers: packets holding capacity on the ideal path's
 			// saturated edges, tried in packet order so the first
 			// helpful eviction, and with it the result, is the same
-			// on every call.
-			clear(blockers)
+			// on every call. The saturated edges are marked once, so
+			// each packet's path is scanned once.
 			for _, mi := range ideal {
-				if residual[mi] < ordered[i2].Size {
-					for i1 := range ordered {
-						if i1 != i2 && slices.Contains(paths[i1], mi) {
-							blockers[i1] = true
-						}
+				saturated[mi] = residual[mi] < ordered[i2].Size
+			}
+			for i1, path := range paths {
+				blockers[i1] = false
+				for _, mi := range path {
+					if saturated[mi] {
+						blockers[i1] = i1 != i2
+						break
 					}
 				}
+			}
+			for _, mi := range ideal {
+				saturated[mi] = false
 			}
 			for i1, blocks := range blockers {
 				if !blocks {

@@ -135,7 +135,7 @@ type Network struct {
 	Nodes     map[packet.NodeID]*Node
 	Collector *metrics.Collector
 	Cfg       Config
-	Global    *control.Global // non-nil in ControlGlobal mode
+	Global    *control.State // the global channel's hub; nil unless ControlGlobal
 	// Horizon is the experiment end time (schedule duration).
 	Horizon float64
 	// win tracks live windowed contacts and per-node radio load;
@@ -376,7 +376,7 @@ func NewNetwork(engine *sim.Engine, ids []packet.NodeID, f RouterFactory, cfg Co
 		Cfg:       cfg,
 	}
 	if cfg.Mode == ControlGlobal {
-		net.Global = control.NewGlobal(cfg.Hops)
+		net.Global = control.NewHub(cfg.Hops)
 	}
 	for _, id := range ids {
 		n := &Node{

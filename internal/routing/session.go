@@ -118,7 +118,7 @@ func (s *Session) exchangeMetadata() {
 	cfg := s.net.Cfg
 	// MetaFraction == 0 disables the *in-band* metadata channel; the
 	// instant global channel costs no bandwidth (§6.2.3), so a zero cap
-	// must not suppress its snapshot sync — only ControlNone and a
+	// must not suppress its hub sync — only ControlNone and a
 	// zero-capped in-band channel skip the exchange entirely.
 	if cfg.Mode == ControlNone || (cfg.Mode != ControlGlobal && cfg.MetaFraction == 0) {
 		// Even without a metadata channel the radios discover each
