@@ -415,11 +415,10 @@ type Scenario struct {
 	// Schedule and Plan must be set.
 	Schedule *trace.Schedule
 	// Plan, when Schedule is nil, is the compressed periodic contact
-	// plan. Run pumps its occurrences off a trace.PlanCursor, so memory
-	// stays O(plan size) instead of O(occurrences); a Schedule feeds
-	// the same pump from its slices. Runs needing the flattened
-	// schedule — disruption realization, SchedulePrimer protocols —
-	// expand the plan once instead.
+	// plan. Run always pumps its occurrences off a trace.PlanCursor, so
+	// the event stream stays O(plan size) instead of O(occurrences); a
+	// Schedule feeds the same pump from its slices. Only SchedulePrimer
+	// protocols see the plan expanded, once, to prime on.
 	Plan *trace.ContactPlan
 	// Workload is the materialized packet workload.
 	Workload packet.Workload
@@ -464,18 +463,19 @@ func (sc Scenario) Horizon() float64 {
 // Every run takes one event path. Packet creations and point sessions
 // are shard events (parallel.go), which the serial engine executes
 // whole and the parallel engine may batch. Contact occurrences are
-// scheduled during the run by one pump, fed either by the plan's
-// cursor or by the schedule's realized slices.
+// scheduled during the run by one pump, fed by the plan's cursor or by
+// the schedule's slices, whichever the scenario holds.
 //
-// When sc.Disrupt is enabled, the disruption model is realized over
-// the nominal schedule before any event runs: failed contacts are
-// dropped, surviving contacts shift by their jitter draw, and node
-// churn is expanded into down/up toggle events. Plan-ahead protocols
-// still prime on the *nominal* schedule — the whole point of the
-// disruption families is that their plans can break.
+// When sc.Disrupt is enabled, each occurrence's fate is decided as it
+// is pumped: a failed contact is skipped, a surviving one is scheduled
+// at its jittered instant, both keyed by the occurrence's nominal
+// position (see occurrence). Node churn is expanded into down/up
+// toggle events. Plan-ahead protocols still prime on the *nominal*
+// schedule — the whole point of the disruption families is that their
+// plans can break.
 func Run(sc Scenario) *metrics.Collector {
 	engine := sim.New(sc.Seed)
-	sched, horizon := sc.Schedule, sc.Horizon()
+	horizon := sc.Horizon()
 	ids := participantIDs(sc)
 	net := NewNetwork(engine, ids, sc.Factory, sc.Cfg)
 	net.Horizon = horizon
@@ -493,20 +493,17 @@ func Run(sc Scenario) *metrics.Collector {
 	}
 
 	// Plan-ahead protocols see the full schedule before any event runs
-	// (the contact plan is known a priori in their deployment setting),
-	// and the disruption layer realizes failures over the flattened
-	// nominal schedule — both force a plan-driven run to materialize.
-	var primers []SchedulePrimer
+	// (the contact plan is known a priori in their deployment setting).
+	// A plan-driven run expands its plan for them alone; the expansion
+	// is dead once priming ends.
+	nominal := sc.Schedule
 	for _, id := range ids {
 		if pr, ok := net.Nodes[id].Router.(SchedulePrimer); ok {
-			primers = append(primers, pr)
+			if nominal == nil {
+				nominal = sc.Plan.Expand()
+			}
+			pr.PrimeSchedule(nominal, net)
 		}
-	}
-	if sched == nil && (model != nil || len(primers) > 0) {
-		sched = sc.Plan.Expand()
-	}
-	for _, pr := range primers {
-		pr.PrimeSchedule(sched, net)
 	}
 
 	// The parallel engine is decided once per run; the events are the
@@ -531,13 +528,14 @@ func Run(sc Scenario) *metrics.Collector {
 			create(p)
 		}
 	}
-	var next func() (occurrence, float64, bool)
-	if sched == nil {
-		next = planOccurrences(sc.Plan.Cursor(sc.MergePlanWindows))
+	var next func() (occurrence, bool)
+	if sc.Schedule != nil {
+		next = scheduleOccurrences(sc.Schedule)
 	} else {
-		next = scheduleOccurrences(realize(sched, model, horizon))
+		next = planOccurrences(sc.Plan, sc.MergePlanWindows)
 	}
-	startPump(engine, next, func(o occurrence) { scheduleOccurrence(net, o, horizon) })
+	startPump(engine, survivors(next, model, sc.Disrupt.JitterSec, horizon),
+		func(o occurrence) { scheduleOccurrence(net, o, horizon) })
 
 	// Node churn: expand each node's down intervals into toggle events.
 	// Going down cuts the node's live windows; a contact whose endpoint
@@ -638,42 +636,101 @@ func startPump[T any](engine *sim.Engine, next func() (T, float64, bool), schedu
 	engine.ScheduleBand(at, bandPump, pump)
 }
 
-// occurrence is one contact occurrence and the band its events run in.
+// occurrence is one nominal contact occurrence, the band its events
+// run in, and its disruption key: its position among the run's
+// nominal occurrences, meetings (points) first, then contacts
+// (windows) — a stable identity regardless of which others fail.
 type occurrence struct {
 	c    trace.Contact
 	band int32
+	key  int
 }
 
 // planOccurrences streams a plan cursor's occurrences: points in
-// bandMeeting and windows in bandContact, the bands of the Meetings and
-// Contacts lists Expand would put them in.
-func planOccurrences(cur *trace.PlanCursor) func() (occurrence, float64, bool) {
-	return func() (occurrence, float64, bool) {
+// bandMeeting, keyed by their index among points, and windows in
+// bandContact, keyed by the plan's point count plus their index among
+// windows — the bands and positions of the Meetings and Contacts
+// lists Expand would put them in.
+func planOccurrences(plan *trace.ContactPlan, merge bool) func() (occurrence, bool) {
+	cur := plan.Cursor(merge)
+	nPoints, _ := plan.Occurrences()
+	points, windows := 0, nPoints
+	return func() (occurrence, bool) {
 		c, ok := cur.Next()
-		band := int32(bandMeeting)
-		if c.Windowed() {
-			band = bandContact
+		if !c.Windowed() {
+			points++
+			return occurrence{c, bandMeeting, points - 1}, ok
 		}
-		return occurrence{c, band}, c.Start, ok
+		windows++
+		return occurrence{c, bandContact, windows - 1}, ok
 	}
 }
 
-// scheduleOccurrences streams two time-sorted lists merged by time,
-// meetings first at equal instants: meetings in bandMeeting, contacts
-// (zero-duration ones included) in bandContact.
-func scheduleOccurrences(meetings []trace.Meeting, contacts []trace.Contact) func() (occurrence, float64, bool) {
+// scheduleOccurrences streams the schedule's two lists, each in stable
+// time order, merged by time with meetings first at equal instants:
+// meetings in bandMeeting, contacts (zero-duration ones included) in
+// bandContact, each keyed by its list position (Run does not require
+// a validated, sorted schedule).
+func scheduleOccurrences(s *trace.Schedule) func() (occurrence, bool) {
+	mo := timeOrder(s.Meetings, func(m trace.Meeting) float64 { return m.Time })
+	co := timeOrder(s.Contacts, func(c trace.Contact) float64 { return c.Start })
+	i, j := 0, 0
+	return func() (occurrence, bool) {
+		if i < len(s.Meetings) && (j == len(s.Contacts) || s.Meetings[mo(i)].Time <= s.Contacts[co(j)].Start) {
+			k := mo(i)
+			m := s.Meetings[k]
+			i++
+			return occurrence{trace.Contact{A: m.A, B: m.B, Start: m.Time, Bytes: m.Bytes}, bandMeeting, k}, true
+		}
+		if j < len(s.Contacts) {
+			k := co(j)
+			j++
+			return occurrence{s.Contacts[k], bandContact, len(s.Meetings) + k}, true
+		}
+		return occurrence{}, false
+	}
+}
+
+// timeOrder maps a rank in stable time order to a position in s: the
+// identity when s is sorted, else a sorted permutation of positions.
+func timeOrder[T any](s []T, at func(T) float64) func(int) int {
+	byTime := func(a, b T) int { return cmp.Compare(at(a), at(b)) }
+	if slices.IsSortedFunc(s, byTime) {
+		return func(i int) int { return i }
+	}
+	order := make([]int, len(s))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return byTime(s[a], s[b]) })
+	return func(i int) int { return order[i] }
+}
+
+// survivors streams the occurrences that happen under the disruption
+// model (all of them without one), each at its realized instant. A
+// failed occurrence is skipped, and so is one jittered outside the
+// observation window [0, horizon): it happened before the run began or
+// after it ended, so executing it at a clamped instant would account
+// opportunity that never existed. Each survivor's pump instant is its
+// nominal instant less the largest jitter, no earlier than 0: never
+// past the realized instant, and nondecreasing along the nominal order.
+func survivors(next func() (occurrence, bool), model *disrupt.Model, jitter, horizon float64) func() (occurrence, float64, bool) {
 	return func() (occurrence, float64, bool) {
-		if len(meetings) > 0 && (len(contacts) == 0 || meetings[0].Time <= contacts[0].Start) {
-			m := meetings[0]
-			meetings = meetings[1:]
-			return occurrence{trace.Contact{A: m.A, B: m.B, Start: m.Time, Bytes: m.Bytes}, bandMeeting}, m.Time, true
+		for {
+			o, ok := next()
+			if !ok {
+				return occurrence{}, 0, false
+			}
+			if model == nil {
+				return o, o.c.Start, true
+			}
+			nominal := o.c.Start
+			o.c.Start += model.Jitter(o.key)
+			if model.ContactFails(o.key) || o.c.Start < 0 || (horizon > 0 && o.c.Start >= horizon) {
+				continue
+			}
+			return o, max(0, nominal-jitter), true
 		}
-		if len(contacts) > 0 {
-			c := contacts[0]
-			contacts = contacts[1:]
-			return occurrence{c, bandContact}, c.Start, true
-		}
-		return occurrence{}, 0, false
 	}
 }
 
@@ -700,65 +757,4 @@ func scheduleOccurrence(net *Network, o occurrence, horizon float64) {
 			closeWindow(net, w)
 		}
 	})
-}
-
-// realize returns the schedule's lists as the run replays them. Under
-// a disruption model, failed occurrences are dropped and survivors
-// shift by their jitter draw, each keyed by its nominal position
-// (meetings first, then contacts — a stable identity per contact
-// regardless of which others fail). Each list is then put in time
-// order by a stable sort, so same-instant occurrences keep their
-// schedule order (Run does not require a validated, sorted schedule).
-func realize(s *trace.Schedule, model *disrupt.Model, horizon float64) ([]trace.Meeting, []trace.Contact) {
-	meetings, contacts := s.Meetings, s.Contacts
-	if model != nil {
-		meetings = make([]trace.Meeting, 0, len(s.Meetings))
-		contacts = make([]trace.Contact, 0, len(s.Contacts))
-		for i, m := range s.Meetings {
-			if t, ok := realizeAt(model, i, m.Time, horizon); ok {
-				m.Time = t
-				meetings = append(meetings, m)
-			}
-		}
-		for i, c := range s.Contacts {
-			if t, ok := realizeAt(model, len(s.Meetings)+i, c.Start, horizon); ok {
-				c.Start = t
-				contacts = append(contacts, c)
-			}
-		}
-	}
-	owned := model != nil
-	return inTimeOrder(meetings, func(m trace.Meeting) float64 { return m.Time }, owned),
-		inTimeOrder(contacts, func(c trace.Contact) float64 { return c.Start }, owned)
-}
-
-// inTimeOrder returns s stably sorted by instant, sorting a copy unless
-// the caller owns s. Sorted input is returned as is.
-func inTimeOrder[T any](s []T, at func(T) float64, owned bool) []T {
-	byTime := func(a, b T) int { return cmp.Compare(at(a), at(b)) }
-	if slices.IsSortedFunc(s, byTime) {
-		return s
-	}
-	if !owned {
-		s = slices.Clone(s)
-	}
-	slices.SortStableFunc(s, byTime)
-	return s
-}
-
-// realizeAt is the disruption fate of the i-th nominal occurrence at
-// instant t: its jittered instant, or ok false when it fails. An
-// occurrence jittered outside the observation window [0, horizon) is
-// missed entirely — it happened before the run began or after it
-// ended, so executing it at a clamped instant would account
-// opportunity that physically never existed.
-func realizeAt(model *disrupt.Model, i int, t, horizon float64) (float64, bool) {
-	if model.ContactFails(i) {
-		return 0, false
-	}
-	t += model.Jitter(i)
-	if t < 0 || (horizon > 0 && t >= horizon) {
-		return 0, false
-	}
-	return t, true
 }

@@ -106,3 +106,26 @@ func TestLazyFallsBackToMaterialized(t *testing.T) {
 		t.Error("perturbed constellation must materialize its schedule")
 	}
 }
+
+// TestPerturbedPassesKeepWindows: perturbing a windowed constellation
+// perturbs its pass windows rather than dropping them all, and the
+// materialized schedule is still valid.
+func TestPerturbedPassesKeepWindows(t *testing.T) {
+	ss := passesPoint(megaParams(), 2).Schedule
+	nominal := ss.BuildPlan().Expand()
+	ss.Perturb = true
+	ss.PerturbCfg = trace.DefaultPerturb()
+	s := ss.Build(0)
+	if err := s.Validate(); err != nil {
+		t.Fatalf("perturbed windowed constellation invalid: %v", err)
+	}
+	if len(nominal.Contacts) == 0 {
+		t.Fatal("nominal constellation has no windows; the check is vacuous")
+	}
+	if len(s.Contacts) < len(nominal.Contacts)*8/10 || len(s.Contacts) > len(nominal.Contacts) {
+		t.Errorf("perturbation kept %d of %d windows", len(s.Contacts), len(nominal.Contacts))
+	}
+	if s.TotalBytes() >= nominal.TotalBytes() {
+		t.Error("perturbation should reduce the windows' usable bytes")
+	}
+}

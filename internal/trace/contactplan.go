@@ -3,6 +3,7 @@ package trace
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"rapid/internal/packet"
 )
@@ -122,9 +123,12 @@ func (cp *ContactPlan) Validate() error {
 // Expand flattens the plan into a meeting schedule over [0, Duration)
 // by draining its cursor: point occurrences go to Meetings and windows
 // to Contacts, each list in the cursor's order (see PlanCursor for
-// the order, the half-open horizon and the clipping of windows).
+// the order, the half-open horizon and the clipping of windows). Both
+// lists are allocated once, at their counted lengths.
 func (cp *ContactPlan) Expand() *Schedule {
-	s := &Schedule{Duration: cp.Duration}
+	points, windows := cp.Occurrences()
+	s := &Schedule{Duration: cp.Duration,
+		Meetings: slices.Grow([]Meeting(nil), points), Contacts: slices.Grow([]Contact(nil), windows)}
 	cur := cp.Cursor(false)
 	for c, ok := cur.Next(); ok; c, ok = cur.Next() {
 		if m, point := c.AsMeeting(); point {

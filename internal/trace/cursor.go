@@ -104,47 +104,33 @@ func (cp *ContactPlan) occurs(c PeriodicContact) bool {
 // Next returns the next occurrence in global schedule order; ok is
 // false when the plan is exhausted within the horizon.
 func (pc *PlanCursor) Next() (Contact, bool) {
-	for pc.h.Len() > 0 {
-		o := pc.h.Pop()
-		c := pc.plan.Contacts[o.c]
-		out := Contact{A: c.A, B: c.B, Start: o.t}
-		if c.Window > 0 {
-			w := c.Window
-			if o.t+w > pc.horizon {
-				w = pc.horizon - o.t
-			}
-			if w <= 0 {
-				pc.advance(o, c)
-				continue
-			}
-			out.Duration = w
-			out.RateBps = c.RateBps
-			if pc.merge && c.Period > 0 && c.Window == c.Period {
-				// Occurrences abut exactly: coalesce the remaining run
-				// into one window reaching the horizon (or the
-				// occurrence cap) — this contact is then exhausted.
-				last := o.i
-				for last < MaxOccurrences {
-					nt := c.Start + float64(last+1)*c.Period
-					if nt >= pc.horizon {
-						break
-					}
-					last++
-				}
-				end := c.Start + float64(last)*c.Period + c.Window
-				if end > pc.horizon {
-					end = pc.horizon
-				}
-				out.Duration = end - o.t
-				return out, true
-			}
-		} else {
-			out.Bytes = c.Bytes
-		}
-		pc.advance(o, c)
-		return out, true
+	if pc.h.Len() == 0 {
+		return Contact{}, false
 	}
-	return Contact{}, false
+	o := pc.h.Pop()
+	c := pc.plan.Contacts[o.c]
+	out := Contact{A: c.A, B: c.B, Start: o.t}
+	if c.Window > 0 {
+		// Every pending occurrence starts before the horizon, so a
+		// window clipped to it keeps a positive duration.
+		w := c.Window
+		if o.t+w > pc.horizon {
+			w = pc.horizon - o.t
+		}
+		out.Duration = w
+		out.RateBps = c.RateBps
+		if pc.merge && c.Period > 0 && c.Window == c.Period {
+			// Occurrences abut exactly: coalesce the remaining run into
+			// one window reaching the horizon (or the occurrence cap) —
+			// this contact is then exhausted.
+			out.Duration = min(c.at(int64(pc.plan.count(c)-1))+c.Window, pc.horizon) - o.t
+			return out, true
+		}
+	} else {
+		out.Bytes = c.Bytes
+	}
+	pc.advance(o, c)
+	return out, true
 }
 
 // advance pushes the contact's following occurrence, if any remains
@@ -153,15 +139,39 @@ func (pc *PlanCursor) advance(o occ, c PeriodicContact) {
 	if c.Period <= 0 {
 		return // one-shot
 	}
-	i := o.i + 1
-	if i > MaxOccurrences {
-		return
+	if i, t := o.i+1, c.at(o.i+1); i <= MaxOccurrences && t < pc.horizon {
+		pc.h.Push(occ{t: t, c: o.c, i: i})
 	}
-	t := c.Start + float64(i)*c.Period
-	if t >= pc.horizon {
-		return
+}
+
+// at is the start of occurrence i of c: Start + i·Period from the
+// integer counter.
+func (c PeriodicContact) at(i int64) float64 { return c.Start + float64(i)*c.Period }
+
+// count returns how many occurrences of c, which must occur, the
+// cursor yields: the counters i <= MaxOccurrences with at(i) before the
+// horizon, found by bisection since at is monotone in i.
+func (cp *ContactPlan) count(c PeriodicContact) int {
+	if c.Period <= 0 {
+		return 1
 	}
-	pc.h.Push(occ{t: t, c: o.c, i: i})
+	return sort.Search(MaxOccurrences+1, func(i int) bool { return c.at(int64(i)) >= cp.Duration })
+}
+
+// Occurrences returns how many point and window occurrences the plan's
+// unmerged cursor yields, counted per contact from the cursor's own
+// counter arithmetic rather than by draining it.
+func (cp *ContactPlan) Occurrences() (points, windows int) {
+	for _, c := range cp.Contacts {
+		switch {
+		case !cp.occurs(c):
+		case c.Window > 0:
+			windows += cp.count(c)
+		default:
+			points += cp.count(c)
+		}
+	}
+	return points, windows
 }
 
 // Nodes returns the sorted set of node IDs of the contacts that occur

@@ -93,7 +93,8 @@ func drainCursor(cp *ContactPlan, merge bool) []Contact {
 }
 
 // checkEquivalent asserts cursor order and content match the
-// reference element for element.
+// reference element for element, and that Occurrences counts the
+// reference's point and window occurrences.
 func checkEquivalent(t *testing.T, cp *ContactPlan) {
 	t.Helper()
 	want := expandReference(cp)
@@ -101,10 +102,17 @@ func checkEquivalent(t *testing.T, cp *ContactPlan) {
 	if len(got) != len(want) {
 		t.Fatalf("cursor yielded %d occurrences, reference %d", len(got), len(want))
 	}
+	points := 0
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("occurrence %d: cursor %+v != reference %+v", i, got[i], want[i])
 		}
+		if !want[i].Windowed() {
+			points++
+		}
+	}
+	if p, w := cp.Occurrences(); p != points || w != len(want)-points {
+		t.Fatalf("Occurrences() = %d points, %d windows; reference has %d, %d", p, w, points, len(want)-points)
 	}
 }
 
@@ -165,6 +173,32 @@ func TestCursorHorizonExclusive(t *testing.T) {
 		t.Fatalf("got %d occurrences, want 2 (horizon is exclusive)", len(got))
 	}
 	checkEquivalent(t, cp)
+}
+
+// TestOccurrencesBoundaries: Occurrences counts exactly the cursor's
+// occurrences where floating point decides the last one — Start +
+// i·Period landing on the horizon although the quotient
+// (horizon − Start) / Period exceeds i, a start on the horizon — and
+// at the MaxOccurrences cap.
+func TestOccurrencesBoundaries(t *testing.T) {
+	step := 0.1
+	cp := &ContactPlan{Duration: 3 * step} // 0.30000000000000004
+	cp.Add(0, 1, 0, step, 1)               // 3·step is the horizon: 3 occurrences
+	cp.Add(0, 1, step, step, 1)            // step + 2·step is the horizon: 2 occurrences
+	cp.Add(1, 2, 3*step, step, 1)          // starts on the horizon: none
+	cp.Add(1, 2, 0.2, 0, 1)                // one-shot
+	cp.AddWindow(0, 2, 0, step, step/2, 1) // 3 windows
+	checkEquivalent(t, cp)
+	if p, w := cp.Occurrences(); p != 3+2+1 || w != 3 {
+		t.Errorf("Occurrences() = %d points, %d windows; want 6, 3", p, w)
+	}
+	// Counters run 0..MaxOccurrences (see advance); draining that many
+	// through the reference is too slow for a unit test.
+	capped := &ContactPlan{Duration: 1}
+	capped.Add(2, 3, 0, 1e-7, 1)
+	if p, _ := capped.Occurrences(); p != MaxOccurrences+1 {
+		t.Errorf("capped Occurrences() = %d points, want %d", p, MaxOccurrences+1)
+	}
 }
 
 func TestCursorMatchesExpandRandomized(t *testing.T) {

@@ -249,8 +249,8 @@ type PerturbConfig struct {
 	// DropProb is the probability a contact fails entirely (radio or
 	// system failure).
 	DropProb float64
-	// JitterSeconds shifts each meeting time by U(0, JitterSeconds) —
-	// connection-establishment latency.
+	// JitterSeconds delays each meeting and contact by
+	// U(0, JitterSeconds) — connection-establishment latency.
 	JitterSeconds float64
 	Seed          int64
 }
@@ -267,22 +267,38 @@ func DefaultPerturb() PerturbConfig {
 	}
 }
 
-// Perturb returns a perturbed copy of the schedule.
+// Perturb returns a perturbed copy of the schedule. Each meeting and
+// then each contact, in list order, may drop; a survivor keeps a drawn
+// share of its opportunity (Bytes, or a window's RateBps) and starts
+// later by its jitter draw, clipped to the horizon. Contacts draw after
+// every meeting, so a meeting-only schedule perturbs as it always has.
 func Perturb(s *Schedule, cfg PerturbConfig) *Schedule {
 	r := rand.New(rand.NewSource(cfg.Seed))
 	out := &Schedule{Duration: s.Duration}
-	for _, m := range s.Meetings {
+	// perturb draws one opportunity's fate: ok false when it drops, else
+	// its usable share and its jittered start, inside the horizon.
+	perturb := func(start float64) (eff, at float64, ok bool) {
 		if r.Float64() < cfg.DropProb {
-			continue
+			return 0, 0, false
 		}
-		eff := cfg.MinTransferEfficiency + (1-cfg.MinTransferEfficiency)*r.Float64()
-		nm := m
-		nm.Bytes = int64(float64(m.Bytes) * eff)
-		nm.Time += r.Float64() * cfg.JitterSeconds
-		if nm.Time >= s.Duration {
-			nm.Time = s.Duration - 1e-9
+		eff = cfg.MinTransferEfficiency + (1-cfg.MinTransferEfficiency)*r.Float64()
+		if at = start + r.Float64()*cfg.JitterSeconds; at >= s.Duration {
+			at = s.Duration - 1e-9
 		}
-		out.Meetings = append(out.Meetings, nm)
+		return eff, at, true
+	}
+	for _, m := range s.Meetings {
+		if eff, at, ok := perturb(m.Time); ok {
+			m.Time, m.Bytes = at, int64(float64(m.Bytes)*eff)
+			out.Meetings = append(out.Meetings, m)
+		}
+	}
+	for _, c := range s.Contacts {
+		if eff, at, ok := perturb(c.Start); ok {
+			c.Start, c.Bytes, c.RateBps = at, int64(float64(c.Bytes)*eff), c.RateBps*eff
+			c.Duration = min(c.Duration, s.Duration-at)
+			out.Contacts = append(out.Contacts, c)
+		}
 	}
 	out.Sort()
 	return out

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -312,6 +313,45 @@ func TestPerturbDeterministic(t *testing.T) {
 		if p1.Meetings[i] != p2.Meetings[i] {
 			t.Fatal("perturbation non-deterministic content")
 		}
+	}
+}
+
+// TestPerturbContacts: contacts perturb like meetings — some drop, the
+// rest keep a share of their opportunity and stay inside the horizon —
+// and draw after every meeting, so the meetings perturb exactly as
+// they would with no contacts at all.
+func TestPerturbContacts(t *testing.T) {
+	cp := &ContactPlan{Duration: 600}
+	cp.Add(0, 1, 5, 20, 8<<10)
+	cp.AddWindow(1, 2, 0, 40, 30, 1<<10)
+	cp.AddWindow(0, 2, 10, 90, 90, 2<<10) // abutting, the last one clipped
+	s := cp.Expand()
+	s.Contacts = append(s.Contacts, Contact{A: 2, B: 3, Start: 598, Bytes: 4 << 10})
+	cfg := DefaultPerturb()
+	cfg.JitterSeconds = 30 // push some starts past the horizon
+	p := Perturb(s, cfg)
+	if err := p.Validate(); err != nil {
+		t.Fatalf("perturbed schedule invalid: %v", err)
+	}
+	if !slices.Equal(p.Meetings, Perturb(&Schedule{Meetings: s.Meetings, Duration: s.Duration}, cfg).Meetings) {
+		t.Error("contacts changed how the meetings perturb")
+	}
+	if len(p.Contacts) == 0 || len(p.Contacts) > len(s.Contacts) {
+		t.Fatalf("perturbation kept %d of %d contacts", len(p.Contacts), len(s.Contacts))
+	}
+	windows := 0
+	for _, c := range p.Contacts {
+		if c.Windowed() {
+			windows++
+			if c.RateBps >= 2<<10 || c.RateBps < cfg.MinTransferEfficiency*(1<<10) {
+				t.Errorf("window rate %v is not a drawn share of its nominal rate", c.RateBps)
+			}
+		} else if c.Bytes >= 4<<10 {
+			t.Errorf("point contact kept %d of its %d bytes", c.Bytes, 4<<10)
+		}
+	}
+	if windows == 0 {
+		t.Error("perturbation dropped every window")
 	}
 }
 
