@@ -1,9 +1,6 @@
 package exp_test
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -15,16 +12,61 @@ import (
 	"rapid/internal/exp"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite the golden figure checksums")
+var updateGolden = flag.Bool("update", false, "rewrite the golden figure texts")
 
-const goldenPath = "testdata/golden_tiny.json"
+const goldenDir = "testdata/golden_tiny"
+
+// goldenText is an artifact's golden rendering: the .dat series (with
+// error columns stripped), then the table, then one "note:" line per
+// note.
+func goldenText(t *testing.T, id string, out exp.Output) string {
+	var buf strings.Builder
+	if out.Figure != nil {
+		// The goldens cover each series' label, X and Y; the YErr
+		// columns are not part of them.
+		fig := *out.Figure
+		fig.Series = nil
+		for _, s := range out.Figure.Series {
+			s.YErr = nil
+			fig.Series = append(fig.Series, s)
+		}
+		if err := fig.WriteDat(&buf); err != nil {
+			t.Fatalf("%s: WriteDat: %v", id, err)
+		}
+	}
+	if out.Table != nil {
+		buf.WriteString(out.Table.Render())
+	}
+	for _, n := range out.Notes {
+		fmt.Fprintf(&buf, "note: %s\n", n)
+	}
+	return buf.String()
+}
+
+// firstDiff reports the first line where got and want differ.
+func firstDiff(got, want string) string {
+	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := 0; i < max(len(g), len(w)); i++ {
+		var gl, wl string
+		if i < len(g) {
+			gl = g[i]
+		}
+		if i < len(w) {
+			wl = w[i]
+		}
+		if gl != wl || i >= len(g) || i >= len(w) {
+			return fmt.Sprintf("line %d:\n got  %q\n want %q", i+1, gl, wl)
+		}
+	}
+	return "no difference"
+}
 
 // TestGoldenFigures regenerates every experiment at tiny scale and
-// compares SHA-256 checksums of the rendered artifacts (.dat series
-// and table renderings) against the checked-in goldens — the automated
-// replacement for the "figures byte-identical" claims earlier PRs
-// asserted by hand. A legitimate figure change regenerates the goldens
-// with `go test ./internal/exp -run TestGoldenFigures -update`.
+// compares its rendering (.dat series, table, notes) against the
+// checked-in text in testdata/golden_tiny/<id>.txt, so `git diff`
+// shows which numbers a change moved. A legitimate figure change
+// regenerates the goldens with
+// `go test ./internal/exp -run TestGoldenFigures -update`.
 func TestGoldenFigures(t *testing.T) {
 	if testing.Short() {
 		t.Skip("tiny-scale figure sweep is too heavy for -short")
@@ -32,73 +74,47 @@ func TestGoldenFigures(t *testing.T) {
 	sc := exp.TinyScale()
 	got := map[string]string{}
 	for _, e := range exp.All() {
-		out := e.Run(sc)
-		var buf strings.Builder
-		if out.Figure != nil {
-			// The checksums cover each series' label, X and Y; the
-			// YErr columns are not part of them.
-			fig := *out.Figure
-			fig.Series = nil
-			for _, s := range out.Figure.Series {
-				s.YErr = nil
-				fig.Series = append(fig.Series, s)
-			}
-			if err := fig.WriteDat(&buf); err != nil {
-				t.Fatalf("%s: WriteDat: %v", e.ID, err)
-			}
-		}
-		if out.Table != nil {
-			buf.WriteString(out.Table.Render())
-		}
-		for _, n := range out.Notes {
-			fmt.Fprintf(&buf, "note: %s\n", n)
-		}
-		sum := sha256.Sum256([]byte(buf.String()))
-		got[e.ID] = hex.EncodeToString(sum[:])
+		got[e.ID] = goldenText(t, e.ID, e.Run(sc))
 	}
 
 	if *updateGolden {
-		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
+		if err := os.RemoveAll(goldenDir); err != nil {
 			t.Fatal(err)
 		}
-		data, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
+		if err := os.MkdirAll(goldenDir, 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(goldenPath, append(data, '\n'), 0o644); err != nil {
-			t.Fatal(err)
+		for id, text := range got {
+			if err := os.WriteFile(filepath.Join(goldenDir, id+".txt"), []byte(text), 0o644); err != nil {
+				t.Fatal(err)
+			}
 		}
-		t.Logf("rewrote %s with %d checksums", goldenPath, len(got))
+		t.Logf("rewrote %s with %d goldens", goldenDir, len(got))
 		return
 	}
 
-	data, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatalf("missing goldens (%v) — run with -update to create them", err)
-	}
-	want := map[string]string{}
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatalf("corrupt goldens: %v", err)
-	}
 	ids := make([]string, 0, len(got))
 	for id := range got {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
 	for _, id := range ids {
-		w, ok := want[id]
-		if !ok {
-			t.Errorf("%s: no golden checksum — run with -update after reviewing the new experiment", id)
+		want, err := os.ReadFile(filepath.Join(goldenDir, id+".txt"))
+		if err != nil {
+			t.Errorf("%s: no golden (%v) — run with -update after reviewing the new experiment", id, err)
 			continue
 		}
-		if got[id] != w {
-			t.Errorf("%s: output changed (sha256 %s, golden %s) — if intended, regenerate with -update",
-				id, got[id][:12], w[:12])
+		if got[id] != string(want) {
+			t.Errorf("%s: output changed at %s\nif intended, regenerate with -update", id, firstDiff(got[id], string(want)))
 		}
 	}
-	for id := range want {
-		if _, ok := got[id]; !ok {
-			t.Errorf("%s: golden exists but experiment is gone — regenerate with -update", id)
+	files, err := filepath.Glob(filepath.Join(goldenDir, "*.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		if _, ok := got[strings.TrimSuffix(filepath.Base(f), ".txt")]; !ok {
+			t.Errorf("%s: golden exists but experiment is gone — regenerate with -update", f)
 		}
 	}
 }
