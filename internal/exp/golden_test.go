@@ -16,21 +16,13 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden figure texts")
 
 const goldenDir = "testdata/golden_tiny"
 
-// goldenText is an artifact's golden rendering: the .dat series (with
-// error columns stripped), then the table, then one "note:" line per
+// goldenText is an artifact's golden rendering: the .dat series
+// (error columns included), then the table, then one "note:" line per
 // note.
 func goldenText(t *testing.T, id string, out exp.Output) string {
 	var buf strings.Builder
 	if out.Figure != nil {
-		// The goldens cover each series' label, X and Y; the YErr
-		// columns are not part of them.
-		fig := *out.Figure
-		fig.Series = nil
-		for _, s := range out.Figure.Series {
-			s.YErr = nil
-			fig.Series = append(fig.Series, s)
-		}
-		if err := fig.WriteDat(&buf); err != nil {
+		if err := out.Figure.WriteDat(&buf); err != nil {
 			t.Fatalf("%s: WriteDat: %v", id, err)
 		}
 	}
