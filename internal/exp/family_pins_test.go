@@ -6,8 +6,9 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"hash"
+	"io"
 	"os"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -19,8 +20,27 @@ var updatePins = flag.Bool("update-family-pins", false, "rewrite the family expa
 
 const pinsPath = "testdata/family_pins.json"
 
-// hashValue feeds v's Go-syntax rendering to h, one value a line.
-func hashValue(h hash.Hash, v any) { fmt.Fprintf(h, "%#v\n", v) }
+// hashFields feeds h one "path=value" line per non-zero leaf field of
+// v, so adding or deleting a field that is zero everywhere leaves every
+// pin as it was.
+func hashFields(h io.Writer, path string, v reflect.Value) {
+	if v.Kind() == reflect.Struct {
+		for i := 0; i < v.NumField(); i++ {
+			hashFields(h, path+"."+v.Type().Field(i).Name, v.Field(i))
+		}
+		return
+	}
+	if !v.IsZero() {
+		fmt.Fprintf(h, "%s=%#v\n", path, v)
+	}
+}
+
+// hashValue feeds v's non-zero leaf fields to h, then a blank line
+// that ends the value.
+func hashValue(h io.Writer, v any) {
+	hashFields(h, "", reflect.ValueOf(v))
+	fmt.Fprintln(h)
+}
 
 // pinExpansion is "<count> <sha256>" of a family's expanded grid.
 func pinExpansion(t *testing.T, name string, p scenario.Params) string {
