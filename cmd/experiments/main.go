@@ -90,8 +90,8 @@ func main() {
 		return
 	}
 
-	exp.SetWorkers(*workers)
-	exp.DefaultEngine().SetRunWorkers(*runWork)
+	engine := exp.NewEngine(*workers, 0)
+	engine.SetRunWorkers(*runWork)
 
 	sc, err := exp.ScaleByName(*scale)
 	if err != nil {
@@ -100,7 +100,7 @@ func main() {
 	}
 
 	if *family != "" {
-		runFamily(*family, sc, *reps, *outDir, *plotW, *plotH, *quiet)
+		runFamily(engine, *family, sc, *reps, *outDir, *plotW, *plotH, *quiet)
 		return
 	}
 
@@ -128,7 +128,7 @@ func main() {
 
 	for _, e := range targets {
 		start := time.Now() //rapidlint:allow nondeterminism — wall-clock progress timing for the operator; never feeds simulation state
-		out := e.Run(sc)
+		out := e.Run(engine, sc)
 		elapsed := time.Since(start).Round(time.Millisecond) //rapidlint:allow nondeterminism — wall-clock progress timing for the operator
 		if err := writeOutput(out, e.ID, e.Title, *outDir, sc, elapsed, *plotW, *plotH, *quiet); err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -178,7 +178,7 @@ func writeOutput(out exp.Output, id, title, outDir string, sc exp.Scale, elapsed
 // and prints one summary row per scenario. With two or more
 // replications per grid point it additionally reduces the family to
 // mean ± 95% CI error-bar figures and writes them to outDir.
-func runFamily(name string, sc exp.Scale, reps int, outDir string, plotW, plotH int, quiet bool) {
+func runFamily(engine *exp.Engine, name string, sc exp.Scale, reps int, outDir string, plotW, plotH int, quiet bool) {
 	params := exp.FamilyParams(name, sc)
 	if reps > 0 {
 		params.Runs = reps
@@ -188,7 +188,6 @@ func runFamily(name string, sc exp.Scale, reps int, outDir string, plotW, plotH 
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	engine := exp.DefaultEngine()
 	start := time.Now() //rapidlint:allow nondeterminism — wall-clock progress timing for the operator; never feeds simulation state
 	sums := engine.Summaries(scs)
 	elapsed := time.Since(start).Round(time.Millisecond) //rapidlint:allow nondeterminism — wall-clock progress timing for the operator

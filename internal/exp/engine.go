@@ -2,13 +2,16 @@ package exp
 
 import (
 	"context"
+	"math"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 
 	"rapid/internal/metrics"
 	"rapid/internal/report"
 	"rapid/internal/scenario"
+	"rapid/internal/stat"
 )
 
 // Engine executes scenario runs across a bounded worker pool with a
@@ -70,18 +73,6 @@ func NewEngine(workers, cacheLimit int) *Engine {
 	}
 }
 
-// defaultEngine runs every figure; SetWorkers resizes it (the
-// cmd/experiments -workers flag). Not synchronized: resize before
-// launching sweeps.
-var defaultEngine = NewEngine(0, 0)
-
-// SetWorkers resizes the default engine's worker pool (n <= 0 restores
-// GOMAXPROCS) and clears its cache. It swaps the package global
-// unsynchronized and exists solely as the cmd/experiments startup path
-// — call it once before launching sweeps. Long-lived services must
-// instead own an engine from NewEngine.
-func SetWorkers(n int) { defaultEngine = NewEngine(n, 0) }
-
 // SetRunWorkers sets this engine's intra-run worker default, applied at
 // execution time to scenarios that did not pin Overrides.Workers (the
 // cmd/experiments -run-workers flag and the service's RunWorkers). 0 or
@@ -107,9 +98,6 @@ func (e *Engine) applyRunWorkers(sc scenario.Scenario) scenario.Scenario {
 func (e *Engine) CacheStats() (hits, misses uint64) {
 	return e.hits.Load(), e.misses.Load()
 }
-
-// DefaultEngine returns the engine the figures run on.
-func DefaultEngine() *Engine { return defaultEngine }
 
 // Workers reports the pool size.
 func (e *Engine) Workers() int { return e.workers }
@@ -274,70 +262,95 @@ func (e *Engine) Runs(scs []scenario.Scenario) []RunOutput {
 }
 
 // ---------------------------------------------------------------------
-// Figure assembly: a sweep collects (series, x, scenario-batch) points,
-// submits every run of the whole figure to the engine as one flat job
-// list — so a figure parallelizes across series, axis points, days and
-// seeds at once — and averages each batch into its series point.
+// The sweep reducer. Every figure point is a (series, x, batch) triple.
+// A figure submits the batches of all its points to the engine as one
+// flat job list, so it parallelizes across series, axis points, days
+// and seeds at once, and reduces each batch to the Welford mean of its
+// values, with the 95% half-width when the figure carries error bars.
 
-type sweepPoint struct {
+// point is one figure point: the batch of runs behind it and the value
+// each run contributes. A NaN value declines its run, which then leaves
+// the point's pool. obs holds observations that come from no summary
+// (Fig. 13's offline oracle); they are pooled ahead of the batch's.
+type point struct {
 	series string
 	x      float64
-	value  func(metrics.Summary) float64
 	scs    []scenario.Scenario
+	value  func(metrics.Summary) float64
+	obs    []float64
 }
 
-type sweep struct {
-	fig    *report.Figure
-	points []sweepPoint
-}
-
-// newSweep starts a figure assembly.
-func newSweep(id, title, xlabel, ylabel string) *sweep {
-	return &sweep{fig: &report.Figure{ID: id, Title: title, XLabel: xlabel, YLabel: ylabel}}
-}
-
-// point adds one series point backed by a batch of scenario runs whose
-// value-extracted summaries are averaged.
-func (sw *sweep) point(series string, x float64, value func(metrics.Summary) float64, scs []scenario.Scenario) {
-	sw.points = append(sw.points, sweepPoint{series: series, x: x, value: value, scs: scs})
-}
-
-// scenarios is every point's batch, in point order.
-func (sw *sweep) scenarios() []scenario.Scenario {
+// reduce runs the batches of all points on the engine and returns each
+// point's mean and 95% half-width, in point order.
+func (e *Engine) reduce(pts []point) []stat.CI {
 	var all []scenario.Scenario
-	for _, p := range sw.points {
+	for _, p := range pts {
 		all = append(all, p.scs...)
 	}
-	return all
+	sums := e.Summaries(all)
+	cis := make([]stat.CI, len(pts))
+	for i, p := range pts {
+		var w stat.Welford
+		for _, v := range p.obs {
+			w.Add(v)
+		}
+		for _, s := range sums[:len(p.scs)] {
+			if v := p.value(s); !math.IsNaN(v) {
+				w.Add(v)
+			}
+		}
+		sums = sums[len(p.scs):]
+		cis[i] = w.CI(ciConfidence)
+	}
+	return cis
 }
 
-// output runs the sweep on the figures' engine.
-func (sw *sweep) output() Output { return Output{Figure: sw.run(defaultEngine)} }
-
-// run executes every point's batch on the engine and assembles the
-// figure; series appear in first-point order.
-func (sw *sweep) run(e *Engine) *report.Figure {
-	sums := e.Summaries(sw.scenarios())
+// plot lays the reduced points out as fig's series: series in
+// first-point order, each sorted by x, with each point's half-width as
+// YErr when errs is set.
+func plot(fig *report.Figure, pts []point, cis []stat.CI, errs bool) *report.Figure {
 	idx := make(map[string]int)
-	off := 0
-	for _, p := range sw.points {
-		var sum float64
-		for _, s := range sums[off : off+len(p.scs)] {
-			sum += p.value(s)
-		}
-		off += len(p.scs)
-		y := 0.0
-		if len(p.scs) > 0 {
-			y = sum / float64(len(p.scs))
-		}
-		i, ok := idx[p.series]
+	for i, p := range pts {
+		si, ok := idx[p.series]
 		if !ok {
-			i = len(sw.fig.Series)
-			idx[p.series] = i
-			sw.fig.Series = append(sw.fig.Series, report.Series{Label: p.series})
+			si = len(fig.Series)
+			idx[p.series] = si
+			fig.Series = append(fig.Series, report.Series{Label: p.series})
 		}
-		sw.fig.Series[i].X = append(sw.fig.Series[i].X, p.x)
-		sw.fig.Series[i].Y = append(sw.fig.Series[i].Y, y)
+		s := &fig.Series[si]
+		s.X = append(s.X, p.x)
+		s.Y = append(s.Y, cis[i].Mean)
+		if errs {
+			s.YErr = append(s.YErr, cis[i].Half)
+		}
 	}
-	return sw.fig
+	for i := range fig.Series {
+		sortSeries(&fig.Series[i])
+	}
+	return fig
+}
+
+// sweep reduces the points on the engine into fig, without error bars.
+func (e *Engine) sweep(fig *report.Figure, pts []point) *report.Figure {
+	return plot(fig, pts, e.reduce(pts), false)
+}
+
+// sortSeries orders a series by X, keeping Y and any YErr aligned.
+func sortSeries(s *report.Series) {
+	idx := make([]int, len(s.X))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.SliceStable(idx, func(a, b int) bool { return s.X[idx[a]] < s.X[idx[b]] })
+	permute := func(v []float64) []float64 {
+		if v == nil {
+			return nil
+		}
+		out := make([]float64, len(idx))
+		for i, j := range idx {
+			out[i] = v[j]
+		}
+		return out
+	}
+	s.X, s.Y, s.YErr = permute(s.X), permute(s.Y), permute(s.YErr)
 }

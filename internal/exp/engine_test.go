@@ -1,10 +1,12 @@
 package exp
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
 	"rapid/internal/metrics"
+	"rapid/internal/report"
 	"rapid/internal/scenario"
 )
 
@@ -144,32 +146,34 @@ func TestRunsParallelCollectors(t *testing.T) {
 func TestFigureParallelMatchesSerial(t *testing.T) {
 	sc := TinyScale()
 	sc.Name = "tiny-parallel-check"
-	saved := defaultEngine
-	defer func() { defaultEngine = saved }()
-
-	defaultEngine = NewEngine(1, 0)
-	serial := Fig5(sc)
-	defaultEngine = NewEngine(8, 0)
-	parallel := Fig5(sc)
+	fig5, _ := ByID("fig5")
+	serial := fig5.Run(NewEngine(1, 0), sc)
+	parallel := fig5.Run(NewEngine(8, 0), sc)
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Fatal("Fig5 differs between serial and parallel engines")
 	}
 }
 
 // TestSweepSeriesOrder: series appear in first-point insertion order
-// and carry one point per x.
+// and carry one point per x; a NaN value declines its run.
 func TestSweepSeriesOrder(t *testing.T) {
 	grid := engineGrid("sweep")
-	sw := newSweep("id", "t", "x", "y")
-	sw.point("b", 1, deliveryRate, grid[:1])
-	sw.point("a", 1, deliveryRate, grid[1:2])
-	sw.point("b", 2, deliveryRate, grid[2:3])
-	fig := sw.run(NewEngine(2, 0))
-	if len(fig.Series) != 2 || fig.Series[0].Label != "b" || fig.Series[1].Label != "a" {
+	pts := []point{
+		{series: "b", x: 1, value: deliveryRate.value, scs: grid[:1]},
+		{series: "a", x: 1, value: deliveryRate.value, scs: grid[1:2]},
+		{series: "b", x: 2, value: deliveryRate.value, scs: grid[2:3]},
+		{series: "c", x: 1, value: func(metrics.Summary) float64 { return math.NaN() }, scs: grid[3:4], obs: []float64{7}},
+	}
+	e := NewEngine(2, 0)
+	fig := e.sweep(&report.Figure{}, pts)
+	if len(fig.Series) != 3 || fig.Series[0].Label != "b" || fig.Series[1].Label != "a" || fig.Series[2].Label != "c" {
 		t.Fatalf("series order wrong: %+v", fig.Series)
 	}
 	if len(fig.Series[0].X) != 2 || len(fig.Series[1].X) != 1 {
 		t.Fatalf("series lengths wrong: %+v", fig.Series)
+	}
+	if cis := e.reduce(pts); cis[3].N != 1 || cis[3].Mean != 7 {
+		t.Fatalf("declined run pooled: %+v", cis[3])
 	}
 }
 
@@ -212,14 +216,16 @@ func TestCacheSustainedEviction(t *testing.T) {
 // scale is served from the engine's cache without a single run.
 func TestFigureSharesFamilyCache(t *testing.T) {
 	sc := TinyScale()
-	Fig4(sc)
-	hits, misses := defaultEngine.CacheStats()
+	e := NewEngine(0, 0)
+	fig4, _ := ByID("fig4")
+	fig4.Run(e, sc)
+	hits, misses := e.CacheStats()
 	scs, err := scenario.Expand("trace-comparison", FamilyParams("trace-comparison", sc))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defaultEngine.Summaries(scs)
-	h, m := defaultEngine.CacheStats()
+	e.Summaries(scs)
+	h, m := e.CacheStats()
 	if m != misses || h-hits != uint64(len(scs)) {
 		t.Fatalf("family after Fig. 4: %d hits, %d misses over %d scenarios; want all hits", h-hits, m-misses, len(scs))
 	}

@@ -42,6 +42,12 @@ func TestRegistryComplete(t *testing.T) {
 	}
 }
 
+// regen regenerates one experiment on a fresh engine.
+func regen(id string, sc Scale) Output {
+	e, _ := ByID(id)
+	return e.Run(NewEngine(0, 0), sc)
+}
+
 func itoa(i int) string {
 	if i >= 10 {
 		return string(rune('0'+i/10)) + string(rune('0'+i%10))
@@ -54,7 +60,7 @@ func itoa(i int) string {
 // worse average delay under load.
 func TestTraceComparisonShape(t *testing.T) {
 	sc := TinyScale()
-	out := Fig5(sc) // delivery rate sweep
+	out := regen("fig5", sc) // delivery rate sweep
 	rates := map[string][]float64{}
 	for _, s := range out.Figure.Series {
 		rates[s.Label] = s.Y
@@ -81,7 +87,7 @@ func TestTraceComparisonShape(t *testing.T) {
 // TestTable3Sanity checks the deployment reproduction produces the
 // right shape of statistics.
 func TestTable3Sanity(t *testing.T) {
-	out := Table3(TinyScale())
+	out := regen("table3", TinyScale())
 	if out.Table == nil || len(out.Table.Rows) != 7 {
 		t.Fatalf("table3 %+v", out.Table)
 	}
@@ -97,7 +103,7 @@ func TestTable3Sanity(t *testing.T) {
 func TestFig3ProducesValidationNote(t *testing.T) {
 	sc := TinyScale()
 	sc.Days = 3 // need >=2 days for a CI
-	out := Fig3(sc)
+	out := regen("fig3", sc)
 	if out.Figure == nil || len(out.Figure.Series) != 2 {
 		t.Fatal("fig3 must have Real and Simulation series")
 	}
@@ -115,7 +121,7 @@ func TestFig3ProducesValidationNote(t *testing.T) {
 // TestFig8MoreMetadataNoWorse: at tiny scale, unlimited metadata should
 // not do worse than zero metadata (the Fig. 8 trend).
 func TestFig8MoreMetadataNoWorse(t *testing.T) {
-	out := Fig8(TinyScale())
+	out := regen("fig8", TinyScale())
 	if len(out.Figure.Series) == 0 {
 		t.Fatal("no series")
 	}
@@ -138,7 +144,7 @@ func TestFig13OptimalIsLowerBound(t *testing.T) {
 	twoRuns := TinyScale()
 	twoRuns.Runs = 2
 	for _, sc := range []Scale{TinyScale(), twoRuns} {
-		out := Fig13(sc)
+		out := regen("fig13", sc)
 		var opt []float64
 		arms := 0
 		for _, s := range out.Figure.Series {
@@ -168,7 +174,7 @@ func TestFig13OptimalIsLowerBound(t *testing.T) {
 
 // TestFig15FairnessBounds: Jain indices are in (0, 1].
 func TestFig15FairnessBounds(t *testing.T) {
-	out := Fig15(TinyScale())
+	out := regen("fig15", TinyScale())
 	for _, s := range out.Figure.Series {
 		for i, x := range s.X {
 			if x <= 0 || x > 1.0001 {
@@ -192,7 +198,7 @@ func TestAllExperimentsSmoke(t *testing.T) {
 	for _, e := range All() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			out := e.Run(sc)
+			out := e.Run(NewEngine(0, 0), sc)
 			if out.Figure == nil && out.Table == nil {
 				t.Fatalf("%s produced no artifact", e.ID)
 			}
@@ -269,13 +275,16 @@ func TestFigureGridsMatchFamilies(t *testing.T) {
 	} {
 		for i, g := range []struct {
 			fig, family string
-			sw          *sweep
+			axis        axis
 		}{
-			{"fig4", "trace-comparison", traceComparison(c.sc, core.AvgDelay, avgDelayMin, "fig4", "", "")},
-			{"fig16", "synth-powerlaw", synthComparison(c.sc, "synth-powerlaw", core.AvgDelay, avgDelaySec, "fig16", "", "")},
-			{"fig22", "synth-exponential", synthComparison(c.sc, "synth-exponential", core.AvgDelay, avgDelaySec, "fig22", "", "")},
+			{"fig4", "trace-comparison", traceLoads},
+			{"fig16", "synth-powerlaw", synthLoads},
+			{"fig22", "synth-exponential", synthLoads},
 		} {
-			got := g.sw.scenarios()
+			var got []scenario.Scenario
+			for _, p := range (grid{g.family, comparison, g.axis, core.AvgDelay, avgDelaySec}).points(c.sc) {
+				got = append(got, p.scs...)
+			}
 			want, err := scenario.Expand(g.family, FamilyParams(g.family, c.sc))
 			if err != nil {
 				t.Fatal(err)

@@ -20,41 +20,74 @@ type Output struct {
 	Notes  []string
 }
 
-// Experiment couples a paper artifact with its regeneration function.
+// Experiment couples a paper artifact with its regeneration function,
+// which runs every scenario on the engine it is given.
 type Experiment struct {
 	ID    string
 	Title string
-	Run   func(sc Scale) Output
+	Run   func(*Engine, Scale) Output
 }
 
-// All returns every reproduced table and figure in paper order.
+// All returns every reproduced table and figure in paper order. It is
+// the single declaration of each artifact: the grid figures are rows
+// of figure(), the rest name their own function.
 func All() []Experiment {
 	return []Experiment{
-		{"table3", "Deployment daily statistics", Table3},
-		{"fig3", "Validation: deployment vs simulation average delay", Fig3},
-		{"fig4", "Trace: average delay vs load", Fig4},
-		{"fig5", "Trace: delivery rate vs load", Fig5},
-		{"fig6", "Trace: max delay vs load", Fig6},
-		{"fig7", "Trace: delivered within deadline vs load", Fig7},
-		{"fig8", "Trace: control channel benefit (metadata cap sweep)", Fig8},
-		{"fig9", "Trace: channel utilization and metadata vs load", Fig9},
-		{"fig10", "Trace: avg delay, in-band vs instant global channel", Fig10},
-		{"fig11", "Trace: delivery rate, in-band vs instant global channel", Fig11},
-		{"fig12", "Trace: within deadline, in-band vs instant global channel", Fig12},
-		{"fig13", "Trace: comparison with Optimal (small loads)", Fig13},
-		{"fig14", "Trace: RAPID component ablation", Fig14},
-		{"fig15", "Trace: Jain fairness CDF for parallel packets", Fig15},
-		{"fig16", "Power law: average delay vs load", Fig16},
-		{"fig17", "Power law: max delay vs load", Fig17},
-		{"fig18", "Power law: delivered within deadline vs load", Fig18},
-		{"fig19", "Power law: average delay vs buffer size", Fig19},
-		{"fig20", "Power law: max delay vs buffer size", Fig20},
-		{"fig21", "Power law: delivered within deadline vs buffer size", Fig21},
-		{"fig22", "Exponential: average delay vs load", Fig22},
-		{"fig23", "Exponential: max delay vs load", Fig23},
-		{"fig24", "Exponential: delivered within deadline vs load", Fig24},
-		{"cgr-policies-delay", "CGR allocation policies: average delay vs loss", CGRPoliciesDelay},
-		{"cgr-policies-rate", "CGR allocation policies: delivery rate vs loss", CGRPoliciesRate},
+		{"table3", "Deployment daily statistics", table3},
+		{"fig3", "Validation: deployment vs simulation average delay", fig3},
+		// Figs. 4–7: the comparison set on the trace. Fig. 5 reads the
+		// average-delay sweep; Figs. 6 and 7 run RAPID at Eqs. 3 and 2.
+		figure("fig4", "Trace: average delay vs load", "Average delay vs load (trace)",
+			grid{traceFamily, comparison, traceLoads, core.AvgDelay, avgDelayMin}),
+		figure("fig5", "Trace: delivery rate vs load", "Delivery rate vs load (trace)",
+			grid{traceFamily, comparison, traceLoads, core.AvgDelay, deliveryRate}),
+		figure("fig6", "Trace: max delay vs load", "Max delay vs load (trace)",
+			grid{traceFamily, comparison, traceLoads, core.MaxDelay, maxDelayMin}),
+		figure("fig7", "Trace: delivered within deadline vs load", "Delivered within deadline vs load (trace)",
+			grid{traceFamily, comparison, traceLoads, core.Deadline, withinDeadline}),
+		{"fig8", "Trace: control channel benefit (metadata cap sweep)", fig8},
+		{"fig9", "Trace: channel utilization and metadata vs load", fig9},
+		// Figs. 10–12: the hybrid DTN's two control channels.
+		figure("fig10", "Trace: avg delay, in-band vs instant global channel", "Avg delay: in-band vs instant global channel",
+			grid{traceFamily, channels, traceLoads, core.AvgDelay, avgDelayMin}),
+		figure("fig11", "Trace: delivery rate, in-band vs instant global channel", "Delivery rate: in-band vs instant global channel",
+			grid{traceFamily, channels, traceLoads, core.AvgDelay, deliveryRate}),
+		figure("fig12", "Trace: within deadline, in-band vs instant global channel", "Within deadline: in-band vs instant global channel",
+			grid{traceFamily, channels, traceLoads, core.Deadline, withinDeadline}),
+		{"fig13", "Trace: comparison with Optimal (small loads)", fig13},
+		// Fig. 14: the component ablation from Random up to full RAPID.
+		figure("fig14", "Trace: RAPID component ablation", "RAPID component ablation (trace)",
+			grid{traceFamily, ablation, traceLoads, core.AvgDelay, avgDelayMin}),
+		{"fig15", "Trace: Jain fairness CDF for parallel packets", fig15},
+		// Figs. 16–24: synthetic mobility; Figs. 19–21 vary per-node
+		// storage at a fixed load.
+		figure("fig16", "Power law: average delay vs load", "Average delay vs load (power law)",
+			grid{"synth-powerlaw", comparison, synthLoads, core.AvgDelay, avgDelaySec}),
+		figure("fig17", "Power law: max delay vs load", "Max delay vs load (power law)",
+			grid{"synth-powerlaw", comparison, synthLoads, core.MaxDelay, maxDelaySec}),
+		figure("fig18", "Power law: delivered within deadline vs load", "Delivered within deadline vs load (power law)",
+			grid{"synth-powerlaw", comparison, synthLoads, core.Deadline, withinDeadline}),
+		figure("fig19", "Power law: average delay vs buffer size", "Average delay vs buffer size (power law)",
+			grid{"synth-powerlaw", comparison, buffers, core.AvgDelay, avgDelaySec}),
+		figure("fig20", "Power law: max delay vs buffer size", "Max delay vs buffer size (power law)",
+			grid{"synth-powerlaw", comparison, buffers, core.MaxDelay, maxDelaySec}),
+		figure("fig21", "Power law: delivered within deadline vs buffer size", "Delivered within deadline vs buffer size (power law)",
+			grid{"synth-powerlaw", comparison, buffers, core.Deadline, withinDeadline}),
+		figure("fig22", "Exponential: average delay vs load", "Average delay vs load (exponential)",
+			grid{"synth-exponential", comparison, synthLoads, core.AvgDelay, avgDelaySec}),
+		figure("fig23", "Exponential: max delay vs load", "Max delay vs load (exponential)",
+			grid{"synth-exponential", comparison, synthLoads, core.MaxDelay, maxDelaySec}),
+		figure("fig24", "Exponential: delivered within deadline vs load", "Delivered within deadline vs load (exponential)",
+			grid{"synth-exponential", comparison, synthLoads, core.Deadline, withinDeadline}),
+		// The CGR allocation-policy family (single-copy, k-path,
+		// bounded multi-copy, admission, with RAPID as the multi-copy
+		// reference): the reduction `experiments -family cgr-policies`
+		// produces, pinned by the goldens. The engine's cache makes the
+		// second artifact's reduction nearly free.
+		{"cgr-policies-delay", "CGR allocation policies: average delay vs loss",
+			func(e *Engine, sc Scale) Output { return cgrPolicies(e, sc)[0] }},
+		{"cgr-policies-rate", "CGR allocation policies: delivery rate vs loss",
+			func(e *Engine, sc Scale) Output { return cgrPolicies(e, sc)[1] }},
 	}
 }
 
@@ -69,61 +102,140 @@ func ByID(id string) (Experiment, bool) {
 }
 
 // ---------------------------------------------------------------------
-// Trace comparison sweeps (Figs. 4–7)
+// Grid figures
 
-// traceComparison sweeps the load axis for the comparison set (the
-// trace-comparison family's grid at the figure's metric).
-func traceComparison(sc Scale, metric core.Metric, value func(metrics.Summary) float64, id, title, ylabel string) *sweep {
-	sw := newSweep(id, title, "packets generated per hour per destination", ylabel)
-	for _, proto := range scenario.ComparisonSet() {
-		for _, load := range sc.TraceLoads {
-			sw.point(string(proto), load, value,
-				pointGrid(traceFamily, sc, load, proto, metric, scenario.Overrides{}))
+// arm is one series of a grid figure: its label and the protocol it
+// runs.
+type arm struct {
+	label string
+	proto scenario.Proto
+}
+
+// protos labels each protocol by its own name.
+func protos(ps ...scenario.Proto) []arm {
+	arms := make([]arm, len(ps))
+	for i, p := range ps {
+		arms[i] = arm{string(p), p}
+	}
+	return arms
+}
+
+var (
+	comparison = protos(scenario.ComparisonSet()...)
+	channels   = []arm{
+		{"In-band control channel", scenario.ProtoRapid},
+		{"Instant global control channel", scenario.ProtoRapidGlobal},
+	}
+	ablation = protos(scenario.ProtoRapid, scenario.ProtoRapidLocal, scenario.ProtoRandomAcks, scenario.ProtoRandom)
+)
+
+// tick is one point of a grid figure's x axis: the plotted x, the load
+// its runs generate, and the overrides they run with.
+type tick struct {
+	x, load float64
+	ov      scenario.Overrides
+}
+
+// axis is a grid figure's x axis: its label and its ticks at a scale.
+type axis struct {
+	label string
+	ticks func(Scale) []tick
+}
+
+// loadAxis plots a scale's load axis against the load itself.
+func loadAxis(label string, loads func(Scale) []float64) axis {
+	return axis{label, func(sc Scale) []tick {
+		var ts []tick
+		for _, l := range loads(sc) {
+			ts = append(ts, tick{x: l, load: l})
+		}
+		return ts
+	}}
+}
+
+const tracePerHour = "packets generated per hour per destination"
+
+var (
+	traceLoads   = loadAxis(tracePerHour, func(sc Scale) []float64 { return sc.TraceLoads })
+	optimalLoads = loadAxis(tracePerHour, func(sc Scale) []float64 { return sc.OptimalLoads })
+	synthLoads   = loadAxis("packets generated per 50 s per destination", func(sc Scale) []float64 { return sc.SynthLoads })
+	// buffers is Figs. 19–21's per-node storage axis (KB), at Table 4's
+	// 20 packets per destination (§6.3.2).
+	buffers = axis{"available storage (KB)", func(sc Scale) []tick {
+		var ts []tick
+		for _, b := range sc.Buffers {
+			ts = append(ts, tick{x: float64(b >> 10), load: 20,
+				ov: scenario.Overrides{BufferBytes: b, BufferBytesSet: true}})
+		}
+		return ts
+	}}
+)
+
+// measure is what a figure plots of each run, and its y label.
+type measure struct {
+	ylabel string
+	value  func(metrics.Summary) float64
+}
+
+var (
+	avgDelayMin    = measure{"avg delay (min)", func(s metrics.Summary) float64 { return s.AvgDelay / 60 }}
+	avgDelaySec    = measure{"avg delay (s)", func(s metrics.Summary) float64 { return s.AvgDelay }}
+	maxDelayMin    = measure{"max delay (min)", func(s metrics.Summary) float64 { return s.MaxDelay / 60 }}
+	maxDelaySec    = measure{"max delay (s)", func(s metrics.Summary) float64 { return s.MaxDelay }}
+	deliveryRate   = measure{"fraction delivered", func(s metrics.Summary) float64 { return s.DeliveryRate }}
+	withinDeadline = measure{"fraction within deadline", func(s metrics.Summary) float64 { return s.WithinDeadline }}
+	avgDelayAllMin = measure{"avg delay incl. undelivered (min)", func(s metrics.Summary) float64 { return s.AvgDelayAll / 60 }}
+)
+
+// grid declares a figure swept over a registry family's grid: one
+// series per arm and one point per axis tick, each point the arm's
+// days × runs at that tick, with RAPID optimizing metric.
+type grid struct {
+	family  string
+	arms    []arm
+	axis    axis
+	metric  core.Metric
+	measure measure
+}
+
+// points is the grid's figure points at the scale, arm by arm.
+func (g grid) points(sc Scale) []point {
+	var pts []point
+	for _, a := range g.arms {
+		for _, t := range g.axis.ticks(sc) {
+			pts = append(pts, point{series: a.label, x: t.x, value: g.measure.value,
+				scs: pointGrid(g.family, sc, t.load, a.proto, g.metric, t.ov)})
 		}
 	}
-	return sw
+	return pts
 }
 
-// Fig4 reproduces Figure 4 (average delay of delivered packets).
-func Fig4(sc Scale) Output {
-	return traceComparison(sc, core.AvgDelay, avgDelayMin,
-		"fig4", "Average delay vs load (trace)", "avg delay (min)").output()
+// fig is the grid's empty figure.
+func (g grid) fig(id, title string) *report.Figure {
+	return &report.Figure{ID: id, Title: title, XLabel: g.axis.label, YLabel: g.measure.ylabel}
 }
 
-// Fig5 reproduces Figure 5 (delivery rate; RAPID run with the
-// average-delay metric, as in the paper's shared sweep).
-func Fig5(sc Scale) Output {
-	return traceComparison(sc, core.AvgDelay, deliveryRate,
-		"fig5", "Delivery rate vs load (trace)", "fraction delivered").output()
-}
-
-// Fig6 reproduces Figure 6 (maximum delay; RAPID optimizes Eq. 3).
-func Fig6(sc Scale) Output {
-	return traceComparison(sc, core.MaxDelay, maxDelayMin,
-		"fig6", "Max delay vs load (trace)", "max delay (min)").output()
-}
-
-// Fig7 reproduces Figure 7 (fraction delivered within the 2.7 h
-// deadline; RAPID optimizes Eq. 2).
-func Fig7(sc Scale) Output {
-	return traceComparison(sc, core.Deadline, withinDeadline,
-		"fig7", "Delivered within deadline vs load (trace)", "fraction within deadline").output()
+// figure declares the experiment that plots g; figTitle heads its
+// figure.
+func figure(id, title, figTitle string, g grid) Experiment {
+	return Experiment{id, title, func(e *Engine, sc Scale) Output {
+		return Output{Figure: e.sweep(g.fig(id, figTitle), g.points(sc))}
+	}}
 }
 
 // ---------------------------------------------------------------------
-// Control-channel studies (Figs. 8–12)
+// Figures of their own shape
 
-// Fig8 reproduces Figure 8: RAPID average delay as the metadata budget
+// fig8 reproduces Figure 8: RAPID average delay as the metadata budget
 // is capped at a fraction of each opportunity, at three loads.
 // Unlimited metadata plots at x = 0.4 (just past the paper's 0.35 axis
 // end) and is called out in the notes.
-func Fig8(sc Scale) Output {
+func fig8(e *Engine, sc Scale) Output {
 	loads := []float64{6, 12, 20}
 	if sc.Name == "tiny" {
 		loads = []float64{6}
 	}
-	sw := newSweep("fig8", "Control channel benefit (trace)",
-		"metadata cap (fraction of opportunity; 0.4 = unlimited)", "avg delay (min)")
+	var pts []point
 	for _, load := range loads {
 		label := fmt.Sprintf("load %g/hour/destination", load)
 		for _, frac := range sc.MetaFractions {
@@ -132,152 +244,79 @@ func Fig8(sc Scale) Output {
 				x = 0.4
 			}
 			ov := scenario.Overrides{MetaFraction: frac, MetaFractionSet: true}
-			sw.point(label, x, avgDelayMin,
-				pointGrid(traceFamily, sc, load, scenario.ProtoRapid, core.AvgDelay, ov))
+			pts = append(pts, point{series: label, x: x, value: avgDelayMin.value,
+				scs: pointGrid(traceFamily, sc, load, scenario.ProtoRapid, core.AvgDelay, ov)})
 		}
 	}
-	fig := sw.run(defaultEngine)
-	for i := range fig.Series {
-		sortSeries(&fig.Series[i])
-	}
-	return Output{Figure: fig, Notes: []string{
+	fig := &report.Figure{ID: "fig8", Title: "Control channel benefit (trace)",
+		XLabel: "metadata cap (fraction of opportunity; 0.4 = unlimited)", YLabel: avgDelayMin.ylabel}
+	return Output{Figure: e.sweep(fig, pts), Notes: []string{
 		"x = 0.4 is the unlimited-metadata arm (paper: best performance with no restriction)",
 	}}
 }
 
-// Fig9 reproduces Figure 9: channel utilization, metadata/data ratio,
-// and delivery rate as load grows past the comparison range.
-func Fig9(sc Scale) Output {
-	loads := append(append([]float64{}, sc.TraceLoads...),
-		sc.TraceLoads[len(sc.TraceLoads)-1]*1.4,
-		sc.TraceLoads[len(sc.TraceLoads)-1]*1.875)
-	sw := newSweep("fig9", "Channel utilization (trace)",
-		"packets generated per hour per destination", "fraction")
-	for _, load := range loads {
-		grid := pointGrid(traceFamily, sc, load, scenario.ProtoRapid, core.AvgDelay, scenario.Overrides{})
-		sw.point("Meta information/RAPID data", load, metaOverData, grid)
-		sw.point("% channel utilization", load, channelUtilization, grid)
-		sw.point("Delivery rate", load, deliveryRate, grid)
+// fig9 reproduces Figure 9: channel utilization, metadata/data ratio,
+// and delivery rate of RAPID as load grows past the comparison range.
+func fig9(e *Engine, sc Scale) Output {
+	last := sc.TraceLoads[len(sc.TraceLoads)-1]
+	var pts []point
+	for _, load := range append(append([]float64{}, sc.TraceLoads...), last*1.4, last*1.875) {
+		scs := pointGrid(traceFamily, sc, load, scenario.ProtoRapid, core.AvgDelay, scenario.Overrides{})
+		pts = append(pts,
+			point{series: "Meta information/RAPID data", x: load, scs: scs, value: func(s metrics.Summary) float64 { return s.MetaOverData }},
+			point{series: "% channel utilization", x: load, scs: scs, value: func(s metrics.Summary) float64 { return s.Utilization }},
+			point{series: "Delivery rate", x: load, scs: scs, value: deliveryRate.value})
 	}
-	return sw.output()
+	fig := &report.Figure{ID: "fig9", Title: "Channel utilization (trace)", XLabel: tracePerHour, YLabel: "fraction"}
+	return Output{Figure: e.sweep(fig, pts)}
 }
 
-// globalVsInBand powers Figs. 10–12.
-func globalVsInBand(sc Scale, metric core.Metric, value func(metrics.Summary) float64, id, title, ylabel string) Output {
-	sw := newSweep(id, title, "packets generated per hour per destination", ylabel)
-	for _, proto := range []scenario.Proto{scenario.ProtoRapid, scenario.ProtoRapidGlobal} {
-		label := "In-band control channel"
-		if proto == scenario.ProtoRapidGlobal {
-			label = "Instant global control channel"
-		}
-		for _, load := range sc.TraceLoads {
-			sw.point(label, load, value,
-				pointGrid(traceFamily, sc, load, proto, metric, scenario.Overrides{}))
-		}
-	}
-	return sw.output()
-}
-
-// Fig10 reproduces Figure 10 (average delay, hybrid DTN).
-func Fig10(sc Scale) Output {
-	return globalVsInBand(sc, core.AvgDelay, avgDelayMin,
-		"fig10", "Avg delay: in-band vs instant global channel", "avg delay (min)")
-}
-
-// Fig11 reproduces Figure 11 (delivery rate, hybrid DTN).
-func Fig11(sc Scale) Output {
-	return globalVsInBand(sc, core.AvgDelay, deliveryRate,
-		"fig11", "Delivery rate: in-band vs instant global channel", "fraction delivered")
-}
-
-// Fig12 reproduces Figure 12 (within-deadline, hybrid DTN).
-func Fig12(sc Scale) Output {
-	return globalVsInBand(sc, core.Deadline, withinDeadline,
-		"fig12", "Within deadline: in-band vs instant global channel", "fraction within deadline")
-}
-
-// ---------------------------------------------------------------------
-// Optimality and components (Figs. 13–15)
-
-// Fig13 reproduces Figure 13: average delay including undelivered
+// fig13 reproduces Figure 13: average delay including undelivered
 // packets for Optimal, RAPID (both channels) and MaxProp at small
 // loads. The offline oracle substitutes for the paper's CPLEX ILP
 // (cross-checked in internal/routing/optimal's tests; see DESIGN.md).
-// The oracle shares the online arms' materialized schedules and
+// It solves every scenario of the in-band arm's grid — the days and
+// runs each arm averages over — on the same materialized schedules and
 // workloads, so the bound is computed on exactly the traffic RAPID
 // routed.
-func Fig13(sc Scale) Output {
-	arms := []struct {
-		label string
-		proto scenario.Proto
-	}{
+func fig13(e *Engine, sc Scale) Output {
+	g := grid{traceFamily, []arm{
 		{"Rapid: Instant global control channel", scenario.ProtoRapidGlobal},
 		{"Rapid: In-band control channel", scenario.ProtoRapid},
 		{"Maxprop", scenario.ProtoMaxProp},
-	}
-
-	// Offline oracle, one solve per scenario of each load's grid — the
-	// days and runs every arm averages over — fanned across the pool.
+	}, optimalLoads, core.AvgDelay, avgDelayAllMin}
+	ticks := g.axis.ticks(sc)
 	var jobs []scenario.Scenario
-	for _, load := range sc.OptimalLoads {
-		jobs = append(jobs, pointGrid(traceFamily, sc, load, scenario.ProtoRapid, core.AvgDelay, scenario.Overrides{})...)
+	for _, t := range ticks {
+		jobs = append(jobs, pointGrid(traceFamily, sc, t.load, scenario.ProtoRapid, core.AvgDelay, t.ov)...)
 	}
+	// One solve per scenario, fanned across the pool.
 	delays := make([]float64, len(jobs))
-	defaultEngine.parallel(len(jobs), func(i int) {
+	e.parallel(len(jobs), func(i int) {
 		rs := jobs[i].Materialize()
 		delays[i] = optimal.Solve(rs.Schedule, rs.Workload, optimal.Options{}).AvgDelayAll() / 60
 	})
 	per := sc.Days * sc.Runs
-	optSeries := report.Series{Label: "Optimal"}
-	for i, load := range sc.OptimalLoads {
-		var sum float64
-		for _, d := range delays[i*per : (i+1)*per] {
-			sum += d
-		}
-		optSeries.X = append(optSeries.X, load)
-		optSeries.Y = append(optSeries.Y, sum/float64(per))
+	var opt []point
+	for i, t := range ticks {
+		opt = append(opt, point{series: "Optimal", x: t.x, obs: delays[i*per : (i+1)*per]})
 	}
-
-	sw := newSweep("fig13", "Comparison with Optimal (trace, small loads)",
-		"packets generated per hour per destination",
-		"avg delay incl. undelivered (min)")
-	for _, a := range arms {
-		for _, load := range sc.OptimalLoads {
-			sw.point(a.label, load, avgDelayAllMin,
-				pointGrid(traceFamily, sc, load, a.proto, core.AvgDelay, scenario.Overrides{}))
-		}
-	}
-	fig := sw.run(defaultEngine)
-	fig.Series = append([]report.Series{optSeries}, fig.Series...)
-	return Output{Figure: fig, Notes: []string{
+	fig := g.fig("fig13", "Comparison with Optimal (trace, small loads)")
+	return Output{Figure: e.sweep(fig, append(opt, g.points(sc)...)), Notes: []string{
 		"Optimal is the offline earliest-arrival oracle with capacity reservation (single-copy, like the paper's ILP); exact-ILP cross-checks live in internal/routing/optimal tests",
 	}}
 }
 
-// Fig14 reproduces Figure 14: the component ablation from Random up to
-// full RAPID.
-func Fig14(sc Scale) Output {
-	sw := newSweep("fig14", "RAPID component ablation (trace)",
-		"packets generated per hour per destination", "avg delay (min)")
-	for _, proto := range []scenario.Proto{scenario.ProtoRapid, scenario.ProtoRapidLocal, scenario.ProtoRandomAcks, scenario.ProtoRandom} {
-		for _, load := range sc.TraceLoads {
-			sw.point(string(proto), load, avgDelayMin,
-				pointGrid(traceFamily, sc, load, proto, core.AvgDelay, scenario.Overrides{}))
-		}
-	}
-	return sw.output()
-}
-
-// Fig15 reproduces Figure 15: the CDF of Jain's fairness index over
+// fig15 reproduces Figure 15: the CDF of Jain's fairness index over
 // per-cohort delays of packets created in parallel, under contention.
-func Fig15(sc Scale) Output {
+func fig15(e *Engine, sc Scale) Output {
 	fig := &report.Figure{
 		ID: "fig15", Title: "RAPID fairness (trace)",
 		XLabel: "fairness index", YLabel: "CDF of cohorts",
 	}
 	for _, parallel := range []int{20, 30} {
 		var indices []float64
-		for _, r := range defaultEngine.Runs(fairnessGrid(sc, parallel)) {
+		for _, r := range e.Runs(fairnessGrid(sc, parallel)) {
 			indices = append(indices, r.Col.CohortFairness(r.Horizon)...)
 		}
 		sort.Float64s(indices)
@@ -291,108 +330,13 @@ func Fig15(sc Scale) Output {
 	return Output{Figure: fig}
 }
 
-// ---------------------------------------------------------------------
-// Synthetic mobility (Figs. 16–24)
-
-// synthComparison sweeps the load axis of a synthetic-mobility family
-// (synth-powerlaw or synth-exponential) at the figure's metric.
-func synthComparison(sc Scale, family string, metric core.Metric, value func(metrics.Summary) float64, id, title, ylabel string) *sweep {
-	sw := newSweep(id, title, "packets generated per 50 s per destination", ylabel)
-	for _, proto := range scenario.ComparisonSet() {
-		for _, load := range sc.SynthLoads {
-			sw.point(string(proto), load, value,
-				pointGrid(family, sc, load, proto, metric, scenario.Overrides{}))
-		}
+// cgrPolicies runs the cgr-policies family reduction.
+func cgrPolicies(e *Engine, sc Scale) []Output {
+	outs, err := e.FamilyCI("cgr-policies", sc, sc.Runs)
+	if err != nil {
+		// Expansion of a registered family cannot fail unless the
+		// registry itself is broken — a programming error.
+		panic(fmt.Sprintf("exp: cgr-policies family: %v", err))
 	}
-	return sw
-}
-
-// Fig16 reproduces Figure 16 (power-law average delay).
-func Fig16(sc Scale) Output {
-	return synthComparison(sc, "synth-powerlaw", core.AvgDelay, avgDelaySec,
-		"fig16", "Average delay vs load (power law)", "avg delay (s)").output()
-}
-
-// Fig17 reproduces Figure 17 (power-law max delay).
-func Fig17(sc Scale) Output {
-	return synthComparison(sc, "synth-powerlaw", core.MaxDelay, maxDelaySec,
-		"fig17", "Max delay vs load (power law)", "max delay (s)").output()
-}
-
-// Fig18 reproduces Figure 18 (power-law within-deadline).
-func Fig18(sc Scale) Output {
-	return synthComparison(sc, "synth-powerlaw", core.Deadline, withinDeadline,
-		"fig18", "Delivered within deadline vs load (power law)", "fraction within deadline").output()
-}
-
-// synthBufferSweep powers Figs. 19–21: fixed load, varying per-node
-// storage.
-func synthBufferSweep(sc Scale, metric core.Metric, value func(metrics.Summary) float64, id, title, ylabel string) Output {
-	const load = 20 // Table 4 / §6.3.2: 20 packets per destination
-	sw := newSweep(id, title, "available storage (KB)", ylabel)
-	for _, proto := range scenario.ComparisonSet() {
-		for _, buf := range sc.Buffers {
-			ov := scenario.Overrides{BufferBytes: buf, BufferBytesSet: true}
-			sw.point(string(proto), float64(buf>>10), value,
-				pointGrid("synth-powerlaw", sc, load, proto, metric, ov))
-		}
-	}
-	return sw.output()
-}
-
-// Fig19 reproduces Figure 19 (power-law avg delay vs buffer).
-func Fig19(sc Scale) Output {
-	return synthBufferSweep(sc, core.AvgDelay, avgDelaySec,
-		"fig19", "Average delay vs buffer size (power law)", "avg delay (s)")
-}
-
-// Fig20 reproduces Figure 20 (power-law max delay vs buffer).
-func Fig20(sc Scale) Output {
-	return synthBufferSweep(sc, core.MaxDelay, maxDelaySec,
-		"fig20", "Max delay vs buffer size (power law)", "max delay (s)")
-}
-
-// Fig21 reproduces Figure 21 (power-law within-deadline vs buffer).
-func Fig21(sc Scale) Output {
-	return synthBufferSweep(sc, core.Deadline, withinDeadline,
-		"fig21", "Delivered within deadline vs buffer size (power law)", "fraction within deadline")
-}
-
-// Fig22 reproduces Figure 22 (exponential average delay).
-func Fig22(sc Scale) Output {
-	return synthComparison(sc, "synth-exponential", core.AvgDelay, avgDelaySec,
-		"fig22", "Average delay vs load (exponential)", "avg delay (s)").output()
-}
-
-// Fig23 reproduces Figure 23 (exponential max delay).
-func Fig23(sc Scale) Output {
-	return synthComparison(sc, "synth-exponential", core.MaxDelay, maxDelaySec,
-		"fig23", "Max delay vs load (exponential)", "max delay (s)").output()
-}
-
-// Fig24 reproduces Figure 24 (exponential within-deadline).
-func Fig24(sc Scale) Output {
-	return synthComparison(sc, "synth-exponential", core.Deadline, withinDeadline,
-		"fig24", "Delivered within deadline vs load (exponential)", "fraction within deadline").output()
-}
-
-// sortSeries orders a series by X (Fig. 8 and the replication
-// reductions build out of order), keeping Y and any YErr aligned.
-func sortSeries(s *report.Series) {
-	idx := make([]int, len(s.X))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return s.X[idx[a]] < s.X[idx[b]] })
-	permute := func(v []float64) []float64 {
-		if v == nil {
-			return nil
-		}
-		out := make([]float64, len(idx))
-		for i, j := range idx {
-			out[i] = v[j]
-		}
-		return out
-	}
-	s.X, s.Y, s.YErr = permute(s.X), permute(s.Y), permute(s.YErr)
+	return outs
 }

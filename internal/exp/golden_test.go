@@ -63,10 +63,10 @@ func TestGoldenFigures(t *testing.T) {
 	if testing.Short() {
 		t.Skip("tiny-scale figure sweep is too heavy for -short")
 	}
-	sc := exp.TinyScale()
+	sc, engine := exp.TinyScale(), exp.NewEngine(0, 0)
 	got := map[string]string{}
 	for _, e := range exp.All() {
-		got[e.ID] = goldenText(t, e.ID, e.Run(sc))
+		got[e.ID] = goldenText(t, e.ID, e.Run(engine, sc))
 	}
 
 	if *updateGolden {

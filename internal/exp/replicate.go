@@ -2,10 +2,11 @@ package exp
 
 import (
 	"fmt"
+	"math"
 
+	"rapid/internal/metrics"
 	"rapid/internal/report"
 	"rapid/internal/scenario"
-	"rapid/internal/stat"
 )
 
 // This file is the replication/statistics engine: it expands a
@@ -49,14 +50,6 @@ func FamilyParams(name string, sc Scale) scenario.Params {
 	return p
 }
 
-// repPoint accumulates one (series, x) point's replications.
-type repPoint struct {
-	series string
-	x      float64
-	delay  stat.Welford
-	rate   stat.Welford
-}
-
 // FamilyCI expands the family at reps replications per grid point, runs
 // every replication on the engine, and reduces the family to two
 // error-bar figures — average delay and delivery rate against the
@@ -75,7 +68,6 @@ func (e *Engine) FamilyCI(name string, sc Scale, reps int) ([]Output, error) {
 	if len(scs) == 0 {
 		return nil, fmt.Errorf("exp: family %q expanded to no scenarios", name)
 	}
-	sums := e.Summaries(scs)
 
 	// The x axis: loss probability when the family sweeps one,
 	// workload load otherwise.
@@ -105,63 +97,46 @@ func (e *Engine) FamilyCI(name string, sc Scale, reps int) ([]Output, error) {
 		}
 	}
 
-	// Group replications: the key is the scenario with Run — and the
-	// DieselNet day index, the trace families' second averaging
-	// dimension — erased, so each group is exactly one experiment
-	// point's Days×R independent draws (the paper averages over days
-	// and seeds alike).
-	groups := map[scenario.Scenario]*repPoint{}
-	var order []scenario.Scenario
-	for i, s := range sums {
-		k := scs[i]
+	// Group replications into points: the key is the scenario with Run
+	// — and the DieselNet day index, the trace families' second
+	// averaging dimension — erased, so each point is exactly one
+	// experiment point's Days×R independent draws (the paper averages
+	// over days and seeds alike). A zero-delivery replication has no
+	// delay sample — Summarize leaves AvgDelay at 0, and pooling that 0
+	// would drag the delay mean toward the best possible value exactly
+	// when the run performed worst — so the delay value declines it;
+	// the delivery rate records the failure instead.
+	delay := func(s metrics.Summary) float64 {
+		if s.Delivered == 0 {
+			return math.NaN()
+		}
+		return s.AvgDelay
+	}
+	group := map[scenario.Scenario]int{}
+	var pts []point
+	for _, s := range scs {
+		k := s
 		k.Run = 0
 		k.Schedule.Day = 0
-		g := groups[k]
-		if g == nil {
-			g = &repPoint{series: labelOf(k), x: xOf(k)}
-			groups[k] = g
-			order = append(order, k)
+		i, ok := group[k]
+		if !ok {
+			i = len(pts)
+			group[k] = i
+			pts = append(pts, point{series: labelOf(k), x: xOf(k), value: delay})
 		}
-		// A zero-delivery replication has no delay sample — Summarize
-		// leaves AvgDelay at 0, and pooling that 0 would drag the delay
-		// mean toward the best possible value exactly when the run
-		// performed worst. The delivery-rate accumulator records the
-		// failure instead.
-		if s.Delivered > 0 {
-			g.delay.Add(s.AvgDelay)
-		}
-		g.rate.Add(s.DeliveryRate)
+		pts[i].scs = append(pts[i].scs, s)
 	}
-
-	mkFigure := func(id, title, ylabel string, value func(*repPoint) stat.CI) *report.Figure {
-		fig := &report.Figure{ID: id, Title: title, XLabel: xlabel, YLabel: ylabel}
-		idx := map[string]int{}
-		for _, k := range order {
-			g := groups[k]
-			ci := value(g)
-			si, ok := idx[g.series]
-			if !ok {
-				si = len(fig.Series)
-				idx[g.series] = si
-				fig.Series = append(fig.Series, report.Series{Label: g.series})
-			}
-			s := &fig.Series[si]
-			s.X = append(s.X, g.x)
-			s.Y = append(s.Y, ci.Mean)
-			s.YErr = append(s.YErr, ci.Half)
-		}
-		for i := range fig.Series {
-			sortSeries(&fig.Series[i])
-		}
-		return fig
+	n := len(pts)
+	for _, d := range pts[:n] {
+		pts = append(pts, point{series: d.series, x: d.x, scs: d.scs, value: deliveryRate.value})
 	}
+	cis := e.reduce(pts)
 
 	tbl := &report.Table{Header: []string{
 		"protocol", "x", "reps", "avg delay (s)", "±95%", "delivery rate", "±95%",
 	}}
-	for _, k := range order {
-		g := groups[k]
-		d, r := g.delay.CI(ciConfidence), g.rate.CI(ciConfidence)
+	for i, g := range pts[:n] {
+		d, r := cis[i], cis[n+i]
 		// r.N is the point's full replication pool; the delay CI spans
 		// the subset that delivered (d.N, equal unless a replication
 		// delivered nothing).
@@ -176,17 +151,19 @@ func (e *Engine) FamilyCI(name string, sc Scale, reps int) ([]Output, error) {
 		note = fmt.Sprintf("mean ± 95%% CI over %d days × %d seeded replications pooled per point (Student-t)", days, p.Runs)
 	}
 	note += "; delay pools delivering replications only"
+	fig := func(kind, title, ylabel string) *report.Figure {
+		return &report.Figure{ID: name + "-" + kind, Title: fmt.Sprintf("%s: %s (R=%d)", name, title, p.Runs),
+			XLabel: xlabel, YLabel: ylabel}
+	}
 	return []Output{
 		{
-			Figure: mkFigure(name+"-delay", fmt.Sprintf("%s: average delay (R=%d)", name, p.Runs),
-				"avg delay (s)", func(g *repPoint) stat.CI { return g.delay.CI(ciConfidence) }),
-			Table: tbl,
-			Notes: []string{note},
+			Figure: plot(fig("delay", "average delay", "avg delay (s)"), pts[:n], cis[:n], true),
+			Table:  tbl,
+			Notes:  []string{note},
 		},
 		{
-			Figure: mkFigure(name+"-rate", fmt.Sprintf("%s: delivery rate (R=%d)", name, p.Runs),
-				"fraction delivered", func(g *repPoint) stat.CI { return g.rate.CI(ciConfidence) }),
-			Notes: []string{note},
+			Figure: plot(fig("rate", "delivery rate", deliveryRate.ylabel), pts[n:], cis[n:], true),
+			Notes:  []string{note},
 		},
 	}, nil
 }

@@ -4,14 +4,13 @@ import (
 	"fmt"
 
 	"rapid/internal/core"
-	"rapid/internal/metrics"
 	"rapid/internal/scenario"
 )
 
 // This file turns (scale, experiment point) coordinates into scenario
 // values: each point is a slice of a registry family's grid. All
 // execution flows through the Engine (engine.go): the figures assemble
-// scenario grids here and submit them as one flat job list.
+// scenario grids here and hand them to the sweep reducer.
 
 // traceFamily is the clean DieselNet grid the trace figures run.
 const traceFamily = "trace-comparison"
@@ -69,14 +68,3 @@ func fairnessGrid(sc Scale, parallel int) []scenario.Scenario {
 	}
 	return scs
 }
-
-// Summary value extractors shared by the figures.
-func avgDelayMin(s metrics.Summary) float64        { return s.AvgDelay / 60 }
-func avgDelaySec(s metrics.Summary) float64        { return s.AvgDelay }
-func maxDelayMin(s metrics.Summary) float64        { return s.MaxDelay / 60 }
-func maxDelaySec(s metrics.Summary) float64        { return s.MaxDelay }
-func deliveryRate(s metrics.Summary) float64       { return s.DeliveryRate }
-func withinDeadline(s metrics.Summary) float64     { return s.WithinDeadline }
-func avgDelayAllMin(s metrics.Summary) float64     { return s.AvgDelayAll / 60 }
-func metaOverData(s metrics.Summary) float64       { return s.MetaOverData }
-func channelUtilization(s metrics.Summary) float64 { return s.Utilization }

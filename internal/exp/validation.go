@@ -9,12 +9,12 @@ import (
 	"rapid/internal/stat"
 )
 
-// Table3 reproduces the deployment's average daily statistics (§5.2):
+// table3 reproduces the deployment's average daily statistics (§5.2):
 // RAPID at the default load (4 packets/hour/destination) over the
 // scale's days, on the deployment-emulated (perturbed) schedules.
-func Table3(sc Scale) Output {
+func table3(e *Engine, sc Scale) Output {
 	scs := expand("deployment", FamilyParams("deployment", sc))
-	sums := defaultEngine.Summaries(scs)
+	sums := e.Summaries(scs)
 
 	var buses, bytesDay, meetings stat.Welford
 	var delivered, delay, metaBW, metaData stat.Welford
@@ -49,43 +49,33 @@ func Table3(sc Scale) Output {
 	return Output{Table: t, Notes: notes}
 }
 
-// Fig3 reproduces Figure 3: per-day average delay of the deployment
+// fig3 reproduces Figure 3: per-day average delay of the deployment
 // ("Real": perturbed schedule) against the clean trace-driven
 // simulation averaged over the scale's runs, plus the headline
 // validation statistic — the simulator's mean delay within a small
 // relative error of the deployment's at 95% confidence.
-func Fig3(sc Scale) Output {
-
-	// Both arms submitted as one flat batch: days × (1 real + Runs sim).
+func fig3(e *Engine, sc Scale) Output {
+	// Both arms in one sweep: per day, 1 real run and Runs sim runs
+	// (paper: 30).
 	realScs := expand("deployment", FamilyParams("deployment", sc))
 	simScs := pointGrid(traceFamily, sc, scenario.DefaultTraceLoad, scenario.ProtoRapid, core.AvgDelay, scenario.Overrides{})
-	sums := defaultEngine.Summaries(append(realScs, simScs...))
-	realSums, simSums := sums[:sc.Days], sums[sc.Days:]
-
-	fig := &report.Figure{
-		ID: "fig3", Title: "Deployment vs simulation, daily average delay",
-		XLabel: "day", YLabel: "avg delay (min)",
-	}
-	real := report.Series{Label: "Real"}
-	simS := report.Series{Label: "Simulation"}
-	var relDiffs []float64
+	var pts []point
 	for day := 0; day < sc.Days; day++ {
-		rs := realSums[day]
-		real.X = append(real.X, float64(day))
-		real.Y = append(real.Y, rs.AvgDelay/60)
-
-		// Clean simulation, averaged over seeds (paper: 30 runs).
-		var w stat.Welford
-		for run := 0; run < sc.Runs; run++ {
-			w.Add(simSums[day*sc.Runs+run].AvgDelay / 60)
-		}
-		simS.X = append(simS.X, float64(day))
-		simS.Y = append(simS.Y, w.Mean())
-		if rs.AvgDelay > 0 {
-			relDiffs = append(relDiffs, (w.Mean()*60-rs.AvgDelay)/rs.AvgDelay)
+		pts = append(pts,
+			point{series: "Real", x: float64(day), scs: realScs[day : day+1], value: avgDelayMin.value},
+			point{series: "Simulation", x: float64(day), scs: simScs[day*sc.Runs : (day+1)*sc.Runs], value: avgDelayMin.value})
+	}
+	cis := e.reduce(pts)
+	fig := plot(&report.Figure{
+		ID: "fig3", Title: "Deployment vs simulation, daily average delay",
+		XLabel: "day", YLabel: avgDelayMin.ylabel,
+	}, pts, cis, false)
+	var relDiffs []float64
+	for day, rs := range e.Summaries(realScs) {
+		if sim := cis[2*day+1].Mean; rs.AvgDelay > 0 {
+			relDiffs = append(relDiffs, (sim*60-rs.AvgDelay)/rs.AvgDelay)
 		}
 	}
-	fig.Series = []report.Series{real, simS}
 	notes := []string{}
 	if len(relDiffs) >= 2 {
 		mean, hw, err := stat.MeanCI(relDiffs, 0.95)
