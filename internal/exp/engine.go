@@ -330,11 +330,6 @@ func plot(fig *report.Figure, pts []point, cis []stat.CI, errs bool) *report.Fig
 	return fig
 }
 
-// sweep reduces the points on the engine into fig, without error bars.
-func (e *Engine) sweep(fig *report.Figure, pts []point) *report.Figure {
-	return plot(fig, pts, e.reduce(pts), false)
-}
-
 // sortSeries orders a series by X, keeping Y and any YErr aligned.
 func sortSeries(s *report.Series) {
 	idx := make([]int, len(s.X))

@@ -165,7 +165,7 @@ func TestSweepSeriesOrder(t *testing.T) {
 		{series: "c", x: 1, value: func(metrics.Summary) float64 { return math.NaN() }, scs: grid[3:4], obs: []float64{7}},
 	}
 	e := NewEngine(2, 0)
-	fig := e.sweep(&report.Figure{}, pts)
+	fig := plot(&report.Figure{}, pts, e.reduce(pts), false)
 	if len(fig.Series) != 3 || fig.Series[0].Label != "b" || fig.Series[1].Label != "a" || fig.Series[2].Label != "c" {
 		t.Fatalf("series order wrong: %+v", fig.Series)
 	}

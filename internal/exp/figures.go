@@ -219,7 +219,8 @@ func (g grid) fig(id, title string) *report.Figure {
 // figure.
 func figure(id, title, figTitle string, g grid) Experiment {
 	return Experiment{id, title, func(e *Engine, sc Scale) Output {
-		return Output{Figure: e.sweep(g.fig(id, figTitle), g.points(sc))}
+		pts := g.points(sc)
+		return Output{Figure: plot(g.fig(id, figTitle), pts, e.reduce(pts), false)}
 	}}
 }
 
@@ -250,7 +251,7 @@ func fig8(e *Engine, sc Scale) Output {
 	}
 	fig := &report.Figure{ID: "fig8", Title: "Control channel benefit (trace)",
 		XLabel: "metadata cap (fraction of opportunity; 0.4 = unlimited)", YLabel: avgDelayMin.ylabel}
-	return Output{Figure: e.sweep(fig, pts), Notes: []string{
+	return Output{Figure: plot(fig, pts, e.reduce(pts), false), Notes: []string{
 		"x = 0.4 is the unlimited-metadata arm (paper: best performance with no restriction)",
 	}}
 }
@@ -268,7 +269,7 @@ func fig9(e *Engine, sc Scale) Output {
 			point{series: "Delivery rate", x: load, scs: scs, value: deliveryRate.value})
 	}
 	fig := &report.Figure{ID: "fig9", Title: "Channel utilization (trace)", XLabel: tracePerHour, YLabel: "fraction"}
-	return Output{Figure: e.sweep(fig, pts)}
+	return Output{Figure: plot(fig, pts, e.reduce(pts), false)}
 }
 
 // fig13 reproduces Figure 13: average delay including undelivered
@@ -302,7 +303,8 @@ func fig13(e *Engine, sc Scale) Output {
 		opt = append(opt, point{series: "Optimal", x: t.x, obs: delays[i*per : (i+1)*per]})
 	}
 	fig := g.fig("fig13", "Comparison with Optimal (trace, small loads)")
-	return Output{Figure: e.sweep(fig, append(opt, g.points(sc)...)), Notes: []string{
+	pts := append(opt, g.points(sc)...)
+	return Output{Figure: plot(fig, pts, e.reduce(pts), false), Notes: []string{
 		"Optimal is the offline earliest-arrival oracle with capacity reservation (single-copy, like the paper's ILP); exact-ILP cross-checks live in internal/routing/optimal tests",
 	}}
 }
