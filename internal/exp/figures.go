@@ -201,8 +201,9 @@ type grid struct {
 // points is the grid's figure points at the scale, arm by arm.
 func (g grid) points(sc Scale) []point {
 	var pts []point
+	ticks := g.axis.ticks(sc)
 	for _, a := range g.arms {
-		for _, t := range g.axis.ticks(sc) {
+		for _, t := range ticks {
 			pts = append(pts, point{series: a.label, x: t.x, value: g.measure.value,
 				scs: pointGrid(g.family, sc, t.load, a.proto, g.metric, t.ov)})
 		}
